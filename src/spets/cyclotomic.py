@@ -28,6 +28,8 @@ __all__ = [
     "parse_cyclo",
     "totient",
     "divisors",
+    "row_reduce",
+    "solve_linear",
     "cyclotomic_int_coeffs",
 ]
 
@@ -105,35 +107,41 @@ def _power_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(rows)
 
 
-def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    """Solve matrix @ v = rhs exactly; return None when inconsistent."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(rows)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if aug[i][c] != 0), None)
+def row_reduce(rows: list[list]) -> list[int]:
+    """Gauss-Jordan elimination in place; returns the pivot column of each row.
+
+    ``rows`` ends in reduced row echelon form.  Entries need only ``bool``,
+    ``*``, ``-`` and ``1 / x``, so the same loop serves ``Fraction`` and
+    :class:`Cyclo` matrices.
+    """
+    pivots: list[int] = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][cols] != 0:
-            return None
-    sol = [_ZERO] * cols
-    for ri, ci in pivots:
-        sol[ci] = aug[ri][cols]
-    return sol
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                rows[i] = [a - f * b for a, b in zip(row, rows[r])]
+        pivots.append(c)
+    return pivots
+
+
+def solve_linear(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[list]:
+    """The solution v of matrix @ v = rhs, or None when rhs is outside the
+    column span; the columns of ``matrix`` must be linearly independent."""
+    cols = len(matrix[0])
+    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    pivots = row_reduce(rows)
+    if pivots[-1:] == [cols]:  # a pivot in the right-hand side
+        return None
+    if len(pivots) != cols:
+        raise ArithmeticError("solve_linear needs linearly independent columns")
+    return [row[cols] for row in rows[:cols]]
 
 
 @lru_cache(maxsize=None)
@@ -271,9 +279,7 @@ class Cyclo:
         cols = [(self * Cyclo.root_of_unity(self.n, j))._lift(self.n) for j in range(phi)]
         matrix = [[cols[j][i] for j in range(phi)] for i in range(phi)]
         rhs = [_ONE] + [_ZERO] * (phi - 1)
-        sol = _solve_linear(matrix, rhs)
-        assert sol is not None
-        return Cyclo(self.n, sol)
+        return Cyclo(self.n, solve_linear(matrix, rhs))
 
     def __truediv__(self, other: "Cyclo | Rat") -> "Cyclo":
         return self * _coerce(other).inverse()
@@ -300,16 +306,8 @@ class Cyclo:
             return self
         if gcd(k, self.n) != 1:
             raise ValueError("galois exponent must be coprime to the conductor")
-        table = _power_table(self.n)
-        phi = totient(self.n)
-        acc = [_ZERO] * phi
-        for j, c in enumerate(self.coeffs):
-            if c:
-                row = table[(j * k) % self.n]
-                for t, r in enumerate(row):
-                    if r:
-                        acc[t] += c * r
-        return Cyclo(self.n, acc)
+        # Galois conjugates share the conductor, so no reduction is needed
+        return Cyclo(self.n, _galois_vec(self.n, self.coeffs, k), reduce=False)
 
     def conjugate(self) -> "Cyclo":
         """Complex conjugation (zeta -> zeta^{-1})."""
@@ -336,7 +334,8 @@ class Cyclo:
     def __hash__(self) -> int:
         h = object.__getattribute__(self, "_hash")
         if h is None:
-            h = hash((self.n, self.coeffs))
+            # a rational hashes like its Fraction, as == compares them equal
+            h = hash(self.coeffs[0] if self.n == 1 else (self.n, self.coeffs))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -411,7 +410,7 @@ def _minimize_conductor(n: int, vec: list[Fraction]) -> tuple[int, list[Fraction
         if not fixed:
             continue
         basis = _subfield_basis_matrix(d, n)
-        sol = _solve_linear([list(r) for r in basis], vec)
+        sol = solve_linear(basis, vec)
         if sol is not None:
             if d > 1:
                 d2, sol2 = _minimize_conductor(d, sol)
@@ -519,6 +518,8 @@ def parse_cyclo(text: str) -> Cyclo:
         if root_txt:
             rm = _ROOT_RE.match(root_txt)
             assert rm is not None
+            if int(rm.group(1)) == 0:
+                raise ValueError(f"root of unity of order 0 in cyclotomic literal {text!r}")
             term = term * zeta(int(rm.group(1)), int(rm.group(2)))
         acc = acc + term
         pos = m.end()
@@ -580,17 +581,11 @@ class CycloField:
     def contains(self, z: Cyclo) -> bool:
         if z.n == 1:
             return True
+        # z is kept at its minimal conductor, so z lies in Q(zeta_conductor)
+        # exactly when z.n divides the conductor
         if self.conductor % z.n != 0:
-            # element's field must embed into Q(zeta_conductor)
-            if _lcm(z.n, self.conductor) != self.conductor:
-                return False
-        for k in self.stabilizer:
-            kk = k % z.n
-            if gcd(kk, z.n) != 1:
-                return False
-            if z.galois(kk) != z:
-                return False
-        return True
+            return False
+        return all(z.galois(k) == z for k in self.stabilizer)
 
     def galois_orbit_exponents(self, modulus: int) -> list[int]:
         """Exponents k of Gal(Q(zeta_modulus)/K) for a modulus divisible by n."""

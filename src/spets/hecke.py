@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .cyclotomic import Cyclo, zeta as zeta_root
+from .cyclotomic import Cyclo, CycloField, zeta as zeta_root
 from .laurent import FracExpMonomial, LaurentPoly
 
 __all__ = [
@@ -368,20 +368,6 @@ def _elementary_symmetric(params: CyclicHeckeParams) -> list[dict[Fraction, Cycl
     return elem
 
 
-def _in_cyclotomic_field(c: Cyclo, n: int) -> bool:
-    """Whether ``c`` lies in the field generated by the n-th roots of unity."""
-    big = lcm(c.n, n)
-    for k in range(1, big):
-        if k % n == 1 % n and _coprime(k, big) and c.galois(k) != c:
-            return False
-    return True
-
-
-def _coprime(a: int, b: int) -> bool:
-    from math import gcd
-    return gcd(a, b) == 1
-
-
 def check_spetsial(spec: SpetsialAlgebraSpec, G=None, w=None) -> ConditionReport:
     """Evaluate the defining conditions of a spetsial cyclotomic algebra.
 
@@ -394,10 +380,9 @@ def check_spetsial(spec: SpetsialAlgebraSpec, G=None, w=None) -> ConditionReport
     zeta = spec.zeta
 
     # CA1: coefficients of prod(t - u_j) lie in the character field of the series
-    field_n = lcm(spec.e, spec.d)
+    field = CycloField.cyclotomic(lcm(spec.e, spec.d))
     elem = _elementary_symmetric(params)
-    conds["CA1"] = all(_in_cyclotomic_field(c, field_n)
-                       for layer in elem for c in layer.values() if c)
+    conds["CA1"] = all(field.contains(c) for layer in elem for c in layer.values())
     q = params.v_denominator()
     if q > 1:
         # rationality of fractional exponents: v -> zeta_q v permutes parameters

@@ -220,11 +220,15 @@ class LaurentPoly:
 
     # -- transforms ---------------------------------------------------------
     def evaluate(self, v: Scalar) -> Cyclo:
+        """Value at v, by Horner's rule over the exponents that occur."""
         v = _coerce(v)
-        acc = Cyclo.rational(0)
-        for e, c in self.coeffs:
-            acc = acc + c * (v ** e)
-        return acc
+        if not self.coeffs:
+            return Cyclo.rational(0)
+        e, acc = self.coeffs[-1]
+        for e2, c in reversed(self.coeffs[:-1]):
+            acc = acc * v ** (e - e2) + c
+            e = e2
+        return acc * v ** e
 
     def conjugate(self) -> "LaurentPoly":
         """Complex-conjugate the coefficients."""
@@ -280,7 +284,13 @@ class LaurentPoly:
     def __hash__(self) -> int:
         h = object.__getattribute__(self, "_hash")
         if h is None:
-            h = hash(self.coeffs)
+            # a constant hashes like its coefficient, as == compares them equal
+            if not self.coeffs:
+                h = hash(0)
+            elif len(self.coeffs) == 1 and self.coeffs[0][0] == 0:
+                h = hash(self.coeffs[0][1])
+            else:
+                h = hash(self.coeffs)
             object.__setattr__(self, "_hash", h)
         return h
 

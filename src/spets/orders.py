@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cyclotomic import Cyclo, zeta
+from .cyclotomic import Cyclo, divisors, zeta
 from .laurent import KCycloPoly, LaurentPoly, k_cyclotomic_factors
 from .reflection import (Matrix, ReflectionCoset, SubCoset, coset_poincare,
                          sylow_subcoset)
@@ -198,12 +198,8 @@ def all_sylow_congruences(G: ReflectionCoset) -> list[tuple[KCycloPoly, bool]]:
     """Sylow congruences for every K-cyclotomic divisor of the order polynomial."""
     order = order_poly(G)
     out = []
-    for d in sorted({dd for dd, _ in G.degrees for dd in _divisors_of(dd)}):
+    for d in sorted({dd for dd, _ in G.degrees for dd in divisors(dd)}):
         for phi in k_cyclotomic_factors(d, G.field):
             if phi.poly.divides(order):
                 out.append((phi, sylow_congruence(G, phi)))
     return out
-
-
-def _divisors_of(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .cyclotomic import Cyclo, CycloField, zeta
+from .cyclotomic import Cyclo, CycloField, row_reduce, solve_linear, zeta
 from .laurent import KCycloPoly, LaurentPoly
 
 __all__ = [
@@ -102,7 +102,17 @@ class Matrix:
         n = self.n
         mat = [[self.rows[i][j] - (eigval if i == j else Cyclo.rational(0))
                 for j in range(n)] for i in range(n)]
-        return _kernel(mat)
+        pivots = row_reduce(mat)
+        basis = []
+        for fc in range(n):
+            if fc in pivots:
+                continue
+            vec = [Cyclo.rational(0)] * n
+            vec[fc] = Cyclo.rational(1)
+            for ri, pc in enumerate(pivots):
+                vec[pc] = -mat[ri][fc]
+            basis.append(vec)
+        return basis
 
     def fixed_space(self) -> list[list[Cyclo]]:
         return self.eigenspace(Cyclo.rational(1))
@@ -150,65 +160,6 @@ def _poly_det(entries: list[list[LaurentPoly]]) -> LaurentPoly:
         term = entries[0][j] * _poly_det(minor)
         acc = acc + (term if j % 2 == 0 else -term)
     return acc
-
-
-def _kernel(mat: list[list[Cyclo]]) -> list[list[Cyclo]]:
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    aug = [list(r) for r in mat]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if not aug[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = aug[r][c].inverse()
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(rows):
-            if i != r and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Cyclo.rational(0)] * cols
-        vec[fc] = Cyclo.rational(1)
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -aug[ri][fc]
-        basis.append(vec)
-    return basis
-
-
-def _solve_coords(basis: list[list[Cyclo]], target: list[Cyclo]) -> list[Cyclo]:
-    """Coordinates of target in span(basis); raises when outside the span."""
-    cols = len(basis)
-    rows = len(target)
-    aug = [[basis[j][i] for j in range(cols)] + [target[i]] for i in range(rows)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if not aug[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = aug[r][c].inverse()
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(rows):
-            if i != r and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, rows):
-        if not aug[i][cols].is_zero():
-            raise ArithmeticError("vector not in span")
-    sol = [Cyclo.rational(0)] * cols
-    for ri, ci in pivots:
-        sol[ci] = aug[ri][cols]
-    return sol
 
 
 @dataclass(frozen=True)
@@ -374,8 +325,9 @@ class ReflectionCoset:
         cent = self.centralizer(w)
         mapping: dict[Matrix, Matrix] = {}
         restricted: list[Matrix] = []
+        columns = list(zip(*basis))  # the basis vectors as columns
         for v in cent:
-            cols = [_solve_coords(basis, v.apply(b)) for b in basis]
+            cols = [solve_linear(columns, v.apply(b)) for b in basis]
             mat = Matrix([[cols[j][i] for j in range(len(basis))]
                           for i in range(len(basis))])
             mapping[v] = mat

@@ -10,9 +10,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .cyclotomic import Cyclo, CycloField, zeta as zeta_root
+from .cyclotomic import Cyclo, CycloField, divisors, zeta as zeta_root
 from .laurent import FracExpMonomial, LaurentPoly
 from .hecke import (SpetsialAlgebraSpec, check_spetsial, frobenius,
                     frobenius_model, schur_cyclic, CyclicHeckeParams)
@@ -421,8 +421,10 @@ def _distinct_assignments(items):
 # -- Harish-Chandra series -------------------------------------------------------------
 
 
-def _x_prime(p: LaurentPoly) -> LaurentPoly:
-    return p.shift(-p.valuation())
+def _hc_ratio(G: ReflectionCoset, l_order: LaurentPoly) -> LaurentPoly:
+    """(|G|/|L|)_{x'}: the order ratio with its power of x divided out."""
+    ratio = order_poly(G, "compact").exact_div(l_order)
+    return ratio.shift(-ratio.valuation())
 
 
 def hc_series(G: ReflectionCoset, l_order: LaurentPoly, deg_lambda: LaurentPoly,
@@ -434,7 +436,7 @@ def hc_series(G: ReflectionCoset, l_order: LaurentPoly, deg_lambda: LaurentPoly,
     Degrees are Deg(lambda) * (|G|/|L|)_{x'} / S_chi for the Schur elements of
     the relative algebra; Frobenius eigenvalues are inherited from lambda.
     """
-    ratio = _x_prime(order_poly(G, "compact")).exact_div(_x_prime(l_order))
+    ratio = _hc_ratio(G, l_order)
     rows = []
     for s, rel_name in zip(schur_cyclic(rel_params), rel_names):
         deg = (deg_lambda * ratio).exact_div(s.as_x())
@@ -455,7 +457,7 @@ def hc_candidate_filter(G: ReflectionCoset, l_order: LaurentPoly,
     being a Laurent polynomial, and by the x = 1 specialization being a
     character degree of the relative group.
     """
-    ratio = _x_prime(order_poly(G, "compact")).exact_div(_x_prime(l_order))
+    ratio = _hc_ratio(G, l_order)
     out = []
     for row in known.rows:
         if not deg_lambda.divides(row.degree):
@@ -477,7 +479,7 @@ def check_inducing_sum(G: ReflectionCoset, l_order: LaurentPoly,
                        deg_lambda: LaurentPoly,
                        rows_with_dims: list[tuple[UnipotentCharacter, int]]) -> bool:
     """Deg(lambda) (|G|/|L|)_{x'} = sum Deg(rho_chi) chi(1) over a proposed tuple."""
-    ratio = _x_prime(order_poly(G, "compact")).exact_div(_x_prime(l_order))
+    ratio = _hc_ratio(G, l_order)
     total = LaurentPoly.zero()
     for row, dim in rows_with_dims:
         total = total + row.degree * dim
@@ -587,9 +589,9 @@ def regular_eigenvalues(G: ReflectionCoset) -> list[Cyclo]:
     """All roots of unity admitting a regular eigenvector, sorted by (d, a)."""
     exponent = lcm(*(g.multiplicative_order() for g in G.elements))
     out = []
-    for d in sorted(_divisors(exponent)):
+    for d in divisors(exponent):
         for a in range(d):
-            if d > 1 and _gcd(a, d) != 1 or (d == 1 and a != 0):
+            if d > 1 and gcd(a, d) != 1 or (d == 1 and a != 0):
                 continue
             z = zeta_root(d, a)
             if _has_regular_vector(G, z):
@@ -614,15 +616,6 @@ def _has_regular_vector(G: ReflectionCoset, z: Cyclo) -> bool:
             if all(g.apply(v) != v for g in refl):
                 return True
     return False
-
-
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _gcd(a: int, b: int) -> int:
-    from math import gcd
-    return gcd(a, b)
 
 
 # -- axiom verification ------------------------------------------------------------------
@@ -684,30 +677,26 @@ def verify_axioms(table: UchTable, G: ReflectionCoset,
 
 
 def _check_family_sums(table, feg_map, failures):
-    if not table.families:
-        return
-    top = max([r.big_a for r in table.rows]
-              + [fg.degree() for fg in feg_map.values()])
-    points = [Cyclo.rational(t) for t in range(1, top + 2)]
+    """Sum Deg_x(X) conj(Deg_x)(Y) = Sum Feg_chi(X) Feg_chi(Y) over each
+    family, compared coefficient by coefficient in X and Y."""
     for fam in table.families:
-        rows = [table.row(n) for n in fam.members]
-        lhs_vecs = [([r.degree.evaluate(p) for p in points],
-                     [r.degree.conjugate().evaluate(p) for p in points])
-                    for r in rows]
-        fegs = [feg_map[n] for n in fam.members if n in feg_map]
-        rhs_vecs = [[fg.evaluate(p) for p in points] for fg in fegs]
-        for ix in range(len(points)):
-            for iy in range(len(points)):
-                lhs = sum((dx[ix] * dy[iy] for dx, dy in lhs_vecs),
-                          Cyclo.rational(0))
-                rhs = sum((fv[ix] * fv[iy] for fv in rhs_vecs),
-                          Cyclo.rational(0))
-                if lhs != rhs:
-                    failures.append(f"family {fam.index} at grid ({ix},{iy})")
-                    break
-            else:
-                continue
-            break
+        degs = [table.row(n).degree for n in fam.members]
+        lhs = _outer_sum((d, d.conjugate()) for d in degs)
+        rhs = _outer_sum((feg_map[n], feg_map[n]) for n in fam.members if n in feg_map)
+        bad = [ij for ij in sorted(lhs.keys() | rhs.keys())
+               if lhs.get(ij, 0) != rhs.get(ij, 0)]
+        if bad:
+            failures.append(f"family {fam.index} at x^{bad[0][0]} y^{bad[0][1]}")
+
+
+def _outer_sum(pairs) -> dict[tuple[int, int], Cyclo]:
+    """Coefficients of Sum p(X) q(Y) over the pairs (p, q), keyed by (i, j)."""
+    acc: dict[tuple[int, int], Cyclo] = {}
+    for p, q in pairs:
+        for i, a in p.coeffs:
+            for j, b in q.coeffs:
+                acc[i, j] = acc[i, j] + a * b if (i, j) in acc else a * b
+    return acc
 
 
 def _check_series_compat(table, regulars, failures):
@@ -754,7 +743,7 @@ def _check_galois_closure(table, field: CycloField, failures):
     base = snapshot([(r.degree, r.fr.coeff if r.fr else None,
                       r.fr.exp if r.fr else None) for r in table.rows])
     for k in range(2, cond):
-        if _gcd(k, cond) != 1:
+        if gcd(k, cond) != 1:
             continue
         if k % field.conductor not in field.stabilizer:
             continue

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spets.cyclotomic import (Cyclo, CycloField, field_from_name, parse_cyclo,
-                              sqrt_int, zeta)
+from spets.cyclotomic import (_NAMED_FIELDS, Cyclo, CycloField, field_from_name,
+                              parse_cyclo, row_reduce, solve_linear, sqrt_int, zeta)
+from spets.reflection import Matrix
 
 
 def rand_cyclo(n):
@@ -59,12 +61,51 @@ class TestArithmetic:
         assert (zeta(3) + 2).root_of_unity_order() is None
         assert Cyclo.rational(1).root_of_unity_order() == (1, 0)
 
+    def test_rational_hashes_like_fraction(self):
+        assert len({Cyclo.rational(1), 1}) == 1
+        assert len({Cyclo.rational(Fraction(-2, 3)), Fraction(-2, 3)}) == 1
+        assert hash(zeta(3) + zeta(3, 2)) == hash(-1)
+
+
+class TestElimination:
+    def test_fraction_system(self):
+        m = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
+        assert solve_linear(m, [Fraction(5), Fraction(6)]) == [-4, Fraction(9, 2)]
+
+    def test_inconsistent_system(self):
+        m = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)], [Fraction(0), Fraction(1)]]
+        assert solve_linear(m, [Fraction(1), Fraction(3), Fraction(0)]) is None
+        # the same columns with a right-hand side in their span
+        assert solve_linear(m, [Fraction(1), Fraction(2), Fraction(0)]) == [1, 0]
+
+    def test_dependent_columns_rejected(self):
+        m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+        with pytest.raises(ArithmeticError):
+            solve_linear(m, [Fraction(1), Fraction(2)])
+
+    def test_kernel_of_singular_cyclo_matrix(self):
+        z = zeta(3)
+        # the second row is zeta^2 times the first, so the rank is 1
+        m = Matrix([[1, z], [z ** 2, 1]])
+        rows = [list(r) for r in m.rows]
+        assert row_reduce(rows) == [0]
+        assert rows == [[1, z], [0, 0]]
+        (vec,) = m.eigenspace(Cyclo.rational(0))
+        assert vec == [-z, 1]
+        assert m.apply(vec) == [0, 0]
+
 
 class TestSerialization:
     def test_grammar(self):
         c = zeta(3) * Fraction(2, 3) - Fraction(1, 2)
         assert c.serialize() == "-1/2+2/3*E(3,1)"
         assert parse_cyclo(c.serialize()) == c
+
+    def test_order_zero_root_is_value_error(self):
+        with pytest.raises(ValueError, match=r"E\(0,1\)"):
+            parse_cyclo("E(0,1)")
+        with pytest.raises(ValueError, match="order 0"):
+            parse_cyclo("1+2*E(0,3)")
 
     @given(rand_cyclo(20))
     @settings(max_examples=50, deadline=None)
@@ -108,3 +149,21 @@ class TestFields:
         # the identity is the only element over any modulus base
         assert CycloField.rationals().galois_orbit_exponents(1) == [1]
         assert CycloField.rationals().galois_orbit_exponents(4) == [1, 3]
+
+    @given(st.sampled_from([1, 3, 4, 5, 7, 8, 9, 12, 15, 20, 24]).flatmap(rand_cyclo),
+           st.sampled_from(sorted(_NAMED_FIELDS) + ["6", "9", "20"]))
+    @settings(max_examples=150, deadline=None)
+    def test_contains_matches_galois_scan(self, z, name):
+        field = field_from_name(name)
+        assert field.contains(z) == _fixed_by_field_galois_group(z, field)
+        # the relative trace of z down to the field always lies in it
+        group = field.galois_orbit_exponents(lcm(z.n, field.conductor))
+        trace = sum((z.galois(k) for k in group), Cyclo.rational(0))
+        assert field.contains(trace) and _fixed_by_field_galois_group(trace, field)
+
+
+def _fixed_by_field_galois_group(z, field):
+    """Reference membership test: z lies in K exactly when every element of
+    Gal(Q(zeta_N)/K) fixes it, for N = lcm(conductor of z, conductor of K)."""
+    big = lcm(z.n, field.conductor)
+    return all(z.galois(k) == z for k in field.galois_orbit_exponents(big))

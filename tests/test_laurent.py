@@ -64,6 +64,19 @@ class TestRing:
     def test_serialize_roundtrip(self, p):
         assert parse_poly(p.serialize()) == p
 
+    def test_constant_hashes_like_coefficient(self):
+        assert len({LaurentPoly.one(), 1}) == 1
+        assert len({LaurentPoly.zero(), 0}) == 1
+        assert len({LaurentPoly.constant(zeta(3)), zeta(3)}) == 1
+        assert hash(LaurentPoly.constant(Fraction(1, 2))) == hash(Fraction(1, 2))
+
+    @given(rand_poly(), st.sampled_from([1, -2, Fraction(1, 3)]))
+    @settings(max_examples=50, deadline=None)
+    def test_evaluate_matches_termwise_sum(self, p, v):
+        v = zeta(8) * v
+        want = sum((c * v ** e for e, c in p.coeffs), Cyclo.rational(0))
+        assert p.evaluate(v) == want
+
 
 class TestFracExpMonomial:
     def test_serialize(self):

@@ -71,21 +71,30 @@ class TestAxioms:
         report = verify_axioms(g312_result.table, g312, g312_fegs)
         assert report.passed, report.summary()
 
+    @staticmethod
+    def _with_degree(table, name, change):
+        rows = [UnipotentCharacter(r.name, change(r.degree), r.fr, r.family,
+                                   r.series, r.sign_resolved, r.marker)
+                if r.name == name else r for r in table.rows]
+        return type(table)(table.group, rows, table.families)
+
     def test_detects_sign_flip(self, g4, g4_result, g4_fegs):
-        table = g4_result.table
-        broken_rows = []
-        for r in table.rows:
-            if r.name == "phi_{2,5}":
-                broken_rows.append(UnipotentCharacter(
-                    r.name, -r.degree, r.fr, r.family, r.series,
-                    r.sign_resolved, r.marker))
-            else:
-                broken_rows.append(r)
-        broken = type(table)(table.group, broken_rows, table.families)
+        # a sign flip leaves Deg(X) conj(Deg)(Y) unchanged, so only the
+        # principal-series sum can see it
+        broken = self._with_degree(g4_result.table, "phi_{2,5}", lambda d: -d)
         report = verify_axioms(broken, g4, g4_fegs)
         assert not report.passed
-        assert "family-sum" in report.failures or \
-            any("family" in k for k in report.failures)
+        assert report.failures["principal-series-sum"]
+        assert not report.failures["family-sum"]
+
+    def test_detects_corrupted_family(self, g4, g4_result, g4_fegs):
+        table = g4_result.table
+        fam = table.row("phi_{2,5}").family
+        # 1/2*x^8 + 1/2*x^7 + 1/2*x^5 + 1/2*x^4 doubled: the lowest
+        # coefficient pair of the family sum moves first
+        broken = self._with_degree(table, "phi_{2,5}", lambda d: d * 2)
+        report = verify_axioms(broken, g4, g4_fegs)
+        assert report.failures["family-sum"] == [f"family {fam} at x^4 y^4"]
 
 
 class TestRegularEigenvalues:
