@@ -11,7 +11,7 @@ import sys
 
 from .chartables import char_table, feg_map
 from .cyclotomic import field_from_name, zeta
-from .hecke import CyclicHeckeParams, schur_cyclic
+from .hecke import CyclicHeckeParams, _split_top, schur_cyclic
 from .laurent import k_cyclotomic_factors
 from .orders import order_poly, poincare
 from .reflection import build_group
@@ -63,7 +63,11 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_schur(args) -> int:
-    params = CyclicHeckeParams.of([p.strip() for p in args.params.split(",")])
+    try:
+        params = CyclicHeckeParams.of(_split_top(args.params))
+    except (ValueError, ArithmeticError) as exc:
+        print(f"schur: {exc}", file=sys.stderr)
+        return 2
     if params.e != args.cyclic:
         print("schur: parameter count does not match --cyclic",
               file=sys.stderr)

@@ -499,6 +499,10 @@ _TERM_RE = re.compile(
 )
 _ROOT_RE = re.compile(r"E\(\s*(\d+)\s*,\s*(-?\d+)\s*\)")
 
+# Largest n accepted in an ``E(n,k)`` literal: building E(n,k) costs
+# O(n * phi(n)) time and memory.
+MAX_LITERAL_ORDER = 1000
+
 
 def parse_cyclo(text: str) -> Cyclo:
     """Parse the ``c*E(n,k)`` sum grammar produced by :meth:`Cyclo.serialize`."""
@@ -518,9 +522,11 @@ def parse_cyclo(text: str) -> Cyclo:
         if root_txt:
             rm = _ROOT_RE.match(root_txt)
             assert rm is not None
-            if int(rm.group(1)) == 0:
-                raise ValueError(f"root of unity of order 0 in cyclotomic literal {text!r}")
-            term = term * zeta(int(rm.group(1)), int(rm.group(2)))
+            n = int(rm.group(1))
+            if not 0 < n <= MAX_LITERAL_ORDER:
+                raise ValueError(f"root of unity of order {n} outside 1..{MAX_LITERAL_ORDER}"
+                                 f" in cyclotomic literal {text!r}")
+            term = term * zeta(n, int(rm.group(2)))
         acc = acc + term
         pos = m.end()
         if pos < len(text):

@@ -103,11 +103,7 @@ def torus_order(G: ReflectionCoset, w: Matrix, variant: str = "compact") -> Laur
 
 def fake_degree_torus(G: ReflectionCoset, w: Matrix) -> LaurentPoly:
     """Feg(R_w): the graded multiplicity polynomial of the torus induction."""
-    p_conj = poincare(G).conjugate()
-    det1xw = LaurentPoly.one()
-    for lam in w.eigenvalues():
-        det1xw = det1xw * LaurentPoly({0: 1, 1: -lam})
-    return p_conj.exact_div(det1xw.conjugate())
+    return poincare(G).conjugate().exact_div(w.det_one_minus_x().conjugate())
 
 
 @dataclass(frozen=True)
@@ -146,13 +142,9 @@ class CharTable:
 def cyclic_char_table(G: ReflectionCoset) -> CharTable:
     """Character table of a cyclic (rank-one or scalar-generated) group."""
     e = G.order
-    gen = next(g for g in G.elements if g.multiplicative_order() == e)
+    gen = next(g for g in G.elements if G.element_order(g) == e)
     # identify each class representative as a power of gen
-    powers = {}
-    m = Matrix.identity(G.rank)
-    for k in range(e):
-        powers[m] = k
-        m = m @ gen
+    powers = {m: k for k, m in enumerate(G.powers(gen))}
     names = []
     values: dict[str, tuple[Cyclo, ...]] = {}
     for j in range(e):
@@ -170,10 +162,7 @@ def fake_degree_char(table: CharTable, name: str) -> LaurentPoly:
     acc = LaurentPoly.zero()
     theta = table.values[name]
     for ci, cls in enumerate(G.classes):
-        w = G.elements[cls.rep_index]
-        det1xw = LaurentPoly.one()
-        for lam in w.eigenvalues():
-            det1xw = det1xw * LaurentPoly({0: 1, 1: -lam})
+        det1xw = G.elements[cls.rep_index].det_one_minus_x()
         term = p.exact_div(det1xw) * theta[ci].conjugate() * cls.size
         acc = acc + term
     return acc / Fraction(G.order)

@@ -1,11 +1,14 @@
 """Finite complex reflection groups as split reflection cosets.
 
 Groups are given by exact generator matrices over a cyclotomic field and
-enumerated explicitly (the built-ins are tiny).  The module computes
-conjugacy classes, reflections and reflecting-hyperplane orbits, the
-reflection degrees (via the Molien series), eigenspace data, regular
-classes, centralizer cosets on maximal eigenspaces, and Sylow data for
-K-cyclotomic polynomials.
+enumerated explicitly (the built-ins are tiny).  Enumeration is the only
+place that multiplies group elements: one breadth-first pass records the
+elements, their shortest words and an integer multiplication table.
+Conjugacy classes, centralizers, powers, element orders and the Sylow
+normaliser count are then lookups in that table.  The module also computes
+reflections and reflecting-hyperplane orbits, the reflection degrees (via
+the Molien series), eigenspace data, regular classes, centralizer cosets on
+maximal eigenspaces, and Sylow data for K-cyclotomic polynomials.
 """
 
 from __future__ import annotations
@@ -117,30 +120,9 @@ class Matrix:
     def fixed_space(self) -> list[list[Cyclo]]:
         return self.eigenspace(Cyclo.rational(1))
 
-    def eigenvalues(self) -> list[Cyclo]:
-        """Eigenvalues with multiplicity (elements have finite order)."""
-        cp = self.charpoly()
-        out: list[Cyclo] = []
-        order = self.multiplicative_order()
-        for k in range(order):
-            lam = zeta(order, k)
-            while cp.evaluate(lam).is_zero():
-                cp = cp.exact_div(LaurentPoly.x() - LaurentPoly.constant(lam))
-                out.append(lam)
-                if cp == LaurentPoly.one():
-                    return out
-        return out
-
-    def multiplicative_order(self) -> int:
-        m = self
-        ident = Matrix.identity(self.n)
-        k = 1
-        while m != ident:
-            m = m @ self
-            k += 1
-            if k > 10000:  # pragma: no cover - defensive
-                raise ArithmeticError("matrix does not have small finite order")
-        return k
+    def det_one_minus_x(self) -> LaurentPoly:
+        """det(1 - x*M): the coefficient reversal of the charpoly."""
+        return LaurentPoly([(self.n - e, c) for e, c in self.charpoly().coeffs])
 
     def __repr__(self) -> str:
         rows = "; ".join(
@@ -180,13 +162,13 @@ class HyperplaneOrbit:
 class ReflectionCoset:
     """A split reflection coset: a finite reflection group with phi = 1."""
 
-    def __init__(self, name: str, gens: Sequence[Matrix], field: CycloField,
-                 order_bound: int = 20000):
+    def __init__(self, name: str, gens: Sequence[Matrix], field: CycloField):
         self.name = name
         self.field = field
         self.rank = gens[0].n if gens else 0
         self.gens = list(gens)
-        self.elements, self.words = _enumerate(gens, order_bound)
+        # mul[i][j] is the index of elements[i] @ elements[j]; 0 is the identity
+        self.elements, self.words, self.mul = _enumerate(gens)
         self.index = {m: i for i, m in enumerate(self.elements)}
 
     # -- group structure ------------------------------------------------
@@ -195,39 +177,62 @@ class ReflectionCoset:
         return len(self.elements)
 
     @cached_property
+    def _inv(self) -> list[int]:
+        return [row.index(0) for row in self.mul]
+
+    def _conj(self, h: int, i: int) -> int:
+        """Index of h g h^-1 for g = elements[i]."""
+        return self.mul[self.mul[h][i]][self._inv[h]]
+
+    @cached_property
     def classes(self) -> list[ConjClass]:
         seen: set[int] = set()
         classes = []
-        for i, g in enumerate(self.elements):
+        for i in range(self.order):
             if i in seen:
                 continue
-            members = sorted({self.index[h @ g @ _inverse_of(self, h)]
-                              for h in self.elements})
+            members = sorted({self._conj(h, i) for h in range(self.order)})
             seen.update(members)
             rep = min(members, key=lambda j: (len(self.words[j]), self.words[j]))
-            classes.append((rep, members))
-        out = []
-        for rep, members in classes:
-            out.append(ConjClass(rep, self.words[rep], len(members), tuple(members)))
-        return sorted(out, key=lambda c: self._class_key(c))
+            classes.append(ConjClass(rep, self.words[rep], len(members), tuple(members)))
+        return sorted(classes, key=self._class_key)
 
     def _class_key(self, c: ConjClass):
         g = self.elements[c.rep_index]
-        eig = sorted(v.serialize() for v in g.eigenvalues())
-        return (g.multiplicative_order(), c.size, eig, c.rep_word)
+        eig = sorted(v.serialize() for v in self.eigenvalues(g))
+        return (self.element_order(g), c.size, eig, c.rep_word)
 
     def class_of(self, g: Matrix) -> int:
         i = self.index[g]
-        for ci, c in enumerate(self.classes):
-            if i in c.member_indices:
-                return ci
-        raise KeyError("element not classified")
+        return next(ci for ci, c in enumerate(self.classes) if i in c.member_indices)
 
     def centralizer(self, g: Matrix) -> list[Matrix]:
-        return [h for h in self.elements if h @ g == g @ h]
+        i, mul = self.index[g], self.mul
+        return [h for j, h in enumerate(self.elements) if mul[j][i] == mul[i][j]]
 
-    def inverse(self, g: Matrix) -> Matrix:
-        return _inverse_of(self, g)
+    def powers(self, g: Matrix) -> list[Matrix]:
+        """g^0, g^1, ..., g^(k-1) for g of order k."""
+        i = self.index[g]
+        out, k = [self.elements[0]], i
+        while k:
+            out.append(self.elements[k])
+            k = self.mul[k][i]
+        return out
+
+    def element_order(self, g: Matrix) -> int:
+        return len(self.powers(g))
+
+    def eigenvalues(self, g: Matrix) -> list[Cyclo]:
+        """Eigenvalues of g with multiplicity, as powers of zeta(order of g)."""
+        cp = g.charpoly()
+        out: list[Cyclo] = []
+        order = self.element_order(g)
+        for k in range(order):
+            lam = zeta(order, k)
+            while cp.evaluate(lam).is_zero():
+                cp = cp.exact_div(LaurentPoly.x() - LaurentPoly.constant(lam))
+                out.append(lam)
+        return out
 
     # -- reflections and hyperplanes ---------------------------------------
     @cached_property
@@ -310,7 +315,7 @@ class ReflectionCoset:
         """A representative with maximal eigval-eigenspace, of maximal order."""
         cands = [self.elements[self.classes[ci].rep_index]
                  for ci in self.regular_classes(eigval)]
-        return max(cands, key=lambda g: g.multiplicative_order())
+        return max(cands, key=self.element_order)
 
     def centralizer_on_eigenspace(self, w: Matrix, eigval: Cyclo
                                   ) -> tuple["ReflectionCoset", dict[Matrix, Matrix]]:
@@ -341,50 +346,45 @@ def _matrix_key(m: Matrix):
     return [c.serialize() for row in m.rows for c in row]
 
 
-def _inverse_of(G: ReflectionCoset, g: Matrix) -> Matrix:
-    k = g.multiplicative_order()
-    out = Matrix.identity(g.n)
-    for _ in range(k - 1):
-        out = out @ g
-    return out
+MAX_GROUP_ORDER = 2000  # largest group enumerated; mul has its square of entries
 
 
-def _enumerate(gens: Sequence[Matrix], bound: int) -> tuple[list[Matrix], list[str]]:
+def _enumerate(gens: Sequence[Matrix]
+               ) -> tuple[list[Matrix], list[str], list[list[int]]]:
+    """Elements in breadth-first order, their shortest words, and ``mul``.
+
+    The only products are ``right[i][gi]`` = elements[i] @ gens[gi].  Each
+    element j > 0 was found as elements[p] @ gens[gi], so mul[i][j] is
+    right[mul[i][p]][gi].
+    """
     if not gens:
-        return [Matrix.identity(1)], [""]
-    ident = Matrix.identity(gens[0].n)
+        return [Matrix.identity(1)], [""], [[0]]
     names = "stuvwabcdefghijklmnopqr"
-    elements = [ident]
-    seen = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for gen in gens:
-                h = g @ gen
-                if h not in seen:
-                    seen[h] = len(elements)
-                    elements.append(h)
-                    nxt.append(h)
-            if len(elements) > bound:
-                raise ArithmeticError("group enumeration exceeded bound")
-        frontier = nxt
-    # assign breadth-first minimal words
-    words = [""] * len(elements)
-    done = {0}
-    frontier_idx = [0]
-    while frontier_idx:
-        nxt_idx = []
-        for i in frontier_idx:
-            for gi, gen in enumerate(gens):
-                j = seen[elements[i] @ gen]
-                if j not in done:
-                    done.add(j)
-                    label = names[gi] if gi < len(names) else f"g{gi}."
-                    words[j] = words[i] + label
-                    nxt_idx.append(j)
-        frontier_idx = nxt_idx
-    return elements, words
+    labels = [names[gi] if gi < len(names) else f"g{gi}." for gi in range(len(gens))]
+    elements, words = [Matrix.identity(gens[0].n)], [""]
+    seen = {elements[0]: 0}
+    found: list[tuple[int, int]] = []  # (p, gi) for elements 1, 2, ...
+    right: list[list[int]] = []
+    for i, g in enumerate(elements):  # the list grows while it is walked
+        row = []
+        for gi, gen in enumerate(gens):
+            h = g @ gen
+            j = seen.setdefault(h, len(elements))
+            if j == len(elements):
+                elements.append(h)
+                words.append(words[i] + labels[gi])
+                found.append((i, gi))
+            row.append(j)
+        right.append(row)
+        if len(elements) > MAX_GROUP_ORDER:
+            raise ArithmeticError("group enumeration exceeded bound")
+    mul = []
+    for i in range(len(elements)):
+        row = [i]
+        for p, gi in found:
+            row.append(right[row[p]][gi])
+        mul.append(row)
+    return elements, words, mul
 
 
 def coset_poincare(class_reps: list[tuple[Matrix, int]], order: int, rank: int
@@ -394,10 +394,7 @@ def coset_poincare(class_reps: list[tuple[Matrix, int]], order: int, rank: int
     bound = order * rank + 1
     acc = [Cyclo.rational(0)] * (bound + 1)
     for g, size in class_reps:
-        cp = g.charpoly()  # det(xI - g)
-        # det(1 - x g) = x^rank * cp(1/x) evaluated formally
-        det = LaurentPoly([(rank - e, c) for e, c in cp.coeffs])
-        inv = _series_invert(det, bound)
+        inv = _series_invert(g.det_one_minus_x(), bound)
         for e, c in inv:
             acc[e] = acc[e] + c * size
     molien = [(e, c / order) for e, c in enumerate(acc)]
@@ -522,11 +519,11 @@ def sylow_subcoset(G: ReflectionCoset, phi: KCycloPoly) -> tuple[int, SubCoset]:
     w = G.regular_element(eigval)
     basis = w.eigenspace(eigval)
     w_l = G.pointwise_stabilizer(basis)
-    w_l_set = set(w_l)
-    coset = {g @ w for g in w_l}
-    normalizer = 0
-    for v in G.elements:
-        vinv = G.inverse(v)
-        if all((v @ g @ vinv) in w_l_set for g in w_l) and (v @ w @ vinv) in coset:
-            normalizer += 1
+    # |N_W(L)|: v with v W_L v^-1 = W_L and v w v^-1 in W_L w
+    wi = G.index[w]
+    w_l_set = {G.index[g] for g in w_l}
+    coset = {G.mul[l][wi] for l in w_l_set}
+    normalizer = sum(1 for v in range(G.order)
+                     if all(G._conj(v, l) in w_l_set for l in w_l_set)
+                     and G._conj(v, wi) in coset)
     return a, SubCoset(G, tuple(w_l), w, normalizer)

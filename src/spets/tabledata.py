@@ -299,14 +299,7 @@ class PipelineResult:
 
 
 def _levi_order(G: ReflectionCoset, gen_index: int) -> LaurentPoly:
-    s = G.gens[gen_index]
-    elems = []
-    m = Matrix.identity(G.rank)
-    while True:
-        elems.append(m)
-        m = m @ s
-        if m == elems[0]:
-            break
+    elems = G.powers(G.gens[gen_index])
     sub = SubCoset(G, tuple(elems), Matrix.identity(G.rank), len(elems))
     return subcoset_order(sub, "compact")
 

@@ -333,7 +333,7 @@ def determine_parameters(G: ReflectionCoset, zeta_c: Cyclo, known: UchTable,
 
 
 def _is_cyclic(G: ReflectionCoset) -> bool:
-    return any(g.multiplicative_order() == G.order for g in G.elements)
+    return any(G.element_order(g) == G.order for g in G.elements)
 
 
 def _fr_matches(e: int, d: int, a: int, j: int, row: UnipotentCharacter) -> bool:
@@ -587,7 +587,7 @@ def align_signs(table: UchTable, reference: UchTable) -> UchTable:
 
 def regular_eigenvalues(G: ReflectionCoset) -> list[Cyclo]:
     """All roots of unity admitting a regular eigenvector, sorted by (d, a)."""
-    exponent = lcm(*(g.multiplicative_order() for g in G.elements))
+    exponent = lcm(*(G.element_order(g) for g in G.elements))
     out = []
     for d in divisors(exponent):
         for a in range(d):

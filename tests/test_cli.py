@@ -35,7 +35,21 @@ class TestSchur:
         code, out = run(capsys, "schur", "--cyclic", "2",
                         "--params", "x^3,-1")
         assert code == 0
-        assert "x^3 + 1" in out and "1 + x^-3" in out
+        assert out == "S_0 = x^3 + 1\nS_1 = 1 + x^-3\n"
+
+    def test_params_with_root_literals(self, capsys):
+        # (x - E(3,1)) (x - E(3,2)) = x^2 + x + 1
+        code, out = run(capsys, "schur", "--cyclic", "3",
+                        "--params", "x,E(3,1),E(3,2)")
+        assert code == 0
+        assert out.splitlines()[0] == "S_0 = x^2 + x + 1"
+
+    def test_malformed_params_exit_2(self, capsys):
+        code = main(["schur", "--cyclic", "2", "--params", "x,E(3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("schur: ")
 
 
 class TestSeries:

@@ -107,6 +107,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match="order 0"):
             parse_cyclo("1+2*E(0,3)")
 
+    def test_huge_root_order_is_value_error(self):
+        # rejected before the O(n * phi(n)) power table is built
+        with pytest.raises(ValueError, match=r"E\(100000,1\)"):
+            parse_cyclo("E(100000,1)")
+        with pytest.raises(ValueError, match="order 1001"):
+            parse_cyclo("1+E(1001,2)")
+        assert parse_cyclo("E(1000,1)") == zeta(1000)
+
     @given(rand_cyclo(20))
     @settings(max_examples=50, deadline=None)
     def test_roundtrip(self, a):

@@ -1,7 +1,12 @@
 """Reflection group construction, class data, and regular elements."""
 
-from spets.cyclotomic import Cyclo, zeta
-from spets.reflection import Matrix, build_group
+import pytest
+
+from spets import reflection
+from spets.cyclotomic import Cyclo, divisors, zeta
+from spets.laurent import LaurentPoly, k_cyclotomic_factors
+from spets.orders import order_poly
+from spets.reflection import Matrix, build_group, sylow_subcoset
 
 
 class TestBuiltins:
@@ -44,8 +49,9 @@ class TestMatrix:
         I = Matrix.identity(2)
         m = Matrix.diagonal([zeta(3), zeta(3) ** 2])
         assert m @ I == m
+        assert m != I
+        assert m @ m != I
         assert (m @ m @ m) == I
-        assert m.multiplicative_order() == 3
 
     def test_det_trace(self):
         m = Matrix.diagonal([zeta(4), Cyclo.rational(1)])
@@ -70,7 +76,7 @@ class TestRegular:
         # avoiding all reflecting hyperplanes.
         w = g4.regular_element(zeta(4))
         assert w is not None
-        assert w.multiplicative_order() % 4 == 0
+        assert g4.element_order(w) % 4 == 0
         assert len(w.eigenspace(zeta(4))) == 1
 
     def test_g4_minus_one_regular(self, g4):
@@ -84,11 +90,11 @@ class TestRegular:
     def test_centralizer_of_regular_is_cyclic(self, g4):
         w = g4.regular_element(zeta(4))
         cent = g4.centralizer(w)
-        assert len(cent) == w.multiplicative_order()
+        assert len(cent) == g4.element_order(w)
         # cyclic: generated by w itself
         powers = set()
         p = w
-        for _ in range(w.multiplicative_order()):
+        for _ in range(g4.element_order(w)):
             powers.add(p)
             p = p @ w
         assert set(cent) == powers
@@ -105,3 +111,81 @@ class TestEigenspaceCentralizer:
         w = g312.regular_element(zeta(6))
         C, _ = g312.centralizer_on_eigenspace(w, zeta(6))
         assert C.order == 6
+
+
+TABLE_GROUPS = ("G4", "G(3,1,2)", "Z_6")
+
+
+class TestTables:
+    @pytest.mark.parametrize("name", TABLE_GROUPS)
+    def test_mul_matches_matrix_products(self, name):
+        G = build_group(name)
+        for i, a in enumerate(G.elements):
+            for j, b in enumerate(G.elements):
+                assert G.elements[G.mul[i][j]] == a @ b
+
+    @pytest.mark.parametrize("name", TABLE_GROUPS)
+    def test_words_spell_elements(self, name):
+        G = build_group(name)
+        for g, word in zip(G.elements, G.words):
+            m = Matrix.identity(G.rank)
+            for ch in word:
+                m = m @ G.gens["stuvw".index(ch)]
+            assert m == g
+
+    @pytest.mark.parametrize("name", TABLE_GROUPS)
+    def test_powers_match_matrix_powers(self, name):
+        G = build_group(name)
+        ident = Matrix.identity(G.rank)
+        for g in G.elements:
+            want, p = [ident], g
+            while p != ident:
+                want.append(p)
+                p = p @ g
+            assert G.powers(g) == want
+            assert G.element_order(g) == len(want)
+
+    def test_eigenvalues_give_det_one_minus_x(self, g4, g312):
+        for G in (g4, g312):
+            for c in G.classes:
+                g = G.elements[c.rep_index]
+                want = LaurentPoly.one()
+                for lam in G.eigenvalues(g):
+                    want = want * LaurentPoly({0: 1, 1: -lam})
+                assert g.det_one_minus_x() == want
+
+    def test_order_bound_stops_enumeration(self, monkeypatch):
+        monkeypatch.setattr(reflection, "MAX_GROUP_ORDER", 5)
+        with pytest.raises(ArithmeticError, match="enumeration"):
+            build_group("Z_12")
+        monkeypatch.setattr(reflection, "MAX_GROUP_ORDER", 12)
+        assert build_group("Z_12").order == 12
+
+
+def _brute_normalizer_order(G, w_l, w):
+    """|{v : v W_L v^-1 = W_L and v w v^-1 in W_L w}| by matrix products."""
+    ident = Matrix.identity(G.rank)
+    w_l_set = set(w_l)
+    coset = {g @ w for g in w_l}
+    count = 0
+    for v in G.elements:
+        vinv = next(h for h in G.elements if h @ v == ident)
+        if ({v @ g @ vinv for g in w_l} == w_l_set
+                and v @ w @ vinv in coset):
+            count += 1
+    return count
+
+
+class TestSylowNormalizer:
+    def test_matches_brute_force(self, g4, g312):
+        for G in (g4, g312):
+            order = order_poly(G)
+            phis = [phi for d in sorted({dd for dd, _ in G.degrees
+                                         for dd in divisors(dd)})
+                    for phi in k_cyclotomic_factors(d, G.field)
+                    if phi.poly.divides(order)]
+            assert phis
+            for phi in phis:
+                _, L = sylow_subcoset(G, phi)
+                assert L.normalizer_order == _brute_normalizer_order(
+                    G, L.group_elements, L.twist)

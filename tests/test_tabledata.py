@@ -78,6 +78,12 @@ class TestGrammar:
         with pytest.raises(ValueError, match="line 5"):
             parse_uch(text)
 
+    def test_huge_root_order_reports_line(self):
+        text = ("group Z_3\nconductor 3\norder x^4 - x\nfamily 0 a=0 A=0\n"
+                "1 | E(100000,1)*x | 1 | special\n")
+        with pytest.raises(ValueError, match=r"^line 5: .*E\(100000,1\)"):
+            parse_uch(text)
+
     def test_empty_table(self):
         with pytest.raises(ValueError):
             parse_uch("")
