@@ -40,8 +40,7 @@ def _cmd_uch(args) -> int:
     elif args.group:
         table = construct_uch(args.group).table
     else:
-        print("uch: need a group name or --cyclic", file=sys.stderr)
-        return 2
+        raise ValueError("need a group name or --cyclic")
     sys.stdout.write(emit_uch(table))
     return 0
 
@@ -63,15 +62,9 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_schur(args) -> int:
-    try:
-        params = CyclicHeckeParams.of(_split_top(args.params))
-    except (ValueError, ArithmeticError) as exc:
-        print(f"schur: {exc}", file=sys.stderr)
-        return 2
+    params = CyclicHeckeParams.of(_split_top(args.params))
     if params.e != args.cyclic:
-        print("schur: parameter count does not match --cyclic",
-              file=sys.stderr)
-        return 2
+        raise ValueError("parameter count does not match --cyclic")
     for j, s in enumerate(schur_cyclic(params)):
         print(f"S_{j} = {s.serialize()}")
     return 0
@@ -144,7 +137,11 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_factors)
 
     args = top.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, ArithmeticError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

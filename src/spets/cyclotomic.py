@@ -1,22 +1,31 @@
 """Exact arithmetic in cyclotomic number fields.
 
-Elements of ``Q(zeta_n)`` are stored on the rational power basis
-``1, zeta, ..., zeta^{phi(n)-1}`` (coefficients are ``fractions.Fraction``)
-after reduction modulo the ``n``-th cyclotomic polynomial.  Every element is
-kept at its minimal conductor, so equality and hashing are structural and
-arithmetic never accumulates spurious field extensions.
+An element of ``Q(zeta_n)`` is stored as ``(n, terms, den)``: integer pairs
+``(i, c)`` for ``sum(c * zeta_n^i) / den``, over one positive denominator
+with no factor common to all numerators.  The exponents ``i`` index the
+Zumbroich basis, the integral basis GAP and CHEVIE use (T. Breuer, "Integral
+bases for subfields of cyclotomic fields", AAECC 8 (1997) 279-289), and ``n``
+is the minimal conductor, so equality and hashing are structural.
 
-Serialization uses the grammar ``c`` / ``c*E(n,k)`` joined by ``+``, where
-``E(n,k)`` denotes ``exp(2*pi*i*k/n)`` and terms are ordered by increasing
-``k``; e.g. ``sqrt(-3)`` prints as ``1+2*E(3,1)``.
+Both normal forms are tests on integer exponents.  A root ``zeta^i`` outside
+the basis is rewritten with ``sum_{t<p} zeta^{i + t*n/p} = 0``.  The element
+lies in ``Q(zeta_{n/p})`` when ``p^2 | n`` or ``p = 2`` exactly if every
+exponent is divisible by ``p``, and when ``p || n`` is odd exactly if each
+class ``i + t*n/p`` carries one constant coefficient.  Products are cyclic
+convolutions, ``zeta -> zeta^k`` maps ``i`` to ``i*k``, and an inverse is the
+product of the other Galois conjugates over the rational norm.
+
+Serialization converts to the power basis ``1, zeta, ..., zeta^{phi(n)-1}``
+and uses the grammar ``c`` / ``c*E(n,k)`` joined by ``+``, where ``E(n,k)``
+denotes ``exp(2*pi*i*k/n)`` and terms are ordered by increasing ``k``; e.g.
+``sqrt(-3)`` prints as ``1+2*E(3,1)``.
 """
-
 from __future__ import annotations
 
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 __all__ = [
@@ -34,10 +43,6 @@ __all__ = [
 ]
 
 Rat = Union[int, Fraction]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 @lru_cache(maxsize=None)
 def totient(n: int) -> int:
@@ -83,27 +88,16 @@ def _polydiv_exact_int(num: list[int], den: list[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
+def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     """Representation of zeta_n^k on the power basis, for 0 <= k < n."""
     phi = totient(n)
-    rows: list[tuple[Fraction, ...]] = []
-    # seed with unit vectors, then reduce higher powers with Phi_n:
-    # zeta^phi = -(c_0 + c_1 zeta + ... + c_{phi-1} zeta^{phi-1}) / c_phi,
-    # and Phi_n is monic so c_phi = 1.
     coeffs = cyclotomic_int_coeffs(n)
-    for k in range(n):
-        if k < phi:
-            row = [_ZERO] * phi
-            row[k] = _ONE
-        else:
-            prev = rows[k - 1]
-            shifted = [_ZERO] + list(prev[:-1])
-            top = prev[-1]
-            if top:
-                for j in range(phi):
-                    shifted[j] -= top * coeffs[j]
-            row = shifted
-        rows.append(tuple(row))
+    rows = [tuple(int(j == k) for j in range(phi)) for k in range(phi)]
+    for _ in range(phi, n):
+        # zeta * row, with zeta^phi = -(c_0 + ... + c_{phi-1} zeta^{phi-1})
+        # because Phi_n is monic
+        prev = rows[-1]
+        rows.append(tuple(s - prev[-1] * c for s, c in zip((0,) + prev[:-1], coeffs)))
     return tuple(rows)
 
 
@@ -145,32 +139,83 @@ def solve_linear(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[list]:
 
 
 @lru_cache(maxsize=None)
-def _subfield_basis_matrix(d: int, n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Matrix whose columns express the power basis of Q(zeta_d) in Q(zeta_n)."""
-    step = n // d
-    table = _power_table(n)
-    phi_n, phi_d = totient(n), totient(d)
-    cols = [table[(j * step) % n] for j in range(phi_d)]
-    return tuple(tuple(cols[j][i] for j in range(phi_d)) for i in range(phi_n))
+def _zumbroich(n: int) -> tuple[tuple[int, int, int, frozenset[int]], ...]:
+    """For each prime power p^e || n: (p, n // p, p^e, the residues mod p^e of
+    the exponents whose p-digits the Zumbroich basis of Q(zeta_n) excludes).
+
+    The basis exponents are the sums over p of sum_{k<e} (n / p^{k+1}) * j_k,
+    with j_0 in 1..p-1 and j_k in -(p-1)/2..(p-1)/2 for k > 0 when p is odd,
+    and j_0 = 0, j_k in {0, 1} when p = 2.  Mod p^e only p's digits count.
+    """
+    out = []
+    for p in _prime_factors(n):
+        digits = [range(1, p) if p > 2 else (0,)]
+        while n % p ** (len(digits) + 1) == 0:
+            digits.append(range(-(p // 2), p // 2 + 1) if p > 2 else (0, 1))
+        q = p ** len(digits)
+        good = {0}
+        for k, js in enumerate(digits):
+            good = {(g + n // p ** (k + 1) * j) % q for g in good for j in js}
+        out.append((p, n // p, q, frozenset(range(q)) - good))
+    return tuple(out)
+
+
+def _to_basis(n: int, coeffs: dict[int, int]) -> dict[int, int]:
+    """Rewrite sum(c * zeta_n^i) (with 0 <= i < n) on the Zumbroich basis
+    through sum_{t<p} zeta^{i + t*n/p} = 0, one prime at a time; the other
+    roots of each relation differ from zeta^i only in p's leading digit, which
+    the basis admits.  Zero coefficients are dropped."""
+    for p, step, q, excluded in _zumbroich(n):
+        for i in [i for i in coeffs if i % q in excluded]:
+            c = coeffs.pop(i)
+            for t in range(1, p):
+                j = (i + t * step) % n
+                coeffs[j] = coeffs.get(j, 0) - c
+    return {i: c for i, c in coeffs.items() if c}
+
+
+def _descend(n: int, coeffs: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """The minimal conductor of a basis expansion, one prime at a time."""
+    for p, m, _, _ in _zumbroich(n):
+        if m % p == 0 or p == 2:
+            # the basis of Q(zeta_m), scaled by p, is the part of the basis
+            # of Q(zeta_n) with exponents divisible by p
+            if all(i % p == 0 for i in coeffs):
+                return _descend(m, {i // p: c for i, c in coeffs.items()})
+        elif len(coeffs) % (p - 1) == 0:
+            classes: dict[int, list[int]] = {}
+            for i, c in coeffs.items():
+                classes.setdefault(i % m, []).append(c)
+            if all(len(cs) == p - 1 and len(set(cs)) == 1 for cs in classes.values()):
+                # c times the p - 1 basis roots of a class is -c * zeta_n^{p*j}
+                inv = pow(p, -1, m)
+                return _descend(m, {r * inv % m: -cs[0] for r, cs in classes.items()})
+    return n, coeffs
 
 
 class Cyclo:
     """An element of a cyclotomic field, at minimal conductor."""
 
-    __slots__ = ("n", "coeffs", "_hash")
+    __slots__ = ("n", "terms", "den", "_hash")
 
     n: int
-    coeffs: tuple[Fraction, ...]
+    terms: tuple[tuple[int, int], ...]  # (basis exponent, numerator), sorted
+    den: int
 
-    def __init__(self, n: int, coeffs: Sequence[Rat], reduce: bool = True):
-        phi = totient(n)
-        vec = [Fraction(c) for c in coeffs]
-        if len(vec) != phi:
-            raise ValueError(f"expected {phi} coefficients for conductor {n}")
-        if reduce and n > 1:
-            n, vec = _minimize_conductor(n, vec)
+    def __init__(self, n: int, coeffs: dict[int, int], den: int = 1,
+                 in_basis: bool = False, minimal: bool = False):
+        """sum(c * zeta_n^i) / den over a dict {i: c} it consumes, 0 <= i < n, den > 0;
+        ``in_basis``: the i index the Zumbroich basis; ``minimal``: n is minimal."""
+        if in_basis:
+            coeffs = {i: c for i, c in coeffs.items() if c}
+        else:
+            coeffs = _to_basis(n, coeffs)
+        if not minimal:
+            n, coeffs = _descend(n, coeffs)
+        g = gcd(den, *coeffs.values())
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", tuple(vec))
+        object.__setattr__(self, "terms", tuple(sorted((i, c // g) for i, c in coeffs.items())))
+        object.__setattr__(self, "den", den // g)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):  # immutable
@@ -179,55 +224,53 @@ class Cyclo:
     # -- constructors -------------------------------------------------
     @staticmethod
     def rational(q: Rat) -> "Cyclo":
-        return Cyclo(1, [Fraction(q)], reduce=False)
+        q = Fraction(q)
+        return Cyclo(1, {0: q.numerator}, q.denominator, in_basis=True, minimal=True)
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def root_of_unity(n: int, k: int = 1) -> "Cyclo":
-        k %= n
-        g = gcd(k, n) if k else n
-        n2, k2 = n // g, k // g
-        table = _power_table(n2)
-        return Cyclo(n2, list(table[k2 % n2]))
+        return Cyclo(n, {k % n: 1})
 
     # -- basic queries -------------------------------------------------
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.terms
 
     def is_rational(self) -> bool:
         return self.n == 1
 
     def as_rational(self) -> Optional[Fraction]:
-        return self.coeffs[0] if self.n == 1 else None
+        if self.n != 1:
+            return None
+        return Fraction(self.terms[0][1], self.den) if self.terms else Fraction(0)
 
     def is_integral(self) -> bool:
-        """True when the element lies in Z[zeta_n] (the ring of integers)."""
-        return all(c.denominator == 1 for c in self.coeffs)
+        """True when the element lies in Z[zeta_n], which the basis spans over Z."""
+        return self.den == 1
 
     # -- arithmetic ----------------------------------------------------
-    def _lift(self, n: int) -> list[Fraction]:
-        if n == self.n:
-            return list(self.coeffs)
+    def _lift(self, n: int, scale: int) -> dict[int, int]:
+        """The numerators over ``den * scale`` at conductor n (off the basis)."""
         step = n // self.n
-        table = _power_table(n)
-        out = [_ZERO] * totient(n)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                row = table[(j * step) % n]
-                for i, r in enumerate(row):
-                    if r:
-                        out[i] += c * r
-        return out
+        return {i * step: c * scale for i, c in self.terms}
 
     def __add__(self, other: "Cyclo | Rat") -> "Cyclo":
         other = _coerce(other)
-        n = _lcm(self.n, other.n)
-        a, b = self._lift(n), other._lift(n)
-        return Cyclo(n, [x + y for x, y in zip(a, b)])
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        n, den = lcm(self.n, other.n), lcm(self.den, other.den)
+        acc = self._lift(n, den // self.den)
+        for i, c in other._lift(n, den // other.den).items():
+            acc[i] = acc.get(i, 0) + c
+        return Cyclo(n, acc, den, in_basis=self.n == other.n)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclo":
-        return Cyclo(self.n, [-c for c in self.coeffs], reduce=False)
+        return Cyclo(self.n, {i: -c for i, c in self.terms}, self.den,
+                     in_basis=True, minimal=True)
 
     def __sub__(self, other: "Cyclo | Rat") -> "Cyclo":
         return self + (-_coerce(other))
@@ -237,49 +280,31 @@ class Cyclo:
 
     def __mul__(self, other: "Cyclo | Rat") -> "Cyclo":
         other = _coerce(other)
-        if self.n == 1:
-            q = self.coeffs[0]
-            return Cyclo(other.n, [q * c for c in other.coeffs],
-                         reduce=False) if q else Cyclo.rational(0)
-        if other.n == 1:
-            q = other.coeffs[0]
-            return Cyclo(self.n, [q * c for c in self.coeffs],
-                         reduce=False) if q else Cyclo.rational(0)
-        n = _lcm(self.n, other.n)
-        a, b = self._lift(n), other._lift(n)
-        table = _power_table(n)
-        phi = totient(n)
-        acc = [_ZERO] * phi
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                e = i + j
-                c = ai * bj
-                if e < phi:
-                    acc[e] += c
-                else:
-                    row = table[e % n]
-                    for t, r in enumerate(row):
-                        if r:
-                            acc[t] += c * r
-        return Cyclo(n, acc)
+        if self.n == 1 or other.n == 1:
+            q, z = (self, other) if self.n == 1 else (other, self)
+            num = q.terms[0][1] if q.terms else 0
+            return Cyclo(z.n, {i: c * num for i, c in z.terms}, z.den * q.den,
+                         in_basis=True, minimal=bool(num))
+        n = lcm(self.n, other.n)
+        sa, sb = n // self.n, n // other.n
+        acc: dict[int, int] = {}
+        for i, a in self.terms:
+            for j, b in other.terms:
+                k = (i * sa + j * sb) % n
+                acc[k] = acc.get(k, 0) + a * b
+        return Cyclo(n, acc, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
-        if self.is_zero():
+        if not self.terms:
             raise ZeroDivisionError("inverse of zero")
-        if self.n == 1:
-            return Cyclo.rational(1 / self.coeffs[0])
-        phi = totient(self.n)
-        # columns: self * zeta^j on the power basis
-        cols = [(self * Cyclo.root_of_unity(self.n, j))._lift(self.n) for j in range(phi)]
-        matrix = [[cols[j][i] for j in range(phi)] for i in range(phi)]
-        rhs = [_ONE] + [_ZERO] * (phi - 1)
-        return Cyclo(self.n, solve_linear(matrix, rhs))
+        # the distinct conjugates are the roots of the minimal polynomial, so
+        # self times the others is the rational norm
+        others = Cyclo.rational(1)
+        for z in {self.galois(k) for k in range(2, self.n) if gcd(k, self.n) == 1} - {self}:
+            others = others * z
+        return others * (1 / (self * others).as_rational())
 
     def __truediv__(self, other: "Cyclo | Rat") -> "Cyclo":
         return self * _coerce(other).inverse()
@@ -306,8 +331,9 @@ class Cyclo:
             return self
         if gcd(k, self.n) != 1:
             raise ValueError("galois exponent must be coprime to the conductor")
-        # Galois conjugates share the conductor, so no reduction is needed
-        return Cyclo(self.n, _galois_vec(self.n, self.coeffs, k), reduce=False)
+        # Galois conjugates share the conductor, so no descent is needed
+        return Cyclo(self.n, {i * k % self.n: c for i, c in self.terms}, self.den,
+                     minimal=True)
 
     def conjugate(self) -> "Cyclo":
         """Complex conjugation (zeta -> zeta^{-1})."""
@@ -329,13 +355,13 @@ class Cyclo:
             other = Cyclo.rational(other)
         if not isinstance(other, Cyclo):
             return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
+        return self.n == other.n and self.den == other.den and self.terms == other.terms
 
     def __hash__(self) -> int:
         h = object.__getattribute__(self, "_hash")
         if h is None:
             # a rational hashes like its Fraction, as == compares them equal
-            h = hash(self.coeffs[0] if self.n == 1 else (self.n, self.coeffs))
+            h = hash(self.as_rational() if self.n == 1 else (self.n, self.terms, self.den))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -344,12 +370,19 @@ class Cyclo:
 
     # -- serialization ---------------------------------------------------
     def serialize(self) -> str:
-        terms: list[str] = []
         if self.n == 1:
-            return _fmt_fraction(self.coeffs[0])
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
+            return _fmt_fraction(self.as_rational())
+        # the printed form is on the power basis 1, zeta, ..., zeta^{phi-1}
+        vec = [0] * totient(self.n)
+        table = _power_table(self.n)
+        for i, c in self.terms:
+            for t, r in enumerate(table[i]):
+                vec[t] += c * r
+        terms: list[str] = []
+        for k, v in enumerate(vec):
+            if v == 0:
                 continue
+            c = Fraction(v, self.den)
             if k == 0:
                 terms.append(_fmt_fraction(c))
             elif c == 1:
@@ -358,8 +391,6 @@ class Cyclo:
                 terms.append(f"-E({self.n},{k})")
             else:
                 terms.append(f"{_fmt_fraction(c)}*E({self.n},{k})")
-        if not terms:
-            return "0"
         out = terms[0]
         for t in terms[1:]:
             out += t if t.startswith("-") else "+" + t
@@ -377,46 +408,6 @@ def _coerce(v: "Cyclo | Rat") -> Cyclo:
     if isinstance(v, Cyclo):
         return v
     return Cyclo.rational(v)
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
-def _galois_vec(n: int, vec: Sequence[Fraction], k: int) -> list[Fraction]:
-    table = _power_table(n)
-    phi = totient(n)
-    acc = [_ZERO] * phi
-    for j, c in enumerate(vec):
-        if c:
-            row = table[(j * k) % n]
-            for t, r in enumerate(row):
-                if r:
-                    acc[t] += c * r
-    return acc
-
-
-def _minimize_conductor(n: int, vec: list[Fraction]) -> tuple[int, list[Fraction]]:
-    if all(c == 0 for c in vec[1:]):
-        return 1, [vec[0]]
-    for d in sorted(divisors(n)[:-1], key=lambda d: (totient(d), d)):
-        # fixed by Gal(Q(zeta_n)/Q(zeta_d)) = {k : k = 1 mod d}?
-        fixed = True
-        for k in range(2, n):
-            if gcd(k, n) == 1 and k % d == 1 % d:
-                if _galois_vec(n, vec, k) != vec:
-                    fixed = False
-                    break
-        if not fixed:
-            continue
-        basis = _subfield_basis_matrix(d, n)
-        sol = solve_linear(basis, vec)
-        if sol is not None:
-            if d > 1:
-                d2, sol2 = _minimize_conductor(d, sol)
-                return d2, sol2
-            return d, sol
-    return n, vec
 
 
 def _fmt_fraction(q: Fraction) -> str:
@@ -439,7 +430,7 @@ def sqrt_int(d: int) -> Cyclo:
     if d == 0:
         return Cyclo.rational(0)
     if d < 0:
-        return sqrt_int(-d) * _sqrt_minus_one()
+        return sqrt_int(-d) * zeta(4)
     # factor out square part
     sq = 1
     rest = d
@@ -453,10 +444,6 @@ def sqrt_int(d: int) -> Cyclo:
     for p in _prime_factors(rest):
         out = out * _sqrt_prime(p)
     return out
-
-
-def _sqrt_minus_one() -> Cyclo:
-    return zeta(4)
 
 
 def _prime_factors(n: int) -> Iterator[int]:
@@ -499,8 +486,8 @@ _TERM_RE = re.compile(
 )
 _ROOT_RE = re.compile(r"E\(\s*(\d+)\s*,\s*(-?\d+)\s*\)")
 
-# Largest n accepted in an ``E(n,k)`` literal: building E(n,k) costs
-# O(n * phi(n)) time and memory.
+# Largest n accepted in an ``E(n,k)`` literal: printing an element of
+# conductor n builds an n x phi(n) power table.
 MAX_LITERAL_ORDER = 1000
 
 
@@ -516,7 +503,10 @@ def parse_cyclo(text: str) -> Cyclo:
         if not m or m.end() == pos:
             raise ValueError(f"cannot parse cyclotomic literal at: {text[pos:]!r}")
         sign = -1 if m.group("sign") == "-" else 1
-        coef = Fraction(m.group("coef")) if m.group("coef") else _ONE
+        try:
+            coef = Fraction(m.group("coef") or 1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in cyclotomic literal {text!r}") from None
         root_txt = m.group("root1") or m.group("root2")
         term = Cyclo.rational(sign * coef)
         if root_txt:

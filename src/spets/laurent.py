@@ -455,7 +455,8 @@ class FracExpMonomial:
     @staticmethod
     def parse(text: str) -> "FracExpMonomial":
         text = text.strip()
-        m = re.search(r"x(?:\^\(?(-?\d+(?:/\d+)?)\)?)?$", text)
+        # an exponent with a zero denominator is left to fail as a literal
+        m = re.search(r"x(?:\^\(?(-?\d+(?:/0*[1-9]\d*)?)\)?)?$", text)
         if m and (m.start() == 0 or text[m.start() - 1] in "*) "):
             exp = Fraction(m.group(1)) if m.group(1) else Fraction(1)
             head = text[: m.start()].rstrip()
@@ -497,6 +498,8 @@ def k_cyclotomic_factors(d: int, field: CycloField) -> list[KCycloPoly]:
     d-th roots of unity; factors are ordered by their smallest root
     exponent.
     """
+    if d < 1:
+        raise ValueError(f"cyclotomic polynomial index must be positive, got {d}")
     n = field.conductor
     lcm = d * n // gcd(d, n)
     galois = field.galois_orbit_exponents(lcm)

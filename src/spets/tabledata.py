@@ -269,12 +269,16 @@ def is_spetsial(name: str) -> bool:
 def load_schur_data(filename: str) -> list[tuple[str, LaurentPoly, int]]:
     """Rows ``name | Schur element | character degree`` from a data file."""
     out = []
-    for line in (data_dir() / filename).read_text(encoding="utf-8").splitlines():
+    path = data_dir() / filename
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        name, poly_s, dim_s = (p.strip() for p in line.split("|"))
-        out.append((name, LaurentPoly.parse(poly_s), int(dim_s)))
+        try:
+            name, poly_s, dim_s = (p.strip() for p in line.split("|"))
+            out.append((name, LaurentPoly.parse(poly_s), int(dim_s)))
+        except (ValueError, ArithmeticError) as exc:
+            raise ValueError(f"{path} line {lineno}: {exc}") from exc
     return out
 
 

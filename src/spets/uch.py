@@ -243,7 +243,7 @@ def ennola_transform(table: UchTable, xi: Cyclo,
 
 
 def _is_negative_rational(c: Cyclo) -> bool:
-    return c.n == 1 and c.coeffs[0] < 0
+    return (c.as_rational() or 0) < 0
 
 
 # -- parameter determination ----------------------------------------------------------

@@ -1,5 +1,7 @@
 """Command-line entry points."""
 
+import pytest
+
 from spets.cli import main
 from spets.tabledata import data_dir
 
@@ -79,3 +81,21 @@ class TestFactors:
         code, out = run(capsys, "factors", "12", "--field", "Q(sqrt3)")
         assert code == 0
         assert "x^2" in out and "Phi_12" in out
+
+
+class TestErrors:
+    @pytest.mark.parametrize("argv", [
+        ["series", "G4", "--zeta", "2/1"],    # the centralizer is not cyclic
+        ["series", "G4", "--zeta", "x"],
+        ["analyze", "Foo"],
+        ["factors", "12", "--field", "Q(foo)"],
+        ["uch", "--cyclic", "0"],
+        ["factors", "0", "--field", "Q"],
+        ["factors", "-3", "--field", "Q"],
+    ])
+    def test_error_exits_2(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"{argv[0]}: ")

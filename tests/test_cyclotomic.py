@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from spets.cyclotomic import (_NAMED_FIELDS, Cyclo, CycloField, field_from_name,
                               parse_cyclo, row_reduce, solve_linear, sqrt_int, zeta)
+from spets.hecke import CyclicHeckeParams
+from spets.laurent import FracExpMonomial
 from spets.reflection import Matrix
 
 
@@ -106,6 +108,18 @@ class TestSerialization:
             parse_cyclo("E(0,1)")
         with pytest.raises(ValueError, match="order 0"):
             parse_cyclo("1+2*E(0,3)")
+
+    def test_zero_denominator_is_value_error(self):
+        with pytest.raises(ValueError, match="'1/0'"):
+            parse_cyclo("1/0")
+        with pytest.raises(ValueError, match="'1/0'"):
+            FracExpMonomial.parse("1/0")
+        with pytest.raises(ValueError, match=r"x\^\(1/0\)"):
+            FracExpMonomial.parse("x^(1/0)")
+        with pytest.raises(ValueError, match="'1/0'"):
+            CyclicHeckeParams.of(["1/0"])
+        with pytest.raises(ValueError, match=r"'2\+3/0\*E\(3,1\)'"):
+            parse_cyclo("2+3/0*E(3,1)")
 
     def test_huge_root_order_is_value_error(self):
         # rejected before the O(n * phi(n)) power table is built

@@ -110,6 +110,11 @@ class TestFactors:
         assert [f.poly for f in k_cyclotomic_factors(1, Q)] == [x - 1]
         assert [f.poly for f in k_cyclotomic_factors(2, Q)] == [x + 1]
 
+    @pytest.mark.parametrize("d", [0, -3])
+    def test_nonpositive_index_is_value_error(self, d):
+        with pytest.raises(ValueError, match="must be positive"):
+            k_cyclotomic_factors(d, CycloField.rationals())
+
     def test_split_over_extension(self):
         K = CycloField.cyclotomic(3)
         fs = k_cyclotomic_factors(3, K)

@@ -84,6 +84,12 @@ class TestGrammar:
         with pytest.raises(ValueError, match=r"^line 5: .*E\(100000,1\)"):
             parse_uch(text)
 
+    def test_zero_denominator_reports_line(self):
+        text = ("group Z_3\nconductor 3\norder x^4 - x\nfamily 0 a=0 A=0\n"
+                "1 | 1/0*x | 1 | special\n")
+        with pytest.raises(ValueError, match=r"^line 5: .*'1/0'"):
+            parse_uch(text)
+
     def test_empty_table(self):
         with pytest.raises(ValueError):
             parse_uch("")
@@ -109,6 +115,19 @@ class TestDataDir:
         names = [n for n, _, _ in rows]
         assert "phi_{1,0}" in names
         assert all(d >= 1 for _, _, d in rows)
+
+    @pytest.mark.parametrize("row, message", [
+        ("phi_{1,0} | x + 1", "not enough values to unpack"),
+        ("phi_{1,0} | x + 1 | one", "invalid literal for int"),
+        ("phi_{1,0} | x + E(3 | 1", "cannot parse cyclotomic literal"),
+    ])
+    def test_schur_data_errors_name_file_and_line(self, tmp_path, monkeypatch,
+                                                   row, message):
+        (tmp_path / "schur_bad.txt").write_text(
+            "# name | Schur element | degree\n\nphi_{2,1} | x^2 | 2\n" + row + "\n")
+        monkeypatch.setenv("SPETS_DATA", str(tmp_path))
+        with pytest.raises(ValueError, match=rf"schur_bad\.txt line 4: {message}"):
+            load_schur_data("schur_bad.txt")
 
 
 class TestSpetsial:
