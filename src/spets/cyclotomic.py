@@ -15,6 +15,14 @@ class ``i + t*n/p`` carries one constant coefficient.  Products are cyclic
 convolutions, ``zeta -> zeta^k`` maps ``i`` to ``i*k``, and an inverse is the
 product of the other Galois conjugates over the rational norm.
 
+A sum of products ``sum a_i * b_i`` is accumulated by :class:`CycloSum` as
+one integer dict in the group ring Z[x]/(x^N - 1), N the lcm of the
+conductors, over one common denominator; that ring maps onto Z[zeta_N], so
+the canonical form is taken once, for the whole sum.  Raw products are never
+chained there (no powers or Horner steps in the group ring): x^N - 1 is not
+the cyclotomic polynomial, and the coefficients of a chain grow binomially.
+Only products of reduced numbers are accumulated.
+
 Serialization converts to the power basis ``1, zeta, ..., zeta^{phi(n)-1}``
 and uses the grammar ``c`` / ``c*E(n,k)`` joined by ``+``, where ``E(n,k)``
 denotes ``exp(2*pi*i*k/n)`` and terms are ordered by increasing ``k``; e.g.
@@ -30,6 +38,8 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 __all__ = [
     "Cyclo",
+    "CycloSum",
+    "sum_of_products",
     "CycloField",
     "zeta",
     "sqrt_int",
@@ -315,14 +325,14 @@ class Cyclo:
     def __pow__(self, k: int) -> "Cyclo":
         if k < 0:
             return self.inverse() ** (-k)
-        out = Cyclo.rational(1)
-        base = self
+        out, base = None, self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if k:
+                base = base * base
+        return _ONE if out is None else out
 
     # -- Galois --------------------------------------------------------
     def galois(self, k: int) -> "Cyclo":
@@ -408,6 +418,59 @@ def _coerce(v: "Cyclo | Rat") -> Cyclo:
     if isinstance(v, Cyclo):
         return v
     return Cyclo.rational(v)
+
+
+_ONE = Cyclo.rational(1)
+
+
+class CycloSum:
+    """A sum of products ``a * b`` of cyclotomic numbers, reduced once.
+
+    The numerators live in the group ring Z[x]/(x^n - 1) over one
+    denominator ``den``: ``n`` is the lcm of the conductors seen and ``den``
+    a common multiple of the ``a.den * b.den``.  Each ``add`` is one cyclic
+    convolution; :meth:`value` maps the sum to Q(zeta_n) and takes the
+    canonical form.  A sum that is nonzero in the group ring may still be
+    zero, so test :meth:`value`, never ``acc``.
+    """
+
+    __slots__ = ("n", "den", "acc")
+
+    def __init__(self):
+        self.n, self.den, self.acc = 1, 1, {}
+
+    def add(self, a: Cyclo, b: Cyclo = _ONE) -> None:
+        """Add a * b (or a alone)."""
+        n, den, acc = self.n, self.den, self.acc
+        if n % a.n or n % b.n:
+            m = lcm(n, a.n, b.n)
+            s = m // n
+            acc = self.acc = {i * s: c for i, c in acc.items()}
+            n = self.n = m
+        d = a.den * b.den
+        if den % d:
+            m = lcm(den, d)
+            s = m // den
+            acc = self.acc = {i: c * s for i, c in acc.items()}
+            den = self.den = m
+        sa, sb, s = n // a.n, n // b.n, den // d
+        for i, x in a.terms:
+            i *= sa
+            x *= s
+            for j, y in b.terms:
+                k = (i + j * sb) % n
+                acc[k] = acc.get(k, 0) + x * y
+
+    def value(self) -> Cyclo:
+        return Cyclo(self.n, dict(self.acc), self.den)
+
+
+def sum_of_products(pairs: Iterable[tuple[Cyclo, Cyclo]]) -> Cyclo:
+    """sum(a * b) over the pairs, reduced once."""
+    s = CycloSum()
+    for a, b in pairs:
+        s.add(a, b)
+    return s.value()
 
 
 def _fmt_fraction(q: Fraction) -> str:
@@ -501,7 +564,8 @@ def parse_cyclo(text: str) -> Cyclo:
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
         if not m or m.end() == pos:
-            raise ValueError(f"cannot parse cyclotomic literal at: {text[pos:]!r}")
+            raise ValueError(f"cannot parse cyclotomic literal {text!r}"
+                             f" at offset {pos}: {text[pos:]!r}")
         sign = -1 if m.group("sign") == "-" else 1
         try:
             coef = Fraction(m.group("coef") or 1)
@@ -525,7 +589,8 @@ def parse_cyclo(text: str) -> Cyclo:
             elif text[pos] == "-":
                 pass  # sign handled by next term
             else:
-                raise ValueError(f"unexpected character in cyclotomic literal: {text[pos]!r}")
+                raise ValueError(f"unexpected character {text[pos]!r} at offset {pos}"
+                                 f" in cyclotomic literal {text!r}")
     return acc
 
 

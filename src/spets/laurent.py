@@ -17,12 +17,13 @@ fractional exponents as ``x^(p/q)``.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Union
 
-from .cyclotomic import Cyclo, CycloField, zeta
+from .cyclotomic import Cyclo, CycloField, CycloSum, zeta
 
 __all__ = [
     "LaurentPoly",
@@ -83,6 +84,16 @@ class LaurentPoly:
     def monomial(c: Scalar, e: int) -> "LaurentPoly":
         return LaurentPoly({e: c})
 
+    @staticmethod
+    def combination(terms: Iterable[tuple["LaurentPoly", Scalar]]) -> "LaurentPoly":
+        """sum(c * p) over the pairs (p, c), each coefficient reduced once."""
+        sums: defaultdict[int, CycloSum] = defaultdict(CycloSum)
+        for p, c in terms:
+            c = _coerce(c)
+            for e, a in p.coeffs:
+                sums[e].add(a, c)
+        return LaurentPoly({e: s.value() for e, s in sums.items()})
+
     # -- queries ----------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -133,13 +144,14 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
         other = _poly(other)
-        acc: dict[int, Cyclo] = {}
+        if len(self.coeffs) == 1 or len(other.coeffs) == 1:  # nothing to sum
+            return LaurentPoly([(e1 + e2, c1 * c2) for e1, c1 in self.coeffs
+                                for e2, c2 in other.coeffs])
+        sums: defaultdict[int, CycloSum] = defaultdict(CycloSum)
         for e1, c1 in self.coeffs:
             for e2, c2 in other.coeffs:
-                e = e1 + e2
-                p = c1 * c2
-                acc[e] = acc[e] + p if e in acc else p
-        return LaurentPoly(acc)
+                sums[e1 + e2].add(c1, c2)
+        return LaurentPoly({e: s.value() for e, s in sums.items()})
 
     __rmul__ = __mul__
 
@@ -171,7 +183,11 @@ class LaurentPoly:
         vb = min(0, other.valuation())
         a = self.shift(-va)
         b = other.shift(-vb)
-        num = dict(a.coeffs)
+        # the pending coefficients stay unreduced sums; a sum that is not
+        # zero in the group ring can still be zero, so test reduced values
+        num: defaultdict[int, CycloSum] = defaultdict(CycloSum)
+        for e, c in a.coeffs:
+            num[e].add(c)
         deg_b, lead_b = b.coeffs[-1]
         inv_lead = lead_b.inverse()
         quo: dict[int, Cyclo] = {}
@@ -179,16 +195,16 @@ class LaurentPoly:
             deg_n = max(num)
             if deg_n < deg_b:
                 break
-            f = num[deg_n] * inv_lead
+            lead = num.pop(deg_n).value()
+            if lead.is_zero():
+                continue
+            f = lead * inv_lead
             quo[deg_n - deg_b] = f
-            for e, c in b.coeffs:
-                e2 = e + deg_n - deg_b
-                v = num.get(e2, Cyclo.rational(0)) - f * c
-                if v.is_zero():
-                    num.pop(e2, None)
-                else:
-                    num[e2] = v
-        return LaurentPoly(quo).shift(va - vb), LaurentPoly(num).shift(va)
+            f = -f
+            for e, c in b.coeffs[:-1]:  # f * lead_b cancels lead
+                num[e + deg_n - deg_b].add(f, c)
+        rem = LaurentPoly({e: s.value() for e, s in num.items()})
+        return LaurentPoly(quo).shift(va - vb), rem.shift(va)
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         # Laurent-ring divisibility ignores valuations: strip them first.
@@ -220,15 +236,19 @@ class LaurentPoly:
 
     # -- transforms ---------------------------------------------------------
     def evaluate(self, v: Scalar) -> Cyclo:
-        """Value at v, by Horner's rule over the exponents that occur."""
+        """Value at v: sum(c_e * v^(e - val)) reduced once, times v^val."""
         v = _coerce(v)
         if not self.coeffs:
             return Cyclo.rational(0)
-        e, acc = self.coeffs[-1]
-        for e2, c in reversed(self.coeffs[:-1]):
-            acc = acc * v ** (e - e2) + c
-            e = e2
-        return acc * v ** e
+        val = self.coeffs[0][0]
+        s = CycloSum()
+        p, k = Cyclo.rational(1), val  # p = v^(k - val)
+        for e, c in self.coeffs:
+            if e != k:
+                p = p * v ** (e - k)
+                k = e
+            s.add(c, p)
+        return s.value() * v ** val if val else s.value()
 
     def conjugate(self) -> "LaurentPoly":
         """Complex-conjugate the coefficients."""

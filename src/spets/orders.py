@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cyclotomic import Cyclo, divisors, zeta
+from .cyclotomic import Cyclo, divisors, sum_of_products, zeta
 from .laurent import KCycloPoly, LaurentPoly, k_cyclotomic_factors
 from .reflection import (Matrix, ReflectionCoset, SubCoset, coset_poincare,
                          sylow_subcoset)
@@ -40,10 +40,7 @@ __all__ = [
 
 def poincare(G: ReflectionCoset) -> LaurentPoly:
     """The coset Poincare polynomial prod(1 - zeta_i x^{d_i})."""
-    out = LaurentPoly.one()
-    for d, z in G.degrees:
-        out = out * LaurentPoly({0: 1, d: -z})
-    return out
+    return G.poincare
 
 
 def order_poly(G: ReflectionCoset, variant: str = "compact") -> LaurentPoly:
@@ -103,7 +100,7 @@ def torus_order(G: ReflectionCoset, w: Matrix, variant: str = "compact") -> Laur
 
 def fake_degree_torus(G: ReflectionCoset, w: Matrix) -> LaurentPoly:
     """Feg(R_w): the graded multiplicity polynomial of the torus induction."""
-    return poincare(G).conjugate().exact_div(w.det_one_minus_x().conjugate())
+    return G.poincare.conjugate().exact_div(w.det_one_minus_x().conjugate())
 
 
 @dataclass(frozen=True)
@@ -130,9 +127,8 @@ class CharTable:
         W = self.group
         for i, a in enumerate(self.names):
             for b in self.names[i:]:
-                acc = Cyclo.rational(0)
-                for ci, cls in enumerate(W.classes):
-                    acc = acc + self.values[a][ci] * self.values[b][ci].conjugate() * cls.size
+                acc = sum_of_products((u, v.conjugate() * cls.size) for u, v, cls
+                                      in zip(self.values[a], self.values[b], W.classes))
                 want = Cyclo.rational(W.order if a == b else 0)
                 if acc != want:
                     raise ArithmeticError(
@@ -158,14 +154,9 @@ def cyclic_char_table(G: ReflectionCoset) -> CharTable:
 def fake_degree_char(table: CharTable, name: str) -> LaurentPoly:
     """Feg(theta) for an irreducible character given by its table row."""
     G = table.group
-    p = poincare(G)
-    acc = LaurentPoly.zero()
-    theta = table.values[name]
-    for ci, cls in enumerate(G.classes):
-        det1xw = G.elements[cls.rep_index].det_one_minus_x()
-        term = p.exact_div(det1xw) * theta[ci].conjugate() * cls.size
-        acc = acc + term
-    return acc / Fraction(G.order)
+    return LaurentPoly.combination(
+        (q, t.conjugate() * Fraction(cls.size, G.order))
+        for q, t, cls in zip(G.class_fake_degrees, table.values[name], G.classes))
 
 
 # -- Sylow congruences -------------------------------------------------------

@@ -18,7 +18,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .cyclotomic import Cyclo, CycloField, row_reduce, solve_linear, zeta
+from .cyclotomic import (Cyclo, CycloField, CycloSum, row_reduce, solve_linear,
+                         sum_of_products, zeta)
 from .laurent import KCycloPoly, LaurentPoly
 
 __all__ = [
@@ -61,11 +62,9 @@ class Matrix:
         return len(self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        n = self.n
-        return Matrix([
-            [sum((self.rows[i][k] * other.rows[k][j] for k in range(n)),
-                 Cyclo.rational(0)) for j in range(n)]
-            for i in range(n)])
+        cols = list(zip(*other.rows))
+        return Matrix([[sum_of_products(zip(row, col)) for col in cols]
+                       for row in self.rows])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -80,7 +79,10 @@ class Matrix:
         return h
 
     def trace(self) -> Cyclo:
-        return sum((self.rows[i][i] for i in range(self.n)), Cyclo.rational(0))
+        s = CycloSum()
+        for i, row in enumerate(self.rows):
+            s.add(row[i])
+        return s.value()
 
     def det(self) -> Cyclo:
         return self.charpoly().coeff(0) * ((-1) ** self.n)
@@ -94,8 +96,7 @@ class Matrix:
         return _poly_det(entries)
 
     def apply(self, vec: Sequence[Cyclo]) -> list[Cyclo]:
-        return [sum((self.rows[i][j] * vec[j] for j in range(self.n)),
-                    Cyclo.rational(0)) for i in range(self.n)]
+        return [sum_of_products(zip(row, vec)) for row in self.rows]
 
     def scalar_mul(self, c: Cyclo) -> "Matrix":
         return Matrix([[c * v for v in row] for row in self.rows])
@@ -300,6 +301,21 @@ class ReflectionCoset:
         return _molien_degrees([(self.elements[c.rep_index], c.size)
                                 for c in self.classes], self.order, self.rank)
 
+    @cached_property
+    def poincare(self) -> LaurentPoly:
+        """The coset Poincare polynomial prod(1 - zeta_i x^{d_i})."""
+        out = LaurentPoly.one()
+        for d, z in self.degrees:
+            out = out * LaurentPoly({0: 1, d: -z})
+        return out
+
+    @cached_property
+    def class_fake_degrees(self) -> list[LaurentPoly]:
+        """P / det(1 - x w) for the representative w of each class: the
+        complex conjugate of the torus fake degree Feg(R_w)."""
+        return [self.poincare.exact_div(self.elements[c.rep_index].det_one_minus_x())
+                for c in self.classes]
+
     # -- eigenspace data ------------------------------------------------------
     def max_eigenspace_dim(self, eigval: Cyclo) -> int:
         return max(len(self.elements[c.rep_index].eigenspace(eigval))
@@ -392,15 +408,13 @@ def coset_poincare(class_reps: list[tuple[Matrix, int]], order: int, rank: int
     """P = prod(1 - zeta_i x^{d_i}), the inverse of the coset Molien series."""
     # the sum of degrees is at most |W| * rank, a safe truncation bound
     bound = order * rank + 1
-    acc = [Cyclo.rational(0)] * (bound + 1)
+    sums = [CycloSum() for _ in range(bound + 1)]
     for g, size in class_reps:
-        inv = _series_invert(g.det_one_minus_x(), bound)
-        for e, c in inv:
-            acc[e] = acc[e] + c * size
-    molien = [(e, c / order) for e, c in enumerate(acc)]
-    poincare = _series_invert(LaurentPoly(
-        [(e, c) for e, c in molien if not c.is_zero()]), bound)
-    return LaurentPoly([(e, c) for e, c in poincare])
+        weight = Cyclo.rational(Fraction(size, order))
+        for e, c in _series_invert(g.det_one_minus_x(), bound):
+            sums[e].add(c, weight)
+    molien = LaurentPoly([(e, s.value()) for e, s in enumerate(sums)])
+    return LaurentPoly(_series_invert(molien, bound))
 
 
 def _molien_degrees(class_reps: list[tuple[Matrix, int]], order: int, rank: int
@@ -423,15 +437,10 @@ def _series_invert(P: LaurentPoly, bound: int) -> list[tuple[int, Cyclo]]:
     """Coefficients of 1/P up to x^bound (P must have constant term 1)."""
     c0 = P.coeff(0)
     assert c0 == Cyclo.rational(1), "series inversion expects constant term 1"
-    coeffs = dict(P.coeffs)
-    inv = [Cyclo.rational(0)] * (bound + 1)
-    inv[0] = Cyclo.rational(1)
+    neg = [(k, -c) for k, c in P.coeffs if k > 0]
+    inv = [c0]
     for e in range(1, bound + 1):
-        s = Cyclo.rational(0)
-        for k, c in coeffs.items():
-            if 0 < k <= e:
-                s = s + c * inv[e - k]
-        inv[e] = -s
+        inv.append(sum_of_products((c, inv[e - k]) for k, c in neg if k <= e))
     return [(e, c) for e, c in enumerate(inv) if not c.is_zero()]
 
 

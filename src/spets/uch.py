@@ -8,11 +8,13 @@ family partitioning and the axiom verification suite.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cyclotomic import Cyclo, CycloField, divisors, zeta as zeta_root
+from .cyclotomic import (Cyclo, CycloField, CycloSum, divisors, sum_of_products,
+                         zeta as zeta_root)
 from .laurent import FracExpMonomial, LaurentPoly
 from .hecke import (SpetsialAlgebraSpec, check_spetsial, frobenius,
                     frobenius_model, schur_cyclic, CyclicHeckeParams)
@@ -480,9 +482,7 @@ def check_inducing_sum(G: ReflectionCoset, l_order: LaurentPoly,
                        rows_with_dims: list[tuple[UnipotentCharacter, int]]) -> bool:
     """Deg(lambda) (|G|/|L|)_{x'} = sum Deg(rho_chi) chi(1) over a proposed tuple."""
     ratio = _hc_ratio(G, l_order)
-    total = LaurentPoly.zero()
-    for row, dim in rows_with_dims:
-        total = total + row.degree * dim
+    total = LaurentPoly.combination((row.degree, dim) for row, dim in rows_with_dims)
     return total == deg_lambda * ratio
 
 
@@ -654,9 +654,8 @@ def verify_axioms(table: UchTable, G: ReflectionCoset,
 
     # principal 1-series: Feg(R_1) = sum theta(1) Deg(rho_theta)
     feg1 = fake_degree_torus(G, Matrix.identity(G.elements[0].n))
-    total = LaurentPoly.zero()
-    for name, fg in feg_map.items():
-        total = total + table.row(name).degree * fg.evaluate(1)
+    total = LaurentPoly.combination((table.row(name).degree, fg.evaluate(1))
+                                    for name, fg in feg_map.items())
     if total != feg1:
         fails["principal-series-sum"].append("sum over the principal series")
 
@@ -691,12 +690,12 @@ def _check_family_sums(table, feg_map, failures):
 
 def _outer_sum(pairs) -> dict[tuple[int, int], Cyclo]:
     """Coefficients of Sum p(X) q(Y) over the pairs (p, q), keyed by (i, j)."""
-    acc: dict[tuple[int, int], Cyclo] = {}
+    sums: defaultdict[tuple[int, int], CycloSum] = defaultdict(CycloSum)
     for p, q in pairs:
         for i, a in p.coeffs:
             for j, b in q.coeffs:
-                acc[i, j] = acc[i, j] + a * b if (i, j) in acc else a * b
-    return acc
+                sums[i, j].add(a, b)
+    return {ij: s.value() for ij, s in sums.items()}
 
 
 def _check_series_compat(table, regulars, failures):
@@ -717,11 +716,8 @@ def _check_series_counting(table, G, feg_map, regulars, failures):
         if not _is_cyclic(sub) or sub.order != len(cent):
             continue
         for fam in table.families:
-            lhs = Cyclo.rational(0)
-            for name in fam.members:
-                if name in feg_map:
-                    v = feg_map[name].evaluate(z)
-                    lhs = lhs + v * v.conjugate()
+            vals = [feg_map[name].evaluate(z) for name in fam.members if name in feg_map]
+            lhs = sum_of_products((v, v.conjugate()) for v in vals)
             count = sum(1 for name in fam.members
                         if not table.row(name).degree.evaluate(z).is_zero())
             if lhs != Cyclo.rational(count):

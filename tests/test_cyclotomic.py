@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -120,6 +121,18 @@ class TestSerialization:
             CyclicHeckeParams.of(["1/0"])
         with pytest.raises(ValueError, match=r"'2\+3/0\*E\(3,1\)'"):
             parse_cyclo("2+3/0*E(3,1)")
+
+    @pytest.mark.parametrize("text, offset", [
+        ("E(3,1)*x^(2/0)", 6), ("1+E(3,1)?", 8), ("2*E(4,1) 3", 9)])
+    def test_unexpected_character_names_literal_and_offset(self, text, offset):
+        want = f"{text[offset]!r} at offset {offset} in cyclotomic literal {text!r}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            parse_cyclo(text)
+
+    def test_monomial_parse_error_names_literal(self):
+        want = "'*' at offset 6 in cyclotomic literal 'E(3,1)*x^(2/0)'"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            FracExpMonomial.parse("E(3,1)*x^(2/0)")
 
     def test_huge_root_order_is_value_error(self):
         # rejected before the O(n * phi(n)) power table is built

@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from spets.cyclotomic import Cyclo, CycloField, zeta
 from spets.laurent import (FracExpMonomial, LaurentPoly, k_cyclotomic_factors,
@@ -76,6 +77,114 @@ class TestRing:
         v = zeta(8) * v
         want = sum((c * v ** e for e, c in p.coeffs), Cyclo.rational(0))
         assert p.evaluate(v) == want
+
+
+# -- term-by-term references built from Cyclo + and * alone -----------------
+
+CONDUCTORS = [1, 3, 4, 5, 8, 12, 15, 24]
+
+
+def mixed_cyclo():
+    """Random sums c * E(n, k) over mixed conductors, c with small denominators."""
+    root = st.sampled_from(CONDUCTORS).flatmap(
+        lambda n: st.integers(0, n - 1).map(lambda k: zeta(n, k)))
+    coef = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    return st.lists(st.tuples(root, coef), max_size=3).map(ref_sum)
+
+
+def mixed_poly(low, high):
+    return st.dictionaries(st.integers(low, high), mixed_cyclo(),
+                           max_size=4).map(LaurentPoly)
+
+
+def ref_sum(terms):
+    acc = Cyclo.rational(0)
+    for z, c in terms:
+        acc = acc + z * c
+    return acc
+
+
+def ref_mul(a, b):
+    acc = {}
+    for e1, c1 in a.coeffs:
+        for e2, c2 in b.coeffs:
+            acc[e1 + e2] = acc.get(e1 + e2, Cyclo.rational(0)) + c1 * c2
+    return LaurentPoly(acc)
+
+
+def ref_power(v, e):
+    out, step = Cyclo.rational(1), v if e >= 0 else v.inverse()
+    for _ in range(abs(e)):
+        out = out * step
+    return out
+
+
+def ref_evaluate(p, v):
+    acc = Cyclo.rational(0)
+    for e, c in p.coeffs:
+        acc = acc + c * ref_power(v, e)
+    return acc
+
+
+def assert_canonical(c):
+    """Stored form of a reduced Cyclo: sorted nonzero terms, coprime
+    denominator, and a conductor no Q(zeta_{n/p}) contains."""
+    assert c.den > 0 and gcd(c.den, *(a for _, a in c.terms)) == 1
+    assert list(c.terms) == sorted(c.terms) and all(a for _, a in c.terms)
+    assert c.n % 4 != 2
+    for p in (p for p in range(2, c.n + 1) if c.n % p == 0
+              and all(p % q for q in range(2, p))):
+        m = c.n // p
+        assert any(c.galois(k) != c for k in range(1, c.n)
+                   if gcd(k, c.n) == 1 and (k - 1) % m == 0), (c, p)
+
+
+def assert_same(got, want):
+    """Structurally equal, with == and hash agreeing, in canonical form."""
+    assert got == want and hash(got) == hash(want)
+    for _, c in (got.coeffs if isinstance(got, LaurentPoly) else [(0, got)]):
+        assert_canonical(c)
+
+
+class TestSumsOfProducts:
+    @given(mixed_poly(-2, 4), mixed_poly(-2, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_mul_matches_termwise(self, a, b):
+        assert_same(a * b, ref_mul(a, b))
+
+    @given(mixed_poly(-2, 4), st.one_of(
+        st.sampled_from(CONDUCTORS).flatmap(
+            lambda n: st.integers(0, n - 1).map(lambda k: zeta(n, k))),
+        mixed_cyclo()))
+    @settings(max_examples=60, deadline=None)
+    def test_evaluate_matches_termwise(self, p, v):
+        assume(not v.is_zero())
+        assert_same(p.evaluate(v), ref_evaluate(p, v))
+
+    @given(mixed_poly(0, 6), mixed_poly(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_divmod_identity(self, a, b):
+        assume(not b.is_zero())
+        q, r = a.divmod_poly(b)
+        assert r.is_zero() or r.degree() < b.degree()
+        for _, c in q.coeffs + r.coeffs:
+            assert_canonical(c)
+        assert ref_mul(q, b) + r == a
+
+    @given(mixed_poly(-2, 4), mixed_poly(-2, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_div_round_trip(self, a, b):
+        assume(not b.is_zero())
+        prod = ref_mul(a, b)
+        assert b.divides(prod)
+        assert_same(prod.exact_div(b), a)
+
+    def test_group_ring_zero_reduces_to_zero(self):
+        # 1 + E(3,1) + E(3,2) is nonzero in Z[x]/(x^3 - 1) but zero in Q(zeta3)
+        p = LaurentPoly({0: 1, 1: 1, 2: 1})
+        assert_same(p.evaluate(zeta(3)), Cyclo.rational(0))
+        q, r = (x ** 3 - 1).divmod_poly(x - zeta(3))
+        assert r.is_zero() and q == (x - zeta(3, 2)) * (x - 1)
 
 
 class TestFracExpMonomial:
