@@ -246,9 +246,6 @@ class Cyclo:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_rational(self) -> bool:
-        return self.n == 1
-
     def as_rational(self) -> Optional[Fraction]:
         if self.n != 1:
             return None

@@ -263,21 +263,6 @@ class LaurentPoly:
         s = _coerce(s)
         return LaurentPoly([(e, c * s ** e) for e, c in self.coeffs])
 
-    def inflate(self, k: int) -> "LaurentPoly":
-        """Substitute x -> x^k (k > 0)."""
-        if k <= 0:
-            raise ValueError("inflation exponent must be positive")
-        return LaurentPoly([(e * k, c) for e, c in self.coeffs])
-
-    def deflate(self, k: int) -> "LaurentPoly":
-        """Substitute x^k -> x; all exponents must be divisible by k."""
-        if any(e % k for e, _ in self.coeffs):
-            raise ValueError("polynomial is not k-deflatable")
-        return LaurentPoly([(e // k, c) for e, c in self.coeffs])
-
-    def derivative(self) -> "LaurentPoly":
-        return LaurentPoly([(e - 1, c * e) for e, c in self.coeffs if e])
-
     def reduce_mod(self, phi: "LaurentPoly") -> "LaurentPoly":
         """Image in K[x]/(phi) for a polynomial phi with phi(0) != 0."""
         if not phi.is_polynomial() or phi.valuation() > 0:
@@ -456,9 +441,6 @@ class FracExpMonomial:
 
     def vee(self) -> "FracExpMonomial":
         return FracExpMonomial(self.coeff.conjugate(), -self.exp)
-
-    def is_root_of_unity(self) -> bool:
-        return self.exp == 0 and self.coeff.root_of_unity_order() is not None
 
     def serialize(self) -> str:
         ser = self.coeff.serialize()

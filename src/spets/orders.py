@@ -70,9 +70,9 @@ def subcoset_order(L: SubCoset, variant: str = "compact") -> LaurentPoly:
     deg = p.degree()
     core = LaurentPoly([(deg - e, c) for e, c in p.coeffs])
     zprod = p.leading_coeff() * ((-1) ** rank)
-    ident = Matrix.identity(rank)
-    refl = [g for g in L.group_elements
-            if g != ident and len(g.fixed_space()) == rank - 1]
+    # W_L is a subgroup of W, so its reflections are those of W lying in it
+    members = set(L.group_elements)
+    refl = [g for g in L.parent.reflections if g in members]
     n_ref = len(refl)
     n_hyp = len({tuple(c.serialize() for c in _root_line(g)) for g in refl})
     if variant == "compact":

@@ -5,10 +5,13 @@ enumerated explicitly (the built-ins are tiny).  Enumeration is the only
 place that multiplies group elements: one breadth-first pass records the
 elements, their shortest words and an integer multiplication table.
 Conjugacy classes, centralizers, powers, element orders and the Sylow
-normaliser count are then lookups in that table.  The module also computes
-reflections and reflecting-hyperplane orbits, the reflection degrees (via
-the Molien series), eigenspace data, regular classes, centralizer cosets on
-maximal eigenspaces, and Sylow data for K-cyclotomic polynomials.
+normaliser count are then lookups in that table.  The eigenvalues of each
+class are computed once, with the classes; since an element of finite order
+is diagonalisable, eigenspace dimensions, regular classes and reflections
+are eigenvalue multiplicities read off that cache.  The module also computes
+reflecting-hyperplane orbits, the reflection degrees (via the Molien
+series), centralizer cosets on maximal eigenspaces, and Sylow data for
+K-cyclotomic polynomials.
 """
 
 from __future__ import annotations
@@ -98,9 +101,6 @@ class Matrix:
     def apply(self, vec: Sequence[Cyclo]) -> list[Cyclo]:
         return [sum_of_products(zip(row, vec)) for row in self.rows]
 
-    def scalar_mul(self, c: Cyclo) -> "Matrix":
-        return Matrix([[c * v for v in row] for row in self.rows])
-
     def eigenspace(self, eigval: Cyclo) -> list[list[Cyclo]]:
         """Basis of ker(M - eigval*I) as a list of vectors."""
         n = self.n
@@ -118,9 +118,6 @@ class Matrix:
             basis.append(vec)
         return basis
 
-    def fixed_space(self) -> list[list[Cyclo]]:
-        return self.eigenspace(Cyclo.rational(1))
-
     def det_one_minus_x(self) -> LaurentPoly:
         """det(1 - x*M): the coefficient reversal of the charpoly."""
         return LaurentPoly([(self.n - e, c) for e, c in self.charpoly().coeffs])
@@ -129,6 +126,19 @@ class Matrix:
         rows = "; ".join(
             ", ".join(c.serialize() for c in row) for row in self.rows)
         return f"Matrix[{rows}]"
+
+
+def _eigenvalues(g: Matrix, order: int) -> list[Cyclo]:
+    """Eigenvalues of g, an element of the given order, with multiplicity, as
+    powers of zeta(order): the roots of the charpoly, peeled off one at a time."""
+    cp = g.charpoly()
+    out: list[Cyclo] = []
+    for k in range(order):
+        lam = zeta(order, k)
+        while cp.evaluate(lam).is_zero():
+            cp = cp.exact_div(LaurentPoly.x() - LaurentPoly.constant(lam))
+            out.append(lam)
+    return out
 
 
 def _poly_det(entries: list[list[LaurentPoly]]) -> LaurentPoly:
@@ -151,6 +161,7 @@ class ConjClass:
     rep_word: str
     size: int
     member_indices: tuple[int, ...]
+    eigenvalues: tuple[Cyclo, ...]  # of every member, with multiplicity
 
 
 @dataclass(frozen=True)
@@ -188,24 +199,32 @@ class ReflectionCoset:
     @cached_property
     def classes(self) -> list[ConjClass]:
         seen: set[int] = set()
-        classes = []
+        found = []
         for i in range(self.order):
             if i in seen:
                 continue
             members = sorted({self._conj(h, i) for h in range(self.order)})
             seen.update(members)
             rep = min(members, key=lambda j: (len(self.words[j]), self.words[j]))
-            classes.append(ConjClass(rep, self.words[rep], len(members), tuple(members)))
-        return sorted(classes, key=self._class_key)
+            g = self.elements[rep]
+            order = self.element_order(g)
+            eig = _eigenvalues(g, order)
+            key = (order, len(members), sorted(v.serialize() for v in eig), self.words[rep])
+            found.append((key, ConjClass(rep, self.words[rep], len(members),
+                                         tuple(members), tuple(eig))))
+        return [c for _, c in sorted(found, key=lambda t: t[0])]
 
-    def _class_key(self, c: ConjClass):
-        g = self.elements[c.rep_index]
-        eig = sorted(v.serialize() for v in self.eigenvalues(g))
-        return (self.element_order(g), c.size, eig, c.rep_word)
+    @cached_property
+    def _class_index(self) -> list[int]:
+        """The index in ``classes`` of the class of every element."""
+        out = [0] * self.order
+        for ci, c in enumerate(self.classes):
+            for i in c.member_indices:
+                out[i] = ci
+        return out
 
     def class_of(self, g: Matrix) -> int:
-        i = self.index[g]
-        return next(ci for ci, c in enumerate(self.classes) if i in c.member_indices)
+        return self._class_index[self.index[g]]
 
     def centralizer(self, g: Matrix) -> list[Matrix]:
         i, mul = self.index[g], self.mul
@@ -225,22 +244,19 @@ class ReflectionCoset:
 
     def eigenvalues(self, g: Matrix) -> list[Cyclo]:
         """Eigenvalues of g with multiplicity, as powers of zeta(order of g)."""
-        cp = g.charpoly()
-        out: list[Cyclo] = []
-        order = self.element_order(g)
-        for k in range(order):
-            lam = zeta(order, k)
-            while cp.evaluate(lam).is_zero():
-                cp = cp.exact_div(LaurentPoly.x() - LaurentPoly.constant(lam))
-                out.append(lam)
-        return out
+        return list(self.classes[self.class_of(g)].eigenvalues)
+
+    def _eigenvalue_counts(self, eigval: Cyclo) -> list[int]:
+        """dim V(w, eigval) for w in each class: the multiplicity of eigval."""
+        return [c.eigenvalues.count(eigval) for c in self.classes]
 
     # -- reflections and hyperplanes ---------------------------------------
     @cached_property
     def reflections(self) -> list[Matrix]:
-        ident = Matrix.identity(self.rank)
-        return [g for g in self.elements
-                if g != ident and len(g.fixed_space()) == self.rank - 1]
+        # the identity fixes all rank dimensions, so it is never counted
+        fixed = self._eigenvalue_counts(Cyclo.rational(1))
+        return [g for g, ci in zip(self.elements, self._class_index)
+                if fixed[ci] == self.rank - 1]
 
     @property
     def n_ref(self) -> int:
@@ -258,10 +274,6 @@ class ReflectionCoset:
     @property
     def n_hyp(self) -> int:
         return len(self._hyperplanes)
-
-    @property
-    def e_w(self) -> int:
-        return self.n_ref + self.n_hyp
 
     @cached_property
     def hyperplane_orbits(self) -> list[HyperplaneOrbit]:
@@ -282,10 +294,6 @@ class ReflectionCoset:
             e = len(self._hyperplanes[line]) + 1
             orbits.append(HyperplaneOrbit(len(orbit), e, line))
         return sorted(orbits, key=lambda o: (-o.e, o.size))
-
-    def fixator_of_line_complement(self, line: tuple[Cyclo, ...]) -> list[Matrix]:
-        """Reflections (plus identity) fixing the hyperplane of a root line."""
-        return [Matrix.identity(self.rank)] + self._hyperplanes[_canonical_line(list(line))]
 
     def pointwise_stabilizer(self, vectors: list[list[Cyclo]]) -> list[Matrix]:
         out = []
@@ -318,14 +326,13 @@ class ReflectionCoset:
 
     # -- eigenspace data ------------------------------------------------------
     def max_eigenspace_dim(self, eigval: Cyclo) -> int:
-        return max(len(self.elements[c.rep_index].eigenspace(eigval))
-                   for c in self.classes)
+        return max(self._eigenvalue_counts(eigval))
 
     def regular_classes(self, eigval: Cyclo) -> list[int]:
         """Classes whose eigval-eigenspace has the maximal dimension."""
-        best = self.max_eigenspace_dim(eigval)
-        return [ci for ci, c in enumerate(self.classes)
-                if len(self.elements[c.rep_index].eigenspace(eigval)) == best]
+        dims = self._eigenvalue_counts(eigval)
+        best = max(dims)
+        return [ci for ci, dim in enumerate(dims) if dim == best]
 
     def regular_element(self, eigval: Cyclo) -> Matrix:
         """A representative with maximal eigval-eigenspace, of maximal order."""

@@ -660,8 +660,11 @@ def verify_axioms(table: UchTable, G: ReflectionCoset,
         fails["principal-series-sum"].append("sum over the principal series")
 
     regulars = regular_eigenvalues(G)
-    _check_series_compat(table, regulars, fails["series-compatibility"])
-    _check_series_counting(table, G, feg_map, regulars, fails["series-counting"])
+    values = {(row.name, z): row.degree.evaluate(z)
+              for row in table.rows for z in regulars}
+    _check_series_compat(table, regulars, values, fails["series-compatibility"])
+    _check_series_counting(table, G, feg_map, regulars, values,
+                           fails["series-counting"])
 
     for fam in table.families:
         for name in fam.members:
@@ -698,15 +701,16 @@ def _outer_sum(pairs) -> dict[tuple[int, int], Cyclo]:
     return {ij: s.value() for ij, s in sums.items()}
 
 
-def _check_series_compat(table, regulars, failures):
+def _check_series_compat(table, regulars, values, failures):
+    """``values`` maps (row name, zeta) to the row degree's value at zeta."""
     for row in table.rows:
-        zs = [z for z in regulars if not row.degree.evaluate(z).is_zero()]
+        zs = [z for z in regulars if not values[row.name, z].is_zero()]
         vals = {(z ** row.delta).serialize() for z in zs}
         if len(vals) > 1:
             failures.append(row.name)
 
 
-def _check_series_counting(table, G, feg_map, regulars, failures):
+def _check_series_counting(table, G, feg_map, regulars, values, failures):
     for z in regulars:
         if z == Cyclo.rational(1):
             continue
@@ -718,8 +722,7 @@ def _check_series_counting(table, G, feg_map, regulars, failures):
         for fam in table.families:
             vals = [feg_map[name].evaluate(z) for name in fam.members if name in feg_map]
             lhs = sum_of_products((v, v.conjugate()) for v in vals)
-            count = sum(1 for name in fam.members
-                        if not table.row(name).degree.evaluate(z).is_zero())
+            count = sum(1 for name in fam.members if not values[name, z].is_zero())
             if lhs != Cyclo.rational(count):
                 failures.append(f"family {fam.index} at E({z.serialize()})")
 

@@ -1,5 +1,7 @@
 """Reflection group construction, class data, and regular elements."""
 
+from math import lcm
+
 import pytest
 
 from spets import reflection
@@ -189,3 +191,61 @@ class TestSylowNormalizer:
                 _, L = sylow_subcoset(G, phi)
                 assert L.normalizer_order == _brute_normalizer_order(
                     G, L.group_elements, L.twist)
+
+
+ORACLE_GROUPS = ("G4", "G(3,1,2)") + tuple(f"Z_{e}" for e in range(1, 13))
+
+
+@pytest.fixture(scope="module", params=ORACLE_GROUPS)
+def oracle_group(request):
+    return build_group(request.param)
+
+
+def _roots_of_exponent(G):
+    """Every E(d, a) with d dividing the exponent of G."""
+    exponent = lcm(*(G.element_order(g) for g in G.elements))
+    return [zeta(d, a) for d in divisors(exponent) for a in range(d)]
+
+
+class TestEigenDataOracle:
+    """Eigenvalue multiplicities from the class cache against row-reduced
+    eigenspaces: a matrix of finite order is diagonalisable, so the two
+    must agree everywhere."""
+
+    def test_multiplicity_is_eigenspace_dimension(self, oracle_group):
+        G = oracle_group
+        for g in G.elements:
+            eig = G.eigenvalues(g)
+            for z in _roots_of_exponent(G):
+                assert eig.count(z) == len(g.eigenspace(z)), (G.name, g, z)
+
+    def test_regular_classes_and_elements(self, oracle_group):
+        G = oracle_group
+        reps = [G.elements[c.rep_index] for c in G.classes]
+        for z in _roots_of_exponent(G):
+            dims = [len(w.eigenspace(z)) for w in reps]
+            best = max(dims)
+            want = [ci for ci, dim in enumerate(dims) if dim == best]
+            assert G.max_eigenspace_dim(z) == best
+            assert G.regular_classes(z) == want
+            assert G.regular_element(z) == max((reps[ci] for ci in want),
+                                               key=G.element_order)
+
+    def test_reflections(self, oracle_group):
+        G = oracle_group
+        ident, one = Matrix.identity(G.rank), Cyclo.rational(1)
+        assert G.reflections == [g for g in G.elements if g != ident
+                                 and len(g.eigenspace(one)) == G.rank - 1]
+
+    def test_class_of(self, oracle_group):
+        G = oracle_group
+        for i, g in enumerate(G.elements):
+            assert G.class_of(g) == next(ci for ci, c in enumerate(G.classes)
+                                         if i in c.member_indices)
+
+    def test_eigenvalues_return_a_copy(self, oracle_group):
+        G = oracle_group
+        g = G.elements[-1]
+        want = G.eigenvalues(g)
+        G.eigenvalues(g).append(Cyclo.rational(0))
+        assert G.eigenvalues(g) == want

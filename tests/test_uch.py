@@ -96,6 +96,31 @@ class TestAxioms:
         report = verify_axioms(broken, g4, g4_fegs)
         assert report.failures["family-sum"] == [f"family {fam} at x^4 y^4"]
 
+    @pytest.mark.parametrize("factor, victim, want", [
+        # x^2 + 1 vanishes at E(4,1) and -E(4,1): the row leaves the
+        # zeta-series of its family there
+        ({0: 1, 2: 1}, "rho_{3,1}", {
+            "family-sum": ["family 1 at x^1 y^3"],
+            "series-counting": ["family 1 at E(E(4,1))", "family 1 at E(-E(4,1))"]}),
+        # x + 1 vanishes at -1 and raises the degree, so zeta^delta differs
+        # between the regular zeta where the row survives
+        ({0: 1, 1: 1}, "1", {
+            "family-sum": ["family 0 at x^0 y^1"],
+            "principal-series-sum": ["sum over the principal series"],
+            "series-compatibility": ["1"],
+            "series-counting": ["family 0 at E(-1)"]}),
+        ({0: 1, 1: 1}, "rho_{3,1}", {
+            "degree-divides-order": ["rho_{3,1}"],
+            "family-sum": ["family 1 at x^1 y^2"],
+            "series-compatibility": ["rho_{3,1}"]}),
+    ])
+    def test_series_checks_see_corrupted_cyclic_row(self, factor, victim, want):
+        from spets.uch import _cyclic_feg_map
+        broken = self._with_degree(cyclic_uch(4), victim,
+                                   lambda d: d * LaurentPoly(factor))
+        report = verify_axioms(broken, build_group("Z_4"), _cyclic_feg_map(4))
+        assert {k: v for k, v in report.failures.items() if v} == want
+
 
 class TestRegularEigenvalues:
     def test_g4(self, g4):
