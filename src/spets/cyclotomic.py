@@ -34,7 +34,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 __all__ = [
     "Cyclo",
@@ -47,8 +47,6 @@ __all__ = [
     "parse_cyclo",
     "totient",
     "divisors",
-    "row_reduce",
-    "solve_linear",
     "cyclotomic_int_coeffs",
 ]
 
@@ -109,43 +107,6 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
         prev = rows[-1]
         rows.append(tuple(s - prev[-1] * c for s, c in zip((0,) + prev[:-1], coeffs)))
     return tuple(rows)
-
-
-def row_reduce(rows: list[list]) -> list[int]:
-    """Gauss-Jordan elimination in place; returns the pivot column of each row.
-
-    ``rows`` ends in reduced row echelon form.  Entries need only ``bool``,
-    ``*``, ``-`` and ``1 / x``, so the same loop serves ``Fraction`` and
-    :class:`Cyclo` matrices.
-    """
-    pivots: list[int] = []
-    for c in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if i != r and f:
-                rows[i] = [a - f * b for a, b in zip(row, rows[r])]
-        pivots.append(c)
-    return pivots
-
-
-def solve_linear(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[list]:
-    """The solution v of matrix @ v = rhs, or None when rhs is outside the
-    column span; the columns of ``matrix`` must be linearly independent."""
-    cols = len(matrix[0])
-    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    pivots = row_reduce(rows)
-    if pivots[-1:] == [cols]:  # a pivot in the right-hand side
-        return None
-    if len(pivots) != cols:
-        raise ArithmeticError("solve_linear needs linearly independent columns")
-    return [row[cols] for row in rows[:cols]]
 
 
 @lru_cache(maxsize=None)
@@ -348,13 +309,7 @@ class Cyclo:
 
     def root_of_unity_order(self) -> Optional[tuple[int, int]]:
         """Return (n, k) with self == E(n, k), or None when not a root of unity."""
-        for n in (self.n, 2 * self.n):
-            for k in range(n):
-                if gcd(k, n) == 1 or (n == 1 and k == 0):
-                    if self == Cyclo.root_of_unity(n, k):
-                        g = gcd(k, n) if k else n
-                        return (n // g, k // g) if k else (1, 0)
-        return None
+        return _root_of_unity_order(self)
 
     # -- comparison / hashing -------------------------------------------
     def __eq__(self, other) -> bool:
@@ -415,6 +370,18 @@ def _coerce(v: "Cyclo | Rat") -> Cyclo:
     if isinstance(v, Cyclo):
         return v
     return Cyclo.rational(v)
+
+
+@lru_cache(maxsize=None)
+def _root_of_unity_order(z: Cyclo) -> Optional[tuple[int, int]]:
+    # a root of unity of conductor n has order n or 2n
+    for n in (z.n, 2 * z.n):
+        for k in range(n):
+            if gcd(k, n) == 1 or (n == 1 and k == 0):
+                if z == Cyclo.root_of_unity(n, k):
+                    g = gcd(k, n) if k else n
+                    return (n // g, k // g) if k else (1, 0)
+    return None
 
 
 _ONE = Cyclo.rational(1)

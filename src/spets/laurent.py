@@ -236,10 +236,18 @@ class LaurentPoly:
 
     # -- transforms ---------------------------------------------------------
     def evaluate(self, v: Scalar) -> Cyclo:
-        """Value at v: sum(c_e * v^(e - val)) reduced once, times v^val."""
+        """Value at v, reduced once: sum(c_e * E(d, k*e)) at a root of unity
+        v = E(d, k), from cached roots; else sum(c_e * v^(e - val)) * v^val."""
         v = _coerce(v)
         if not self.coeffs:
             return Cyclo.rational(0)
+        root = v.root_of_unity_order()
+        if root is not None:
+            d, k = root
+            s = CycloSum()
+            for e, c in self.coeffs:
+                s.add(c, Cyclo.root_of_unity(d, k * e % d))
+            return s.value()
         val = self.coeffs[0][0]
         s = CycloSum()
         p, k = Cyclo.rational(1), val  # p = v^(k - val)

@@ -10,8 +10,8 @@ class are computed once, with the classes; since an element of finite order
 is diagonalisable, eigenspace dimensions, regular classes and reflections
 are eigenvalue multiplicities read off that cache.  The module also computes
 reflecting-hyperplane orbits, the reflection degrees (via the Molien
-series), centralizer cosets on maximal eigenspaces, and Sylow data for
-K-cyclotomic polynomials.
+series), whether a centralizer is cyclic and faithful on an eigenspace, and
+Sylow data for K-cyclotomic polynomials.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .cyclotomic import (Cyclo, CycloField, CycloSum, row_reduce, solve_linear,
-                         sum_of_products, zeta)
+from .cyclotomic import Cyclo, CycloField, CycloSum, sum_of_products, zeta
 from .laurent import KCycloPoly, LaurentPoly
 
 __all__ = [
@@ -126,6 +125,30 @@ class Matrix:
         rows = "; ".join(
             ", ".join(c.serialize() for c in row) for row in self.rows)
         return f"Matrix[{rows}]"
+
+
+def row_reduce(rows: list[list]) -> list[int]:
+    """Gauss-Jordan elimination in place; returns the pivot column of each row.
+
+    ``rows`` ends in reduced row echelon form.  Entries need only ``bool``,
+    ``*``, ``-`` and ``1 / x``, so the same loop serves ``Fraction`` and
+    :class:`Cyclo` matrices.
+    """
+    pivots: list[int] = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                rows[i] = [a - f * b for a, b in zip(row, rows[r])]
+        pivots.append(c)
+    return pivots
 
 
 def _eigenvalues(g: Matrix, order: int) -> list[Cyclo]:
@@ -340,33 +363,20 @@ class ReflectionCoset:
                  for ci in self.regular_classes(eigval)]
         return max(cands, key=self.element_order)
 
-    def centralizer_on_eigenspace(self, w: Matrix, eigval: Cyclo
-                                  ) -> tuple["ReflectionCoset", dict[Matrix, Matrix]]:
-        """The coset W(w*phi) acting on the eigenspace V(w, eigval).
-
-        Returns the restricted group and the map from centralizer elements
-        to their restricted matrices.
-        """
+    def cyclic_centralizer_order(self, w: Matrix, eigval: Cyclo) -> int | None:
+        """|C| when C = C_W(w) is cyclic and acts faithfully on V(w, eigval),
+        else None: exactly when the restriction of C to V(w, eigval) is a
+        cyclic group of order |C|."""
         basis = w.eigenspace(eigval)
         if not basis:
             raise ValueError("empty eigenspace")
         cent = self.centralizer(w)
-        mapping: dict[Matrix, Matrix] = {}
-        restricted: list[Matrix] = []
-        columns = list(zip(*basis))  # the basis vectors as columns
-        for v in cent:
-            cols = [solve_linear(columns, v.apply(b)) for b in basis]
-            mat = Matrix([[cols[j][i] for j in range(len(basis))]
-                          for i in range(len(basis))])
-            mapping[v] = mat
-            restricted.append(mat)
-        gens = sorted(set(restricted), key=lambda m: _matrix_key(m))
-        sub = ReflectionCoset(f"{self.name}|V(w)", gens, self.field)
-        return sub, mapping
-
-
-def _matrix_key(m: Matrix):
-    return [c.serialize() for row in m.rows for c in row]
+        if not any(self.element_order(g) == len(cent) for g in cent):
+            return None
+        # cent[0] is the identity; every other member must move V(w, eigval)
+        if any(all(g.apply(b) == b for b in basis) for g in cent[1:]):
+            return None
+        return len(cent)
 
 
 MAX_GROUP_ORDER = 2000  # largest group enumerated; mul has its square of entries

@@ -118,18 +118,18 @@ def cyclic_uch(e: int) -> UchTable:
         raise ValueError("cyclic order must be positive")
     one = FracExpMonomial.of(1)
     rows = [UnipotentCharacter("1", LaurentPoly.one(), one, series=("1", "chi_0"))]
-    if e > 1:
-        z = zeta_root(e)
-        full = LaurentPoly([(0, -1), (e, 1)]) * LaurentPoly.x()
-        for i in range(1, e):
-            for k in range(i):
-                den = ((LaurentPoly.x() - z ** k) * (LaurentPoly.x() - z ** i))
-                deg = full.exact_div(den) * ((z ** k - z ** i) / Cyclo.rational(e))
-                fr = FracExpMonomial(z ** (i * k), Fraction(0))
-                name = f"rho_{{{i},{k}}}"
-                series = ("1", f"chi_{i}") if k == 0 else (name, "Id")
-                rows.append(UnipotentCharacter(name, deg, fr, series=series,
-                                               sign_resolved=(k == 0)))
+    # 1/(x-a) - 1/(x-b) = (a-b)/((x-a)(x-b)) and (x^e-1)/(x-a) = sum_j a^(-1-j) x^j
+    # for a^e = 1, so the coefficient of x^m is (z^(-km) - z^(-im))/e, 0 < m < e
+    inv_e = Cyclo.rational(Fraction(1, e))
+    for i in range(1, e):
+        for k in range(i):
+            deg = LaurentPoly({m: (zeta_root(e, -k * m) - zeta_root(e, -i * m)) * inv_e
+                               for m in range(1, e)})
+            fr = FracExpMonomial(zeta_root(e, i * k), Fraction(0))
+            name = f"rho_{{{i},{k}}}"
+            series = ("1", f"chi_{i}") if k == 0 else (name, "Id")
+            rows.append(UnipotentCharacter(name, deg, fr, series=series,
+                                           sign_resolved=(k == 0)))
     table = UchTable(f"Z_{e}", rows)
     assign_families(table, _cyclic_feg_map(e))
     return table
@@ -278,9 +278,8 @@ def determine_parameters(G: ReflectionCoset, zeta_c: Cyclo, known: UchTable,
     """
     d, a = zeta_c.root_of_unity_order() or (1, 0)
     w = G.regular_element(zeta_c)
-    e = len(G.centralizer(w))
-    sub, _ = G.centralizer_on_eigenspace(w, zeta_c)
-    if sub.order != e or not _is_cyclic(sub):
+    e = G.cyclic_centralizer_order(w, zeta_c)
+    if e is None:
         raise ValueError("cyclic reduction only: the centralizer is not cyclic")
     n_ref, n_hyp = G.n_ref, G.n_hyp
     feg = fake_degree_torus(G, w)
@@ -332,10 +331,6 @@ def determine_parameters(G: ReflectionCoset, zeta_c: Cyclo, known: UchTable,
             f"expected a unique surviving assignment, found {len(survivors)}",
             len(survivors))
     return survivors[0]
-
-
-def _is_cyclic(G: ReflectionCoset) -> bool:
-    return any(G.element_order(g) == G.order for g in G.elements)
 
 
 def _fr_matches(e: int, d: int, a: int, j: int, row: UnipotentCharacter) -> bool:
@@ -714,10 +709,7 @@ def _check_series_counting(table, G, feg_map, regulars, values, failures):
     for z in regulars:
         if z == Cyclo.rational(1):
             continue
-        w = G.regular_element(z)
-        cent = G.centralizer(w)
-        sub, _ = G.centralizer_on_eigenspace(w, z)
-        if not _is_cyclic(sub) or sub.order != len(cent):
+        if G.cyclic_centralizer_order(G.regular_element(z), z) is None:
             continue
         for fam in table.families:
             vals = [feg_map[name].evaluate(z) for name in fam.members if name in feg_map]

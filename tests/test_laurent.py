@@ -187,6 +187,36 @@ class TestSumsOfProducts:
         assert r.is_zero() and q == (x - zeta(3, 2)) * (x - 1)
 
 
+ROOT_ORDERS = [1, 2, 3, 4, 6, 8, 12, 24]
+
+
+class TestRootOfUnityEvaluation:
+    """Values at E(d, k) read from cached roots, against Cyclo + and *."""
+
+    @given(mixed_poly(-6, 6), st.sampled_from(ROOT_ORDERS).flatmap(
+        lambda d: st.integers(-d, 2 * d).map(lambda k: zeta(d, k))))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_termwise(self, p, v):
+        assert_same(p.evaluate(v), ref_evaluate(p, v))
+
+    @pytest.mark.parametrize("v", [Cyclo.rational(2), 1 + zeta(4), zeta(3) / 2],
+                             ids=["2", "1+E(4)", "E(3)/2"])
+    @given(p=mixed_poly(-3, 4))
+    @settings(max_examples=20, deadline=None)
+    def test_non_roots_use_powers(self, v, p):
+        assert v.root_of_unity_order() is None
+        assert_same(p.evaluate(v), ref_evaluate(p, v))
+
+    def test_roots_take_no_powers(self, monkeypatch):
+        p = LaurentPoly({-5: zeta(5), 0: 3, 7: zeta(8) + Fraction(1, 2)})
+        want = ref_evaluate(p, zeta(12, 5))
+
+        def no_power(*_):
+            raise AssertionError("power taken at a root of unity")
+        monkeypatch.setattr(Cyclo, "__pow__", no_power)
+        assert_same(p.evaluate(zeta(12, 5)), want)
+
+
 class TestFracExpMonomial:
     def test_serialize(self):
         m = FracExpMonomial(zeta(4), Fraction(1, 2))

@@ -8,7 +8,7 @@ from spets import reflection
 from spets.cyclotomic import Cyclo, divisors, zeta
 from spets.laurent import LaurentPoly, k_cyclotomic_factors
 from spets.orders import order_poly
-from spets.reflection import Matrix, build_group, sylow_subcoset
+from spets.reflection import Matrix, build_group, row_reduce, sylow_subcoset
 
 
 class TestBuiltins:
@@ -102,17 +102,61 @@ class TestRegular:
         assert set(cent) == powers
 
 
+def _restricted_centralizer(G, w, z):
+    """The image of C_W(w) acting on V(w, z): each member's matrix on a basis
+    of V(w, z), its coordinates solved by row-reducing [basis | g b]."""
+    basis = w.eigenspace(z)
+    k = len(basis)
+    images = set()
+    for g in G.centralizer(w):
+        cols = []
+        for b in basis:
+            gb = g.apply(b)
+            rows = [[v[i] for v in basis] + [gb[i]] for i in range(G.rank)]
+            assert row_reduce(rows) == list(range(k))  # g b lies in V(w, z)
+            cols.append([rows[j][k] for j in range(k)])
+        images.add(Matrix([[cols[j][i] for j in range(k)] for i in range(k)]))
+    return images
+
+
+def _matrix_order(m):
+    one, p, order = Matrix.identity(m.n), m, 1
+    while p != one:
+        p, order = p @ m, order + 1
+    return order
+
+
 class TestEigenspaceCentralizer:
     def test_restriction_is_cyclic(self, g4):
         w = g4.regular_element(zeta(4))
-        C, _ = g4.centralizer_on_eigenspace(w, zeta(4))
-        assert C.order == 4
-        assert C.rank == 1
+        assert g4.cyclic_centralizer_order(w, zeta(4)) == 4
+        assert len(w.eigenspace(zeta(4))) == 1
 
     def test_g312_zeta6(self, g312):
         w = g312.regular_element(zeta(6))
-        C, _ = g312.centralizer_on_eigenspace(w, zeta(6))
-        assert C.order == 6
+        assert g312.cyclic_centralizer_order(w, zeta(6)) == 6
+
+    def test_matches_restricted_group(self):
+        """On every (class representative, distinct eigenvalue) pair, the
+        predicate reads |C_W(w)| exactly when the restriction of C_W(w) to
+        the eigenspace is a cyclic group of that order."""
+        outcomes = []
+        for name in ("G4", "G(3,1,2)", "Z_6", "Z_12"):
+            G = build_group(name)
+            for c in G.classes:
+                w = G.elements[c.rep_index]
+                for z in dict.fromkeys(c.eigenvalues):
+                    image = _restricted_centralizer(G, w, z)
+                    order = len(G.centralizer(w))
+                    cyclic = any(_matrix_order(m) == len(image) for m in image)
+                    want = order if cyclic and len(image) == order else None
+                    assert G.cyclic_centralizer_order(w, z) == want, (name, c.rep_word, z)
+                    outcomes.append(want is not None)
+        assert (len(outcomes), sum(outcomes)) == (45, 27)
+
+    def test_empty_eigenspace_is_value_error(self, g4):
+        with pytest.raises(ValueError, match="empty eigenspace"):
+            g4.cyclic_centralizer_order(g4.elements[0], Cyclo.rational(-1))
 
 
 TABLE_GROUPS = ("G4", "G(3,1,2)", "Z_6")

@@ -43,6 +43,18 @@ class TestCyclicTables:
              "rho_{1,0}", "rho_{2,0}"),
         ]
 
+    @pytest.mark.parametrize("e", range(1, 13))
+    def test_degrees_match_quotient_form(self, e):
+        # Deg(rho_{i,k}) = ((z^k - z^i)/e) x (x^e - 1) / ((x - z^k)(x - z^i))
+        x, z = LaurentPoly.x(), zeta(e)
+        full = LaurentPoly({0: -1, e: 1}) * x
+        want = {"1": LaurentPoly.one()}
+        for i in range(1, e):
+            for k in range(i):
+                den = (x - z ** k) * (x - z ** i)
+                want[f"rho_{{{i},{k}}}"] = full.exact_div(den) * ((z ** k - z ** i) / e)
+        assert {r.name: r.degree for r in cyclic_uch(e).rows} == want
+
     def test_degree_sum_is_group_order_poly(self):
         # sum over the principal series theta(1) Deg = Feg of the 1-series
         for e in (2, 3, 4, 5):
