@@ -173,6 +173,8 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by x^k."""
+        if k == 0:
+            return self
         return LaurentPoly([(e + k, c) for e, c in self.coeffs])
 
     def divmod_poly(self, other: "LaurentPoly") -> tuple["LaurentPoly", "LaurentPoly"]:

@@ -8,7 +8,7 @@ family partitioning and the axiom verification suite.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -36,7 +36,6 @@ __all__ = [
     "verify_axioms",
     "hc_candidate_filter",
     "hc_series",
-    "align_signs",
     "regular_eigenvalues",
 ]
 
@@ -89,15 +88,10 @@ class UchTable:
     def names(self) -> list[str]:
         return [r.name for r in self.rows]
 
-    def match_degree(self, deg: LaurentPoly,
-                     fr: FracExpMonomial | None = None
-                     ) -> list[tuple[UnipotentCharacter, int]]:
-        """Rows whose degree is deg (sign +1) or -deg (sign -1), optionally
-        filtered by an equal Frobenius eigenvalue."""
+    def match_degree(self, deg: LaurentPoly) -> list[tuple[UnipotentCharacter, int]]:
+        """Rows whose degree is deg (sign +1) or -deg (sign -1)."""
         out = []
         for r in self.rows:
-            if fr is not None and r.fr is not None and r.fr != fr:
-                continue
             if r.degree == deg:
                 out.append((r, 1))
             elif r.degree == -deg:
@@ -146,51 +140,27 @@ def _cyclic_feg_map(e: int) -> dict[str, LaurentPoly]:
 
 
 def principal_series(G: ReflectionCoset, w: Matrix,
-                     spec: SpetsialAlgebraSpec | None = None,
-                     schur_data: list[tuple[str, LaurentPoly, int]] | None = None,
-                     names: list[str] | None = None,
-                     feg: LaurentPoly | None = None) -> list[UnipotentCharacter]:
+                     schur_data: list[tuple[str, LaurentPoly, int]]
+                     ) -> list[UnipotentCharacter]:
     """One character per algebra character, with degree eps * Feg / S.
 
-    For a cyclic series pass ``spec``; otherwise pass ingested Schur data as
-    ``(name, S, theta(1))`` triples (the eigenvalue is then 1 and Fr = 1).
+    ``schur_data`` holds ingested ``(name, S, theta(1))`` triples; the sign
+    eps makes the degree at x = 1 equal theta(1), and Fr = 1.
     """
-    if feg is None:
-        feg = fake_degree_torus(G, w)
+    feg = fake_degree_torus(G, w)
     rows: list[UnipotentCharacter] = []
-    if spec is not None:
-        zeta_c = spec.zeta
-        for j, s in enumerate(spec.schur()):
-            quo = feg.exact_div(s.as_x())
-            val = quo.evaluate(zeta_c)
-            if val == Cyclo.rational(1):
-                deg = quo
-            elif val == Cyclo.rational(-1):
-                deg = -quo
-            else:
-                raise ArithmeticError(
-                    f"series degree has value {val.serialize()} at the eigenvalue")
-            frs = frobenius(spec, j)
-            name = names[j] if names else f"chi_{j}"
-            rows.append(UnipotentCharacter(
-                name, deg, frs[0] if len(frs) == 1 else None,
-                series=(f"zeta({spec.d},{spec.a})", f"chi_{j}"),
-                sign_resolved=False))
-    else:
-        if schur_data is None:
-            raise ValueError("need a spec or ingested Schur data")
-        for name, s, theta1 in schur_data:
-            quo = feg.exact_div(s)
-            val = quo.evaluate(1)
-            if val == Cyclo.rational(theta1):
-                deg = quo
-            elif val == Cyclo.rational(-theta1):
-                deg = -quo
-            else:
-                raise ArithmeticError(
-                    f"principal degree of {name} has value {val.serialize()} at 1")
-            rows.append(UnipotentCharacter(
-                name, deg, FracExpMonomial.of(1), series=("1", name)))
+    for name, s, theta1 in schur_data:
+        quo = feg.exact_div(s)
+        val = quo.evaluate(1)
+        if val == Cyclo.rational(theta1):
+            deg = quo
+        elif val == Cyclo.rational(-theta1):
+            deg = -quo
+        else:
+            raise ArithmeticError(
+                f"principal degree of {name} has value {val.serialize()} at 1")
+        rows.append(UnipotentCharacter(
+            name, deg, FracExpMonomial.of(1), series=("1", name)))
     return rows
 
 
@@ -266,15 +236,18 @@ class SeriesDetermination:
     epsilons: dict[int, int]
 
 
-def determine_parameters(G: ReflectionCoset, zeta_c: Cyclo, known: UchTable,
-                         variant: str = "compact") -> SeriesDetermination:
+def determine_parameters(G: ReflectionCoset, zeta_c: Cyclo,
+                         known: UchTable) -> SeriesDetermination:
     """Search for the spetsial algebra of the zeta-series of a coset.
 
-    Scope: cyclic centralizer.  Step 1 pins the exponents of already-known
-    series members from their (a, A) statistics; the remaining exponents are
-    enumerated against the budget sum(m) = N^hyp.  Step 2 assigns slots,
-    pruned first by Frobenius residues, then the algebra conditions, then the
-    containment of the known series members with matching degrees.
+    Scope: cyclic centralizer.  The unknown is the exponent vector m of the
+    spetsial normal form u_j = zeta_e^j (zeta^{-1} x)^{m_j}.  The known
+    series members pin exponents m_r from their (a, A) statistics, and every
+    ordered m with sum(m) = N^hyp whose multiset contains them is a
+    candidate.  A candidate is kept only if each known member has a slot
+    with its exponent and Frobenius residue (the trivial character only
+    slot 0); it is then checked once against the algebra conditions, and
+    the known members are placed by degree lookup, each at exactly one slot.
     """
     d, a = zeta_c.root_of_unity_order() or (1, 0)
     w = G.regular_element(zeta_c)
@@ -285,45 +258,34 @@ def determine_parameters(G: ReflectionCoset, zeta_c: Cyclo, known: UchTable,
     feg = fake_degree_torus(G, w)
 
     members = [r for r in known.rows if not r.degree.evaluate(zeta_c).is_zero()]
-    pinned: list[tuple[UnipotentCharacter, int]] = []
+    trivial = next((r for r in members if r.degree == LaurentPoly.one()), None)
+    pinned: list[tuple[int, list[int]]] = []
     for r in members:
         m_r = Fraction(n_ref + n_hyp - r.delta, e)
         if m_r < 0 or m_r.denominator != 1:
             raise DeterminationError(
                 f"known member {r.name} pins a non-integral exponent {m_r}", 0)
-        pinned.append((r, int(m_r)))
+        # the trivial character always indexes slot 0
+        slots = [j for j in (range(1) if r is trivial else range(e))
+                 if r.fr is None
+                 or r.fr in frobenius_model(e, d, a, j, Fraction(r.delta))]
+        pinned.append((int(m_r), slots))
 
-    budget = n_hyp if variant == "compact" else n_ref
-    rem = budget - sum(m for _, m in pinned)
-    k_free = e - len(pinned)
-    if rem < 0 or k_free < 0:
+    if sum(m for m, _ in pinned) > n_hyp or len(pinned) > e:
         raise DeterminationError("known series members overfill the exponent budget", 0)
 
-    trivial = next((r for r in members if r.degree == LaurentPoly.one()), None)
+    need = Counter(m for m, _ in pinned)
     survivors: list[SeriesDetermination] = []
-    seen_specs: set[tuple] = set()
-    for extra in _multisets(k_free, rem):
-        items = [(r, m) for r, m in pinned] + [(None, m) for m in extra]
-        for order in _distinct_assignments(items):
-            # the trivial character always indexes slot 0
-            if trivial is not None and order[0][0] is not trivial:
-                continue
-            m_list = tuple(Fraction(m) for _, m in order)
-            # cheap prune: Frobenius residues of known rows with known Fr
-            if not all(_fr_matches(e, d, a, j, r) for j, (r, _) in enumerate(order)
-                       if r is not None):
-                continue
-            spec = SpetsialAlgebraSpec(e=e, d=d, a=a, m=m_list, variant=variant,
-                                       n_ref=n_ref, n_hyp=n_hyp)
-            key = tuple(u.serialize() for u in spec.params().params)
-            if key in seen_specs:
-                continue
-            if not check_spetsial(spec, G, w).passed:
-                continue
-            result = _match_series(spec, feg, order)
-            if result is None:
-                continue
-            seen_specs.add(key)
+    for m in _exponent_vectors(e, n_hyp):
+        if need - Counter(m):
+            continue
+        if not all(any(m[j] == m_r for j in slots) for m_r, slots in pinned):
+            continue
+        spec = SpetsialAlgebraSpec(e=e, d=d, a=a, m=m, n_ref=n_ref, n_hyp=n_hyp)
+        if not check_spetsial(spec, G, w).passed:
+            continue
+        result = _match_series(spec, feg, members, trivial)
+        if result is not None:
             survivors.append(result)
 
     if len(survivors) != 1:
@@ -333,86 +295,50 @@ def determine_parameters(G: ReflectionCoset, zeta_c: Cyclo, known: UchTable,
     return survivors[0]
 
 
-def _fr_matches(e: int, d: int, a: int, j: int, row: UnipotentCharacter) -> bool:
-    if row.fr is None:
-        return True
-    cands = frobenius_model(e, d, a, j, Fraction(row.delta))
-    return row.fr in cands
+def _exponent_vectors(e: int, total: int):
+    """Ordered e-tuples of nonnegative integers with the given sum."""
+    for cuts in itertools.combinations(range(total + e - 1), e - 1):
+        bounds = (-1,) + cuts + (total + e - 1,)
+        yield tuple(hi - lo - 1 for lo, hi in zip(bounds, bounds[1:]))
 
 
 def _match_series(spec: SpetsialAlgebraSpec, feg: LaurentPoly,
-                  order: list[tuple[UnipotentCharacter | None, int]]
+                  members: list[UnipotentCharacter],
+                  trivial: UnipotentCharacter | None
                   ) -> SeriesDetermination | None:
-    degrees: dict[int, LaurentPoly] = {}
-    frs: dict[int, FracExpMonomial | None] = {}
-    eps: dict[int, int] = {}
-    assignment: dict[int, str | None] = {}
-    zeta_c = spec.zeta
+    """Place each known member at the one slot j where its degree is
+    +-Feg/S_j and its Fr is a Frobenius eigenvalue of chi_j; every other slot
+    takes the sign that makes its degree +-1 at zeta."""
     try:
-        schur = spec.schur()
+        quos = [feg.exact_div(s.as_x()) for s in spec.schur()]
     except (ArithmeticError, ValueError):
         return None
-    for j, (row, _) in enumerate(order):
-        try:
-            quo = feg.exact_div(schur[j].as_x())
-        except ArithmeticError:
+    frs_all = [frobenius(spec, j) for j in range(spec.e)]
+    assignment: dict[int, str | None] = dict.fromkeys(range(spec.e))
+    eps = [0] * spec.e
+    for row in members:
+        hits = [j for j, quo in enumerate(quos)
+                if row.degree in (quo, -quo)
+                and (row.fr is None or row.fr in frs_all[j])
+                and (row is not trivial or j == 0)]
+        if len(hits) != 1 or assignment[hits[0]] is not None:
             return None
-        frs_j = frobenius(spec, j)
-        fr = frs_j[0] if len(frs_j) == 1 else None
-        if row is not None:
-            if row.degree == quo:
-                eps[j] = 1
-            elif row.degree == -quo:
-                eps[j] = -1
-            else:
-                return None
-            if row.fr is not None and fr is not None and row.fr != fr:
-                return None
-            degrees[j] = row.degree
-            assignment[j] = row.name
-        else:
-            val = quo.evaluate(zeta_c)
-            if val == Cyclo.rational(1):
-                eps[j] = 1
-            elif val == Cyclo.rational(-1):
-                eps[j] = -1
-            else:
-                return None
-            degrees[j] = quo if eps[j] == 1 else -quo
-            assignment[j] = None
-        frs[j] = fr
-    return SeriesDetermination(spec, assignment, degrees, frs, eps)
-
-
-def _multisets(k: int, total: int):
-    """Nondecreasing k-tuples of nonnegative integers with the given sum."""
-    if k == 0:
-        if total == 0:
-            yield ()
-        return
-    def rec(k, total, low):
-        if k == 1:
-            if total >= low:
-                yield (total,)
-            return
-        for first in range(low, total + 1):
-            for rest in rec(k - 1, total - first, first):
-                yield (first,) + rest
-    yield from rec(k, total, 0)
-
-
-def _distinct_assignments(items):
-    """Permutations of items, deduplicated for interchangeable entries."""
-    def key(it):
-        row, m = it
-        return (row.name if row is not None else None, m)
-    seen = set()
-    for perm in itertools.permutations(items):
-        k = tuple(key(it) for it in perm)
-        if k in seen:
+        j = hits[0]
+        eps[j] = 1 if row.degree == quos[j] else -1
+        assignment[j] = row.name
+    for j, quo in enumerate(quos):
+        if assignment[j] is not None:
             continue
-        seen.add(k)
-        yield list(perm)
+        val = quo.evaluate(spec.zeta)
+        if val == Cyclo.rational(1):
+            eps[j] = 1
+        elif val == Cyclo.rational(-1):
+            eps[j] = -1
+        else:
+            return None
+    degrees = {j: quo if eps[j] == 1 else -quo for j, quo in enumerate(quos)}
+    frs = {j: f[0] if len(f) == 1 else None for j, f in enumerate(frs_all)}
+    return SeriesDetermination(spec, assignment, degrees, frs, dict(enumerate(eps)))
 
 
 # -- Harish-Chandra series -------------------------------------------------------------
@@ -484,37 +410,20 @@ def check_inducing_sum(G: ReflectionCoset, l_order: LaurentPoly,
 # -- families --------------------------------------------------------------------------
 
 
-def assign_families(table: UchTable, feg_map: dict[str, LaurentPoly],
-                    reference_blocks: list[set[str]] | None = None,
-                    ennola_partner: dict[str, str] | None = None) -> UchTable:
+def assign_families(table: UchTable, feg_map: dict[str, LaurentPoly]) -> UchTable:
     """Partition the rows into families of constant (a, A).
 
     ``feg_map`` maps principal-series row names to their fake degrees and is
-    used to locate the special (a = b) and cospecial (A = B) members.  When a
-    reference partition of the principal rows is supplied, (a, A)-classes
-    merging several blocks are split, non-principal rows following their
-    Ennola partners.
+    used to locate the special (a = b) and cospecial (A = B) members.
     """
     classes: dict[tuple[int, int], list[UnipotentCharacter]] = {}
     for row in table.rows:
         classes.setdefault((row.a_val, row.big_a), []).append(row)
 
-    groups: list[list[UnipotentCharacter]] = []
-    for key in sorted(classes):
-        rows = classes[key]
-        if reference_blocks is not None:
-            blocks = [b for b in reference_blocks
-                      if b & {r.name for r in rows if r.name in feg_map}]
-            if len(blocks) > 1:
-                groups.extend(_split_class(rows, blocks, feg_map, ennola_partner))
-                continue
-        groups.append(rows)
-
     table.families = []
-    for idx, rows in enumerate(groups):
-        a_v, big = rows[0].a_val, rows[0].big_a
-        if any(r.a_val != a_v or r.big_a != big for r in rows):
-            raise ValueError("family members must share the (a, A) statistics")
+    for idx, key in enumerate(sorted(classes)):
+        rows = classes[key]
+        a_v, big = key
         special = [r.name for r in rows
                    if r.name in feg_map and feg_map[r.name].valuation() == r.a_val]
         cospecial = [r.name for r in rows
@@ -531,49 +440,6 @@ def assign_families(table: UchTable, feg_map: dict[str, LaurentPoly],
         if fam.cospecial != fam.special:
             table.row(fam.cospecial).marker = "#"
         table.families.append(fam)
-    return table
-
-
-def _split_class(rows, blocks, feg_map, ennola_partner):
-    """Split one (a, A)-class along reference blocks of its principal part."""
-    assign: dict[str, int] = {}
-    for bi, block in enumerate(blocks):
-        for r in rows:
-            if r.name in block:
-                assign[r.name] = bi
-    pending = [r for r in rows if r.name not in assign]
-    progress = True
-    while pending and progress:
-        progress = False
-        for r in list(pending):
-            partner = (ennola_partner or {}).get(r.name)
-            if partner in assign:
-                assign[r.name] = assign[partner]
-                pending.remove(r)
-                progress = True
-    if pending:
-        raise ValueError(
-            "cannot split a family tie: no Ennola linkage for "
-            + ", ".join(r.name for r in pending))
-    out = [[] for _ in blocks]
-    for r in rows:
-        out[assign[r.name]].append(r)
-    return [g for g in out if g]
-
-
-# -- sign alignment against a reference ------------------------------------------------
-
-
-def align_signs(table: UchTable, reference: UchTable) -> UchTable:
-    """Flip unresolved-sign rows to agree with a reference table."""
-    for row in table.rows:
-        if row.sign_resolved:
-            continue
-        plus = [r for r in reference.rows if r.degree == row.degree]
-        minus = [r for r in reference.rows if r.degree == -row.degree]
-        if minus and not plus:
-            row.degree = -row.degree
-        row.sign_resolved = True
     return table
 
 
@@ -697,11 +563,13 @@ def _outer_sum(pairs) -> dict[tuple[int, int], Cyclo]:
 
 
 def _check_series_compat(table, regulars, values, failures):
-    """``values`` maps (row name, zeta) to the row degree's value at zeta."""
+    """``values`` maps (row name, zeta) to the row degree's value at zeta;
+    zeta^delta is compared as k * delta / d mod 1 for zeta = E(d, k)."""
+    orders = [z.root_of_unity_order() for z in regulars]
     for row in table.rows:
-        zs = [z for z in regulars if not values[row.name, z].is_zero()]
-        vals = {(z ** row.delta).serialize() for z in zs}
-        if len(vals) > 1:
+        powers = {Fraction(k * row.delta, d) % 1 for z, (d, k) in zip(regulars, orders)
+                  if not values[row.name, z].is_zero()}
+        if len(powers) > 1:
             failures.append(row.name)
 
 

@@ -1,13 +1,21 @@
 """Unipotent-character tables: cyclic closed forms, construction pipeline
 steps, family partitions, and the axiom checker."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
 
+from spets import uch
 from spets.cyclotomic import Cyclo, zeta
+from spets.hecke import (SpetsialAlgebraSpec, check_spetsial, frobenius,
+                         frobenius_model)
 from spets.laurent import LaurentPoly
+from spets.orders import fake_degree_torus
 from spets.reflection import build_group
-from spets.tabledata import _g4_hc, _g312_hc, _levi_order
-from spets.uch import (UnipotentCharacter, check_inducing_sum,
+from spets.tabledata import _g4_hc, _g312_hc, _levi_order, construct_uch
+from spets.uch import (DeterminationError, SeriesDetermination,
+                       UchTable, UnipotentCharacter, check_inducing_sum,
                        cyclic_uch, determine_parameters, ennola_transform,
                        hc_candidate_filter, regular_eigenvalues, verify_axioms)
 
@@ -189,6 +197,122 @@ class TestDetermination:
         d2 = determine_parameters(g4, zeta(4), g4_result.table)
         assert d1.spec == d2.spec
         assert d1.assignment == d2.assignment
+
+    @staticmethod
+    def _outcome(search, G, z, table):
+        try:
+            det = search(G, z, table)
+        except ValueError as exc:
+            return type(exc), str(exc)
+        return (det.spec.serialize(), det.assignment,
+                {j: p.serialize() for j, p in det.degrees.items()},
+                {j: f.serialize() if f else None for j, f in det.frs.items()},
+                det.epsilons)
+
+    @pytest.mark.parametrize("group", ["G4", "G(3,1,2)"])
+    def test_matches_slot_permutation_search(self, group):
+        # the exponent-vector search agrees with the search over slot
+        # permutations of rows at every regular zeta, refusals included;
+        # dropping one known member leaves a free slot or several survivors
+        G, table = build_group(group), construct_uch(group).table
+        for z in regular_eigenvalues(G):
+            knowns = [table.rows]
+            if G.cyclic_centralizer_order(G.regular_element(z), z) is not None:
+                knowns += [[r for r in table.rows if r is not drop]
+                           for drop in table.rows
+                           if not drop.degree.evaluate(z).is_zero()]
+            for rows in knowns:
+                known = UchTable(group, rows)
+                assert self._outcome(determine_parameters, G, z, known) == \
+                    self._outcome(_permutation_search, G, z, known), z
+
+    def test_checks_each_exponent_vector_once(self, monkeypatch):
+        checked = []
+
+        def record(spec, G=None, w=None):
+            checked.append((spec.e, spec.d, spec.a, spec.m))
+            return check_spetsial(spec, G, w)
+
+        monkeypatch.setattr(uch, "check_spetsial", record)
+        construct_uch("G(3,1,2)")
+        assert checked
+        assert len(checked) == len(set(checked))
+
+
+def _permutation_search(G, zeta_c, known):
+    """Reference search: every distinct ordering of the known rows and free
+    exponents over the slots, one spec per ordering, first match kept."""
+    d, a = zeta_c.root_of_unity_order() or (1, 0)
+    w = G.regular_element(zeta_c)
+    e = G.cyclic_centralizer_order(w, zeta_c)
+    if e is None:
+        raise ValueError("cyclic reduction only: the centralizer is not cyclic")
+    feg = fake_degree_torus(G, w)
+    members = [r for r in known.rows if not r.degree.evaluate(zeta_c).is_zero()]
+    pinned = []
+    for r in members:
+        m_r = Fraction(G.n_ref + G.n_hyp - r.delta, e)
+        if m_r < 0 or m_r.denominator != 1:
+            raise DeterminationError(
+                f"known member {r.name} pins a non-integral exponent {m_r}", 0)
+        pinned.append((r, int(m_r)))
+    rem = G.n_hyp - sum(m for _, m in pinned)
+    k_free = e - len(pinned)
+    if rem < 0 or k_free < 0:
+        raise DeterminationError("known series members overfill the exponent budget", 0)
+    trivial = next((r for r in members if r.degree == LaurentPoly.one()), None)
+    survivors, seen_specs = [], set()
+    extras = [c for c in itertools.combinations_with_replacement(range(rem + 1), k_free)
+              if sum(c) == rem]
+    for extra in extras:
+        items = pinned + [(None, m) for m in extra]
+        seen_orders = set()
+        for order in itertools.permutations(items):
+            key = tuple((r.name if r else None, m) for r, m in order)
+            if key in seen_orders:
+                continue
+            seen_orders.add(key)
+            if trivial is not None and order[0][0] is not trivial:
+                continue
+            if not all(r.fr is None or r.fr in frobenius_model(
+                    e, d, a, j, Fraction(r.delta))
+                    for j, (r, _) in enumerate(order) if r is not None):
+                continue
+            spec = SpetsialAlgebraSpec(e=e, d=d, a=a, m=[m for _, m in order],
+                                       n_ref=G.n_ref, n_hyp=G.n_hyp)
+            if spec.m in seen_specs or not check_spetsial(spec, G, w).passed:
+                continue
+            result = _place_in_order(spec, feg, order)
+            if result is not None:
+                seen_specs.add(spec.m)
+                survivors.append(result)
+    if len(survivors) != 1:
+        raise DeterminationError(
+            f"expected a unique surviving assignment, found {len(survivors)}",
+            len(survivors))
+    return survivors[0]
+
+
+def _place_in_order(spec, feg, order):
+    degrees, frs, eps, assignment = {}, {}, {}, {}
+    for j, ((row, _), s) in enumerate(zip(order, spec.schur())):
+        quo = feg.exact_div(s.as_x())
+        frs_j = frobenius(spec, j)
+        frs[j] = frs_j[0] if len(frs_j) == 1 else None
+        if row is not None:
+            if row.degree not in (quo, -quo):
+                return None
+            if row.fr is not None and frs[j] is not None and row.fr != frs[j]:
+                return None
+            eps[j] = 1 if row.degree == quo else -1
+        else:
+            val = quo.evaluate(spec.zeta)
+            if val not in (Cyclo.rational(1), Cyclo.rational(-1)):
+                return None
+            eps[j] = 1 if val == Cyclo.rational(1) else -1
+        degrees[j] = quo if eps[j] == 1 else -quo
+        assignment[j] = row.name if row is not None else None
+    return SeriesDetermination(spec, assignment, degrees, frs, eps)
 
 
 class TestEnnola:
