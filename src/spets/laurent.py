@@ -114,17 +114,11 @@ class LaurentPoly:
     def leading_coeff(self) -> Cyclo:
         return self.coeffs[-1][1]
 
-    def trailing_coeff(self) -> Cyclo:
-        return self.coeffs[0][1]
-
     def coeff(self, e: int) -> Cyclo:
         for ee, c in self.coeffs:
             if ee == e:
                 return c
         return Cyclo.rational(0)
-
-    def is_polynomial(self) -> bool:
-        return not self.coeffs or self.coeffs[0][0] >= 0
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
@@ -272,21 +266,6 @@ class LaurentPoly:
         """Substitute x -> s*x."""
         s = _coerce(s)
         return LaurentPoly([(e, c * s ** e) for e, c in self.coeffs])
-
-    def reduce_mod(self, phi: "LaurentPoly") -> "LaurentPoly":
-        """Image in K[x]/(phi) for a polynomial phi with phi(0) != 0."""
-        if not phi.is_polynomial() or phi.valuation() > 0:
-            raise ValueError("modulus must be a polynomial with nonzero constant term")
-        val = 0 if self.is_zero() or self.valuation() >= 0 else self.valuation()
-        rem = self.shift(-val).divmod_poly(phi)[1]
-        if val:
-            # multiply by the inverse of x modulo phi, -val times
-            a0 = phi.trailing_coeff()
-            xinv = (phi - LaurentPoly.constant(a0)).shift(-1) * LaurentPoly.constant(
-                -a0.inverse())
-            for _ in range(-val):
-                rem = (rem * xinv).divmod_poly(phi)[1]
-        return rem
 
     # -- comparison / hashing ------------------------------------------------
     def __eq__(self, other) -> bool:

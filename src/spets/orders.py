@@ -17,17 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .cyclotomic import Cyclo, divisors, sum_of_products, zeta
 from .laurent import KCycloPoly, LaurentPoly, k_cyclotomic_factors
-from .reflection import (Matrix, ReflectionCoset, SubCoset, coset_poincare,
-                         sylow_subcoset)
+from .reflection import Matrix, ReflectionCoset, SubCoset, sylow_subcoset
 
 __all__ = [
     "poincare",
     "order_poly",
-    "subcoset_order",
     "torus_order",
     "fake_degree_torus",
     "fake_degree_char",
@@ -43,64 +40,30 @@ def poincare(G: ReflectionCoset) -> LaurentPoly:
     return G.poincare
 
 
-def order_poly(G: ReflectionCoset, variant: str = "compact") -> LaurentPoly:
-    return _order_from_degrees(G.degrees, G.n_ref, G.n_hyp, variant)
-
-
-def _order_from_degrees(degrees: Sequence[tuple[int, Cyclo]], n_ref: int,
-                        n_hyp: int, variant: str) -> LaurentPoly:
-    core = LaurentPoly.one()
-    zprod = Cyclo.rational(1)
-    for d, z in degrees:
-        core = core * LaurentPoly({d: 1, 0: -z})
-        zprod = zprod * z
+def order_poly(C: ReflectionCoset | SubCoset, variant: str = "compact") -> LaurentPoly:
+    """The order of a coset or sub-coset from its Poincare polynomial P:
+    prod(x^{d_i} - zeta_i) is the coefficient reversal rev(P), and the
+    leading coefficient of P is (-1)^rank prod(zeta_i)."""
+    if variant not in ("compact", "noncompact"):
+        raise ValueError(f"unknown order variant: {variant!r}")
+    P = C.poincare
+    core = LaurentPoly([(P.degree() - e, c) for e, c in P.coeffs])
     if variant == "compact":
-        return core.shift(n_hyp)
-    if variant == "noncompact":
-        scale = (zprod.conjugate()) ** 2
-        return (core * scale).shift(n_ref)
-    raise ValueError(f"unknown order variant: {variant!r}")
-
-
-def subcoset_order(L: SubCoset, variant: str = "compact") -> LaurentPoly:
-    mats = L.coset_matrices()
-    rank = mats[0].n
-    p = coset_poincare([(m, 1) for m in mats], len(mats), rank)
-    # prod(x^{d_i} - zeta_i) is the coefficient reversal of P
-    deg = p.degree()
-    core = LaurentPoly([(deg - e, c) for e, c in p.coeffs])
-    zprod = p.leading_coeff() * ((-1) ** rank)
-    # W_L is a subgroup of W, so its reflections are those of W lying in it
-    members = set(L.group_elements)
-    refl = [g for g in L.parent.reflections if g in members]
-    n_ref = len(refl)
-    n_hyp = len({tuple(c.serialize() for c in _root_line(g)) for g in refl})
-    if variant == "compact":
-        return core.shift(n_hyp)
-    if variant == "noncompact":
-        return (core * (zprod.conjugate() ** 2)).shift(n_ref)
-    raise ValueError(f"unknown order variant: {variant!r}")
-
-
-def _root_line(g: Matrix) -> tuple[Cyclo, ...]:
-    from .reflection import _canonical_line, _image_vector
-    return _canonical_line(_image_vector(g))
+        return core.shift(C.n_hyp)
+    zprod = P.leading_coeff() * ((-1) ** C.rank)
+    return (core * (zprod.conjugate() ** 2)).shift(C.n_ref)
 
 
 def torus_order(G: ReflectionCoset, w: Matrix, variant: str = "compact") -> LaurentPoly:
-    """Order polynomial of the twisted torus (V, w)."""
-    cp = w.charpoly()  # det(x - w)
-    if variant == "compact":
-        return cp
-    if variant == "noncompact":
-        scale = (w.det().conjugate()) ** 2
-        return cp * scale
-    raise ValueError(f"unknown order variant: {variant!r}")
+    """Order polynomial of the twisted torus (V, w): the sub-coset with
+    trivial W_L, whose normaliser is the centralizer of w."""
+    torus = SubCoset(G, (G.elements[0],), w, len(G.centralizer(w)))
+    return order_poly(torus, variant)
 
 
 def fake_degree_torus(G: ReflectionCoset, w: Matrix) -> LaurentPoly:
     """Feg(R_w): the graded multiplicity polynomial of the torus induction."""
-    return G.poincare.conjugate().exact_div(w.det_one_minus_x().conjugate())
+    return G.class_fake_degrees[G.class_of(w)].conjugate()
 
 
 @dataclass(frozen=True)
@@ -167,11 +130,15 @@ def sylow_congruence(G: ReflectionCoset, phi: KCycloPoly) -> bool:
     a, L = sylow_subcoset(G, phi)
     for variant in ("compact", "noncompact"):
         num = order_poly(G, variant)
-        den = subcoset_order(L, variant) * Fraction(L.relative_order)
-        ratio = num.exact_div(den)
-        if not (ratio - 1).reduce_mod(phi.poly).is_zero():
+        den = order_poly(L, variant) * Fraction(L.relative_order)
+        if not _divides(phi, num.exact_div(den) - 1):
             return False
     return True
+
+
+def _divides(phi: KCycloPoly, f: LaurentPoly) -> bool:
+    """Phi | f: Phi is squarefree, so exactly when f vanishes at its roots."""
+    return all(f.evaluate(zeta(phi.root_order, k)).is_zero() for k in phi.root_exponents)
 
 
 def all_sylow_congruences(G: ReflectionCoset) -> list[tuple[KCycloPoly, bool]]:
@@ -180,6 +147,6 @@ def all_sylow_congruences(G: ReflectionCoset) -> list[tuple[KCycloPoly, bool]]:
     out = []
     for d in sorted({dd for dd, _ in G.degrees for dd in divisors(dd)}):
         for phi in k_cyclotomic_factors(d, G.field):
-            if phi.poly.divides(order):
+            if _divides(phi, order):
                 out.append((phi, sylow_congruence(G, phi)))
     return out

@@ -8,15 +8,21 @@ Conjugacy classes, centralizers, powers, element orders and the Sylow
 normaliser count are then lookups in that table.  The eigenvalues of each
 class are computed once, with the classes; since an element of finite order
 is diagonalisable, eigenspace dimensions, regular classes and reflections
-are eigenvalue multiplicities read off that cache.  The module also computes
-reflecting-hyperplane orbits, the reflection degrees (via the Molien
-series), whether a centralizer is cyclic and faithful on an eigenspace, and
-Sylow data for K-cyclotomic polynomials.
+are eigenvalue multiplicities read off that cache.  Two reflections share a
+hyperplane exactly when their product is the identity or a reflection, so
+hyperplanes are read off the table too.
+
+A coset and its sub-cosets (V, W_L * w) share one model: det(1 - x w) is a
+product over the cached eigenvalues of each class, and the Poincare
+polynomial of a coset is the inverse of its Molien series, a sum over the
+classes of G weighted by how many coset elements fall in each.  The module
+also finds the reflection degrees, whether a centralizer is cyclic and
+faithful on an eigenspace, and Sylow data for K-cyclotomic polynomials.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -27,7 +33,6 @@ from .laurent import KCycloPoly, LaurentPoly
 __all__ = [
     "Matrix",
     "ConjClass",
-    "HyperplaneOrbit",
     "ReflectionCoset",
     "SubCoset",
     "build_group",
@@ -117,10 +122,6 @@ class Matrix:
             basis.append(vec)
         return basis
 
-    def det_one_minus_x(self) -> LaurentPoly:
-        """det(1 - x*M): the coefficient reversal of the charpoly."""
-        return LaurentPoly([(self.n - e, c) for e, c in self.charpoly().coeffs])
-
     def __repr__(self) -> str:
         rows = "; ".join(
             ", ".join(c.serialize() for c in row) for row in self.rows)
@@ -185,13 +186,6 @@ class ConjClass:
     size: int
     member_indices: tuple[int, ...]
     eigenvalues: tuple[Cyclo, ...]  # of every member, with multiplicity
-
-
-@dataclass(frozen=True)
-class HyperplaneOrbit:
-    size: int          # nu_I: number of hyperplanes in the orbit
-    e: int             # order of the cyclic pointwise fixator of a hyperplane
-    rep_root_line: tuple[Cyclo, ...]  # canonical vector spanning a root line
 
 
 class ReflectionCoset:
@@ -275,48 +269,36 @@ class ReflectionCoset:
 
     # -- reflections and hyperplanes ---------------------------------------
     @cached_property
-    def reflections(self) -> list[Matrix]:
+    def _hyperplanes(self) -> dict[int, int]:
+        """Index of each reflection -> the least reflection index on its
+        hyperplane, in element order.  Reflections r, s share a hyperplane
+        iff r s is the identity or a reflection: otherwise r s fixes only the
+        intersection of the two hyperplanes, of codimension 2 (for an
+        invariant Hermitian form, distinct hyperplanes have distinct root
+        lines, their orthogonal complements)."""
         # the identity fixes all rank dimensions, so it is never counted
         fixed = self._eigenvalue_counts(Cyclo.rational(1))
-        return [g for g, ci in zip(self.elements, self._class_index)
-                if fixed[ci] == self.rank - 1]
+        refl = [i for i, ci in enumerate(self._class_index) if fixed[ci] == self.rank - 1]
+        on_hyperplane = set(refl) | {0}
+        return {r: next(s for s in refl if self.mul[s][r] in on_hyperplane)
+                for r in refl}
+
+    @cached_property
+    def reflections(self) -> list[Matrix]:
+        return [self.elements[r] for r in self._hyperplanes]
 
     @property
     def n_ref(self) -> int:
-        return len(self.reflections)
-
-    @cached_property
-    def _hyperplanes(self) -> dict[tuple, list[Matrix]]:
-        """Root line (canonical) -> reflections fixing the complement."""
-        out: dict[tuple, list[Matrix]] = {}
-        for g in self.reflections:
-            line = _canonical_line(_image_vector(g))
-            out.setdefault(line, []).append(g)
-        return out
-
-    @property
-    def n_hyp(self) -> int:
         return len(self._hyperplanes)
 
     @cached_property
-    def hyperplane_orbits(self) -> list[HyperplaneOrbit]:
-        lines = set(self._hyperplanes)
-        orbits = []
-        while lines:
-            line = min(lines, key=lambda l: [c.serialize() for c in l])
-            orbit = {line}
-            frontier = [line]
-            while frontier:
-                l = frontier.pop()
-                for g in self.gens:
-                    img = _canonical_line(g.apply(list(l)))
-                    if img not in orbit:
-                        orbit.add(img)
-                        frontier.append(img)
-            lines -= orbit
-            e = len(self._hyperplanes[line]) + 1
-            orbits.append(HyperplaneOrbit(len(orbit), e, line))
-        return sorted(orbits, key=lambda o: (-o.e, o.size))
+    def hyperplane_reflections(self) -> list[Matrix]:
+        """The first reflection, in element order, on each hyperplane."""
+        return [self.elements[h] for h in dict.fromkeys(self._hyperplanes.values())]
+
+    @property
+    def n_hyp(self) -> int:
+        return len(self.hyperplane_reflections)
 
     def pointwise_stabilizer(self, vectors: list[list[Cyclo]]) -> list[Matrix]:
         out = []
@@ -325,27 +307,47 @@ class ReflectionCoset:
                 out.append(g)
         return out
 
-    # -- degrees via Molien series ----------------------------------------
+    # -- the Molien series ------------------------------------------------
     @cached_property
-    def degrees(self) -> list[tuple[int, Cyclo]]:
-        """Pairs (d_i, zeta_i) from the coset Poincare polynomial."""
-        return _molien_degrees([(self.elements[c.rep_index], c.size)
-                                for c in self.classes], self.order, self.rank)
+    def _class_dets(self) -> list[LaurentPoly]:
+        """det(1 - x w) = prod(1 - lambda x) over the eigenvalues of each class."""
+        out = []
+        for c in self.classes:
+            p = LaurentPoly.one()
+            for lam in c.eigenvalues:
+                p = p * LaurentPoly({0: 1, 1: -lam})
+            out.append(p)
+        return out
+
+    @cached_property
+    def _class_series(self) -> list[list[tuple[int, Cyclo]]]:
+        """1 / det(1 - x w) for each class, up to x^(n_ref + rank): the degree
+        of the Poincare polynomial of G and a bound on that of each sub-coset."""
+        bound = self.n_ref + self.rank
+        return [_series_invert(p, bound) for p in self._class_dets]
 
     @cached_property
     def poincare(self) -> LaurentPoly:
         """The coset Poincare polynomial prod(1 - zeta_i x^{d_i})."""
-        out = LaurentPoly.one()
-        for d, z in self.degrees:
-            out = out * LaurentPoly({0: 1, d: -z})
-        return out
+        return coset_poincare(self, [c.size for c in self.classes])
+
+    @cached_property
+    def degrees(self) -> list[tuple[int, Cyclo]]:
+        """Pairs (d_i, zeta_i), peeled off the Poincare polynomial."""
+        out: list[tuple[int, Cyclo]] = []
+        Q = self.poincare
+        for _ in range(self.rank):
+            d, c = next((e, c) for e, c in Q.coeffs if e > 0)
+            out.append((d, -c))
+            Q = Q.exact_div(LaurentPoly({0: 1, d: c}))
+        assert Q == LaurentPoly.one()
+        return sorted(out, key=lambda t: (t[0], t[1].serialize()))
 
     @cached_property
     def class_fake_degrees(self) -> list[LaurentPoly]:
         """P / det(1 - x w) for the representative w of each class: the
         complex conjugate of the torus fake degree Feg(R_w)."""
-        return [self.poincare.exact_div(self.elements[c.rep_index].det_one_minus_x())
-                for c in self.classes]
+        return [self.poincare.exact_div(p) for p in self._class_dets]
 
     # -- eigenspace data ------------------------------------------------------
     def max_eigenspace_dim(self, eigval: Cyclo) -> int:
@@ -420,34 +422,19 @@ def _enumerate(gens: Sequence[Matrix]
     return elements, words, mul
 
 
-def coset_poincare(class_reps: list[tuple[Matrix, int]], order: int, rank: int
-                   ) -> LaurentPoly:
-    """P = prod(1 - zeta_i x^{d_i}), the inverse of the coset Molien series."""
-    # the sum of degrees is at most |W| * rank, a safe truncation bound
-    bound = order * rank + 1
+def coset_poincare(G: ReflectionCoset, counts: Sequence[int]) -> LaurentPoly:
+    """P = prod(1 - zeta_i x^{d_i}) of a coset of G whose elements fall
+    counts[c] times into class c of G: the inverse of its Molien series."""
+    bound = G.n_ref + G.rank
+    total = sum(counts)
     sums = [CycloSum() for _ in range(bound + 1)]
-    for g, size in class_reps:
-        weight = Cyclo.rational(Fraction(size, order))
-        for e, c in _series_invert(g.det_one_minus_x(), bound):
-            sums[e].add(c, weight)
+    for series, n in zip(G._class_series, counts):
+        if n:
+            weight = Cyclo.rational(Fraction(n, total))
+            for e, c in series:
+                sums[e].add(c, weight)
     molien = LaurentPoly([(e, s.value()) for e, s in enumerate(sums)])
     return LaurentPoly(_series_invert(molien, bound))
-
-
-def _molien_degrees(class_reps: list[tuple[Matrix, int]], order: int, rank: int
-                    ) -> list[tuple[int, Cyclo]]:
-    P = coset_poincare(class_reps, order, rank)
-    # P = prod (1 - zeta_i x^{d_i}); peel factors from the bottom
-    out: list[tuple[int, Cyclo]] = []
-    Q = P
-    for _ in range(rank):
-        nonconst = [(e, c) for e, c in Q.coeffs if e > 0]
-        d, c = nonconst[0]
-        z = -c
-        out.append((d, z))
-        Q = Q.exact_div(LaurentPoly({0: 1, d: -z}))
-    assert Q == LaurentPoly.one()
-    return sorted(out, key=lambda t: (t[0], t[1].serialize()))
 
 
 def _series_invert(P: LaurentPoly, bound: int) -> list[tuple[int, Cyclo]]:
@@ -459,23 +446,6 @@ def _series_invert(P: LaurentPoly, bound: int) -> list[tuple[int, Cyclo]]:
     for e in range(1, bound + 1):
         inv.append(sum_of_products((c, inv[e - k]) for k, c in neg if k <= e))
     return [(e, c) for e, c in enumerate(inv) if not c.is_zero()]
-
-
-def _image_vector(g: Matrix) -> list[Cyclo]:
-    """A vector spanning im(g - 1) for a reflection g."""
-    n = g.n
-    for j in range(n):
-        col = [g.rows[i][j] - (Cyclo.rational(1) if i == j else Cyclo.rational(0))
-               for i in range(n)]
-        if any(not c.is_zero() for c in col):
-            return col
-    raise ValueError("identity passed to _image_vector")
-
-
-def _canonical_line(vec: list[Cyclo]) -> tuple[Cyclo, ...]:
-    lead = next(c for c in vec if not c.is_zero())
-    inv = lead.inverse()
-    return tuple(c * inv for c in vec)
 
 
 # -- built-in groups ---------------------------------------------------------
@@ -525,8 +495,32 @@ class SubCoset:
         """|W_G(L)| = |N_W(L)| / |W_L|."""
         return self.normalizer_order // len(self.group_elements)
 
-    def coset_matrices(self) -> list[Matrix]:
-        return [g @ self.twist for g in self.group_elements]
+    @property
+    def rank(self) -> int:
+        return self.parent.rank
+
+    @cached_property
+    def _members(self) -> set[int]:
+        return {self.parent.index[g] for g in self.group_elements}
+
+    @cached_property
+    def poincare(self) -> LaurentPoly:
+        """prod(1 - zeta_i x^{d_i}) from the G-classes of the elements l w."""
+        G = self.parent
+        wi = G.index[self.twist]
+        counts = [0] * len(G.classes)
+        for l in self._members:
+            counts[G._class_index[G.mul[l][wi]]] += 1
+        return coset_poincare(G, counts)
+
+    @cached_property
+    def n_ref(self) -> int:
+        # W_L is a subgroup of W, so its reflections are those of W lying in it
+        return sum(1 for r in self.parent._hyperplanes if r in self._members)
+
+    @cached_property
+    def n_hyp(self) -> int:
+        return len({h for r, h in self.parent._hyperplanes.items() if r in self._members})
 
 
 def sylow_subcoset(G: ReflectionCoset, phi: KCycloPoly) -> tuple[int, SubCoset]:

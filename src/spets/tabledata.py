@@ -29,7 +29,7 @@ from .chartables import char_table, feg_map
 from .cyclotomic import Cyclo, zeta
 from .hecke import CyclicHeckeParams
 from .laurent import FracExpMonomial, LaurentPoly
-from .orders import order_poly, subcoset_order
+from .orders import order_poly
 from .reflection import Matrix, ReflectionCoset, SubCoset, build_group
 from .uch import (Family, SeriesDetermination, UchTable, UnipotentCharacter,
                   assign_families, cyclic_uch, determine_parameters,
@@ -305,7 +305,7 @@ class PipelineResult:
 def _levi_order(G: ReflectionCoset, gen_index: int) -> LaurentPoly:
     elems = G.powers(G.gens[gen_index])
     sub = SubCoset(G, tuple(elems), Matrix.identity(G.rank), len(elems))
-    return subcoset_order(sub, "compact")
+    return order_poly(sub, "compact")
 
 
 def _sqrt_m3() -> Cyclo:

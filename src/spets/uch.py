@@ -8,7 +8,7 @@ family partitioning and the axiom verification suite.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -244,10 +244,11 @@ def determine_parameters(G: ReflectionCoset, zeta_c: Cyclo,
     spetsial normal form u_j = zeta_e^j (zeta^{-1} x)^{m_j}.  The known
     series members pin exponents m_r from their (a, A) statistics, and every
     ordered m with sum(m) = N^hyp whose multiset contains them is a
-    candidate.  A candidate is kept only if each known member has a slot
-    with its exponent and Frobenius residue (the trivial character only
-    slot 0); it is then checked once against the algebra conditions, and
-    the known members are placed by degree lookup, each at exactly one slot.
+    candidate.  A candidate is kept only if the known members fit pairwise
+    distinct slots, each with its exponent and Frobenius residue (the
+    trivial character only slot 0); it is then checked once against the
+    algebra conditions, and the known members are placed by degree lookup,
+    each at exactly one slot.
     """
     d, a = zeta_c.root_of_unity_order() or (1, 0)
     w = G.regular_element(zeta_c)
@@ -274,12 +275,10 @@ def determine_parameters(G: ReflectionCoset, zeta_c: Cyclo,
     if sum(m for m, _ in pinned) > n_hyp or len(pinned) > e:
         raise DeterminationError("known series members overfill the exponent budget", 0)
 
-    need = Counter(m for m, _ in pinned)
     survivors: list[SeriesDetermination] = []
     for m in _exponent_vectors(e, n_hyp):
-        if need - Counter(m):
-            continue
-        if not all(any(m[j] == m_r for j in slots) for m_r, slots in pinned):
+        fits = [[j for j in slots if m[j] == m_r] for m_r, slots in pinned]
+        if not any(len(set(p)) == len(p) for p in itertools.product(*fits)):
             continue
         spec = SpetsialAlgebraSpec(e=e, d=d, a=a, m=m, n_ref=n_ref, n_hyp=n_hyp)
         if not check_spetsial(spec, G, w).passed:
@@ -461,21 +460,17 @@ def regular_eigenvalues(G: ReflectionCoset) -> list[Cyclo]:
 
 
 def _has_regular_vector(G: ReflectionCoset, z: Cyclo) -> bool:
-    refl = G.reflections
-    best = G.max_eigenspace_dim(z)
-    if best == 0:
+    """Whether some V(w, z) lies in no reflecting hyperplane.  A vector space
+    over an infinite field is no finite union of proper subspaces, so V(w, z)
+    then holds a vector on no hyperplane; w may be taken from a class where
+    dim V(w, z) is maximal, and V(w, z) lies in a hyperplane exactly when a
+    reflection on it fixes V(w, z) pointwise."""
+    if G.max_eigenspace_dim(z) == 0:
         return False
     for ci in G.regular_classes(z):
-        w = G.elements[G.classes[ci].rep_index]
-        basis = w.eigenspace(z)
-        span = len(basis)
-        for coords in itertools.product(range(G.n_hyp + 1), repeat=span):
-            if not any(coords):
-                continue
-            v = [sum((b[i] * c for b, c in zip(basis, coords)),
-                     Cyclo.rational(0)) for i in range(len(basis[0]))]
-            if all(g.apply(v) != v for g in refl):
-                return True
+        basis = G.elements[G.classes[ci].rep_index].eigenspace(z)
+        if not any(all(r.apply(b) == b for b in basis) for r in G.hyperplane_reflections):
+            return True
     return False
 
 

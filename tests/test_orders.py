@@ -1,13 +1,19 @@
 """Order polynomials, fake degrees, character tables, and the Sylow-style
 congruences |G|/(|W_G(L)||L|) = 1 mod Phi."""
 
+from fractions import Fraction
+
+import pytest
+
 from spets.chartables import char_table, feg_map
-from spets.cyclotomic import Cyclo, zeta
-from spets.laurent import LaurentPoly
+from spets.cyclotomic import Cyclo, divisors, zeta
+from spets.laurent import LaurentPoly, k_cyclotomic_factors
 from spets.orders import (all_sylow_congruences, cyclic_char_table,
                           fake_degree_torus, order_poly, poincare,
                           torus_order)
-from spets.reflection import Matrix, build_group
+from spets.reflection import Matrix, build_group, sylow_subcoset
+
+ORACLE_GROUPS = ("G4", "G(3,1,2)") + tuple(f"Z_{e}" for e in range(1, 13))
 
 
 class TestPoincare:
@@ -27,6 +33,14 @@ class TestPoincare:
         for d, _ in g4.degrees:
             want = want * (LaurentPoly.x(d) - 1)
         assert poincare(g4) == want
+
+    @pytest.mark.parametrize("name", ORACLE_GROUPS)
+    def test_degrees_rebuild_poincare(self, name):
+        G = build_group(name)
+        want = LaurentPoly.one()
+        for d, z in G.degrees:
+            want = want * LaurentPoly({0: 1, d: -z})
+        assert poincare(G) == want
 
 
 class TestOrderPoly:
@@ -57,6 +71,22 @@ class TestTorus:
         w = Matrix.identity(2)
         fd = fake_degree_torus(g4, w)
         assert fd * (LaurentPoly.x() - 1) ** 2 == poincare(g4)
+
+
+    @pytest.mark.parametrize("name", ORACLE_GROUPS)
+    def test_every_class_against_charpoly(self, name):
+        # |T_w| = det(x - w), scaled by conj(det w)^2 when noncompact, and
+        # Feg(R_w) = conj(P) / conj(det(1 - x w)) with det(1 - x w) the
+        # reversed charpoly
+        G = build_group(name)
+        for c in G.classes:
+            w = G.elements[c.rep_index]
+            cp = w.charpoly()
+            assert torus_order(G, w) == cp
+            assert torus_order(G, w, "noncompact") == cp * w.det().conjugate() ** 2
+            det = LaurentPoly([(w.n - e, a) for e, a in cp.coeffs])
+            assert fake_degree_torus(G, w) == \
+                poincare(G).conjugate().exact_div(det.conjugate())
 
 
 class TestCharTables:
@@ -123,3 +153,20 @@ class TestSylow:
         order = order_poly(g4)
         ds = sorted({phi.root_order for phi, _ in all_sylow_congruences(g4)})
         assert ds == [1, 2, 3, 4, 6]
+
+    @pytest.mark.parametrize("name", ORACLE_GROUPS)
+    def test_matches_polynomial_division(self, name):
+        # Phi | f tested by long division instead of at the roots of Phi
+        G = build_group(name)
+        order, want = order_poly(G), []
+        for d in sorted({dd for dd, _ in G.degrees for dd in divisors(dd)}):
+            for phi in k_cyclotomic_factors(d, G.field):
+                if not phi.poly.divides(order):
+                    continue
+                _, L = sylow_subcoset(G, phi)
+                ok = all(phi.poly.divides(
+                    order_poly(G, v).exact_div(order_poly(L, v) * Fraction(L.relative_order)) - 1)
+                    for v in ("compact", "noncompact"))
+                want.append((phi.poly.serialize(), ok))
+        got = [(phi.poly.serialize(), ok) for phi, ok in all_sylow_congruences(G)]
+        assert got == want

@@ -1,5 +1,6 @@
 """Reflection group construction, class data, and regular elements."""
 
+from fractions import Fraction
 from math import lcm
 
 import pytest
@@ -7,8 +8,10 @@ import pytest
 from spets import reflection
 from spets.cyclotomic import Cyclo, divisors, zeta
 from spets.laurent import LaurentPoly, k_cyclotomic_factors
-from spets.orders import order_poly
-from spets.reflection import Matrix, build_group, row_reduce, sylow_subcoset
+from spets.orders import all_sylow_congruences, order_poly
+from spets.reflection import (Matrix, SubCoset, build_group, row_reduce,
+                              sylow_subcoset)
+from spets.tabledata import _levi_order
 
 
 class TestBuiltins:
@@ -192,13 +195,12 @@ class TestTables:
             assert G.element_order(g) == len(want)
 
     def test_eigenvalues_give_det_one_minus_x(self, g4, g312):
+        # det(1 - x g) is the coefficient reversal of the charpoly det(x - g)
         for G in (g4, g312):
-            for c in G.classes:
+            for c, det in zip(G.classes, G._class_dets):
                 g = G.elements[c.rep_index]
-                want = LaurentPoly.one()
-                for lam in G.eigenvalues(g):
-                    want = want * LaurentPoly({0: 1, 1: -lam})
-                assert g.det_one_minus_x() == want
+                want = LaurentPoly([(g.n - e, a) for e, a in g.charpoly().coeffs])
+                assert det == want
 
     def test_order_bound_stops_enumeration(self, monkeypatch):
         monkeypatch.setattr(reflection, "MAX_GROUP_ORDER", 5)
@@ -293,3 +295,82 @@ class TestEigenDataOracle:
         want = G.eigenvalues(g)
         G.eigenvalues(g).append(Cyclo.rational(0))
         assert G.eigenvalues(g) == want
+
+
+def _root_line(g):
+    """im(g - 1) of a reflection g, scaled so its first nonzero entry is 1."""
+    n, one, zero = g.n, Cyclo.rational(1), Cyclo.rational(0)
+    cols = ([g.rows[i][j] - (one if i == j else zero) for i in range(n)]
+            for j in range(n))
+    col = next(c for c in cols if any(not v.is_zero() for v in c))
+    inv = next(v for v in col if not v.is_zero()).inverse()
+    return tuple(v * inv for v in col)
+
+
+class TestHyperplaneOracle:
+    def test_partition_matches_root_lines(self, oracle_group):
+        # reflections share a hyperplane iff they share a root line
+        G = oracle_group
+        by_line, by_table = {}, {}
+        for g in G.reflections:
+            by_line.setdefault(_root_line(g), set()).add(G.index[g])
+        for r, h in G._hyperplanes.items():
+            by_table.setdefault(h, set()).add(r)
+        assert sorted(map(sorted, by_table.values())) == \
+            sorted(map(sorted, by_line.values()))
+        assert all(h == min(rs) for h, rs in by_table.items())
+        assert G.n_hyp == len(by_line)
+
+
+def _series_inverse(p, bound):
+    """1/p up to x^bound, for p with constant term 1."""
+    inv = [Cyclo.rational(1)]
+    for e in range(1, bound + 1):
+        inv.append(-sum((p.coeff(k) * inv[e - k] for k in range(1, e + 1)),
+                        Cyclo.rational(0)))
+    return LaurentPoly(dict(enumerate(inv)))
+
+
+def _matrix_order_poly(L, variant):
+    """The order of a sub-coset from its matrices l @ w: det(1 - x m) as the
+    reversed charpoly of each, the Molien series as their mean inverse, and
+    the hyperplanes of W_L grouped by root line."""
+    mats = [g @ L.twist for g in L.group_elements]
+    rank, one = L.twist.n, Cyclo.rational(1)
+    bound = len(mats) * rank + 1  # at least the degree of P
+    molien = LaurentPoly.zero()
+    for m in mats:
+        det = LaurentPoly([(rank - e, c) for e, c in m.charpoly().coeffs])
+        molien = molien + _series_inverse(det, bound) * Fraction(1, len(mats))
+    P = _series_inverse(molien, bound)
+    core = LaurentPoly([(P.degree() - e, c) for e, c in P.coeffs])
+    refl = [g for g in L.group_elements
+            if g != Matrix.identity(rank) and len(g.eigenspace(one)) == rank - 1]
+    if variant == "compact":
+        return core.shift(len({_root_line(g) for g in refl}))
+    zprod = P.leading_coeff() * ((-1) ** rank)
+    return (core * zprod.conjugate() ** 2).shift(len(refl))
+
+
+class TestSubCosetOracle:
+    """Sub-coset orders read off the G-class counts against the Molien series
+    summed over the sub-coset's own matrices."""
+
+    def test_sylow_subcosets(self, oracle_group):
+        G = oracle_group
+        phis = [phi for phi, _ in all_sylow_congruences(G)]
+        assert phis
+        for phi in phis:
+            _, L = sylow_subcoset(G, phi)
+            for variant in ("compact", "noncompact"):
+                assert order_poly(L, variant) == _matrix_order_poly(L, variant), \
+                    (G.name, phi, variant)
+
+    @pytest.mark.parametrize("name", ["G4", "G(3,1,2)"])
+    def test_levi_orders(self, name):
+        G = build_group(name)
+        for gi, gen in enumerate(G.gens):
+            elems = tuple(G.powers(gen))
+            L = SubCoset(G, elems, Matrix.identity(G.rank), len(elems))
+            assert _levi_order(G, gi) == _matrix_order_poly(L, "compact")
+            assert order_poly(L, "noncompact") == _matrix_order_poly(L, "noncompact")

@@ -3,16 +3,17 @@ steps, family partitions, and the axiom checker."""
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from spets import uch
-from spets.cyclotomic import Cyclo, zeta
+from spets import tabledata, uch
+from spets.cyclotomic import Cyclo, CycloField, zeta
 from spets.hecke import (SpetsialAlgebraSpec, check_spetsial, frobenius,
                          frobenius_model)
 from spets.laurent import LaurentPoly
 from spets.orders import fake_degree_torus
-from spets.reflection import build_group
+from spets.reflection import Matrix, ReflectionCoset, build_group
 from spets.tabledata import _g4_hc, _g312_hc, _levi_order, construct_uch
 from spets.uch import (DeterminationError, SeriesDetermination,
                        UchTable, UnipotentCharacter, check_inducing_sum,
@@ -142,6 +143,21 @@ class TestAxioms:
         assert {k: v for k, v in report.failures.items() if v} == want
 
 
+# degrees and codegrees (Lehrer-Taylor, Unitary Reflection Groups, 2009)
+SPRINGER_DATA = {"G4": ((4, 6), (0, 2)), "G(3,1,2)": ((3, 6), (0, 3)),
+                 "B3": ((2, 4, 6), (0, 2, 4)),
+                 **{f"Z_{e}": ((e,), (0,)) for e in range(2, 13)}}
+
+
+def _b3():
+    """G(2,1,3), the Weyl group of type B_3: it has elements of order 4, but
+    E(4) is not regular, as one degree and two codegrees are divisible by 4."""
+    t = Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    u = Matrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    return ReflectionCoset("B3", [Matrix.diagonal([-1, 1, 1]), t, u],
+                           CycloField.rationals())
+
+
 class TestRegularEigenvalues:
     def test_g4(self, g4):
         got = {z.serialize() for z in regular_eigenvalues(g4)}
@@ -151,6 +167,22 @@ class TestRegularEigenvalues:
     def test_z5(self):
         got = {z.serialize() for z in regular_eigenvalues(build_group("Z_5"))}
         assert "E(5,1)" in got and "1" in got
+
+    def test_z1(self):
+        # the trivial group: degree 1, codegree 0, so 1 is regular
+        assert [z.serialize() for z in regular_eigenvalues(build_group("Z_1"))] == ["1"]
+
+    @pytest.mark.parametrize("name", list(SPRINGER_DATA))
+    def test_lehrer_springer(self, name):
+        # E(d, a) is regular iff as many degrees as codegrees are divisible by d
+        degrees, codegrees = SPRINGER_DATA[name]
+        want = {(d, a) for d in range(1, max(degrees) + 1)
+                if sum(x % d == 0 for x in degrees) == sum(x % d == 0 for x in codegrees)
+                for a in range(d) if gcd(a, d) == 1}
+        G = _b3() if name == "B3" else build_group(name)
+        assert [d for d, _ in G.degrees] == list(degrees)
+        got = [z.root_of_unity_order() for z in regular_eigenvalues(G)]
+        assert len(got) == len(want) and set(got) == want
 
 
 class TestHarishChandra:
@@ -237,6 +269,38 @@ class TestDetermination:
         construct_uch("G(3,1,2)")
         assert checked
         assert len(checked) == len(set(checked))
+
+    @pytest.mark.parametrize("group", ["G4", "G(3,1,2)"])
+    def test_checked_vectors_seat_the_known_members(self, monkeypatch, group):
+        # every vector checked against the algebra conditions must seat the
+        # known series members on pairwise distinct slots, each with the
+        # member's exponent and Frobenius residue (the trivial one at slot 0)
+        pinned, unseated = [], []
+
+        def determine(G, zeta_c, known):
+            d, a = zeta_c.root_of_unity_order()
+            e = G.cyclic_centralizer_order(G.regular_element(zeta_c), zeta_c)
+            pinned.clear()
+            for r in known.rows:
+                if r.degree.evaluate(zeta_c).is_zero():
+                    continue
+                slots = {j for j in range(1 if r.degree == LaurentPoly.one() else e)
+                         if r.fr is None
+                         or r.fr in frobenius_model(e, d, a, j, Fraction(r.delta))}
+                pinned.append(((G.n_ref + G.n_hyp - r.delta) // e, slots))
+            return determine_parameters(G, zeta_c, known)
+
+        def record(spec, G=None, w=None):
+            if not any(all(spec.m[j] == m_r and j in slots
+                           for j, (m_r, slots) in zip(seats, pinned))
+                       for seats in itertools.permutations(range(spec.e), len(pinned))):
+                unseated.append((spec.d, spec.a, spec.m))
+            return check_spetsial(spec, G, w)
+
+        monkeypatch.setattr(tabledata, "determine_parameters", determine)
+        monkeypatch.setattr(uch, "check_spetsial", record)
+        construct_uch(group)
+        assert unseated == []
 
 
 def _permutation_search(G, zeta_c, known):
