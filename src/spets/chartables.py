@@ -35,10 +35,12 @@ def feg_map(table: CharTable) -> dict[str, "LaurentPoly"]:
 
 
 def _table_g4(G: ReflectionCoset) -> CharTable:
-    reps = [G.elements[c.rep_index] for c in G.classes]
-    dets = [g.det() for g in reps]
-    traces = [g.trace() for g in reps]
-    sym2 = [(g.trace() * g.trace() + (g @ g).trace()) / 2 for g in reps]
+    # each class's eigenvalues (a, b) give det ab, trace a + b and the
+    # symmetric square a^2 + ab + b^2
+    eigs = [c.eigenvalues for c in G.classes]
+    dets = [a * b for a, b in eigs]
+    traces = [a + b for a, b in eigs]
+    sym2 = [a * a + a * b + b * b for a, b in eigs]
     rows: list[tuple[int, tuple[Cyclo, ...]]] = []
     for k in range(3):
         rows.append((1, tuple(d ** k for d in dets)))

@@ -12,8 +12,19 @@ the basis is rewritten with ``sum_{t<p} zeta^{i + t*n/p} = 0``.  The element
 lies in ``Q(zeta_{n/p})`` when ``p^2 | n`` or ``p = 2`` exactly if every
 exponent is divisible by ``p``, and when ``p || n`` is odd exactly if each
 class ``i + t*n/p`` carries one constant coefficient.  Products are cyclic
-convolutions, ``zeta -> zeta^k`` maps ``i`` to ``i*k``, and an inverse is the
-product of the other Galois conjugates over the rational norm.
+convolutions, ``zeta -> zeta^k`` maps ``i`` to ``i*k``, and the inverse of a
+sum of several basis roots is the product of the other Galois conjugates over
+the rational norm.
+
+Some results are canonical by construction, so they skip the normaliser and
+are assembled from their parts (``_make``): a rational, since conductor 1
+has the basis ``{1}``; a negation and a rational multiple, which keep the
+basis exponents and so the conductor, a multiple needing one gcd to make its
+denominator coprime to the numerators again; and the inverse of a one-term
+element ``c * zeta^i / den``, which is ``den * zeta^-i / c`` at the same
+conductor, as ``Q(x) = Q(1/x)``, so only ``zeta^-i`` is rewritten on the
+basis.  A canonical rational has conductor 1, so ``==`` against an ``int``
+or ``Fraction`` is decided by the conductor and the two integers.
 
 A sum of products ``sum a_i * b_i`` is accumulated by :class:`CycloSum` as
 one integer dict in the group ring Z[x]/(x^N - 1), N the lcm of the
@@ -181,13 +192,18 @@ class Cyclo:
             coeffs = {i: c for i, c in coeffs.items() if c}
         else:
             coeffs = _to_basis(n, coeffs)
-        if not minimal:
+        if not minimal and n > 1:
             n, coeffs = _descend(n, coeffs)
         g = gcd(den, *coeffs.values())
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", tuple(sorted((i, c // g) for i, c in coeffs.items())))
-        object.__setattr__(self, "den", den // g)
-        object.__setattr__(self, "_hash", None)
+        if g == 1:
+            terms = sorted(coeffs.items())
+        else:
+            terms = sorted([(i, c // g) for i, c in coeffs.items()])
+            den //= g
+        _set_n(self, n)
+        _set_terms(self, tuple(terms))
+        _set_den(self, den)
+        _set_hash(self, None)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("Cyclo is immutable")
@@ -195,8 +211,9 @@ class Cyclo:
     # -- constructors -------------------------------------------------
     @staticmethod
     def rational(q: Rat) -> "Cyclo":
-        q = Fraction(q)
-        return Cyclo(1, {0: q.numerator}, q.denominator, in_basis=True, minimal=True)
+        if type(q) is not int and not isinstance(q, Fraction):
+            q = Fraction(q)
+        return _make(1, ((0, q.numerator),), q.denominator) if q else _ZERO
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -237,8 +254,7 @@ class Cyclo:
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclo":
-        return Cyclo(self.n, {i: -c for i, c in self.terms}, self.den,
-                     in_basis=True, minimal=True)
+        return _make(self.n, tuple([(i, -c) for i, c in self.terms]), self.den)
 
     def __sub__(self, other: "Cyclo | Rat") -> "Cyclo":
         return self + (-_coerce(other))
@@ -249,10 +265,17 @@ class Cyclo:
     def __mul__(self, other: "Cyclo | Rat") -> "Cyclo":
         other = _coerce(other)
         if self.n == 1 or other.n == 1:
+            # a rational multiple keeps the basis exponents and the conductor
             q, z = (self, other) if self.n == 1 else (other, self)
-            num = q.terms[0][1] if q.terms else 0
-            return Cyclo(z.n, {i: c * num for i, c in z.terms}, z.den * q.den,
-                         in_basis=True, minimal=bool(num))
+            if not q.terms or not z.terms:
+                return _ZERO
+            num, den = q.terms[0][1], z.den * q.den
+            terms = [(i, c * num) for i, c in z.terms]
+            g = gcd(den, *[c for _, c in terms])
+            if g > 1:
+                terms = [(i, c // g) for i, c in terms]
+                den //= g
+            return _make(z.n, tuple(terms), den)
         n = lcm(self.n, other.n)
         sa, sb = n // self.n, n // other.n
         acc: dict[int, int] = {}
@@ -267,6 +290,17 @@ class Cyclo:
     def inverse(self) -> "Cyclo":
         if not self.terms:
             raise ZeroDivisionError("inverse of zero")
+        if len(self.terms) == 1:
+            # (c * zeta^i / den)^-1 = den * zeta^-i / c, at the same conductor
+            (i, c), = self.terms
+            num = self.den if c > 0 else -self.den
+            if self.n == 1:
+                return _make(1, ((0, num),), abs(c))
+            return Cyclo(self.n, {-i % self.n: num}, abs(c), minimal=True)
+        return self._norm_inverse()
+
+    def _norm_inverse(self) -> "Cyclo":
+        """The inverse through the rational norm, for any nonzero element."""
         # the distinct conjugates are the roots of the minimal polynomial, so
         # self times the others is the rational norm
         others = Cyclo.rational(1)
@@ -313,18 +347,22 @@ class Cyclo:
 
     # -- comparison / hashing -------------------------------------------
     def __eq__(self, other) -> bool:
+        if isinstance(other, Cyclo):
+            return self.n == other.n and self.den == other.den and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            other = Cyclo.rational(other)
-        if not isinstance(other, Cyclo):
-            return NotImplemented
-        return self.n == other.n and self.den == other.den and self.terms == other.terms
+            # a canonical rational has conductor 1
+            if self.n != 1:
+                return False
+            num = self.terms[0][1] if self.terms else 0
+            return num == other.numerator and self.den == other.denominator
+        return NotImplemented
 
     def __hash__(self) -> int:
         h = object.__getattribute__(self, "_hash")
         if h is None:
             # a rational hashes like its Fraction, as == compares them equal
             h = hash(self.as_rational() if self.n == 1 else (self.n, self.terms, self.den))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __bool__(self) -> bool:
@@ -384,7 +422,24 @@ def _root_of_unity_order(z: Cyclo) -> Optional[tuple[int, int]]:
     return None
 
 
-_ONE = Cyclo.rational(1)
+# the slot setters, which bypass the immutability guard
+_set_n, _set_terms, _set_den, _set_hash = (
+    Cyclo.n.__set__, Cyclo.terms.__set__, Cyclo.den.__set__, Cyclo._hash.__set__)
+
+
+def _make(n: int, terms: tuple[tuple[int, int], ...], den: int) -> Cyclo:
+    """A Cyclo from parts already in normal form: minimal n, sorted basis
+    exponents with nonzero numerators, den > 0 sharing no factor with all of them."""
+    z = object.__new__(Cyclo)
+    _set_n(z, n)
+    _set_terms(z, terms)
+    _set_den(z, den)
+    _set_hash(z, None)
+    return z
+
+
+_ZERO = _make(1, (), 1)
+_ONE = _make(1, ((0, 1),), 1)
 
 
 class CycloSum:

@@ -48,17 +48,15 @@ class LaurentPoly:
     coeffs: tuple[tuple[int, Cyclo], ...]  # sorted by exponent, no zeros
 
     def __init__(self, coeffs: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]]):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        items = coeffs.items() if hasattr(coeffs, "items") else coeffs
         acc: dict[int, Cyclo] = {}
         for e, c in items:
             c = _coerce(c)
             if e in acc:
                 c = acc[e] + c
             acc[e] = c
-        object.__setattr__(
-            self, "coeffs",
-            tuple(sorted((e, c) for e, c in acc.items() if not c.is_zero())))
-        object.__setattr__(self, "_hash", None)
+        _set_coeffs(self, tuple(sorted([(e, c) for e, c in acc.items() if c.terms])))
+        _set_lhash(self, None)
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentPoly is immutable")
@@ -128,7 +126,7 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly([(e, -c) for e, c in self.coeffs])
+        return _lmake(tuple([(e, -c) for e, c in self.coeffs]))
 
     def __sub__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
         return self + (-_poly(other))
@@ -169,7 +167,7 @@ class LaurentPoly:
         """Multiply by x^k."""
         if k == 0:
             return self
-        return LaurentPoly([(e + k, c) for e, c in self.coeffs])
+        return _lmake(tuple([(e + k, c) for e, c in self.coeffs]))
 
     def divmod_poly(self, other: "LaurentPoly") -> tuple["LaurentPoly", "LaurentPoly"]:
         """Division with remainder after normalizing both to valuation 0."""
@@ -256,11 +254,11 @@ class LaurentPoly:
 
     def conjugate(self) -> "LaurentPoly":
         """Complex-conjugate the coefficients."""
-        return LaurentPoly([(e, c.conjugate()) for e, c in self.coeffs])
+        return _lmake(tuple([(e, c.conjugate()) for e, c in self.coeffs]))
 
     def vee(self) -> "LaurentPoly":
         """The involution P -> conj(P)(1/x)."""
-        return LaurentPoly([(-e, c.conjugate()) for e, c in self.coeffs])
+        return _lmake(tuple([(-e, c.conjugate()) for e, c in reversed(self.coeffs)]))
 
     def scale_x(self, s: Scalar) -> "LaurentPoly":
         """Substitute x -> s*x."""
@@ -285,7 +283,7 @@ class LaurentPoly:
                 h = hash(self.coeffs[0][1])
             else:
                 h = hash(self.coeffs)
-            object.__setattr__(self, "_hash", h)
+            _set_lhash(self, h)
         return h
 
     def __bool__(self) -> bool:
@@ -310,6 +308,18 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.serialize()})"
+
+
+# the slot setters, which bypass the immutability guard
+_set_coeffs, _set_lhash = LaurentPoly.coeffs.__set__, LaurentPoly._hash.__set__
+
+
+def _lmake(coeffs: tuple[tuple[int, Cyclo], ...]) -> LaurentPoly:
+    """A LaurentPoly from terms already sorted by exponent, merged and nonzero."""
+    p = object.__new__(LaurentPoly)
+    _set_coeffs(p, coeffs)
+    _set_lhash(p, None)
+    return p
 
 
 def _poly(v: "LaurentPoly | Scalar") -> LaurentPoly:

@@ -307,6 +307,24 @@ class ReflectionCoset:
                 out.append(g)
         return out
 
+    def parabolic_subgroup(self, vectors: list[list[Cyclo]]) -> list[Matrix]:
+        """The pointwise stabilizer of the vectors, in element order.  By
+        Steinberg's theorem it is generated by the reflections whose
+        hyperplane contains them: one reflection per hyperplane is tested,
+        and every reflection on a passing hyperplane (of any order) is a
+        generator of the closure in the multiplication table."""
+        fixing = {h for h in dict.fromkeys(self._hyperplanes.values())
+                  if all(self.elements[h].apply(v) == v for v in vectors)}
+        gens = [r for r, h in self._hyperplanes.items() if h in fixing]
+        members, frontier = {0}, [0]
+        while frontier:
+            row = self.mul[frontier.pop()]
+            for r in gens:
+                if row[r] not in members:
+                    members.add(row[r])
+                    frontier.append(row[r])
+        return [self.elements[i] for i in sorted(members)]
+
     # -- the Molien series ------------------------------------------------
     @cached_property
     def _class_dets(self) -> list[LaurentPoly]:
@@ -538,7 +556,7 @@ def sylow_subcoset(G: ReflectionCoset, phi: KCycloPoly) -> tuple[int, SubCoset]:
     # among classes attaining the bound pick the representative of largest order
     w = G.regular_element(eigval)
     basis = w.eigenspace(eigval)
-    w_l = G.pointwise_stabilizer(basis)
+    w_l = G.parabolic_subgroup(basis)
     # |N_W(L)|: v with v W_L v^-1 = W_L and v w v^-1 in W_L w
     wi = G.index[w]
     w_l_set = {G.index[g] for g in w_l}

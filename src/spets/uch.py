@@ -11,7 +11,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .cyclotomic import (Cyclo, CycloField, CycloSum, divisors, sum_of_products,
                          zeta as zeta_root)
@@ -501,11 +501,6 @@ def verify_axioms(table: UchTable, G: ReflectionCoset,
         "series-compatibility", "series-counting", "family-bounds",
         "galois-closure")}
 
-    order_c = order_poly(G, "compact")
-    for row in table.rows:
-        if not row.degree.divides(order_c):
-            fails["degree-divides-order"].append(row.name)
-
     _check_family_sums(table, feg_map, fails["family-sum"])
 
     # principal 1-series: Feg(R_1) = sum theta(1) Deg(rho_theta)
@@ -518,6 +513,12 @@ def verify_axioms(table: UchTable, G: ReflectionCoset,
     regulars = regular_eigenvalues(G)
     values = {(row.name, z): row.degree.evaluate(z)
               for row in table.rows for z in regulars}
+    roots = _order_roots(G)
+    for row in table.rows:
+        known = {z: values[row.name, z] for z in regulars}
+        if not _divides_order(row.degree, roots, known):
+            fails["degree-divides-order"].append(row.name)
+
     _check_series_compat(table, regulars, values, fails["series-compatibility"])
     _check_series_counting(table, G, feg_map, regulars, values,
                            fails["series-counting"])
@@ -532,6 +533,44 @@ def verify_axioms(table: UchTable, G: ReflectionCoset,
 
     _check_galois_closure(table, G.field, fails["galois-closure"])
     return AxiomReport(fails)
+
+
+def _order_roots(G: ReflectionCoset) -> dict[Cyclo, int]:
+    """The roots of the compact order prod(x^d_i - zeta_i) * x^N_hyp * unit
+    other than 0, with multiplicity: x^d = E(n, k) at x = E(n * d, k + t * n)."""
+    roots: dict[Cyclo, int] = defaultdict(int)
+    for d, z in G.degrees:
+        n, k = z.root_of_unity_order()
+        for t in range(d):
+            roots[zeta_root(n * d, k + t * n)] += 1
+    return roots
+
+
+def _divides_order(p: LaurentPoly, roots: dict[Cyclo, int],
+                   known: dict[Cyclo, Cyclo]) -> bool:
+    """Whether p divides, in the Laurent ring, an order with these nonzero
+    roots; ``known`` holds values p(z) already computed.  The order splits
+    into linear factors, so p divides it exactly when
+    sum(min(mult_p(z), roots[z])) is the degree of p / x^val(p).  A
+    multiplicity above 1 is read off Hasse derivatives, only where needed."""
+    if p.is_zero():
+        return False
+    q = p.shift(-p.valuation())
+    found = 0
+    for z, m in roots.items():
+        v = known.get(z)
+        if (p.evaluate(z) if v is None else v).is_zero():
+            k = 1
+            while k < m and _hasse_value(q, k, z).is_zero():
+                k += 1
+            found += k
+    return found == q.degree()
+
+
+def _hasse_value(q: LaurentPoly, k: int, z: Cyclo) -> Cyclo:
+    """The k-th Hasse derivative sum(binomial(e, k) * c_e * z^(e - k)) of a
+    polynomial q at z."""
+    return LaurentPoly([(e - k, c * comb(e, k)) for e, c in q.coeffs if e >= k]).evaluate(z)
 
 
 def _check_family_sums(table, feg_map, failures):

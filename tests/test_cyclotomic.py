@@ -203,3 +203,75 @@ def _fixed_by_field_galois_group(z, field):
     Gal(Q(zeta_N)/K) fixes it, for N = lcm(conductor of z, conductor of K)."""
     big = lcm(z.n, field.conductor)
     return all(z.galois(k) == z for k in field.galois_orbit_exponents(big))
+
+
+def _parts(z):
+    return z.n, z.terms, z.den, hash(z)
+
+
+RATIONALS = [0, 1, -1, 6, -12, Fraction(1, 2), Fraction(-4, 6), Fraction(9, 3), True]
+
+
+class TestNormalFormFastPaths:
+    """Results built without the normaliser equal the general constructor's."""
+
+    @pytest.mark.parametrize("q", RATIONALS)
+    def test_rational(self, q):
+        f = Fraction(q)
+        assert _parts(Cyclo.rational(q)) == _parts(Cyclo(1, {0: f.numerator}, f.denominator))
+
+    def test_shared_constants(self):
+        from spets.cyclotomic import _ONE, _ZERO
+        assert _parts(_ONE) == _parts(Cyclo(1, {0: 1}))
+        assert _parts(_ZERO) == _parts(Cyclo(1, {}))
+
+    @given(st.sampled_from([1, 3, 4, 5, 8, 9, 12, 15]).flatmap(rand_cyclo))
+    @settings(max_examples=60, deadline=None)
+    def test_negation(self, a):
+        assert _parts(-a) == _parts(Cyclo(a.n, {i: -c for i, c in a.terms}, a.den))
+
+    @given(st.sampled_from([1, 3, 4, 5, 8, 9, 12, 15]).flatmap(rand_cyclo),
+           st.sampled_from(RATIONALS[:-1]))
+    @settings(max_examples=60, deadline=None)
+    def test_rational_multiple(self, a, q):
+        f = Fraction(q)
+        want = _parts(Cyclo(a.n, {i: c * f.numerator for i, c in a.terms},
+                            a.den * f.denominator))
+        assert _parts(a * q) == want
+        assert _parts(q * a) == want
+        assert _parts(a * Cyclo.rational(q)) == want
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_one_term_inverse(self, n):
+        seen = 0
+        for k in range(n):
+            for q in (1, -1, 3, Fraction(-2, 5), Fraction(7, 4)):
+                x = zeta(n, k) * q
+                if len(x.terms) != 1:
+                    continue
+                seen += 1
+                inv = x.inverse()
+                assert x * inv == 1
+                assert _parts(inv) == _parts(x._norm_inverse())
+        assert seen
+
+    @given(st.sampled_from([1, 1, 3, 4, 8]).flatmap(rand_cyclo),
+           st.one_of(st.integers(-4, 4), st.fractions(min_value=-3, max_value=3,
+                                                      max_denominator=6)))
+    @settings(max_examples=100, deadline=None)
+    def test_eq_with_rational(self, a, q):
+        for x in (a, Cyclo.rational(q)):
+            assert (x == q) == (x == Cyclo.rational(q))
+            assert (q == x) == (x == q)
+            if x == q:
+                assert hash(x) == hash(q) == hash(Cyclo.rational(q))
+
+    @pytest.mark.parametrize("build", [
+        lambda: Cyclo.rational(5), lambda: Cyclo.rational(Fraction(1, 3)),
+        lambda: -zeta(3), lambda: zeta(5) * 3, lambda: zeta(4).inverse(),
+        lambda: Cyclo.rational(0)])
+    def test_fast_path_values_are_immutable(self, build):
+        z = build()
+        for name in ("n", "terms", "den", "_hash"):
+            with pytest.raises(AttributeError):
+                setattr(z, name, 2)

@@ -267,3 +267,31 @@ class TestFactors:
             assert f.poly.degree() == 1
             prod = prod * f.poly
         assert prod == k_cyclotomic_factors(12, CycloField.rationals())[0].poly
+
+
+class TestNormalFormFastPaths:
+    """Transforms that keep terms canonical equal their constructor-built forms."""
+
+    @staticmethod
+    def _same(p, terms):
+        q = LaurentPoly(terms)
+        assert p.coeffs == q.coeffs and hash(p) == hash(q) and p == q
+
+    @given(rand_poly(), st.integers(-4, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_transforms(self, p, k):
+        self._same(-p, [(e, -c) for e, c in p.coeffs])
+        self._same(p.shift(k), [(e + k, c) for e, c in p.coeffs])
+        self._same(p.conjugate(), [(e, c.conjugate()) for e, c in p.coeffs])
+        self._same(p.vee(), [(-e, c.conjugate()) for e, c in p.coeffs])
+
+    def test_any_mapping_is_accepted(self):
+        from types import MappingProxyType
+        want = LaurentPoly([(2, zeta(3)), (0, 1)])
+        assert LaurentPoly(MappingProxyType({2: zeta(3), 0: 1})) == want
+        assert LaurentPoly({2: zeta(3), 0: 1}) == want
+
+    def test_fast_path_values_are_immutable(self):
+        for p in (-(x + 1), (x + 1).shift(2), (x + zeta(3)).vee()):
+            with pytest.raises(AttributeError):
+                p.coeffs = ()

@@ -374,3 +374,27 @@ class TestSubCosetOracle:
             L = SubCoset(G, elems, Matrix.identity(G.rank), len(elems))
             assert _levi_order(G, gi) == _matrix_order_poly(L, "compact")
             assert order_poly(L, "noncompact") == _matrix_order_poly(L, "noncompact")
+
+
+class TestParabolicSubgroup:
+    """W_L from the reflections on the hyperplanes containing V(w, zeta),
+    against the scan over every element of G."""
+
+    def test_matches_pointwise_stabilizer(self, oracle_group):
+        G = oracle_group
+        phis = [phi for phi, _ in all_sylow_congruences(G)]
+        assert phis
+        for phi in phis:
+            d, k = phi.root_order, min(phi.root_exponents)
+            eigval = zeta(d, k) if d > 1 else Cyclo.rational(1)
+            basis = G.regular_element(eigval).eigenspace(eigval)
+            assert G.parabolic_subgroup(basis) == G.pointwise_stabilizer(basis), \
+                (G.name, phi)
+
+    def test_every_eigenspace(self, oracle_group):
+        G = oracle_group
+        for c in G.classes:
+            g = G.elements[c.rep_index]
+            for lam in set(c.eigenvalues):
+                basis = g.eigenspace(lam)
+                assert G.parabolic_subgroup(basis) == G.pointwise_stabilizer(basis)

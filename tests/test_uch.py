@@ -399,3 +399,30 @@ class TestEnnola:
     def test_pipeline_specs_cover_series(self, g4_result, g312_result):
         assert set(g4_result.specs) == {(4, 1), (3, 1)}
         assert set(g312_result.specs) == {(6, 1), (6, 5), (2, 1)}
+
+
+ORDER_ROOT_TABLES = {"G4": ["uch_g4.txt"], "G(3,1,2)": ["uch_g312.txt"],
+                     "Z_3": ["uch_z3.txt", "uch_z3_rho.txt"], "Z_4": ["uch_z4.txt"]}
+
+
+@pytest.mark.parametrize("name", ["G4", "G(3,1,2)"] + [f"Z_{e}" for e in range(1, 13)])
+def test_divides_order_matches_long_division(name):
+    """The root-multiplicity test against LaurentPoly.divides, on every
+    shipped row and on rows given an extra factor."""
+    from spets.orders import order_poly
+    from spets.uch import _divides_order, _order_roots
+    G = build_group(name)
+    order, roots = order_poly(G, "compact"), _order_roots(G)
+    rows = [r.degree for f in ORDER_ROOT_TABLES.get(name, [])
+            for r in tabledata.load_reference(f).rows]
+    if name.startswith("Z_"):
+        rows += [r.degree for r in cyclic_uch(int(name[2:])).rows]
+    x = LaurentPoly.x()
+    extra = [x + 1, x - 1, x ** 2 + 1, x + 2]
+    polys = rows + [r * f for r in rows for f in extra]
+    verdicts = set()
+    for p in polys:
+        want = p.divides(order)
+        assert _divides_order(p, roots, {}) == want, (name, p.serialize())
+        verdicts.add(want)
+    assert verdicts == {True, False}

@@ -10,9 +10,9 @@ every workload on both sides with seed k + 1; the parent goes first in even
 pairs and the change in odd ones, so slow drift of the machine falls on both
 sides alike.
 
-Before the first run, ``python -m compileall -q src`` runs in both trees, so
-both start with the same bytecode state: ``__pycache__`` left in only one
-tree lowers its ``setup_s`` and ``peak_rss_mb``.
+Before the first run, ``python -m compileall -q src perfbench`` runs in both
+trees, so both start with the same bytecode state: ``__pycache__`` left in
+only one tree lowers its ``setup_s`` and ``peak_rss_mb``.
 
 Workloads, metrics, bounds and the run length come from the change's
 ``BENCHMARK.json``.  The output file holds, for every workload and
@@ -81,7 +81,8 @@ def main() -> int:
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     for tree in trees.values():
-        subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=tree, check=True)
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                       cwd=tree, check=True)
 
     runs: dict[str, dict[str, list[dict]]] = {w: {s: [] for s in SIDES} for w in workloads}
     for k in range(args.pairs):
