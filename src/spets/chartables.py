@@ -10,7 +10,7 @@ primitive group, multipartition strings for the wreath group.
 from __future__ import annotations
 
 from .cyclotomic import Cyclo, zeta
-from .orders import CharTable, cyclic_char_table, fake_degree_char
+from .orders import CharTable, cyclic_char_table
 from .reflection import Matrix, ReflectionCoset
 
 __all__ = ["char_table", "feg_map"]
@@ -31,7 +31,7 @@ def char_table(G: ReflectionCoset) -> CharTable:
 
 
 def feg_map(table: CharTable) -> dict[str, "LaurentPoly"]:
-    return {name: fake_degree_char(table, name) for name in table.names}
+    return dict(table.fake_degrees)
 
 
 def _table_g4(G: ReflectionCoset) -> CharTable:
@@ -46,17 +46,17 @@ def _table_g4(G: ReflectionCoset) -> CharTable:
         rows.append((1, tuple(d ** k for d in dets)))
         rows.append((2, tuple(t * d ** k for t, d in zip(traces, dets))))
     rows.append((3, tuple(sym2)))
-    # name each row phi_{d,b} by its dimension and fake-degree valuation
-    named: dict[str, tuple[Cyclo, ...]] = {}
-    order: list[str] = []
-    for dim, vals in rows:
-        tmp = CharTable(G, ("x",), {"x": vals})
-        b = fake_degree_char(tmp, "x").valuation()
-        name = f"phi_{{{dim},{b}}}"
-        named[name] = vals
-        order.append(name)
-    order.sort(key=_phi_key)
-    return CharTable(G, tuple(order), named)
+    # name each row phi_{d,b} by its dimension and fake-degree valuation; the
+    # named table keeps the fake degrees computed for the names
+    raw = CharTable(G, tuple(str(i) for i in range(len(rows))),
+                    {str(i): vals for i, (_, vals) in enumerate(rows)})
+    named = {f"phi_{{{dim},{raw.fake_degrees[k].valuation()}}}": k
+             for k, (dim, _) in zip(raw.names, rows)}
+    order = sorted(named, key=_phi_key)
+    table = CharTable(G, tuple(order), {n: raw.values[named[n]] for n in order})
+    # fills the cached_property, as its first read would
+    object.__setattr__(table, "fake_degrees", {n: raw.fake_degrees[named[n]] for n in order})
+    return table
 
 
 def _phi_key(name: str) -> tuple[int, int]:

@@ -9,13 +9,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .chartables import char_table, feg_map
 from .cyclotomic import field_from_name, zeta
 from .hecke import CyclicHeckeParams, _split_top, schur_cyclic
 from .laurent import k_cyclotomic_factors
 from .orders import order_poly, poincare
 from .reflection import build_group
-from .tabledata import (construct_uch, diff_tables, emit_uch, parse_uch)
+from .tabledata import construct_uch, diff_tables, emit_uch, parse_uch
 from .uch import cyclic_uch, determine_parameters, verify_axioms
 
 
@@ -51,8 +50,7 @@ def _cmd_series(args) -> int:
     res = construct_uch(args.group)
     det = res.specs.get((d, a))
     if det is None:
-        det = determine_parameters(build_group(args.group), zeta(d, a),
-                                   res.table)
+        det = determine_parameters(res.group, zeta(d, a), res.table)
     print(det.spec.serialize())
     for j in sorted(det.assignment):
         name = det.assignment[j] or "?"
@@ -71,28 +69,21 @@ def _cmd_schur(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    res = construct_uch(args.group)
-    G = build_group(args.group)
-    failures = 0
+    ref = None
     if args.ref:
         with open(args.ref, encoding="utf-8") as fh:
             ref = parse_uch(fh.read())
+    res = construct_uch(args.group)
+    failures = 0
+    if ref is not None:
         diff = diff_tables(res.table, ref)
         print(diff.summary())
         failures += len(diff.mismatches)
-    report = verify_axioms(res.table, G, _principal_fegs(args.group, res))
+    report = verify_axioms(res.table, res.group, res.fegs)
     print(report.summary())
     if not report.passed:
         failures += 1
     return 1 if failures else 0
-
-
-def _principal_fegs(name, res):
-    key = name.replace(" ", "")
-    if key.startswith("Z"):
-        from .uch import _cyclic_feg_map
-        return _cyclic_feg_map(build_group(name).order)
-    return feg_map(char_table(build_group(name)))
 
 
 def _cmd_factors(args) -> int:
@@ -139,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     args = top.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

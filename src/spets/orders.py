@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cyclotomic import Cyclo, divisors, sum_of_products, zeta
 from .laurent import KCycloPoly, LaurentPoly, k_cyclotomic_factors
@@ -63,7 +64,7 @@ def torus_order(G: ReflectionCoset, w: Matrix, variant: str = "compact") -> Laur
 
 def fake_degree_torus(G: ReflectionCoset, w: Matrix) -> LaurentPoly:
     """Feg(R_w): the graded multiplicity polynomial of the torus induction."""
-    return G.class_fake_degrees[G.class_of(w)].conjugate()
+    return G.class_fake_degree(G.class_of(w)).conjugate()
 
 
 @dataclass(frozen=True)
@@ -75,16 +76,18 @@ class CharTable:
     values: dict[str, tuple[Cyclo, ...]]
 
     def degree(self, name: str) -> int:
-        d = self.values[name][self._identity_class()].as_rational()
+        # classes sort by element order first, so class 0 is the identity
+        d = self.values[name][0].as_rational()
         assert d is not None and d.denominator == 1
         return int(d)
 
-    def _identity_class(self) -> int:
-        ident = Matrix.identity(self.group.rank)
-        return self.group.class_of(ident)
-
     def value(self, name: str, g: Matrix) -> Cyclo:
         return self.values[name][self.group.class_of(g)]
+
+    @cached_property
+    def fake_degrees(self) -> dict[str, LaurentPoly]:
+        """Feg(theta) for every row, computed once per table."""
+        return {name: fake_degree_char(self, name) for name in self.names}
 
     def verify_orthogonality(self) -> None:
         W = self.group
@@ -118,8 +121,8 @@ def fake_degree_char(table: CharTable, name: str) -> LaurentPoly:
     """Feg(theta) for an irreducible character given by its table row."""
     G = table.group
     return LaurentPoly.combination(
-        (q, t.conjugate() * Fraction(cls.size, G.order))
-        for q, t, cls in zip(G.class_fake_degrees, table.values[name], G.classes))
+        (G.class_fake_degree(ci), t.conjugate() * Fraction(cls.size, G.order))
+        for ci, (t, cls) in enumerate(zip(table.values[name], G.classes)))
 
 
 # -- Sylow congruences -------------------------------------------------------

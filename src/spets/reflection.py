@@ -199,6 +199,7 @@ class ReflectionCoset:
         # mul[i][j] is the index of elements[i] @ elements[j]; 0 is the identity
         self.elements, self.words, self.mul = _enumerate(gens)
         self.index = {m: i for i, m in enumerate(self.elements)}
+        self._class_fake_degrees: dict[int, LaurentPoly] = {}
 
     # -- group structure ------------------------------------------------
     @cached_property
@@ -300,13 +301,6 @@ class ReflectionCoset:
     def n_hyp(self) -> int:
         return len(self.hyperplane_reflections)
 
-    def pointwise_stabilizer(self, vectors: list[list[Cyclo]]) -> list[Matrix]:
-        out = []
-        for g in self.elements:
-            if all(g.apply(v) == v for v in vectors):
-                out.append(g)
-        return out
-
     def parabolic_subgroup(self, vectors: list[list[Cyclo]]) -> list[Matrix]:
         """The pointwise stabilizer of the vectors, in element order.  By
         Steinberg's theorem it is generated by the reflections whose
@@ -361,11 +355,13 @@ class ReflectionCoset:
         assert Q == LaurentPoly.one()
         return sorted(out, key=lambda t: (t[0], t[1].serialize()))
 
-    @cached_property
-    def class_fake_degrees(self) -> list[LaurentPoly]:
-        """P / det(1 - x w) for the representative w of each class: the
+    def class_fake_degree(self, ci: int) -> LaurentPoly:
+        """P / det(1 - x w) for w in class ci, computed on first use: the
         complex conjugate of the torus fake degree Feg(R_w)."""
-        return [self.poincare.exact_div(p) for p in self._class_dets]
+        q = self._class_fake_degrees.get(ci)
+        if q is None:
+            q = self._class_fake_degrees[ci] = self.poincare.exact_div(self._class_dets[ci])
+        return q
 
     # -- eigenspace data ------------------------------------------------------
     def max_eigenspace_dim(self, eigval: Cyclo) -> int:
@@ -479,6 +475,8 @@ def build_group(name: str) -> ReflectionCoset:
     m = _re.fullmatch(r"Z_?(\d+)", key)
     if m:
         e = int(m.group(1))
+        if e < 1:
+            raise ValueError("cyclic order must be positive")
         fld = CycloField.cyclotomic(e)
         return ReflectionCoset(f"Z_{e}", [Matrix([[zeta(e)]])], fld)
     if key in ("G4", "G_4"):

@@ -26,14 +26,15 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from .chartables import char_table, feg_map
-from .cyclotomic import Cyclo, zeta
+from .cyclotomic import zeta
 from .hecke import CyclicHeckeParams
 from .laurent import FracExpMonomial, LaurentPoly
 from .orders import order_poly
 from .reflection import Matrix, ReflectionCoset, SubCoset, build_group
 from .uch import (Family, SeriesDetermination, UchTable, UnipotentCharacter,
-                  assign_families, cyclic_uch, determine_parameters,
-                  ennola_transform, hc_series, principal_series)
+                  _cyclic_feg_map, assign_families, cyclic_uch,
+                  determine_parameters, ennola_transform, hc_series,
+                  principal_series)
 
 __all__ = [
     "data_dir",
@@ -300,6 +301,8 @@ class HCDatum:
 class PipelineResult:
     table: UchTable
     specs: dict[tuple[int, int], SeriesDetermination]
+    group: ReflectionCoset
+    fegs: dict[str, LaurentPoly]  # principal-series fake degrees by row name
 
 
 def _levi_order(G: ReflectionCoset, gen_index: int) -> LaurentPoly:
@@ -308,28 +311,23 @@ def _levi_order(G: ReflectionCoset, gen_index: int) -> LaurentPoly:
     return order_poly(sub, "compact")
 
 
-def _sqrt_m3() -> Cyclo:
-    return zeta(3) - zeta(3, 2)
+def _z3_hc(rel_params: list[str], rel_names: tuple[str, ...]) -> HCDatum:
+    """The cuspidal character of Z_3, degree sqrt(-3)/3 * x(x - 1), on the
+    Levi of the first generator, with the given relative algebra."""
+    x = LaurentPoly.x()
+    return HCDatum(
+        cusp_name="Z_3", levi_gen=0,
+        deg_lambda=(x * (x - 1)) * ((zeta(3) - zeta(3, 2)) / 3),
+        fr_lambda=FracExpMonomial.of(zeta(3, 2)),
+        rel_params=CyclicHeckeParams.of(rel_params), rel_names=rel_names)
 
 
 def _g4_hc() -> HCDatum:
-    x = LaurentPoly.x()
-    return HCDatum(
-        cusp_name="Z_3", levi_gen=0,
-        deg_lambda=(x * (x - 1)) * (_sqrt_m3() / 3),
-        fr_lambda=FracExpMonomial.of(zeta(3, 2)),
-        rel_params=CyclicHeckeParams.of(["x^3", "-1"]),
-        rel_names=("2", "11"))
+    return _z3_hc(["x^3", "-1"], ("2", "11"))
 
 
 def _g312_hc() -> HCDatum:
-    x = LaurentPoly.x()
-    return HCDatum(
-        cusp_name="Z_3", levi_gen=0,
-        deg_lambda=(x * (x - 1)) * (_sqrt_m3() / 3),
-        fr_lambda=FracExpMonomial.of(zeta(3, 2)),
-        rel_params=CyclicHeckeParams.of(["1", "(E(3,1))*x^2", "(E(3,2))*x^2"]),
-        rel_names=("1", "zeta3", "zeta3^2"))
+    return _z3_hc(["1", "(E(3,1))*x^2", "(E(3,2))*x^2"], ("1", "zeta3", "zeta3^2"))
 
 
 _PIPELINES: dict[str, dict] = {
@@ -357,13 +355,13 @@ def construct_uch(name: str) -> PipelineResult:
     above the shipped cuspidal data; Ennola closure under the center (new
     degrees become cuspidal characters); parameter determination of the
     regular eigenvalue series, fixing Frobenius eigenvalues; family
-    partition.
+    partition.  The group is built first, so a name past the enumeration
+    bound fails before any table work; the result hands the group and the
+    principal-series fake degrees on to the verifier.
     """
-    key = name.replace(" ", "")
-    m = re.fullmatch(r"Z_?(\d+)", key)
-    if m:
-        return PipelineResult(cyclic_uch(int(m.group(1))), {})
     G = build_group(name)
+    if G.name.startswith("Z_"):
+        return PipelineResult(cyclic_uch(G.order), {}, G, _cyclic_feg_map(G.order))
     if G.name not in _PIPELINES:
         raise ValueError(f"no construction pipeline for {name!r}")
     cfg = _PIPELINES[G.name]
@@ -396,17 +394,14 @@ def construct_uch(name: str) -> PipelineResult:
         det = determine_parameters(G, zeta(d, a), table)
         specs[(d, a)] = det
         for j, rname in det.assignment.items():
-            if rname is None:
+            fr = det.frs[j]
+            if rname is None or fr is None:
                 continue
             row = table.row(rname)
-            fr = det.frs[j]
-            if fr is None:
-                continue
-            if row.fr is None:
-                row.fr = fr
-            elif row.fr != fr:
+            if row.fr is not None and row.fr != fr:
                 raise ArithmeticError(
                     f"inconsistent Frobenius eigenvalue for {rname}")
+            row.fr = fr
 
     assign_families(table, fm)
-    return PipelineResult(table, specs)
+    return PipelineResult(table, specs, G, fm)

@@ -199,7 +199,7 @@ def ennola_transform(table: UchTable, xi: Cyclo,
         lead = cand.leading_coeff()
         resolved = False
         if lead.conjugate() == lead:  # real leading coefficient: take it positive
-            if _is_negative_rational(lead):
+            if (lead.as_rational() or 0) < 0:
                 cand = -cand
             resolved = True
         name = None
@@ -212,10 +212,6 @@ def ennola_transform(table: UchTable, xi: Cyclo,
         perm[row.name] = (name, 1)
     out = UchTable(table.group, table.rows + new_rows, table.families)
     return EnnolaResult(out, perm, [r.name for r in new_rows])
-
-
-def _is_negative_rational(c: Cyclo) -> bool:
-    return (c.as_rational() or 0) < 0
 
 
 # -- parameter determination ----------------------------------------------------------
@@ -248,7 +244,8 @@ def determine_parameters(G: ReflectionCoset, zeta_c: Cyclo,
     distinct slots, each with its exponent and Frobenius residue (the
     trivial character only slot 0); it is then checked once against the
     algebra conditions, and the known members are placed by degree lookup,
-    each at exactly one slot.
+    each at exactly one slot.  Condition SC3, that each Schur element
+    divides the fake degree, is decided by that placement's exact quotients.
     """
     d, a = zeta_c.root_of_unity_order() or (1, 0)
     w = G.regular_element(zeta_c)
@@ -281,7 +278,7 @@ def determine_parameters(G: ReflectionCoset, zeta_c: Cyclo,
         if not any(len(set(p)) == len(p) for p in itertools.product(*fits)):
             continue
         spec = SpetsialAlgebraSpec(e=e, d=d, a=a, m=m, n_ref=n_ref, n_hyp=n_hyp)
-        if not check_spetsial(spec, G, w).passed:
+        if not check_spetsial(spec).passed:
             continue
         result = _match_series(spec, feg, members, trivial)
         if result is not None:
@@ -307,7 +304,8 @@ def _match_series(spec: SpetsialAlgebraSpec, feg: LaurentPoly,
                   ) -> SeriesDetermination | None:
     """Place each known member at the one slot j where its degree is
     +-Feg/S_j and its Fr is a Frobenius eigenvalue of chi_j; every other slot
-    takes the sign that makes its degree +-1 at zeta."""
+    takes the sign that makes its degree +-1 at zeta.  None when some S_j
+    does not divide Feg (SC3) or no placement fits."""
     try:
         quos = [feg.exact_div(s.as_x()) for s in spec.schur()]
     except (ArithmeticError, ValueError):

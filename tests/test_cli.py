@@ -2,6 +2,7 @@
 
 import pytest
 
+from spets import cli, tabledata
 from spets.cli import main
 from spets.tabledata import data_dir
 
@@ -67,6 +68,19 @@ class TestVerify:
         code, out = run(capsys, "verify", "G4", "--ref", ref)
         assert code == 0
 
+    def test_builds_the_group_and_its_table_once(self, capsys, monkeypatch):
+        calls = []
+        for mod in (cli, tabledata):
+            for fn in ("build_group", "char_table"):
+                if hasattr(mod, fn):
+                    def record(*args, _f=getattr(mod, fn), _n=fn):
+                        calls.append(_n)
+                        return _f(*args)
+                    monkeypatch.setattr(mod, fn, record)
+        code, _ = run(capsys, "verify", "G4", "--ref", str(data_dir() / "uch_g4.txt"))
+        assert code == 0
+        assert sorted(calls) == ["build_group", "char_table"]
+
     def test_mismatch_exits_nonzero(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         text = (data_dir() / "uch_g4.txt").read_text()
@@ -92,6 +106,9 @@ class TestErrors:
         ["uch", "--cyclic", "0"],
         ["factors", "0", "--field", "Q"],
         ["factors", "-3", "--field", "Q"],
+        ["verify", "Z_3000"],                 # past the enumeration bound
+        ["analyze", "Z_0"],
+        ["verify", "Z_0"],
     ])
     def test_error_exits_2(self, capsys, argv):
         code = main(argv)
@@ -99,3 +116,16 @@ class TestErrors:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith(f"{argv[0]}: ")
+
+    def test_verify_z0_message(self, capsys):
+        assert main(["verify", "Z_0"]) == 2
+        assert capsys.readouterr().err == "verify: cyclic order must be positive\n"
+
+    def test_missing_reference_file(self, capsys, tmp_path):
+        missing = tmp_path / "missing.txt"
+        code = main(["verify", "G4", "--ref", str(missing)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("verify: ")
+        assert str(missing) in captured.err

@@ -9,8 +9,8 @@ from spets.chartables import char_table, feg_map
 from spets.cyclotomic import Cyclo, divisors, zeta
 from spets.laurent import LaurentPoly, k_cyclotomic_factors
 from spets.orders import (all_sylow_congruences, cyclic_char_table,
-                          fake_degree_torus, order_poly, poincare,
-                          torus_order)
+                          fake_degree_char, fake_degree_torus, order_poly,
+                          poincare, torus_order)
 from spets.reflection import Matrix, build_group, sylow_subcoset
 
 ORACLE_GROUPS = ("G4", "G(3,1,2)") + tuple(f"Z_{e}" for e in range(1, 13))
@@ -88,6 +88,13 @@ class TestTorus:
             assert fake_degree_torus(G, w) == \
                 poincare(G).conjugate().exact_div(det.conjugate())
 
+    def test_class_fake_degrees_on_first_use(self):
+        G = build_group("G4")
+        w = G.elements[G.classes[3].rep_index]
+        fake_degree_torus(G, w)
+        assert list(G._class_fake_degrees) == [3]
+        assert G.class_fake_degree(3) is G._class_fake_degrees[3]
+
 
 class TestCharTables:
     def test_cyclic_orthogonality(self):
@@ -111,6 +118,13 @@ class TestCharTables:
             "phi_{1,8}": "x^8",
         }
         assert {n: f.serialize() for n, f in g4_fegs.items()} == want
+
+    @pytest.mark.parametrize("name", ["G4", "G(3,1,2)", "Z_4"])
+    def test_table_fake_degrees_match_each_row(self, name):
+        # G4's rows are named by their fake degrees, which the named table keeps
+        table = char_table(build_group(name))
+        assert list(table.fake_degrees) == list(table.names)
+        assert table.fake_degrees == {n: fake_degree_char(table, n) for n in table.names}
 
     def test_fake_degree_sum(self, g4, g312, g4_fegs, g312_fegs):
         # sum theta(1) * Feg(theta) = Poincare polynomial

@@ -202,6 +202,11 @@ class TestTables:
                 want = LaurentPoly([(g.n - e, a) for e, a in g.charpoly().coeffs])
                 assert det == want
 
+    @pytest.mark.parametrize("name", ["Z_0", "Z0"])
+    def test_cyclic_order_zero(self, name):
+        with pytest.raises(ValueError, match="cyclic order must be positive"):
+            build_group(name)
+
     def test_order_bound_stops_enumeration(self, monkeypatch):
         monkeypatch.setattr(reflection, "MAX_GROUP_ORDER", 5)
         with pytest.raises(ArithmeticError, match="enumeration"):
@@ -376,6 +381,11 @@ class TestSubCosetOracle:
             assert order_poly(L, "noncompact") == _matrix_order_poly(L, "noncompact")
 
 
+def _pointwise_stabilizer(G, vectors):
+    """Every element of G that fixes each vector, in element order."""
+    return [g for g in G.elements if all(g.apply(v) == v for v in vectors)]
+
+
 class TestParabolicSubgroup:
     """W_L from the reflections on the hyperplanes containing V(w, zeta),
     against the scan over every element of G."""
@@ -388,7 +398,7 @@ class TestParabolicSubgroup:
             d, k = phi.root_order, min(phi.root_exponents)
             eigval = zeta(d, k) if d > 1 else Cyclo.rational(1)
             basis = G.regular_element(eigval).eigenspace(eigval)
-            assert G.parabolic_subgroup(basis) == G.pointwise_stabilizer(basis), \
+            assert G.parabolic_subgroup(basis) == _pointwise_stabilizer(G, basis), \
                 (G.name, phi)
 
     def test_every_eigenspace(self, oracle_group):
@@ -397,4 +407,4 @@ class TestParabolicSubgroup:
             g = G.elements[c.rep_index]
             for lam in set(c.eigenvalues):
                 basis = g.eigenspace(lam)
-                assert G.parabolic_subgroup(basis) == G.pointwise_stabilizer(basis)
+                assert G.parabolic_subgroup(basis) == _pointwise_stabilizer(G, basis)

@@ -2,9 +2,13 @@
 
 import pytest
 
-from spets.tabledata import (data_dir, diff_tables, emit_uch, is_spetsial,
-                             load_reference, load_schur_data, parse_uch)
-from spets.uch import UnipotentCharacter, UchTable, cyclic_uch
+from spets import orders, tabledata
+from spets.chartables import char_table, feg_map
+from spets.reflection import build_group
+from spets.tabledata import (construct_uch, data_dir, diff_tables, emit_uch,
+                             is_spetsial, load_reference, load_schur_data,
+                             parse_uch)
+from spets.uch import UnipotentCharacter, UchTable, _cyclic_feg_map, cyclic_uch
 
 ALL_TABLES = ["uch_z3_rho.txt", "uch_z3.txt", "uch_z4.txt",
               "uch_g4.txt", "uch_g312.txt"]
@@ -142,3 +146,56 @@ class TestSpetsial:
     def test_unknown_raises(self):
         with pytest.raises(ValueError):
             is_spetsial("not-a-group")
+
+
+class TestPipelineResult:
+    """The pipeline hands its group and principal-series fake degrees on."""
+
+    @pytest.mark.parametrize("name", ["G4", "G(3,1,2)"])
+    def test_fegs_are_the_character_table_fegs(self, name):
+        assert construct_uch(name).fegs == feg_map(char_table(build_group(name)))
+
+    @pytest.mark.parametrize("e", range(1, 13))
+    def test_cyclic_fegs(self, e):
+        res = construct_uch(f"Z_{e}")
+        assert res.fegs == _cyclic_feg_map(e)
+        assert res.table.group == res.group.name == f"Z_{e}"
+
+    @pytest.mark.parametrize("name", ["G4", "G(3,1,2)", "Z_5"])
+    def test_group_is_the_one_built(self, monkeypatch, name):
+        built = []
+
+        def record(*args):
+            built.append(build_group(*args))
+            return built[-1]
+
+        monkeypatch.setattr(tabledata, "build_group", record)
+        res = construct_uch(name)
+        assert len(built) == 1
+        assert res.group is built[0]
+        assert res.table.group == res.group.name
+
+    def test_pipeline_computes_each_character_fake_degree_once(self, monkeypatch):
+        # G4 has 7 characters and G(3,1,2) has 9; naming the rows of G4
+        # shares its fake degrees with feg_map
+        calls = []
+
+        def record(table, name):
+            calls.append((table.group.name, name))
+            return fake_degree_char(table, name)
+
+        fake_degree_char = orders.fake_degree_char
+        monkeypatch.setattr(orders, "fake_degree_char", record)
+        construct_uch("G4")
+        construct_uch("G(3,1,2)")
+        assert len(calls) == len(set(calls)) == 16
+
+    def test_over_bound_group_fails_before_table_work(self, monkeypatch):
+        def never(e):
+            raise AssertionError("cyclic table built for a rejected group")
+
+        monkeypatch.setattr(tabledata, "cyclic_uch", never)
+        with pytest.raises(ArithmeticError, match="enumeration"):
+            construct_uch("Z_3000")
+        with pytest.raises(ValueError, match="cyclic order must be positive"):
+            construct_uch("Z_0")

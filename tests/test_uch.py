@@ -92,6 +92,13 @@ class TestAxioms:
         report = verify_axioms(g312_result.table, g312, g312_fegs)
         assert report.passed, report.summary()
 
+    def test_computes_one_class_fake_degree(self):
+        # Feg(R_1) needs the quotient P / det(1 - x w) of the identity class only
+        G = build_group("Z_12")
+        report = verify_axioms(cyclic_uch(12), G, uch._cyclic_feg_map(12))
+        assert report.passed
+        assert list(G._class_fake_degrees) == [G.class_of(Matrix.identity(1))]
+
     @staticmethod
     def _with_degree(table, name, change):
         rows = [UnipotentCharacter(r.name, change(r.degree), r.fr, r.family,
@@ -269,6 +276,26 @@ class TestDetermination:
         construct_uch("G(3,1,2)")
         assert checked
         assert len(checked) == len(set(checked))
+
+    def test_placement_rejects_vectors_failing_sc3(self, g4, g4_result):
+        # the search checks each vector with no coset, so SC3 (every S_j
+        # divides Feg) is left to the exact quotients of the placement
+        z = zeta(4)
+        w = g4.regular_element(z)
+        e = g4.cyclic_centralizer_order(w, z)
+        feg = fake_degree_torus(g4, w)
+        members = [r for r in g4_result.table.rows if not r.degree.evaluate(z).is_zero()]
+        trivial = g4_result.table.row("phi_{1,0}")
+        only_sc3 = []
+        for m in uch._exponent_vectors(e, g4.n_hyp):
+            spec = SpetsialAlgebraSpec(e=e, d=4, a=1, m=m, n_ref=g4.n_ref,
+                                       n_hyp=g4.n_hyp)
+            if check_spetsial(spec).passed and \
+                    check_spetsial(spec, g4, w).failures() == ["SC3"]:
+                only_sc3.append(spec)
+                assert uch._match_series(spec, feg, members, trivial) is None, m
+        assert len(only_sc3) == 20
+        assert only_sc3[0].m == (0, 0, 0, 4)
 
     @pytest.mark.parametrize("group", ["G4", "G(3,1,2)"])
     def test_checked_vectors_seat_the_known_members(self, monkeypatch, group):

@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
 """Run the benchmark on a parent checkout and a changed one, in alternating pairs.
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json [--pairs 10]
+    python3 tools/bench_pairs.py --parent REV|DIR --change REV|DIR --out BENCH_<n>.json [--pairs 10]
 
-Each checkout is a full source tree of one commit, for example made with
-``git archive <commit> | tar -x -C DIR``.  Every run is that tree's own
-``perfbench/run.py --trace 0``, started from the tree's root.  Pair k runs
-every workload on both sides with seed k + 1; the parent goes first in even
-pairs and the change in odd ones, so slow drift of the machine falls on both
-sides alike.
+Each side is a git revision of the repository holding this tool or a
+directory holding a full source tree.  A revision is resolved to its sha
+with git and then exported with ``git archive`` into a temporary directory.
+A directory is used as it is; its sha is read with git when it is the top of
+a git checkout, with ``-dirty`` appended when its files differ from that
+commit, and is ``unknown`` otherwise.  Both shas go into the output file.
+
+Every run is the tree's own ``perfbench/run.py --trace 0``, started from the
+tree's root.  Pair k runs every workload on both sides with seed k + 1; the
+parent goes first in even pairs and the change in odd ones, so slow drift of
+the machine falls on both sides alike.
 
 Before the first run, ``python -m compileall -q src perfbench`` runs in both
 trees, so both start with the same bytecode state: ``__pycache__`` left in
@@ -29,9 +34,36 @@ import json
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+REPO = Path(__file__).resolve().parents[1]
+
+
+def git(cwd: Path, *args: str) -> str | None:
+    proc = subprocess.run(["git", *args], cwd=cwd, capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def source_tree(side: str, tmp: Path) -> tuple[Path, str]:
+    """The source tree of one side and the sha of the commit it holds."""
+    path = Path(side)
+    if path.is_dir():
+        path = path.resolve()
+        if git(path, "rev-parse", "--show-toplevel") != str(path):
+            return path, "unknown"
+        dirty = git(path, "status", "--porcelain")
+        return path, git(path, "rev-parse", "HEAD") + ("-dirty" if dirty else "")
+    sha = git(REPO, "rev-parse", "--verify", "--quiet", f"{side}^{{commit}}")
+    if sha is None:
+        raise SystemExit(f"{side}: neither a directory nor a git revision")
+    tree = tmp / sha
+    tree.mkdir(exist_ok=True)
+    archive = subprocess.run(["git", "archive", sha], cwd=REPO, capture_output=True,
+                             check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+    return tree, sha
 
 
 def run_benchmark(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -69,13 +101,18 @@ def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", type=Path, required=True)
-    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--parent", required=True)
+    ap.add_argument("--change", required=True)
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        return run_pairs(args, {s: source_tree(getattr(args, s), Path(tmp)) for s in SIDES})
 
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+def run_pairs(args, sides: dict[str, tuple[Path, str]]) -> int:
+    trees = {s: tree for s, (tree, _) in sides.items()}
+    shas = {s: sha for s, (_, sha) in sides.items()}
     bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in bench["end_to_end"]}
     workloads = [w["name"] for w in bench["workloads"]]
@@ -93,17 +130,18 @@ def main() -> int:
                 print(f"pair {k + 1} {w} {side}: " + json.dumps(
                     {m: runs[w][side][-1]["result"]["metrics"][m]["value"] for m in metrics}),
                       flush=True)
-        write_summary(args.out, runs, metrics, seconds)
+        write_summary(args.out, runs, metrics, seconds, shas)
     return 0
 
 
-def write_summary(out: Path, runs: dict, metrics: dict, seconds: float) -> None:
+def write_summary(out: Path, runs: dict, metrics: dict, seconds: float,
+                  shas: dict[str, str]) -> None:
     first = next(iter(runs.values()))
     summary = {
         "seconds": seconds,
         "pairs": len(first["parent"]),
         "first_side": ["parent" if k % 2 == 0 else "change" for k in range(len(first["parent"]))],
-        "sides": {s: {"git_sha": first[s][0]["info"]["git_sha"],
+        "sides": {s: {"git_sha": shas[s],
                       "python": first[s][0]["info"]["python"],
                       "nproc": first[s][0]["info"]["nproc"]} for s in SIDES},
         "workloads": {},
