@@ -2,6 +2,9 @@
 
 Subcommands: ``analyze``, ``uch``, ``series``, ``schur``, ``verify``,
 ``factors``.  All output is deterministic plain text.
+
+Each subcommand imports only the layers it calls, since every command runs
+in a fresh interpreter and ``factors`` needs none above ``laurent``.
 """
 
 from __future__ import annotations
@@ -9,16 +12,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cyclotomic import field_from_name, zeta
-from .hecke import CyclicHeckeParams, _split_top, schur_cyclic
-from .laurent import k_cyclotomic_factors
-from .orders import order_poly, poincare
-from .reflection import build_group
-from .tabledata import construct_uch, diff_tables, emit_uch, parse_uch
-from .uch import cyclic_uch, determine_parameters, verify_axioms
-
 
 def _cmd_analyze(args) -> int:
+    from .orders import order_poly, poincare
+    from .reflection import build_group
     G = build_group(args.group)
     print(f"group {G.name}")
     print(f"order {G.order}")
@@ -34,17 +31,23 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_uch(args) -> int:
+    from .tabledata import construct_uch, emit_uch
+    from .uch import cyclic_uch
     if args.cyclic is not None:
-        table = cyclic_uch(args.cyclic)
+        table, G = cyclic_uch(args.cyclic), None
     elif args.group:
-        table = construct_uch(args.group).table
+        res = construct_uch(args.group)
+        table, G = res.table, res.group
     else:
         raise ValueError("need a group name or --cyclic")
-    sys.stdout.write(emit_uch(table))
+    sys.stdout.write(emit_uch(table, G))
     return 0
 
 
 def _cmd_series(args) -> int:
+    from .cyclotomic import zeta
+    from .tabledata import construct_uch
+    from .uch import determine_parameters
     d, _, a = args.zeta.partition("/")
     d, a = int(d), int(a) if a else 1
     res = construct_uch(args.group)
@@ -60,6 +63,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_schur(args) -> int:
+    from .hecke import CyclicHeckeParams, _split_top, schur_cyclic
     params = CyclicHeckeParams.of(_split_top(args.params))
     if params.e != args.cyclic:
         raise ValueError("parameter count does not match --cyclic")
@@ -69,6 +73,8 @@ def _cmd_schur(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .tabledata import construct_uch, diff_tables, parse_uch
+    from .uch import verify_axioms
     ref = None
     if args.ref:
         with open(args.ref, encoding="utf-8") as fh:
@@ -87,6 +93,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_factors(args) -> int:
+    from .cyclotomic import field_from_name
+    from .laurent import k_cyclotomic_factors
     field = field_from_name(args.field)
     for phi in k_cyclotomic_factors(args.d, field):
         exps = ",".join(str(k) for k in sorted(phi.root_exponents))

@@ -557,16 +557,13 @@ def _sqrt_prime(p: int) -> Cyclo:
 
 # -- parsing ------------------------------------------------------------------
 
-_TERM_RE = re.compile(
-    r"""\s*
+# One term ``c``, ``c*E(n,k)`` or ``E(n,k)`` of a literal; compiled on first use.
+_TERM_PATTERN = r"""\s*
     (?P<sign>[+-]?)\s*
     (?:
-        (?P<coef>\d+(?:/\d+)?)\s*(?:\*\s*(?P<root1>E\(\s*\d+\s*,\s*-?\d+\s*\)))?
-      | (?P<root2>E\(\s*\d+\s*,\s*-?\d+\s*\))
-    )\s*""",
-    re.VERBOSE,
-)
-_ROOT_RE = re.compile(r"E\(\s*(\d+)\s*,\s*(-?\d+)\s*\)")
+        (?P<coef>\d+(?:/\d+)?)\s*(?:\*\s*E\(\s*(?P<n1>\d+)\s*,\s*(?P<k1>-?\d+)\s*\))?
+      | E\(\s*(?P<n2>\d+)\s*,\s*(?P<k2>-?\d+)\s*\)
+    )\s*"""
 
 # Largest n accepted in an ``E(n,k)`` literal: printing an element of
 # conductor n builds an n x phi(n) power table.
@@ -580,8 +577,9 @@ def parse_cyclo(text: str) -> Cyclo:
     text = text.strip()
     if not text:
         raise ValueError("empty cyclotomic literal")
+    term_re = re.compile(_TERM_PATTERN, re.VERBOSE)
     while pos < len(text):
-        m = _TERM_RE.match(text, pos)
+        m = term_re.match(text, pos)
         if not m or m.end() == pos:
             raise ValueError(f"cannot parse cyclotomic literal {text!r}"
                              f" at offset {pos}: {text[pos:]!r}")
@@ -590,16 +588,14 @@ def parse_cyclo(text: str) -> Cyclo:
             coef = Fraction(m.group("coef") or 1)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in cyclotomic literal {text!r}") from None
-        root_txt = m.group("root1") or m.group("root2")
+        n_txt = m.group("n1") or m.group("n2")
         term = Cyclo.rational(sign * coef)
-        if root_txt:
-            rm = _ROOT_RE.match(root_txt)
-            assert rm is not None
-            n = int(rm.group(1))
+        if n_txt:
+            n = int(n_txt)
             if not 0 < n <= MAX_LITERAL_ORDER:
                 raise ValueError(f"root of unity of order {n} outside 1..{MAX_LITERAL_ORDER}"
                                  f" in cyclotomic literal {text!r}")
-            term = term * zeta(n, int(rm.group(2)))
+            term = term * zeta(n, int(m.group("k1") or m.group("k2")))
         acc = acc + term
         pos = m.end()
         if pos < len(text):

@@ -10,7 +10,6 @@ rational exponents ``m_j``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -42,12 +41,23 @@ def _zeta_power(d: int, a: int, exp: Fraction) -> Cyclo:
     return zeta_root(d * q, a * exp.numerator)
 
 
-@dataclass(frozen=True)
 class CyclicHeckeParams:
     """Specialized parameters of a cyclic algebra of order ``e``."""
 
-    e: int
-    params: tuple[FracExpMonomial, ...]
+    def __init__(self, e: int, params: tuple[FracExpMonomial, ...]):
+        self.__dict__.update(e=e, params=params)
+        self.__post_init__()
+
+    def __setattr__(self, *a):
+        raise AttributeError("CyclicHeckeParams is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not CyclicHeckeParams:
+            return NotImplemented
+        return self.e == other.e and self.params == other.params
+
+    def __hash__(self) -> int:
+        return hash((self.e, self.params))
 
     def __post_init__(self):
         if self.e != len(self.params):
@@ -71,7 +81,6 @@ class CyclicHeckeParams:
         return lcm(1, *(m.exp.denominator for m in self.params))
 
 
-@dataclass(frozen=True)
 class SchurElement:
     """A specialized Schur element, stored as a Laurent polynomial in ``v``.
 
@@ -79,9 +88,11 @@ class SchurElement:
     element is an honest Laurent polynomial in ``x``.
     """
 
-    poly: LaurentPoly
-    h: int
-    index: int
+    def __init__(self, poly: LaurentPoly, h: int, index: int):
+        self.__dict__.update(poly=poly, h=h, index=index)
+
+    def __setattr__(self, *a):
+        raise AttributeError("SchurElement is immutable")
 
     def sigma(self) -> Fraction:
         """Valuation plus degree, in units of ``x``."""
@@ -127,7 +138,6 @@ def tau_pi(params: CyclicHeckeParams, n_ref: int | None = None) -> FracExpMonomi
     return prod
 
 
-@dataclass(frozen=True)
 class SpetsialAlgebraSpec:
     """A one-variable cyclic algebra in spetsial normal form.
 
@@ -137,15 +147,27 @@ class SpetsialAlgebraSpec:
     ambient group, used by the variant conditions and the sigma statistics.
     """
 
-    e: int
-    d: int
-    a: int
-    m: tuple[Fraction, ...]
-    variant: str = "compact"
-    delta: int = 1
-    n_ref: int = 0
-    n_hyp: int = 0
-    label: str = ""
+    def __init__(self, e: int, d: int, a: int, m: tuple[Fraction, ...],
+                 variant: str = "compact", delta: int = 1, n_ref: int = 0,
+                 n_hyp: int = 0, label: str = ""):
+        self.__dict__.update(e=e, d=d, a=a, m=m, variant=variant, delta=delta,
+                             n_ref=n_ref, n_hyp=n_hyp, label=label)
+        self.__post_init__()
+
+    def __setattr__(self, *a):
+        raise AttributeError("SpetsialAlgebraSpec is immutable")
+
+    def _key(self) -> tuple:
+        return (self.e, self.d, self.a, self.m, self.variant, self.delta,
+                self.n_ref, self.n_hyp, self.label)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not SpetsialAlgebraSpec:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __post_init__(self):
         if self.variant not in ("compact", "noncompact"):
@@ -181,7 +203,9 @@ class SpetsialAlgebraSpec:
         low = min(self.m)
         if low == 0:
             return self
-        return replace(self, m=tuple(v - low for v in self.m))
+        return SpetsialAlgebraSpec(self.e, self.d, self.a, tuple(v - low for v in self.m),
+                                   self.variant, self.delta, self.n_ref, self.n_hyp,
+                                   self.label)
 
     def serialize(self) -> str:
         inner = ", ".join(u.serialize() for u in self.params().params)
@@ -225,13 +249,10 @@ def one_spetsial_spec(e: int, n_ref: int | None = None,
                                n_hyp=1 if n_hyp is None else n_hyp)
 
 
-_SPEC_RE = re.compile(r"H_\{(?P<label>[^}]*)\}\((?P<inner>.*)\)$")
-
-
 def parse_spec(text: str, d: int, a: int, variant: str = "compact",
                delta: int = 1, n_ref: int = 0, n_hyp: int = 0) -> SpetsialAlgebraSpec:
     """Parse ``H_{Z_e}(p_0, ..., p_{e-1})`` given the series eigenvalue E(d, a)."""
-    m = _SPEC_RE.fullmatch(text.strip())
+    m = re.fullmatch(r"H_\{(?P<label>[^}]*)\}\((?P<inner>.*)\)$", text.strip())
     if not m:
         raise ValueError(f"cannot parse algebra spec: {text!r}")
     parts = _split_top(m.group("inner"))
@@ -277,7 +298,8 @@ def _flip_variant(spec: SpetsialAlgebraSpec, new_variant: str) -> SpetsialAlgebr
     # parameters map to (zeta^{-1}x)^{m_I} / u_j with m_I = e_W / e_I
     m_i = Fraction(spec.n_ref + spec.n_hyp, spec.e)
     new_m = tuple(m_i - spec.m[(-j) % spec.e] for j in range(spec.e))
-    return replace(spec, m=new_m, variant=new_variant)
+    return SpetsialAlgebraSpec(spec.e, spec.d, spec.a, new_m, new_variant, spec.delta,
+                               spec.n_ref, spec.n_hyp, spec.label)
 
 
 def ennola_twist(spec: SpetsialAlgebraSpec, eps: Cyclo) -> SpetsialAlgebraSpec:
@@ -287,7 +309,8 @@ def ennola_twist(spec: SpetsialAlgebraSpec, eps: Cyclo) -> SpetsialAlgebraSpec:
         raise ValueError("Ennola twist requires a root of unity")
     z = spec.zeta * eps
     d, a = z.root_of_unity_order() or (1, 0)
-    return replace(spec, d=d, a=a)
+    return SpetsialAlgebraSpec(spec.e, d, a, spec.m, spec.variant, spec.delta,
+                               spec.n_ref, spec.n_hyp, spec.label)
 
 
 # -- statistics attached to characters ---------------------------------------------
@@ -339,11 +362,12 @@ def frobenius(spec: SpetsialAlgebraSpec, i: int) -> tuple[FracExpMonomial, ...]:
 # -- the spetsial condition report --------------------------------------------------
 
 
-@dataclass
 class ConditionReport:
-    conditions: dict[str, bool]
-    messages: list[str]
-    chi0: int | None = None
+    def __init__(self, conditions: dict[str, bool], messages: list[str],
+                 chi0: int | None = None):
+        self.conditions = conditions
+        self.messages = messages
+        self.chi0 = chi0
 
     @property
     def passed(self) -> bool:

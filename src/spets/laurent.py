@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Union
@@ -328,14 +327,12 @@ def _poly(v: "LaurentPoly | Scalar") -> LaurentPoly:
     return LaurentPoly.constant(v)
 
 
-_BARE_RATIONAL = re.compile(r"-?\d+(?:/\d+)?")
-
-
 def _term_str(c: Cyclo, e: int) -> tuple[int, str]:
     """(sign, unsigned term string) for c*x^e."""
     ser = c.serialize()
     sign = 1
-    if _BARE_RATIONAL.fullmatch(ser):
+    # a serialized Cyclo is a bare rational exactly when it names no E(n,k)
+    if "E" not in ser:
         if ser.startswith("-"):
             sign, ser = -1, ser[1:]
         coeff_core = ser
@@ -347,9 +344,6 @@ def _term_str(c: Cyclo, e: int) -> tuple[int, str]:
         return sign, coeff_core if not omit else "1"
     xpart = "x" if e == 1 else f"x^{e}"
     return sign, xpart if omit else f"{coeff_core}*{xpart}"
-
-
-_TERM_SPLIT = re.compile(r"(?<![(^+\-*/ ])\s*([+-])\s*")
 
 
 def parse_poly(text: str) -> LaurentPoly:
@@ -385,18 +379,16 @@ def parse_poly(text: str) -> LaurentPoly:
         i += 1
     terms.append((sign, "".join(cur).strip()))
     acc: list[tuple[int, Cyclo]] = []
+    x_power = re.compile(r"x(?:\^(-?\d+))?$")
     for sg, term in terms:
-        e, c = _parse_term(term)
+        e, c = _parse_term(term, x_power)
         acc.append((e, c * sg))
     return LaurentPoly(acc)
 
 
-_X_RE = re.compile(r"x(?:\^(-?\d+))?$")
-
-
-def _parse_term(term: str) -> tuple[int, Cyclo]:
+def _parse_term(term: str, x_power: re.Pattern) -> tuple[int, Cyclo]:
     term = term.strip()
-    m = _X_RE.search(term)
+    m = x_power.search(term)
     if m and (m.start() == 0 or term[m.start() - 1] in "*) "):
         e = int(m.group(1)) if m.group(1) else 1
         head = term[: m.start()].rstrip()
@@ -418,12 +410,22 @@ def _parse_coeff(text: str) -> Cyclo:
 # -- fractional-exponent monomials ----------------------------------------------
 
 
-@dataclass(frozen=True)
 class FracExpMonomial:
     """A monomial ``coeff * x^exp`` with rational exponent."""
 
-    coeff: Cyclo
-    exp: Fraction = Fraction(0)
+    def __init__(self, coeff: Cyclo, exp: Fraction = Fraction(0)):
+        self.__dict__.update(coeff=coeff, exp=exp)
+
+    def __setattr__(self, *a):
+        raise AttributeError("FracExpMonomial is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not FracExpMonomial:
+            return NotImplemented
+        return self.coeff == other.coeff and self.exp == other.exp
+
+    def __hash__(self) -> int:
+        return hash((self.coeff, self.exp))
 
     @staticmethod
     def of(c: Scalar, e: "Fraction | int" = 0) -> "FracExpMonomial":
@@ -443,7 +445,7 @@ class FracExpMonomial:
 
     def serialize(self) -> str:
         ser = self.coeff.serialize()
-        if not _BARE_RATIONAL.fullmatch(ser):
+        if "E" in ser:
             ser = f"({ser})"
         if self.exp == 0:
             return ser
@@ -474,15 +476,19 @@ class FracExpMonomial:
 # -- K-cyclotomic polynomials ----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class KCycloPoly:
-    """An irreducible factor over K of the d-th cyclotomic polynomial."""
+    """An irreducible factor over K of the d-th cyclotomic polynomial.
 
-    poly: LaurentPoly
-    root_order: int
-    field: CycloField
-    root_exponents: frozenset[int]  # exponents k of the roots zeta_d^k
-    label: str = ""
+    ``root_exponents`` holds the exponents k of its roots zeta_d^k.
+    """
+
+    def __init__(self, poly: LaurentPoly, root_order: int, field: CycloField,
+                 root_exponents: frozenset[int], label: str = ""):
+        self.__dict__.update(poly=poly, root_order=root_order, field=field,
+                             root_exponents=root_exponents, label=label)
+
+    def __setattr__(self, *a):
+        raise AttributeError("KCycloPoly is immutable")
 
     def serialize(self) -> str:
         return self.poly.serialize()

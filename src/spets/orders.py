@@ -15,7 +15,6 @@ order variants, where L is the centralizer of a Sylow Phi-sub-coset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -67,13 +66,15 @@ def fake_degree_torus(G: ReflectionCoset, w: Matrix) -> LaurentPoly:
     return G.class_fake_degree(G.class_of(w)).conjugate()
 
 
-@dataclass(frozen=True)
 class CharTable:
     """An exact character table aligned with ``G.classes``."""
 
-    group: ReflectionCoset
-    names: tuple[str, ...]
-    values: dict[str, tuple[Cyclo, ...]]
+    def __init__(self, group: ReflectionCoset, names: tuple[str, ...],
+                 values: dict[str, tuple[Cyclo, ...]]):
+        self.__dict__.update(group=group, names=names, values=values)
+
+    def __setattr__(self, *a):
+        raise AttributeError("CharTable is immutable")
 
     def degree(self, name: str) -> int:
         # classes sort by element order first, so class 0 is the identity

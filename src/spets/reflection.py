@@ -22,7 +22,6 @@ faithful on an eigenspace, and Sylow data for K-cyclotomic polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -179,13 +178,17 @@ def _poly_det(entries: list[list[LaurentPoly]]) -> LaurentPoly:
     return acc
 
 
-@dataclass(frozen=True)
 class ConjClass:
-    rep_index: int
-    rep_word: str
-    size: int
-    member_indices: tuple[int, ...]
-    eigenvalues: tuple[Cyclo, ...]  # of every member, with multiplicity
+    """A conjugacy class; ``eigenvalues`` are those of every member, with
+    multiplicity."""
+
+    def __init__(self, rep_index: int, rep_word: str, size: int,
+                 member_indices: tuple[int, ...], eigenvalues: tuple[Cyclo, ...]):
+        self.__dict__.update(rep_index=rep_index, rep_word=rep_word, size=size,
+                             member_indices=member_indices, eigenvalues=eigenvalues)
+
+    def __setattr__(self, *a):
+        raise AttributeError("ConjClass is immutable")
 
 
 class ReflectionCoset:
@@ -497,14 +500,20 @@ def build_group(name: str) -> ReflectionCoset:
 # -- Sylow data ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SubCoset:
-    """A sub-coset (V, W_L * w) of a split coset, e.g. a Sylow centralizer."""
+    """A sub-coset (V, W_L * w) of a split coset, e.g. a Sylow centralizer.
 
-    parent: ReflectionCoset
-    group_elements: tuple[Matrix, ...]  # W_L
-    twist: Matrix                       # w
-    normalizer_order: int               # |N_W(L)|
+    ``group_elements`` lists W_L, ``twist`` is w and ``normalizer_order``
+    is |N_W(L)|.
+    """
+
+    def __init__(self, parent: ReflectionCoset, group_elements: tuple[Matrix, ...],
+                 twist: Matrix, normalizer_order: int):
+        self.__dict__.update(parent=parent, group_elements=group_elements,
+                             twist=twist, normalizer_order=normalizer_order)
+
+    def __setattr__(self, *a):
+        raise AttributeError("SubCoset is immutable")
 
     @property
     def relative_order(self) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field as dc_field
+from functools import cache
 from pathlib import Path
 
 from .chartables import char_table, feg_map
@@ -58,11 +58,15 @@ def data_dir() -> Path:
 # -- the table file format ---------------------------------------------------------
 
 
-def emit_uch(table: UchTable) -> str:
-    """Canonical text for a table whose group is a builtin."""
+def emit_uch(table: UchTable, G: ReflectionCoset | None = None) -> str:
+    """Canonical text for a table whose group is a builtin.
+
+    ``G`` is that group, when the caller has already built it.
+    """
     if not table.rows:
         raise ValueError("cannot emit an empty table")
-    G = build_group(table.group)
+    if G is None:
+        G = build_group(table.group)
     lines = [f"group {table.group}",
              f"conductor {G.field.conductor}",
              f"order {order_poly(G).serialize()}"]
@@ -84,9 +88,6 @@ def emit_uch(table: UchTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-_FAMILY_RE = re.compile(r"family (\d+) a=(-?\d+) A=(-?\d+)")
-
-
 def parse_uch(text: str) -> UchTable:
     """Parse the canonical table format; inverse of :func:`emit_uch`."""
     lines = text.splitlines()
@@ -101,7 +102,7 @@ def parse_uch(text: str) -> UchTable:
     for lineno, line in enumerate(lines[3:], start=4):
         if not line.strip():
             continue
-        m = _FAMILY_RE.fullmatch(line.strip())
+        m = re.fullmatch(r"family (\d+) a=(-?\d+) A=(-?\d+)", line.strip())
         if m:
             current = Family(int(m.group(1)), [], int(m.group(2)), int(m.group(3)))
             families.append(current)
@@ -146,10 +147,10 @@ def load_reference(name: str) -> UchTable:
 # -- structured diff ---------------------------------------------------------------
 
 
-@dataclass
 class TableDiff:
-    mismatches: list[str] = dc_field(default_factory=list)
-    renames: list[tuple[str, str]] = dc_field(default_factory=list)
+    def __init__(self):
+        self.mismatches: list[str] = []
+        self.renames: list[tuple[str, str]] = []
 
     @property
     def empty(self) -> bool:
@@ -286,23 +287,28 @@ def load_schur_data(filename: str) -> list[tuple[str, LaurentPoly, int]]:
 # -- construction pipelines -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class HCDatum:
-    """A 1-cuspidal pair with cyclic relative algebra."""
-    cusp_name: str
-    levi_gen: int              # index of the generating reflection of W_L
-    deg_lambda: LaurentPoly
-    fr_lambda: FracExpMonomial
-    rel_params: CyclicHeckeParams
-    rel_names: tuple[str, ...]
+    """A 1-cuspidal pair with cyclic relative algebra; ``levi_gen`` is the
+    index of the generating reflection of W_L."""
+
+    def __init__(self, cusp_name: str, levi_gen: int, deg_lambda: LaurentPoly,
+                 fr_lambda: FracExpMonomial, rel_params: CyclicHeckeParams,
+                 rel_names: tuple[str, ...]):
+        self.__dict__.update(cusp_name=cusp_name, levi_gen=levi_gen,
+                             deg_lambda=deg_lambda, fr_lambda=fr_lambda,
+                             rel_params=rel_params, rel_names=rel_names)
+
+    def __setattr__(self, *a):
+        raise AttributeError("HCDatum is immutable")
 
 
-@dataclass
 class PipelineResult:
-    table: UchTable
-    specs: dict[tuple[int, int], SeriesDetermination]
-    group: ReflectionCoset
-    fegs: dict[str, LaurentPoly]  # principal-series fake degrees by row name
+    def __init__(self, table: UchTable, specs: dict[tuple[int, int], SeriesDetermination],
+                 group: ReflectionCoset, fegs: dict[str, LaurentPoly]):
+        self.table = table
+        self.specs = specs
+        self.group = group
+        self.fegs = fegs  # principal-series fake degrees by row name
 
 
 def _levi_order(G: ReflectionCoset, gen_index: int) -> LaurentPoly:
@@ -322,26 +328,29 @@ def _z3_hc(rel_params: list[str], rel_names: tuple[str, ...]) -> HCDatum:
         rel_params=CyclicHeckeParams.of(rel_params), rel_names=rel_names)
 
 
+@cache
 def _g4_hc() -> HCDatum:
     return _z3_hc(["x^3", "-1"], ("2", "11"))
 
 
+@cache
 def _g312_hc() -> HCDatum:
     return _z3_hc(["1", "(E(3,1))*x^2", "(E(3,2))*x^2"], ("1", "zeta3", "zeta3^2"))
 
 
+# Harish-Chandra data are built on first use, Ennola roots E(d, a) are (d, a)
 _PIPELINES: dict[str, dict] = {
     "G4": dict(
         schur_file="schur_g4.txt",
-        hc=[_g4_hc()],
-        ennola=[zeta(2)],
+        hc=[_g4_hc],
+        ennola=[(2, 1)],
         cuspidal_names=["G_4"],
         zeta_series=[(4, 1), (3, 1)],
     ),
     "G(3,1,2)": dict(
         schur_file="schur_g312.txt",
-        hc=[_g312_hc()],
-        ennola=[zeta(3)],
+        hc=[_g312_hc],
+        ennola=[(3, 1)],
         cuspidal_names=["G_{3,1,2}^{103}", "G_{3,1,2}^{130}"],
         zeta_series=[(6, 1), (6, 5), (2, 1)],
     ),
@@ -371,7 +380,8 @@ def construct_uch(name: str) -> PipelineResult:
                             schur_data=load_schur_data(cfg["schur_file"]))
     table = UchTable(G.name, rows)
 
-    for datum in cfg["hc"]:
+    for make_datum in cfg["hc"]:
+        datum = make_datum()
         table.rows.extend(hc_series(
             G, _levi_order(G, datum.levi_gen), datum.deg_lambda,
             datum.fr_lambda, datum.cusp_name, datum.rel_params,
@@ -382,7 +392,8 @@ def construct_uch(name: str) -> PipelineResult:
     def name_new(_src, _deg):
         return pending.pop(0) if pending else None
 
-    for xi in cfg["ennola"]:
+    for d, a in cfg["ennola"]:
+        xi = zeta(d, a)
         while True:
             result = ennola_transform(table, xi, name_new)
             table = result.table

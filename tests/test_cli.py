@@ -1,8 +1,14 @@
 """Command-line entry points."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from spets import cli, tabledata
+import spets
+from spets import cli, reflection, tabledata, uch
 from spets.cli import main
 from spets.tabledata import data_dir
 
@@ -23,6 +29,19 @@ class TestUch:
         code, out = run(capsys, "uch", "G4")
         assert code == 0
         assert "phi_{1,0}" in out and "G_4" in out
+
+    def test_builds_the_group_once(self, capsys, monkeypatch):
+        calls = []
+
+        def record(*args, _f=reflection.build_group):
+            calls.append(args)
+            return _f(*args)
+        # the CLI imports per subcommand, so the module attribute is what it reads
+        for mod in (reflection, tabledata):
+            monkeypatch.setattr(mod, "build_group", record)
+        code, _ = run(capsys, "uch", "G4")
+        assert code == 0
+        assert calls == [("G4",)]
 
 
 class TestAnalyze:
@@ -109,8 +128,15 @@ class TestErrors:
         ["verify", "Z_3000"],                 # past the enumeration bound
         ["analyze", "Z_0"],
         ["verify", "Z_0"],
+        ["uch", "--cyclic", "3000"],          # past the cyclic table bound
     ])
-    def test_error_exits_2(self, capsys, argv):
+    def test_error_exits_2(self, capsys, monkeypatch, argv):
+        # a cyclic table past the bound must be refused before its e^3 work,
+        # whose first step takes a root of unity of order e
+        def bounded_root(n, k=1, _f=uch.zeta_root):
+            assert n <= uch.MAX_CYCLIC_ORDER, "cyclic table work started"
+            return _f(n, k)
+        monkeypatch.setattr(uch, "zeta_root", bounded_root)
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
@@ -129,3 +155,42 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err.startswith("verify: ")
         assert str(missing) in captured.err
+
+
+class TestColdImports:
+    """A fresh interpreter loads only the layers a subcommand calls, and no
+    module generates code at import (``dataclasses`` and ``inspect`` do)."""
+
+    @staticmethod
+    def loaded(*argv):
+        script = "import sys, spets.cli\n"
+        if argv:
+            script += "spets.cli.main(sys.argv[1:])\n"
+        script += "print(*sorted(sys.modules), file=sys.stderr)\n"
+        env = dict(os.environ, PYTHONPATH=str(Path(spets.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        return set(proc.stderr.split())
+
+    @staticmethod
+    def layers(modules):
+        return {m for m in modules if m.partition(".")[0] == "spets"}
+
+    def test_import_loads_only_the_core(self):
+        modules = self.loaded()
+        assert "dataclasses" not in modules and "inspect" not in modules
+        assert self.layers(modules) == {"spets", "spets.cyclotomic", "spets.cli"}
+
+    def test_factors_loads_cyclotomic_and_laurent(self):
+        modules = self.loaded("factors", "24", "--field", "Q(sqrt-2,zeta3)")
+        assert self.layers(modules) == {"spets", "spets.cyclotomic", "spets.cli",
+                                        "spets.laurent"}
+
+    def test_analyze_loads_no_table_layers(self):
+        layers = self.layers(self.loaded("analyze", "G4"))
+        assert not layers & {"spets.hecke", "spets.uch", "spets.tabledata"}
+
+    def test_verify_loads_every_layer_without_dataclasses(self):
+        modules = self.loaded("verify", "G4")
+        assert "spets.tabledata" in modules
+        assert "dataclasses" not in modules and "inspect" not in modules
