@@ -34,6 +34,14 @@ chained there (no powers or Horner steps in the group ring): x^N - 1 is not
 the cyclotomic polynomial, and the coefficients of a chain grow binomially.
 Only products of reduced numbers are accumulated.
 
+Where only "is it zero?" is asked, no canonical form is built at all: the
+integers of a group-ring lift are rewritten on the Zumbroich basis
+(``_to_basis``) and the element is zero exactly when nothing is left, as the
+basis is a Q-basis of Q(zeta_N).  :meth:`CycloSum.is_zero` and
+``LaurentPoly.vanishes_at`` decide zero this way; the verifier's identities
+(degrees dividing the order, family sums, zeta-series compatibility and
+counting) are all such zero tests.
+
 Serialization converts to the power basis ``1, zeta, ..., zeta^{phi(n)-1}``
 and uses the grammar ``c`` / ``c*E(n,k)`` joined by ``+``, where ``E(n,k)``
 denotes ``exp(2*pi*i*k/n)`` and terms are ordered by increasing ``k``; e.g.
@@ -450,7 +458,7 @@ class CycloSum:
     a common multiple of the ``a.den * b.den``.  Each ``add`` is one cyclic
     convolution; :meth:`value` maps the sum to Q(zeta_n) and takes the
     canonical form.  A sum that is nonzero in the group ring may still be
-    zero, so test :meth:`value`, never ``acc``.
+    zero, so test :meth:`is_zero` (or :meth:`value`), never ``acc``.
     """
 
     __slots__ = ("n", "den", "acc")
@@ -482,6 +490,10 @@ class CycloSum:
 
     def value(self) -> Cyclo:
         return Cyclo(self.n, dict(self.acc), self.den)
+
+    def is_zero(self) -> bool:
+        """Whether the sum is zero: its basis rewrite is empty."""
+        return not _to_basis(self.n, dict(self.acc))
 
 
 def sum_of_products(pairs: Iterable[tuple[Cyclo, Cyclo]]) -> Cyclo:

@@ -19,10 +19,10 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
-from .cyclotomic import Cyclo, CycloField, CycloSum, zeta
+from .cyclotomic import Cyclo, CycloField, CycloSum, _to_basis, zeta
 
 __all__ = [
     "LaurentPoly",
@@ -205,6 +205,10 @@ class LaurentPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return self
+        if other.is_monomial():  # a unit of the Laurent ring: shift and scale
+            e, c = other.coeffs[0]
+            inv = c.inverse()
+            return _lmake(tuple([(ee - e, cc * inv) for ee, cc in self.coeffs]))
         va, vb = self.valuation(), other.valuation()
         q, r = self.shift(-va).divmod_poly(other.shift(-vb))
         if not r.is_zero():
@@ -212,12 +216,7 @@ class LaurentPoly:
         return q.shift(va - vb)
 
     def __truediv__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
-        other = _poly(other)
-        if other.is_monomial():
-            e, c = other.coeffs[0]
-            inv = c.inverse()
-            return LaurentPoly([(ee - e, cc * inv) for ee, cc in self.coeffs])
-        return self.exact_div(other)
+        return self.exact_div(_poly(other))
 
     def divides(self, other: "LaurentPoly") -> bool:
         if self.is_zero():
@@ -250,6 +249,31 @@ class LaurentPoly:
                 k = e
             s.add(c, p)
         return s.value() * v ** val if val else s.value()
+
+    def vanishes_at(self, roots: list[tuple[int, int]]) -> list[bool]:
+        """Whether the value at E(d, k) is zero, for each (d, k) in roots.
+
+        The coefficients are lifted once onto Z[x]/(x^N - 1), N the lcm of
+        their conductors and the root orders, over one denominator; there
+        c_e * E(d, k)^e is the lift of c_e shifted by e*k*N/d.  Each root
+        then costs one integer accumulation and its basis rewrite, which is
+        empty exactly when the value is zero; no canonical form is built."""
+        if not self.coeffs:
+            return [True] * len(roots)
+        n = lcm(*[c.n for _, c in self.coeffs], *[d for d, _ in roots])
+        den = lcm(*[c.den for _, c in self.coeffs])
+        lifted = [(e, c._lift(n, den // c.den).items()) for e, c in self.coeffs]
+        out = []
+        for d, k in roots:
+            step = k * (n // d)
+            acc: dict[int, int] = {}
+            for e, terms in lifted:
+                s = e * step
+                for i, a in terms:
+                    j = (i + s) % n
+                    acc[j] = acc.get(j, 0) + a
+            out.append(not _to_basis(n, acc))
+        return out
 
     def conjugate(self) -> "LaurentPoly":
         """Complex-conjugate the coefficients."""

@@ -142,7 +142,7 @@ def sylow_congruence(G: ReflectionCoset, phi: KCycloPoly) -> bool:
 
 def _divides(phi: KCycloPoly, f: LaurentPoly) -> bool:
     """Phi | f: Phi is squarefree, so exactly when f vanishes at its roots."""
-    return all(f.evaluate(zeta(phi.root_order, k)).is_zero() for k in phi.root_exponents)
+    return all(f.vanishes_at([(phi.root_order, k) for k in phi.root_exponents]))
 
 
 def all_sylow_congruences(G: ReflectionCoset) -> list[tuple[KCycloPoly, bool]]:

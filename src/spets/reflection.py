@@ -156,11 +156,13 @@ def _eigenvalues(g: Matrix, order: int) -> list[Cyclo]:
     powers of zeta(order): the roots of the charpoly, peeled off one at a time."""
     cp = g.charpoly()
     out: list[Cyclo] = []
-    for k in range(order):
+    # a root stays a root when another root's linear factor is divided off
+    for k, hit in enumerate(cp.vanishes_at([(order, k) for k in range(order)])):
         lam = zeta(order, k)
-        while cp.evaluate(lam).is_zero():
+        while hit:
             cp = cp.exact_div(LaurentPoly.x() - LaurentPoly.constant(lam))
             out.append(lam)
+            hit, = cp.vanishes_at([(order, k)])
     return out
 
 

@@ -8,11 +8,11 @@ family partitioning and the axiom verification suite.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .cyclotomic import (Cyclo, CycloField, CycloSum, divisors, sum_of_products,
+from .cyclotomic import (Cyclo, CycloField, CycloSum, _to_basis, divisors,
                          zeta as zeta_root)
 from .laurent import FracExpMonomial, LaurentPoly
 from .hecke import (SpetsialAlgebraSpec, check_spetsial, frobenius,
@@ -126,12 +126,14 @@ def cyclic_uch(e: int) -> UchTable:
     one = FracExpMonomial.of(1)
     rows = [UnipotentCharacter("1", LaurentPoly.one(), one, series=("1", "chi_0"))]
     # 1/(x-a) - 1/(x-b) = (a-b)/((x-a)(x-b)) and (x^e-1)/(x-a) = sum_j a^(-1-j) x^j
-    # for a^e = 1, so the coefficient of x^m is (z^(-km) - z^(-im))/e, 0 < m < e
-    inv_e = Cyclo.rational(Fraction(1, e))
+    # for a^e = 1, so the coefficient of x^m is (z^(-km) - z^(-im))/e, 0 < m < e,
+    # which is zero when the two roots agree, (i - k) m = 0 mod e
+    diff = {(a, b): Cyclo(e, {a: 1, b: -1}, e)  # (z^a - z^b)/e
+            for a in range(e) for b in range(e) if a != b}
     for i in range(1, e):
         for k in range(i):
-            deg = LaurentPoly({m: (zeta_root(e, -k * m) - zeta_root(e, -i * m)) * inv_e
-                               for m in range(1, e)})
+            deg = LaurentPoly({m: diff[-k * m % e, -i * m % e]
+                               for m in range(1, e) if (i - k) * m % e})
             fr = FracExpMonomial(zeta_root(e, i * k), Fraction(0))
             name = f"rho_{{{i},{k}}}"
             series = ("1", f"chi_{i}") if k == 0 else (name, "Id")
@@ -271,7 +273,7 @@ def determine_parameters(G: ReflectionCoset, zeta_c: Cyclo,
     n_ref, n_hyp = G.n_ref, G.n_hyp
     feg = fake_degree_torus(G, w)
 
-    members = [r for r in known.rows if not r.degree.evaluate(zeta_c).is_zero()]
+    members = [r for r in known.rows if not r.degree.vanishes_at([(d, a)])[0]]
     trivial = next((r for r in members if r.degree == LaurentPoly.one()), None)
     pinned: list[tuple[int, list[int]]] = []
     for r in members:
@@ -509,7 +511,17 @@ class AxiomReport:
 
 def verify_axioms(table: UchTable, G: ReflectionCoset,
                   feg_map: dict[str, LaurentPoly]) -> AxiomReport:
-    """Check the table against the degree, family, series and Galois axioms."""
+    """Check the table against the degree, family, series and Galois axioms.
+
+    Every identity but the principal-series sum and Galois closure is a zero
+    test on integer lifts (``LaurentPoly.vanishes_at``, ``CycloSum.is_zero``):
+    whether each degree vanishes at the regular eigenvalues and at the roots
+    of the order (one call per row), whether a family sum differs from its
+    fake-degree sum at x^i y^j, and whether sum |Feg(zeta)|^2 differs from
+    the zeta-series count.  Each answer is exact, as an element of Q(zeta_N)
+    is zero exactly when its rewrite on the Zumbroich basis, a Q-basis, is
+    empty; no canonical form is built for a value that is only tested.
+    """
     fails: dict[str, list[str]] = {k: [] for k in (
         "degree-divides-order", "family-sum", "principal-series-sum",
         "series-compatibility", "series-counting", "family-bounds",
@@ -525,16 +537,19 @@ def verify_axioms(table: UchTable, G: ReflectionCoset,
         fails["principal-series-sum"].append("sum over the principal series")
 
     regulars = regular_eigenvalues(G)
-    values = {(row.name, z): row.degree.evaluate(z)
-              for row in table.rows for z in regulars}
     roots = _order_roots(G)
+    points = list(dict.fromkeys([*regulars, *roots]))
+    orders = [z.root_of_unity_order() for z in points]
+    # vanishes[name, z]: whether the row's degree is zero at z
+    vanishes: dict[tuple[str, Cyclo], bool] = {}
     for row in table.rows:
-        known = {z: values[row.name, z] for z in regulars}
+        known = dict(zip(points, row.degree.vanishes_at(orders)))
+        vanishes.update(((row.name, z), v) for z, v in known.items())
         if not _divides_order(row.degree, roots, known):
             fails["degree-divides-order"].append(row.name)
 
-    _check_series_compat(table, regulars, values, fails["series-compatibility"])
-    _check_series_counting(table, G, feg_map, regulars, values,
+    _check_series_compat(table, regulars, vanishes, fails["series-compatibility"])
+    _check_series_counting(table, G, feg_map, regulars, vanishes,
                            fails["series-counting"])
 
     for fam in table.families:
@@ -561,103 +576,115 @@ def _order_roots(G: ReflectionCoset) -> dict[Cyclo, int]:
 
 
 def _divides_order(p: LaurentPoly, roots: dict[Cyclo, int],
-                   known: dict[Cyclo, Cyclo]) -> bool:
+                   known: dict[Cyclo, bool]) -> bool:
     """Whether p divides, in the Laurent ring, an order with these nonzero
-    roots; ``known`` holds values p(z) already computed.  The order splits
-    into linear factors, so p divides it exactly when
+    roots; ``known`` holds, for some roots z, whether p(z) is zero.  The
+    order splits into linear factors, so p divides it exactly when
     sum(min(mult_p(z), roots[z])) is the degree of p / x^val(p).  A
     multiplicity above 1 is read off Hasse derivatives, only where needed."""
     if p.is_zero():
         return False
+    missing = [z for z in roots if z not in known]
+    if missing:
+        known = {**known, **dict(zip(missing, p.vanishes_at(
+            [z.root_of_unity_order() for z in missing])))}
     q = p.shift(-p.valuation())
     found = 0
     for z, m in roots.items():
-        v = known.get(z)
-        if (p.evaluate(z) if v is None else v).is_zero():
+        if known[z]:
             k = 1
-            while k < m and _hasse_value(q, k, z).is_zero():
+            while k < m and _hasse_vanishes(q, k, z):
                 k += 1
             found += k
     return found == q.degree()
 
 
-def _hasse_value(q: LaurentPoly, k: int, z: Cyclo) -> Cyclo:
-    """The k-th Hasse derivative sum(binomial(e, k) * c_e * z^(e - k)) of a
-    polynomial q at z."""
-    return LaurentPoly([(e - k, c * comb(e, k)) for e, c in q.coeffs if e >= k]).evaluate(z)
+def _hasse_vanishes(q: LaurentPoly, k: int, z: Cyclo) -> bool:
+    """Whether the k-th Hasse derivative sum(binomial(e, k) * c_e * z^(e - k))
+    of a polynomial q is zero at z."""
+    hasse = LaurentPoly([(e - k, c * comb(e, k)) for e, c in q.coeffs if e >= k])
+    return hasse.vanishes_at([z.root_of_unity_order()])[0]
 
 
 def _check_family_sums(table, feg_map, failures):
     """Sum Deg_x(X) conj(Deg_x)(Y) = Sum Feg_chi(X) Feg_chi(Y) over each
-    family, compared coefficient by coefficient in X and Y."""
+    family, coefficient by coefficient in X and Y.  The coefficients are
+    lifted onto Z[z]/(z^N - 1) over one denominator, conj taking z^t to
+    z^-t, and lhs - rhs is zero-tested at each x^i y^j."""
     for fam in table.families:
-        degs = [table.row(n).degree for n in fam.members]
-        lhs = _outer_sum((d, d.conjugate()) for d in degs)
-        rhs = _outer_sum((feg_map[n], feg_map[n]) for n in fam.members if n in feg_map)
-        bad = [ij for ij in sorted(lhs.keys() | rhs.keys())
-               if lhs.get(ij, 0) != rhs.get(ij, 0)]
+        degs = [table.row(name).degree for name in fam.members]
+        fegs = [feg_map[name] for name in fam.members if name in feg_map]
+        coeffs = [c for p in degs + fegs for _, c in p.coeffs]
+        n, den = lcm(*[c.n for c in coeffs]), lcm(*[c.den for c in coeffs])
+
+        def lift(p, sign=1, conj=1):
+            return [(i, [(conj * t % n, sign * a) for t, a in c._lift(n, den // c.den).items()])
+                    for i, c in p.coeffs]
+
+        pairs = [(lift(d), lift(d, conj=-1)) for d in degs] + [(lift(f, -1), lift(f)) for f in fegs]
+        sums: defaultdict[tuple[int, int], dict[int, int]] = defaultdict(dict)
+        for p, q in pairs:
+            for i, xs in p:
+                for j, ys in q:
+                    acc = sums[i, j]
+                    for s, x in xs:
+                        for t, y in ys:
+                            k = (s + t) % n
+                            acc[k] = acc.get(k, 0) + x * y
+        bad = [ij for ij in sorted(sums) if _to_basis(n, sums[ij])]
         if bad:
             failures.append(f"family {fam.index} at x^{bad[0][0]} y^{bad[0][1]}")
 
 
-def _outer_sum(pairs) -> dict[tuple[int, int], Cyclo]:
-    """Coefficients of Sum p(X) q(Y) over the pairs (p, q), keyed by (i, j)."""
-    sums: defaultdict[tuple[int, int], CycloSum] = defaultdict(CycloSum)
-    for p, q in pairs:
-        for i, a in p.coeffs:
-            for j, b in q.coeffs:
-                sums[i, j].add(a, b)
-    return {ij: s.value() for ij, s in sums.items()}
-
-
-def _check_series_compat(table, regulars, values, failures):
-    """``values`` maps (row name, zeta) to the row degree's value at zeta;
-    zeta^delta is compared as k * delta / d mod 1 for zeta = E(d, k)."""
+def _check_series_compat(table, regulars, vanishes, failures):
+    """``vanishes`` maps (row name, zeta) to whether the row degree is zero
+    at zeta; zeta^delta is compared as k * delta / d mod 1 for zeta = E(d, k)."""
     orders = [z.root_of_unity_order() for z in regulars]
     for row in table.rows:
         powers = {Fraction(k * row.delta, d) % 1 for z, (d, k) in zip(regulars, orders)
-                  if not values[row.name, z].is_zero()}
+                  if not vanishes[row.name, z]}
         if len(powers) > 1:
             failures.append(row.name)
 
 
-def _check_series_counting(table, G, feg_map, regulars, values, failures):
+def _check_series_counting(table, G, feg_map, regulars, vanishes, failures):
+    """sum |Feg_chi(zeta)|^2 over a family is the number of its members in
+    the zeta-series, for each regular zeta with a cyclic centralizer."""
     for z in regulars:
         if z == Cyclo.rational(1):
             continue
         if G.cyclic_centralizer_order(G.regular_element(z), z) is None:
             continue
         for fam in table.families:
-            vals = [feg_map[name].evaluate(z) for name in fam.members if name in feg_map]
-            lhs = sum_of_products((v, v.conjugate()) for v in vals)
-            count = sum(1 for name in fam.members if not values[name, z].is_zero())
-            if lhs != Cyclo.rational(count):
+            s = CycloSum()
+            for name in fam.members:
+                if name in feg_map:
+                    v = feg_map[name].evaluate(z)
+                    s.add(v, v.conjugate())
+            count = sum(1 for name in fam.members if not vanishes[name, z])
+            s.add(Cyclo.rational(-count))
+            if not s.is_zero():
                 failures.append(f"family {fam.index} at E({z.serialize()})")
 
 
 def _check_galois_closure(table, field: CycloField, failures):
+    """Each sigma_k fixing the field permutes the table: it maps the multiset
+    of canonical (degree, Fr coefficient, Fr exponent) triples onto itself."""
     cond = field.conductor
     for row in table.rows:
         if row.fr is not None:
             cond = lcm(cond, row.fr.coeff.n)
         for _, c in row.degree.coeffs:
             cond = lcm(cond, c.n)
-
-    def snapshot(rows):
-        return sorted((r[0].serialize(), r[1].serialize() if r[1] else "?",
-                       str(r[2])) for r in rows)
-
-    base = snapshot([(r.degree, r.fr.coeff if r.fr else None,
-                      r.fr.exp if r.fr else None) for r in table.rows])
+    base = Counter((r.degree, r.fr.coeff if r.fr else None, r.fr.exp if r.fr else None)
+                   for r in table.rows)
     for k in range(2, cond):
         if gcd(k, cond) != 1:
             continue
         if k % field.conductor not in field.stabilizer:
             continue
-        mapped = []
-        for r in table.rows:
-            deg = LaurentPoly([(e, c.galois(k)) for e, c in r.degree.coeffs])
-            fr = r.fr.coeff.galois(k) if r.fr else None
-            mapped.append((deg, fr, r.fr.exp if r.fr else None))
-        if snapshot(mapped) != base:
+        mapped = Counter((LaurentPoly([(e, c.galois(k)) for e, c in r.degree.coeffs]),
+                          r.fr.coeff.galois(k) if r.fr else None,
+                          r.fr.exp if r.fr else None) for r in table.rows)
+        if mapped != base:
             failures.append(f"sigma_{k} does not permute the table")

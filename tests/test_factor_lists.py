@@ -143,3 +143,30 @@ def test_factor_product(fname, d, expected):
         prod = prod * p
     phi_d = k_cyclotomic_factors(d, CycloField.rationals())[0].poly
     assert prod == phi_d
+
+
+# generators of each named field, for sympy's extension=; None is Q itself
+SYMPY_GENERATORS = {
+    "Q": None, "Q(i)": ["I"], "Q(zeta3)": ["sqrt(-3)"], "Q(zeta4)": ["I"],
+    "Q(zeta12)": ["I", "sqrt(3)"], "Q(sqrt3)": ["sqrt(3)"], "Q(sqrt5)": ["sqrt(5)"],
+    "Q(sqrt6)": ["sqrt(6)"], "Q(sqrt-2)": ["sqrt(-2)"], "Q(sqrt-7)": ["sqrt(-7)"],
+    "Q(sqrt5,zeta3)": ["sqrt(5)", "sqrt(-3)"], "Q(sqrt-2,zeta3)": ["sqrt(-2)", "sqrt(-3)"],
+}
+
+
+@pytest.mark.parametrize("fname", sorted(SYMPY_GENERATORS))
+def test_factor_degrees_match_sympy(fname):
+    """The degrees of the factors of Phi_d over K, d <= 24, against sympy's
+    factorization over the algebraic extension."""
+    sympy = pytest.importorskip("sympy")
+    from spets.cyclotomic import _NAMED_FIELDS
+    assert set(SYMPY_GENERATORS) == set(_NAMED_FIELDS)
+    gens = SYMPY_GENERATORS[fname]
+    ext = None if gens is None else [sympy.sympify(g) for g in gens]
+    field = field_from_name(fname)
+    X = sympy.Symbol("x")
+    for d in range(1, 25):
+        _, factors = sympy.factor_list(sympy.cyclotomic_poly(d, X), X, extension=ext)
+        want = sorted(sympy.degree(f, X) for f, m in factors for _ in range(m))
+        got = sorted(len(f.root_exponents) for f in k_cyclotomic_factors(d, field))
+        assert got == want, (fname, d)

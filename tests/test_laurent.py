@@ -179,6 +179,17 @@ class TestSumsOfProducts:
         assert b.divides(prod)
         assert_same(prod.exact_div(b), a)
 
+    @given(mixed_poly(-3, 4), mixed_cyclo(), st.integers(-3, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_monomial_division_matches_long_division(self, a, c, e):
+        assume(not a.is_zero() and not c.is_zero())
+        m = LaurentPoly.monomial(c, e)
+        va = a.valuation()
+        q, r = a.shift(-va).divmod_poly(m.shift(-e))
+        assert r.is_zero()
+        assert_same(a.exact_div(m), q.shift(va - e))
+        assert_same(a / m, q.shift(va - e))
+
     def test_group_ring_zero_reduces_to_zero(self):
         # 1 + E(3,1) + E(3,2) is nonzero in Z[x]/(x^3 - 1) but zero in Q(zeta3)
         p = LaurentPoly({0: 1, 1: 1, 2: 1})

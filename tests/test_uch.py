@@ -149,6 +149,26 @@ class TestAxioms:
         report = verify_axioms(broken, build_group("Z_4"), _cyclic_feg_map(4))
         assert {k: v for k, v in report.failures.items() if v} == want
 
+    @pytest.mark.parametrize("e, victim, fr, unit, want", [
+        # Fr = E(8) over Q(zeta4): sigma_5 fixes Q(zeta4) and moves E(8)
+        (4, "rho_{1,0}", zeta(8), 1, ["sigma_5 does not permute the table"]),
+        (3, "rho_{2,1}", zeta(4), 1, ["sigma_7 does not permute the table"]),
+        # a unit multiple leaves every identity but Galois stability alone
+        (4, "rho_{3,1}", None, zeta(8), ["sigma_5 does not permute the table"]),
+        (3, "rho_{2,1}", None, zeta(9), ["sigma_4 does not permute the table",
+                                         "sigma_7 does not permute the table"]),
+    ])
+    def test_galois_closure_sees_a_row_off_its_orbit(self, e, victim, fr, unit, want):
+        from spets.laurent import FracExpMonomial
+        table = cyclic_uch(e)
+        rows = [UnipotentCharacter(r.name, r.degree * unit,
+                                   FracExpMonomial(fr) if fr is not None else r.fr,
+                                   r.family, r.series, r.sign_resolved, r.marker)
+                if r.name == victim else r for r in table.rows]
+        broken = UchTable(table.group, rows, table.families)
+        report = verify_axioms(broken, build_group(f"Z_{e}"), uch._cyclic_feg_map(e))
+        assert {k: v for k, v in report.failures.items() if v} == {"galois-closure": want}
+
 
 # degrees and codegrees (Lehrer-Taylor, Unitary Reflection Groups, 2009)
 SPRINGER_DATA = {"G4": ((4, 6), (0, 2)), "G(3,1,2)": ((3, 6), (0, 3)),
