@@ -29,10 +29,13 @@ or ``Fraction`` is decided by the conductor and the two integers.
 A sum of products ``sum a_i * b_i`` is accumulated by :class:`CycloSum` as
 one integer dict in the group ring Z[x]/(x^N - 1), N the lcm of the
 conductors, over one common denominator; that ring maps onto Z[zeta_N], so
-the canonical form is taken once, for the whole sum.  Raw products are never
+the canonical form is taken once, for the whole sum.  Raw products are not
 chained there (no powers or Horner steps in the group ring): x^N - 1 is not
 the cyclotomic polynomial, and the coefficients of a chain grow binomially.
-Only products of reduced numbers are accumulated.
+Only products of reduced numbers are accumulated.  The one bounded exception
+is ``hecke.schur_cyclic``, which chains the e - 1 binomials 1 - q*v^k of a
+Schur element on one lift: q is reduced, so each factor has lift L1 norm
+1 + ||q||_1, and for a root of unity q that is 2.
 
 Where only "is it zero?" is asked, no canonical form is built at all: the
 integers of a group-ring lift are rewritten on the Zumbroich basis

@@ -5,16 +5,23 @@ Generic Schur elements specialize to Laurent polynomials once every parameter
 is a monomial ``c * x^m``; the spetsial normal form fixes the parameters to
 ``u_j = zeta_e^j * (zeta^{-1} x)^{m_j}`` for a root of unity ``zeta`` and
 rational exponents ``m_j``.
+
+In that form every parameter is a root of unity times a power of
+v = x^(1/h), so :func:`check_spetsial` decides rationality (CA1) by a Galois
+permutation of the parameters and divisibility of Schur elements (SC2) by
+inclusion of their root multisets.  Both are exact, by unique factorisation
+over the cyclotomic numbers, and nothing is expanded or divided.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
-from .cyclotomic import Cyclo, CycloField, zeta as zeta_root
+from .cyclotomic import Cyclo, zeta as zeta_root
 from .laurent import FracExpMonomial, LaurentPoly
 
 __all__ = [
@@ -112,19 +119,40 @@ class SchurElement:
 
 
 def schur_cyclic(params: CyclicHeckeParams) -> list[SchurElement]:
-    """Schur elements ``S_i = prod_{j != i} (u_j - u_i)/u_j``."""
+    """Schur elements ``S_i = prod_{j != i} (u_j - u_i)/u_j``.
+
+    With ``u_j = c_j v^(k_j)``, ``S_i`` is the product of the binomials
+    ``1 - q v^(k_i - k_j)``, ``q = c_i/c_j``.  They are multiplied on integer
+    lifts in Z[z]/(z^N - 1), N the lcm of the conductors of the ratios q,
+    over one denominator, and one canonical Cyclo is built per coefficient
+    of the product."""
     h = params.v_denominator()
-    u = [LaurentPoly.monomial(m.coeff, int(m.exp * h)) for m in params.params]
+    cs = [m.coeff for m in params.params]
+    ks = [int(m.exp * h) for m in params.params]
+    if params.e > 1 and not all(cs):
+        # a zero u_j is a factor of the denominator of every other S_i
+        raise ZeroDivisionError("division by zero polynomial")
     out = []
     for i in range(params.e):
-        num = LaurentPoly.one()
-        den = LaurentPoly.one()
-        for j in range(params.e):
-            if j == i:
-                continue
-            num = num * (u[j] - u[i])
-            den = den * u[j]
-        out.append(SchurElement(num.exact_div(den), h, i))
+        factors = [(cs[i] / cs[j], ks[i] - ks[j]) for j in range(params.e) if j != i]
+        n = lcm(1, *[q.n for q, _ in factors])
+        den = 1
+        acc: dict[int, dict[int, int]] = {0: {0: 1}}  # v-exponent -> lift
+        for q, s in factors:
+            lift = q._lift(n, 1).items()
+            nxt: dict[int, dict[int, int]] = {}
+            for ex, terms in acc.items():
+                tgt = nxt.setdefault(ex, {})
+                for z, a in terms.items():
+                    tgt[z] = tgt.get(z, 0) + a * q.den
+                tgt = nxt.setdefault(ex + s, {})
+                for z, a in terms.items():
+                    for y, b in lift:
+                        t = (z + y) % n
+                        tgt[t] = tgt.get(t, 0) - a * b
+            acc, den = nxt, den * q.den
+        poly = LaurentPoly({ex: Cyclo(n, terms, den) for ex, terms in acc.items()})
+        out.append(SchurElement(poly, h, i))
     return out
 
 
@@ -377,19 +405,42 @@ class ConditionReport:
         return [k for k, ok in self.conditions.items() if not ok]
 
 
-def _elementary_symmetric(params: CyclicHeckeParams) -> list[dict[Fraction, Cyclo]]:
-    """Coefficients of prod (t - u_j) as polynomials in x, lowest t-degree first."""
-    # elem[k] accumulates e_k(u) with a sign (-1)^k folded in later by the caller
-    elem: list[dict[Fraction, Cyclo]] = [{Fraction(0): Cyclo.rational(1)}]
+def _param_angles(spec: SpetsialAlgebraSpec) -> tuple[int, int, list[tuple[int, int]]]:
+    """(h, T, [(k_j, t_j)]) with u_j = E(T, t_j) * v^(k_j) and v^h = x.
+
+    The normal form makes every coefficient a root of unity, of order
+    dividing T = lcm(e, d*h): u_j = E(e, j) * E(d, -a)^(m_j) * x^(m_j)."""
+    params = spec.params()
+    h = params.v_denominator()
+    T = lcm(spec.e, spec.d * h)
+    out = []
     for mon in params.params:
-        new = [dict(d) for d in elem] + [{}]
-        for k in range(len(elem)):
-            for ex, c in elem[k].items():
-                tgt = new[k + 1]
-                key = ex + mon.exp
-                tgt[key] = tgt.get(key, Cyclo.rational(0)) + c * mon.coeff
-        elem = new
-    return elem
+        order = mon.coeff.root_of_unity_order()
+        assert order is not None and T % order[0] == 0, "spec off its normal form"
+        n, r = order
+        out.append((int(mon.exp * h), r * (T // n)))
+    return h, T, out
+
+
+def _schur_roots(T: int, angles: list[tuple[int, int]]) -> list[Counter]:
+    """The roots of each Schur element, with multiplicity, as angles over one
+    common denominator D: the integer t stands for the root E(D, t).
+
+    S_i = prod_{j != i} (1 - u_i/u_j), and u_i/u_j = E(T, t_i - t_j) v^K with
+    K = k_i - k_j.  For K != 0 that factor is a unit times a binomial whose
+    |K| roots are the v with v^K = E(T, t_j - t_i); for K = 0 it is a nonzero
+    constant, as the parameters are distinct."""
+    D = T * lcm(1, *{abs(ki - kj) for ki, _ in angles for kj, _ in angles} - {0})
+    out = []
+    for ki, ti in angles:
+        roots: Counter = Counter()
+        for kj, tj in angles:
+            K = ki - kj
+            if K:
+                step = D // (T * K)
+                roots.update((tj - ti + s * T) * step % D for s in range(abs(K)))
+        out.append(roots)
+    return out
 
 
 def check_spetsial(spec: SpetsialAlgebraSpec, G=None, w=None) -> ConditionReport:
@@ -397,61 +448,67 @@ def check_spetsial(spec: SpetsialAlgebraSpec, G=None, w=None) -> ConditionReport
 
     ``G`` and ``w`` (the ambient coset and regular element) enable the
     divisibility test of the Schur elements into the twisted fake degree.
+
+    Every parameter is u_j = E(T, t_j) v^(k_j) with v^h = x (:func:`_param_angles`),
+    so CA1, CA2, CS/NCS and SC2 are read off the pairs (k_j, t_j):
+
+    - CA1: the coefficients of prod(t - u_j) lie in Q(zeta_L), L = lcm(e, d),
+      exactly when every sigma_k with k = 1 mod L, gcd(k, T) = 1, permutes
+      the u_j.  By unique factorisation over Q(zeta_T)(v), sigma_k fixes
+      the product exactly when it permutes its linear factors, and Q(zeta_L)
+      is the fixed field of those sigma_k.  Fractional exponents must also
+      be permuted by v -> zeta_h v.
+    - SC2: in the Laurent ring over the cyclotomic numbers S_a divides S_b
+      exactly when the root multiset of S_a lies in that of S_b
+      (:func:`_schur_roots`); associates are separated by the
+      valuation-zero representative.
     """
     conds: dict[str, bool] = {}
     msgs: list[str] = []
-    params = spec.params()
-    zeta = spec.zeta
+    h, T, angles = _param_angles(spec)
+    base = set(angles)
 
     # CA1: coefficients of prod(t - u_j) lie in the character field of the series
-    field = CycloField.cyclotomic(lcm(spec.e, spec.d))
-    elem = _elementary_symmetric(params)
-    conds["CA1"] = all(field.contains(c) for layer in elem for c in layer.values())
-    q = params.v_denominator()
-    if q > 1:
-        # rationality of fractional exponents: v -> zeta_q v permutes parameters
-        twist = {FracExpMonomial(mon.coeff * _zeta_power(q, 1, mon.exp * q), mon.exp)
-                 for mon in params.params}
-        ok = twist == set(params.params)
+    L = lcm(spec.e, spec.d)
+    conds["CA1"] = all({(k, t * g % T) for k, t in angles} == base
+                       for g in range(1 + L, T, L) if gcd(g, T) == 1)
+    if h > 1:
+        # rationality of fractional exponents: v -> zeta_h v permutes parameters
+        ok = {(k, (t + k * (T // h)) % T) for k, t in angles} == base
         conds["CA1"] = conds["CA1"] and ok
         if not ok:
             msgs.append("fractional exponents are not Galois-stable")
 
     # CA2: specializing x -> zeta yields the group algebra parameters
-    at_zeta = {(mon.coeff * _zeta_power(spec.d, spec.a, mon.exp)).serialize()
-               for mon in params.params}
-    expected = {zeta_root(spec.e, j).serialize() for j in range(spec.e)}
-    conds["CA2"] = at_zeta == expected
+    shift = spec.a * (T // (spec.d * h))
+    conds["CA2"] = {(t + k * shift) % T for k, t in angles} == \
+        {j * (T // spec.e) for j in range(spec.e)}
 
-    # variant condition on the constant term prod(-u_j)
-    const = FracExpMonomial.of((-1) ** (spec.e % 2))
-    for mon in params.params:
-        const = const * mon
-    n_target = spec.n_hyp if spec.variant == "compact" else spec.n_ref
-    want = FracExpMonomial(-_zeta_power(spec.d, -spec.a, Fraction(n_target)),
-                           Fraction(n_target))
+    # variant condition on the constant term prod(-u_j) = -E(d, -a)^n x^n
+    n_target = Fraction(spec.n_hyp if spec.variant == "compact" else spec.n_ref)
+    angle = Fraction(spec.e, 2) + Fraction(sum(t for _, t in angles), T)
+    want = Fraction(1, 2) - spec.a * n_target / spec.d
     key = "CS" if spec.variant == "compact" else "NCS"
-    conds[key] = const == want
+    conds[key] = sum(spec.m) == n_target and (angle - want).denominator == 1
 
-    schur = spec.schur()
-    if any(s.h != 1 for s in schur):
+    if h != 1:
         msgs.append("fractional exponents: Schur integrality checked in v")
-    polys = [s.poly for s in schur]
+    polys = [s.poly for s in spec.schur()]
 
     # SC1: Schur elements are integral Laurent polynomials
     conds["SC1"] = all(c.is_integral() for p in polys for _, c in p.coeffs)
 
     # SC2: a unique divisibility-maximal character; Laurent associates are
     # separated by the valuation-zero representative
-    maximal = [i for i, p in enumerate(polys)
-               if all(q_.divides(p) for q_ in polys)]
+    roots = _schur_roots(T, angles)
+    maximal = [i for i, r in enumerate(roots) if all(q_ <= r for q_ in roots)]
     if len(maximal) > 1:
         maximal = [i for i in maximal if polys[i].valuation() == 0]
     conds["SC2"] = len(maximal) == 1
     chi0 = maximal[0] if len(maximal) == 1 else None
 
     # SC3: every Schur element divides the fake degree of the series
-    if G is not None and w is not None and all(s.h == 1 for s in schur):
+    if G is not None and w is not None and h == 1:
         from .orders import fake_degree_torus
         feg = fake_degree_torus(G, w)
         conds["SC3"] = all(p.divides(feg) for p in polys)

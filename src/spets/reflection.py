@@ -205,6 +205,7 @@ class ReflectionCoset:
         self.elements, self.words, self.mul = _enumerate(gens)
         self.index = {m: i for i, m in enumerate(self.elements)}
         self._class_fake_degrees: dict[int, LaurentPoly] = {}
+        self._cyclic_centralizer_orders: dict[tuple[int, Cyclo], int | None] = {}
 
     # -- group structure ------------------------------------------------
     @cached_property
@@ -387,7 +388,15 @@ class ReflectionCoset:
     def cyclic_centralizer_order(self, w: Matrix, eigval: Cyclo) -> int | None:
         """|C| when C = C_W(w) is cyclic and acts faithfully on V(w, eigval),
         else None: exactly when the restriction of C to V(w, eigval) is a
-        cyclic group of order |C|."""
+        cyclic group of order |C|.  All three are invariant under
+        conjugation, so the answer is computed on first use and held per
+        (class of w, eigval)."""
+        key = (self.class_of(w), eigval)
+        if key not in self._cyclic_centralizer_orders:
+            self._cyclic_centralizer_orders[key] = self._cyclic_centralizer_order(w, eigval)
+        return self._cyclic_centralizer_orders[key]
+
+    def _cyclic_centralizer_order(self, w: Matrix, eigval: Cyclo) -> int | None:
         basis = w.eigenspace(eigval)
         if not basis:
             raise ValueError("empty eigenspace")

@@ -91,13 +91,13 @@ def emit_uch(table: UchTable, G: ReflectionCoset | None = None) -> str:
 def parse_uch(text: str) -> UchTable:
     """Parse the canonical table format; inverse of :func:`emit_uch`."""
     lines = text.splitlines()
-    if len(lines) < 4 or not lines[0].startswith("group "):
-        raise ValueError("malformed table file: missing header")
+    for lineno, key in enumerate(("group ", "conductor ", "order "), start=1):
+        if len(lines) < lineno or not lines[lineno - 1].startswith(key):
+            raise ValueError(f"line {lineno}: malformed table file: missing {key.strip()} header")
     group = lines[0][6:].strip()
-    if not lines[1].startswith("conductor ") or not lines[2].startswith("order "):
-        raise ValueError("malformed table file: missing conductor/order header")
     rows: list[UnipotentCharacter] = []
     families: list[Family] = []
+    family_lines: list[int] = []  # the header line of each family
     current: Family | None = None
     for lineno, line in enumerate(lines[3:], start=4):
         if not line.strip():
@@ -106,6 +106,7 @@ def parse_uch(text: str) -> UchTable:
         if m:
             current = Family(int(m.group(1)), [], int(m.group(2)), int(m.group(3)))
             families.append(current)
+            family_lines.append(lineno)
             continue
         parts = [p.strip() for p in line.split("|")]
         if len(parts) != 4:
@@ -129,13 +130,13 @@ def parse_uch(text: str) -> UchTable:
             current.cospecial = name
         current.members.append(name)
         rows.append(row)
-    for fam in families:
+    for fam, fam_line in zip(families, family_lines):
         if fam.special is None:
-            raise ValueError(f"family {fam.index} lacks a special member")
+            raise ValueError(f"line {fam_line}: family {fam.index} lacks a special member")
         if fam.cospecial is None:
             fam.cospecial = fam.special
     if not rows:
-        raise ValueError("empty table")
+        raise ValueError(f"line {len(lines) + 1}: empty table: no row after the header")
     return UchTable(group, rows, families)
 
 

@@ -100,6 +100,26 @@ class TestVerify:
         assert code == 0
         assert sorted(calls) == ["build_group", "char_table"]
 
+    def test_decides_each_cyclic_centralizer_once(self, capsys, monkeypatch):
+        # the pipeline's determinations and the verifier's counting check ask
+        # the same group the same question; it is computed once per zeta
+        asked, computed = [], []
+        cls = reflection.ReflectionCoset
+
+        def ask(self, w, z, _f=cls.cyclic_centralizer_order):
+            asked.append(z)
+            return _f(self, w, z)
+
+        def compute(self, w, z, _f=cls._cyclic_centralizer_order):
+            computed.append(z)
+            return _f(self, w, z)
+        monkeypatch.setattr(cls, "cyclic_centralizer_order", ask)
+        monkeypatch.setattr(cls, "_cyclic_centralizer_order", compute)
+        code, _ = run(capsys, "verify", "G4", "--ref", str(data_dir() / "uch_g4.txt"))
+        assert code == 0
+        assert len(asked) > len(set(asked))
+        assert sorted(computed, key=repr) == sorted(set(asked), key=repr)
+
     def test_mismatch_exits_nonzero(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         text = (data_dir() / "uch_g4.txt").read_text()

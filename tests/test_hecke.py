@@ -1,16 +1,22 @@
 """Cyclic algebra Schur elements, normal forms, and compatibility maps."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spets.cyclotomic import Cyclo, zeta
+from spets import uch
+from spets.cyclotomic import Cyclo, CycloField, zeta
 from spets.hecke import (CyclicHeckeParams, SpetsialAlgebraSpec, check_spetsial,
                          compactify, ennola_twist, frobenius, noncompactify,
                          omega_sigma_delta, one_spetsial_spec, parse_spec,
                          schur_cyclic, tau_pi)
 from spets.laurent import FracExpMonomial, LaurentPoly
+from spets.orders import fake_degree_torus
+from spets.uch import regular_eigenvalues
 
 
 class TestSchurOracles:
@@ -55,6 +61,72 @@ class TestSchurOracles:
             assert si.as_x().evaluate(Cyclo.rational(1)) == direct
 
 
+def _schur_oracle(params):
+    """(h, [S_i]) with S_i = prod_{j != i} (u_j - u_i) / prod_{j != i} u_j,
+    expanded and divided with plain LaurentPoly arithmetic in v = x^(1/h)."""
+    h = params.v_denominator()
+    u = [LaurentPoly.monomial(m.coeff, int(m.exp * h)) for m in params.params]
+    out = []
+    for i in range(params.e):
+        num = den = LaurentPoly.one()
+        for j in range(params.e):
+            if j != i:
+                num = num * (u[j] - u[i])
+                den = den * u[j]
+        out.append(num.exact_div(den))
+    return h, out
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # the exception type is part of the outcome
+        return type(exc)
+
+
+# roots of unity of orders up to 12, and coefficients that are not: 2, -1/2,
+# 1 + E(3) (a unit of infinite order) and 0
+_COEFFS = st.one_of(
+    st.integers(1, 12).flatmap(lambda n: st.integers(0, n - 1).map(lambda k: zeta(n, k))),
+    st.sampled_from([Cyclo.rational(2), Cyclo.rational(Fraction(-1, 2)),
+                     1 + zeta(3), Cyclo.rational(0)]))
+_EXPS = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3]))
+
+
+class TestSchurCyclicOracle:
+    @given(st.lists(st.tuples(_COEFFS, _EXPS), min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_expansion(self, pairs):
+        mons = [FracExpMonomial(c, m) for c, m in pairs]
+        params = _outcome(CyclicHeckeParams.of, mons)
+        if isinstance(params, type):
+            # a repeated parameter is refused before any Schur element
+            assert params is ValueError and len(set(mons)) < len(mons)
+            return
+        got = _outcome(schur_cyclic, params)
+        want = _outcome(_schur_oracle, params)
+        if isinstance(want, type):
+            # a zero parameter divides by zero when e > 1
+            assert got is want is ZeroDivisionError
+            return
+        h, polys = want
+        assert [(s.h, s.index, s.poly) for s in got] == \
+            [(h, i, p) for i, p in enumerate(polys)]
+
+    @pytest.mark.parametrize("items", [["0"], ["0", "x"], ["x", "0", "-1"],
+                                       ["x", "x"], ["E(3,1)", "1", "E(3,1)"]])
+    def test_zero_and_repeated_parameters(self, items):
+        params = _outcome(CyclicHeckeParams.of, items)
+        if isinstance(params, type):
+            assert params is ValueError
+            return
+        got, want = _outcome(schur_cyclic, params), _outcome(_schur_oracle, params)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert [s.poly for s in got] == want[1]
+
+
 class TestSpetsialConditions:
     @pytest.mark.parametrize("e", [2, 3, 4, 5, 6])
     def test_one_series_is_spetsial(self, e):
@@ -66,7 +138,8 @@ class TestSpetsialConditions:
                                   n_ref=2, n_hyp=1)
         report = check_spetsial(bad)
         assert not report.passed
-        assert report.failures()
+        # the exponent sum 5 is not N^hyp = 1; the rest holds
+        assert report.failures() == ["CS"]
 
 
 class TestNormalForms:
@@ -163,3 +236,145 @@ class TestPalindromicity:
                 rhs = s * LaurentPoly.monomial(ratio_coeff, ratio_exp)
                 assert lhs == rhs
             trials += 1
+
+
+# -- oracles: the condition report by expansion and long division -------------------
+
+
+def _elementary_symmetric(params):
+    """Coefficients of prod (t - u_j) as polynomials in x, lowest t-degree first."""
+    elem = [{Fraction(0): Cyclo.rational(1)}]
+    for mon in params.params:
+        new = [dict(d) for d in elem] + [{}]
+        for k in range(len(elem)):
+            for ex, c in elem[k].items():
+                tgt = new[k + 1]
+                key = ex + mon.exp
+                tgt[key] = tgt.get(key, Cyclo.rational(0)) + c * mon.coeff
+        elem = new
+    return elem
+
+
+def _oracle_report(spec, G=None, w=None):
+    """(conditions, messages, chi0) of the spetsial conditions, decided the
+    direct way: CA1 by expanding every elementary symmetric function of the
+    u_j and testing its coefficients for Q(zeta_lcm(e, d)); SC2 and SC3 by
+    pairwise long division of the Schur elements."""
+    conds, msgs = {}, []
+    params = spec.params()
+    field = CycloField.cyclotomic(lcm(spec.e, spec.d))
+    conds["CA1"] = all(field.contains(c) for layer in _elementary_symmetric(params)
+                       for c in layer.values())
+    q = params.v_denominator()
+    if q > 1:
+        twist = {FracExpMonomial(mon.coeff * zeta(q, int(mon.exp * q)), mon.exp)
+                 for mon in params.params}
+        ok = twist == set(params.params)
+        conds["CA1"] = conds["CA1"] and ok
+        if not ok:
+            msgs.append("fractional exponents are not Galois-stable")
+    at_zeta = {mon.coeff * zeta(spec.d * mon.exp.denominator, spec.a * mon.exp.numerator)
+               for mon in params.params}
+    conds["CA2"] = at_zeta == {zeta(spec.e, j) for j in range(spec.e)}
+    const = FracExpMonomial.of((-1) ** (spec.e % 2))
+    for mon in params.params:
+        const = const * mon
+    n_target = Fraction(spec.n_hyp if spec.variant == "compact" else spec.n_ref)
+    want = FracExpMonomial(-zeta(spec.d * n_target.denominator,
+                                 -spec.a * n_target.numerator), n_target)
+    conds["CS" if spec.variant == "compact" else "NCS"] = const == want
+    schur = spec.schur()
+    if any(s.h != 1 for s in schur):
+        msgs.append("fractional exponents: Schur integrality checked in v")
+    polys = [s.poly for s in schur]
+    conds["SC1"] = all(c.is_integral() for p in polys for _, c in p.coeffs)
+    maximal = [i for i, p in enumerate(polys) if all(q_.divides(p) for q_ in polys)]
+    if len(maximal) > 1:
+        maximal = [i for i in maximal if polys[i].valuation() == 0]
+    conds["SC2"] = len(maximal) == 1
+    if G is not None and w is not None and all(s.h == 1 for s in schur):
+        feg = fake_degree_torus(G, w)
+        conds["SC3"] = all(p.divides(feg) for p in polys)
+    else:
+        msgs.append("SC3 skipped: no ambient coset supplied")
+    return conds, msgs, maximal[0] if len(maximal) == 1 else None
+
+
+# ten series eigenvalues E(d, a)
+GRID_ZETAS = [(1, 0), (2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 2), (6, 1), (6, 5), (12, 7)]
+
+
+def _grid_vectors(e, rng):
+    """Exponent vectors for one (e, zeta): integral ones, fractional ones
+    with denominators 2 and 3, the constant fractional vectors, which the
+    twist v -> zeta_q v can permute, and at e = 4 a fractional vector that
+    meets every condition for most zeta."""
+    out = {tuple(rng.randint(0, 3) for _ in range(e)) for _ in range(5)}
+    out |= {tuple(Fraction(rng.randint(0, 6), q) for _ in range(e))
+            for q in (2, 3) for _ in range(2)}
+    out |= {(Fraction(1, 2),) * e, (Fraction(2, 3),) * e}
+    if e == 4:
+        out.add((0, Fraction(1, 2), 1, Fraction(1, 2)))
+    return sorted(out)
+
+
+def _grid_specs():
+    rng = random.Random(20261018)
+    for e in range(1, 7):
+        for d, a in GRID_ZETAS:
+            for m in _grid_vectors(e, rng):
+                total = sum(Fraction(v) for v in m)
+                n = int(total) if total.denominator == 1 else e
+                for variant in ("compact", "noncompact"):
+                    # the variant's reflection count is the exponent sum for
+                    # half of the specs, so CS/NCS both pass and fail
+                    n_hyp, n_ref = (n, n + e) if variant == "compact" else (n + 1, n)
+                    if rng.random() < 0.5:
+                        n_hyp, n_ref = n_hyp + 1, n_ref + 1
+                    yield SpetsialAlgebraSpec(e=e, d=d, a=a, m=m, variant=variant,
+                                              n_ref=n_ref, n_hyp=n_hyp)
+
+
+class TestConditionOracles:
+    def test_reports_match_the_oracle(self):
+        seen = Counter()
+        for spec in _grid_specs():
+            report = check_spetsial(spec)
+            conds, msgs, chi0 = _oracle_report(spec)
+            assert (report.conditions, report.messages, report.chi0) == \
+                (conds, msgs, chi0), spec
+            seen.update(k for k, ok in conds.items() if not ok)
+            seen["fractional twist"] += "fractional exponents are not Galois-stable" in msgs
+            seen["passed"] += all(conds.values())
+            seen["fractional passed"] += all(conds.values()) and bool(msgs[:-1])
+        # the grid reaches every other kind of failure, and passes; CA2 and
+        # SC1 hold for every spec, as the normal form builds CA2 in and each
+        # S_i is a product of binomials 1 - (root of unity) * v^k
+        assert seen["CA2"] == seen["SC1"] == 0
+        for key in ("CA1", "fractional twist", "CS", "NCS", "SC2",
+                    "passed", "fractional passed"):
+            assert seen[key] > 0, key
+
+    @pytest.mark.parametrize("variant", ["compact", "noncompact"])
+    def test_reports_with_the_g4_coset_match_the_oracle(self, g4, variant):
+        seen = Counter()
+        for z in regular_eigenvalues(g4):
+            w = g4.regular_element(z)
+            e = g4.cyclic_centralizer_order(w, z)
+            if e is None:
+                continue
+            d, a = z.root_of_unity_order()
+            total = g4.n_hyp if variant == "compact" else g4.n_ref
+            # every compact vector; every k-th of the 1,287 noncompact ones at e = 6
+            vectors = list(uch._exponent_vectors(e, total))
+            for m in vectors[::max(1, len(vectors) // 60)]:
+                spec = SpetsialAlgebraSpec(e=e, d=d, a=a, m=m, variant=variant,
+                                           n_ref=g4.n_ref, n_hyp=g4.n_hyp)
+                report = check_spetsial(spec, g4, w)
+                conds, msgs, chi0 = _oracle_report(spec, g4, w)
+                assert (report.conditions, report.messages, report.chi0) == \
+                    (conds, msgs, chi0), spec
+                seen.update(k for k, ok in conds.items() if not ok)
+                seen["passed"] += all(conds.values())
+        for key in ("SC2", "SC3", "passed"):
+            assert seen[key] > 0, key
