@@ -41,9 +41,9 @@ Where only "is it zero?" is asked, no canonical form is built at all: the
 integers of a group-ring lift are rewritten on the Zumbroich basis
 (``_to_basis``) and the element is zero exactly when nothing is left, as the
 basis is a Q-basis of Q(zeta_N).  :meth:`CycloSum.is_zero` and
-``LaurentPoly.vanishes_at`` decide zero this way; the verifier's identities
-(degrees dividing the order, family sums, zeta-series compatibility and
-counting) are all such zero tests.
+``LaurentPoly.multiplicities`` (one per Hasse derivative) decide zero this
+way; root multiplicities, and with them every divisibility by a polynomial
+of known roots (the verifier's and SC3's), are runs of such zero tests.
 
 Serialization converts to the power basis ``1, zeta, ..., zeta^{phi(n)-1}``
 and uses the grammar ``c`` / ``c*E(n,k)`` joined by ``+``, where ``E(n,k)``
@@ -229,6 +229,8 @@ class Cyclo:
     @staticmethod
     @lru_cache(maxsize=None)
     def root_of_unity(n: int, k: int = 1) -> "Cyclo":
+        if n < 1:
+            raise ValueError(f"root of unity order must be positive, got {n}")
         return Cyclo(n, {k % n: 1})
 
     # -- basic queries -------------------------------------------------
@@ -637,6 +639,8 @@ class CycloField:
     __slots__ = ("conductor", "stabilizer", "name")
 
     def __init__(self, conductor: int, stabilizer: Iterable[int] = (1,), name: str = ""):
+        if conductor < 1:
+            raise ValueError(f"field conductor must be positive, got {conductor}")
         group = set()
         gens = [k % conductor for k in stabilizer]
         for g in gens:

@@ -8,9 +8,10 @@ rational exponents ``m_j``.
 
 In that form every parameter is a root of unity times a power of
 v = x^(1/h), so :func:`check_spetsial` decides rationality (CA1) by a Galois
-permutation of the parameters and divisibility of Schur elements (SC2) by
-inclusion of their root multisets.  Both are exact, by unique factorisation
-over the cyclotomic numbers, and nothing is expanded or divided.
+permutation of the parameters and divisibility of Schur elements (SC2,
+SC3) by inclusion of root multisets.  Each is exact, by unique factorisation
+over the cyclotomic numbers, and no Schur element is built; CA2 and SC1
+hold by the normal form.
 """
 
 from __future__ import annotations
@@ -408,37 +409,34 @@ class ConditionReport:
 def _param_angles(spec: SpetsialAlgebraSpec) -> tuple[int, int, list[tuple[int, int]]]:
     """(h, T, [(k_j, t_j)]) with u_j = E(T, t_j) * v^(k_j) and v^h = x.
 
-    The normal form makes every coefficient a root of unity, of order
-    dividing T = lcm(e, d*h): u_j = E(e, j) * E(d, -a)^(m_j) * x^(m_j)."""
-    params = spec.params()
-    h = params.v_denominator()
+    In the normal form u_j = E(e, j) * E(d * q, -a * p) * x^(m_j) for
+    m_j = p/q, so T = lcm(e, d*h) makes t_j = j*T/e - a*p*T/(d*q) an integer
+    and k_j = m_j * h."""
+    h = lcm(1, *(m.denominator for m in spec.m))
     T = lcm(spec.e, spec.d * h)
     out = []
-    for mon in params.params:
-        order = mon.coeff.root_of_unity_order()
-        assert order is not None and T % order[0] == 0, "spec off its normal form"
-        n, r = order
-        out.append((int(mon.exp * h), r * (T // n)))
+    for j, m in enumerate(spec.m):
+        t = j * (T // spec.e) - spec.a * m.numerator * (T // (spec.d * m.denominator))
+        out.append((int(m * h), t % T))
     return h, T, out
 
 
 def _schur_roots(T: int, angles: list[tuple[int, int]]) -> list[Counter]:
-    """The roots of each Schur element, with multiplicity, as angles over one
-    common denominator D: the integer t stands for the root E(D, t).
+    """The roots of each Schur element, with multiplicity, as reduced pairs:
+    (d, k) with gcd(d, k) = 1 stands for the root E(d, k).
 
     S_i = prod_{j != i} (1 - u_i/u_j), and u_i/u_j = E(T, t_i - t_j) v^K with
     K = k_i - k_j.  For K != 0 that factor is a unit times a binomial whose
-    |K| roots are the v with v^K = E(T, t_j - t_i); for K = 0 it is a nonzero
-    constant, as the parameters are distinct."""
-    D = T * lcm(1, *{abs(ki - kj) for ki, _ in angles for kj, _ in angles} - {0})
+    |K| roots are the v with v^K = E(T, t_j - t_i), at the angles
+    (t_j - t_i + s*T) / (T*K); for K = 0 it is a nonzero constant, as the
+    parameters are distinct."""
     out = []
     for ki, ti in angles:
         roots: Counter = Counter()
         for kj, tj in angles:
-            K = ki - kj
-            if K:
-                step = D // (T * K)
-                roots.update((tj - ti + s * T) * step % D for s in range(abs(K)))
+            for s in range(abs(ki - kj)):
+                r = Fraction(tj - ti + s * T, T * (ki - kj)) % 1
+                roots[r.denominator, r.numerator] += 1
         out.append(roots)
     return out
 
@@ -450,7 +448,8 @@ def check_spetsial(spec: SpetsialAlgebraSpec, G=None, w=None) -> ConditionReport
     divisibility test of the Schur elements into the twisted fake degree.
 
     Every parameter is u_j = E(T, t_j) v^(k_j) with v^h = x (:func:`_param_angles`),
-    so CA1, CA2, CS/NCS and SC2 are read off the pairs (k_j, t_j):
+    so every condition is read off the pairs (k_j, t_j) and no Schur element
+    is built:
 
     - CA1: the coefficients of prod(t - u_j) lie in Q(zeta_L), L = lcm(e, d),
       exactly when every sigma_k with k = 1 mod L, gcd(k, T) = 1, permutes
@@ -461,7 +460,16 @@ def check_spetsial(spec: SpetsialAlgebraSpec, G=None, w=None) -> ConditionReport
     - SC2: in the Laurent ring over the cyclotomic numbers S_a divides S_b
       exactly when the root multiset of S_a lies in that of S_b
       (:func:`_schur_roots`); associates are separated by the
-      valuation-zero representative.
+      valuation-zero representative: S_i has valuation
+      sum_j min(0, k_i - k_j) in v, zero exactly when k_i is greatest.
+    - SC3: S_i divides the fake degree exactly when the fake degree has
+      each root of S_i with at least its multiplicity.
+
+    Two conditions of the definition hold for every spec and are not tested.
+    Specializing x -> zeta gives the group algebra parameters (CA2), as
+    t_j + k_j * a*T/(d*h) = j*T/e by the normal form.  The Schur elements
+    are integral (SC1), as each S_i is a product of binomials
+    1 - (root of unity) * v^K, K != 0, and of constants 1 - (root of unity).
     """
     conds: dict[str, bool] = {}
     msgs: list[str] = []
@@ -479,11 +487,6 @@ def check_spetsial(spec: SpetsialAlgebraSpec, G=None, w=None) -> ConditionReport
         if not ok:
             msgs.append("fractional exponents are not Galois-stable")
 
-    # CA2: specializing x -> zeta yields the group algebra parameters
-    shift = spec.a * (T // (spec.d * h))
-    conds["CA2"] = {(t + k * shift) % T for k, t in angles} == \
-        {j * (T // spec.e) for j in range(spec.e)}
-
     # variant condition on the constant term prod(-u_j) = -E(d, -a)^n x^n
     n_target = Fraction(spec.n_hyp if spec.variant == "compact" else spec.n_ref)
     angle = Fraction(spec.e, 2) + Fraction(sum(t for _, t in angles), T)
@@ -491,19 +494,12 @@ def check_spetsial(spec: SpetsialAlgebraSpec, G=None, w=None) -> ConditionReport
     key = "CS" if spec.variant == "compact" else "NCS"
     conds[key] = sum(spec.m) == n_target and (angle - want).denominator == 1
 
-    if h != 1:
-        msgs.append("fractional exponents: Schur integrality checked in v")
-    polys = [s.poly for s in spec.schur()]
-
-    # SC1: Schur elements are integral Laurent polynomials
-    conds["SC1"] = all(c.is_integral() for p in polys for _, c in p.coeffs)
-
     # SC2: a unique divisibility-maximal character; Laurent associates are
     # separated by the valuation-zero representative
     roots = _schur_roots(T, angles)
     maximal = [i for i, r in enumerate(roots) if all(q_ <= r for q_ in roots)]
     if len(maximal) > 1:
-        maximal = [i for i in maximal if polys[i].valuation() == 0]
+        maximal = [i for i in maximal if angles[i][0] == max(k for k, _ in angles)]
     conds["SC2"] = len(maximal) == 1
     chi0 = maximal[0] if len(maximal) == 1 else None
 
@@ -511,7 +507,7 @@ def check_spetsial(spec: SpetsialAlgebraSpec, G=None, w=None) -> ConditionReport
     if G is not None and w is not None and h == 1:
         from .orders import fake_degree_torus
         feg = fake_degree_torus(G, w)
-        conds["SC3"] = all(p.divides(feg) for p in polys)
+        conds["SC3"] = all(feg.multiplicities(r) == r for r in roots)
     else:
         msgs.append("SC3 skipped: no ambient coset supplied")
 

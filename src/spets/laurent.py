@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Union
 
 from .cyclotomic import Cyclo, CycloField, CycloSum, _to_basis, zeta
@@ -251,28 +251,43 @@ class LaurentPoly:
         return s.value() * v ** val if val else s.value()
 
     def vanishes_at(self, roots: list[tuple[int, int]]) -> list[bool]:
-        """Whether the value at E(d, k) is zero, for each (d, k) in roots.
+        """Whether the value at E(d, k) is zero, for each (d, k) in roots."""
+        mults = self.multiplicities(dict.fromkeys(roots, 1))
+        return [mults[r] == 1 for r in roots]
 
-        The coefficients are lifted once onto Z[x]/(x^N - 1), N the lcm of
-        their conductors and the root orders, over one denominator; there
-        c_e * E(d, k)^e is the lift of c_e shifted by e*k*N/d.  Each root
-        then costs one integer accumulation and its basis rewrite, which is
-        empty exactly when the value is zero; no canonical form is built."""
+    def multiplicities(self, caps: Mapping[tuple[int, int], int]
+                       ) -> dict[tuple[int, int], int]:
+        """min(multiplicity of the root E(d, k), cap) for each (d, k): cap.
+
+        The coefficients of q = self / x^val are lifted once onto
+        Z[x]/(x^N - 1), N the lcm of their conductors and the root orders,
+        over one denominator; there c_e * E(d, k)^e is the lift of c_e
+        shifted by e*k*N/d.  The multiplicity at z is the least j where the
+        Hasse derivative sum(binomial(e, j) * c_e * z^(e - j)) of q, times
+        the unit z^j, is nonzero: one integer accumulation and its basis
+        rewrite, empty exactly when the value is zero.  The zero polynomial
+        meets every cap."""
         if not self.coeffs:
-            return [True] * len(roots)
-        n = lcm(*[c.n for _, c in self.coeffs], *[d for d, _ in roots])
+            return dict(caps)
+        val = self.coeffs[0][0]
+        n = lcm(*[c.n for _, c in self.coeffs], *[d for d, _ in caps])
         den = lcm(*[c.den for _, c in self.coeffs])
-        lifted = [(e, c._lift(n, den // c.den).items()) for e, c in self.coeffs]
-        out = []
-        for d, k in roots:
+        lifted = [(e - val, c._lift(n, den // c.den).items()) for e, c in self.coeffs]
+        out = {}
+        for (d, k), cap in caps.items():
             step = k * (n // d)
-            acc: dict[int, int] = {}
-            for e, terms in lifted:
-                s = e * step
-                for i, a in terms:
-                    j = (i + s) % n
-                    acc[j] = acc.get(j, 0) + a
-            out.append(not _to_basis(n, acc))
+            j = 0
+            while j < cap:
+                acc: dict[int, int] = {}
+                for e, terms in lifted:
+                    b, s = comb(e, j), e * step
+                    for i, a in terms:
+                        t = (i + s) % n
+                        acc[t] = acc.get(t, 0) + a * b
+                if _to_basis(n, acc):
+                    break
+                j += 1
+            out[d, k] = j
         return out
 
     def conjugate(self) -> "LaurentPoly":

@@ -153,17 +153,9 @@ def row_reduce(rows: list[list]) -> list[int]:
 
 def _eigenvalues(g: Matrix, order: int) -> list[Cyclo]:
     """Eigenvalues of g, an element of the given order, with multiplicity, as
-    powers of zeta(order): the roots of the charpoly, peeled off one at a time."""
-    cp = g.charpoly()
-    out: list[Cyclo] = []
-    # a root stays a root when another root's linear factor is divided off
-    for k, hit in enumerate(cp.vanishes_at([(order, k) for k in range(order)])):
-        lam = zeta(order, k)
-        while hit:
-            cp = cp.exact_div(LaurentPoly.x() - LaurentPoly.constant(lam))
-            out.append(lam)
-            hit, = cp.vanishes_at([(order, k)])
-    return out
+    powers of zeta(order): the root multiplicities of the charpoly."""
+    mults = g.charpoly().multiplicities({(order, k): g.n for k in range(order)})
+    return [zeta(order, k) for (_, k), m in mults.items() for _ in range(m)]
 
 
 def _poly_det(entries: list[list[LaurentPoly]]) -> LaurentPoly:

@@ -2,7 +2,8 @@
 
 Provides the cyclic-group tables, principal series built from Schur elements,
 Ennola transforms, the parameter-determination search for cyclic series,
-family partitioning and the axiom verification suite.
+family partitioning and the axiom verification suite, which reads whether
+a degree divides the split order off its root multiplicities.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from .cyclotomic import (Cyclo, CycloField, CycloSum, _to_basis, divisors,
                          zeta as zeta_root)
@@ -266,6 +267,8 @@ def determine_parameters(G: ReflectionCoset, zeta_c: Cyclo,
     divides the fake degree, is decided by that placement's exact quotients.
     """
     d, a = zeta_c.root_of_unity_order() or (1, 0)
+    if G.max_eigenspace_dim(zeta_c) == 0:
+        raise ValueError(f"E({d},{a}) is not an eigenvalue of {G.name}")
     w = G.regular_element(zeta_c)
     e = G.cyclic_centralizer_order(w, zeta_c)
     if e is None:
@@ -514,9 +517,9 @@ def verify_axioms(table: UchTable, G: ReflectionCoset,
     """Check the table against the degree, family, series and Galois axioms.
 
     Every identity but the principal-series sum and Galois closure is a zero
-    test on integer lifts (``LaurentPoly.vanishes_at``, ``CycloSum.is_zero``):
-    whether each degree vanishes at the regular eigenvalues and at the roots
-    of the order (one call per row), whether a family sum differs from its
+    test on integer lifts (``LaurentPoly.multiplicities``, ``is_zero``): each
+    degree's root multiplicities at the regular eigenvalues and the order's
+    roots (one call per row), whether a family sum differs from its
     fake-degree sum at x^i y^j, and whether sum |Feg(zeta)|^2 differs from
     the zeta-series count.  Each answer is exact, as an element of Q(zeta_N)
     is zero exactly when its rewrite on the Zumbroich basis, a Q-basis, is
@@ -537,15 +540,16 @@ def verify_axioms(table: UchTable, G: ReflectionCoset,
         fails["principal-series-sum"].append("sum over the principal series")
 
     regulars = regular_eigenvalues(G)
+    orders = [z.root_of_unity_order() for z in regulars]
     roots = _order_roots(G)
-    points = list(dict.fromkeys([*regulars, *roots]))
-    orders = [z.root_of_unity_order() for z in points]
+    # cap 1 at a regular eigenvalue, the order's multiplicity at its roots
+    caps = {**dict.fromkeys(orders, 1), **roots}
     # vanishes[name, z]: whether the row's degree is zero at z
     vanishes: dict[tuple[str, Cyclo], bool] = {}
     for row in table.rows:
-        known = dict(zip(points, row.degree.vanishes_at(orders)))
-        vanishes.update(((row.name, z), v) for z, v in known.items())
-        if not _divides_order(row.degree, roots, known):
+        mults = row.degree.multiplicities(caps)
+        vanishes.update(((row.name, z), mults[o] > 0) for z, o in zip(regulars, orders))
+        if not _divides_order(row.degree, mults, roots):
             fails["degree-divides-order"].append(row.name)
 
     _check_series_compat(table, regulars, vanishes, fails["series-compatibility"])
@@ -564,46 +568,28 @@ def verify_axioms(table: UchTable, G: ReflectionCoset,
     return AxiomReport(fails)
 
 
-def _order_roots(G: ReflectionCoset) -> dict[Cyclo, int]:
+def _order_roots(G: ReflectionCoset) -> Counter:
     """The roots of the compact order prod(x^d_i - zeta_i) * x^N_hyp * unit
-    other than 0, with multiplicity: x^d = E(n, k) at x = E(n * d, k + t * n)."""
-    roots: dict[Cyclo, int] = defaultdict(int)
+    other than 0, with multiplicity, as reduced pairs (m, r) for E(m, r):
+    x^d = E(n, k) at x = E(n * d, k + t * n)."""
+    roots: Counter = Counter()
     for d, z in G.degrees:
         n, k = z.root_of_unity_order()
         for t in range(d):
-            roots[zeta_root(n * d, k + t * n)] += 1
+            r = Fraction(k + t * n, n * d)
+            roots[r.denominator, r.numerator] += 1
     return roots
 
 
-def _divides_order(p: LaurentPoly, roots: dict[Cyclo, int],
-                   known: dict[Cyclo, bool]) -> bool:
+def _divides_order(p: LaurentPoly, mults: dict[tuple[int, int], int],
+                   roots: Counter) -> bool:
     """Whether p divides, in the Laurent ring, an order with these nonzero
-    roots; ``known`` holds, for some roots z, whether p(z) is zero.  The
-    order splits into linear factors, so p divides it exactly when
-    sum(min(mult_p(z), roots[z])) is the degree of p / x^val(p).  A
-    multiplicity above 1 is read off Hasse derivatives, only where needed."""
+    roots, given p's root multiplicities ``mults`` capped no lower.  The order
+    splits into linear factors, so p divides it exactly when
+    sum(min(mult_p(z), roots[z])) is the degree of p / x^val(p)."""
     if p.is_zero():
         return False
-    missing = [z for z in roots if z not in known]
-    if missing:
-        known = {**known, **dict(zip(missing, p.vanishes_at(
-            [z.root_of_unity_order() for z in missing])))}
-    q = p.shift(-p.valuation())
-    found = 0
-    for z, m in roots.items():
-        if known[z]:
-            k = 1
-            while k < m and _hasse_vanishes(q, k, z):
-                k += 1
-            found += k
-    return found == q.degree()
-
-
-def _hasse_vanishes(q: LaurentPoly, k: int, z: Cyclo) -> bool:
-    """Whether the k-th Hasse derivative sum(binomial(e, k) * c_e * z^(e - k))
-    of a polynomial q is zero at z."""
-    hasse = LaurentPoly([(e - k, c * comb(e, k)) for e, c in q.coeffs if e >= k])
-    return hasse.vanishes_at([z.root_of_unity_order()])[0]
+    return sum(min(mults[z], m) for z, m in roots.items()) == p.degree() - p.valuation()
 
 
 def _check_family_sums(table, feg_map, failures):

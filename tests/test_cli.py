@@ -163,6 +163,19 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err.startswith(f"{argv[0]}: ")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["series", "G4", "--zeta", "0/1"], "series: root of unity order must be positive, got 0"),
+        (["factors", "24", "--field", "0"], "factors: field conductor must be positive, got 0"),
+        (["factors", "24", "--field", "Q(zeta0)"],
+         "factors: field conductor must be positive, got 0"),
+        (["series", "G4", "--zeta", "5/1"], "series: E(5,1) is not an eigenvalue of G4"),
+        (["series", "G4", "--zeta", "12/7"], "series: E(12,7) is not an eigenvalue of G4"),
+    ])
+    def test_message(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message + "\n")
+
     def test_verify_z0_message(self, capsys):
         assert main(["verify", "Z_0"]) == 2
         assert capsys.readouterr().err == "verify: cyclic order must be positive\n"

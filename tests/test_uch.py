@@ -251,6 +251,11 @@ class TestDetermination:
             "H_{Z_6}(x^2, (-1-E(3,1))*x, (E(3,1)), x, (-1-E(3,1)), " \
             "(E(3,1))*x)"
 
+    @pytest.mark.parametrize("d, a", [(5, 1), (12, 7), (9, 2)])
+    def test_refuses_a_non_eigenvalue(self, g4, g4_result, d, a):
+        with pytest.raises(ValueError, match=rf"^E\({d},{a}\) is not an eigenvalue of G4$"):
+            determine_parameters(g4, zeta(d, a), g4_result.table)
+
     def test_idempotent(self, g4, g4_result):
         d1 = determine_parameters(g4, zeta(4), g4_result.table)
         d2 = determine_parameters(g4, zeta(4), g4_result.table)
@@ -470,6 +475,10 @@ def test_divides_order_matches_long_division(name):
     verdicts = set()
     for p in polys:
         want = p.divides(order)
-        assert _divides_order(p, roots, {}) == want, (name, p.serialize())
+        assert _divides_order(p, p.multiplicities(roots), roots) == want, \
+            (name, p.serialize())
         verdicts.add(want)
     assert verdicts == {True, False}
+    # the verifier counts a zero degree as a failure
+    zero = LaurentPoly.zero()
+    assert not _divides_order(zero, zero.multiplicities(roots), roots)

@@ -5,6 +5,8 @@ Zumbroich-basis rewrite of an integer lift, with no canonical form built.
 Each is compared with ``is_zero`` of the canonical value: on coefficients of
 conductors 1 to 24, with negative exponents, at roots of unity of order up
 to 24, and on sums built to vanish, some only after the basis rewrite.
+``LaurentPoly.multiplicities``, a run of such tests on Hasse derivatives, is
+compared with repeated long division by x - E(d, k).
 """
 
 from math import gcd
@@ -122,3 +124,32 @@ def test_vanishes_at_needs_the_basis_rewrite():
 def test_zero_polynomial_vanishes_everywhere():
     assert LaurentPoly.zero().vanishes_at([(1, 0), (5, 2)]) == [True, True]
     assert LaurentPoly.one().vanishes_at([]) == []
+
+
+def divided_multiplicity(p, d, k):
+    """How often x - E(d, k) divides the nonzero p, by repeated long division."""
+    lin, m = x - zeta(d, k), 0
+    while True:
+        q, r = p.divmod_poly(lin)
+        if not r.is_zero():
+            return m
+        p, m = q, m + 1
+
+
+@given(poly(-3, 3).filter(bool), st.lists(st.tuples(roots, st.integers(0, 3)), max_size=3),
+       st.lists(roots, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_multiplicities_match_repeated_division(p, planted, others):
+    for (d, k), m in planted:
+        p = p * (x - zeta(d, k)) ** m
+    want = {r: divided_multiplicity(p, *r) for r in [r for r, _ in planted] + others}
+    assert all(want[r] >= m for r, m in planted)
+    for caps in [dict.fromkeys(want, c) for c in range(5)] + [
+            {r: m + 1 for r, m in want.items()}, {r: max(m - 1, 0) for r, m in want.items()}]:
+        assert p.multiplicities(caps) == {r: min(want[r], c) for r, c in caps.items()}
+
+
+def test_multiplicities_of_zero_meet_every_cap():
+    caps = {(3, 1): 2, (1, 0): 0, (24, -5): 7}
+    assert LaurentPoly.zero().multiplicities(caps) == caps
+    assert LaurentPoly.zero().multiplicities({}) == {}
