@@ -242,10 +242,6 @@ class Cyclo:
             return None
         return Fraction(self.terms[0][1], self.den) if self.terms else Fraction(0)
 
-    def is_integral(self) -> bool:
-        """True when the element lies in Z[zeta_n], which the basis spans over Z."""
-        return self.den == 1
-
     # -- arithmetic ----------------------------------------------------
     def _lift(self, n: int, scale: int) -> dict[int, int]:
         """The numerators over ``den * scale`` at conductor n (off the basis)."""

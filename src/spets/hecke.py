@@ -23,7 +23,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .cyclotomic import Cyclo, zeta as zeta_root
-from .laurent import FracExpMonomial, LaurentPoly
+from .laurent import FracExpMonomial, LaurentPoly, _serialize_terms
 
 __all__ = [
     "CyclicHeckeParams",
@@ -112,11 +112,8 @@ class SchurElement:
         return self.poly
 
     def serialize(self) -> str:
-        if self.h == 1:
-            return self.poly.serialize()
-        terms = [FracExpMonomial(c, Fraction(e, self.h)).serialize()
-                 for e, c in self.poly.coeffs]
-        return " + ".join(terms)
+        """The ``LaurentPoly`` grammar in x, where v^k is x^(k/h)."""
+        return _serialize_terms((Fraction(e, self.h), c) for e, c in reversed(self.poly.coeffs))
 
 
 def schur_cyclic(params: CyclicHeckeParams) -> list[SchurElement]:
@@ -171,15 +168,17 @@ class SpetsialAlgebraSpec:
     """A one-variable cyclic algebra in spetsial normal form.
 
     ``u_j = zeta_e^j (zeta^{-1} x)^{m_j}`` where ``zeta = E(d, a)`` is the
-    eigenvalue attached to the series and ``delta`` is the twist order
-    (1 for split cosets).  ``n_ref``/``n_hyp`` are reflection counts of the
-    ambient group, used by the variant conditions and the sigma statistics.
+    eigenvalue attached to the series.  ``n_ref``/``n_hyp`` are reflection
+    counts of the ambient group, used by the variant conditions and the
+    sigma statistics.  Every coset here is split (phi = 1), so the twist
+    order delta is 1; a non-split coset would bring it back as a factor of
+    the central element's exponent in :func:`frobenius_model`.
     """
 
     def __init__(self, e: int, d: int, a: int, m: tuple[Fraction, ...],
-                 variant: str = "compact", delta: int = 1, n_ref: int = 0,
-                 n_hyp: int = 0, label: str = ""):
-        self.__dict__.update(e=e, d=d, a=a, m=m, variant=variant, delta=delta,
+                 variant: str = "compact", n_ref: int = 0, n_hyp: int = 0,
+                 label: str = ""):
+        self.__dict__.update(e=e, d=d, a=a, m=m, variant=variant,
                              n_ref=n_ref, n_hyp=n_hyp, label=label)
         self.__post_init__()
 
@@ -187,7 +186,7 @@ class SpetsialAlgebraSpec:
         raise AttributeError("SpetsialAlgebraSpec is immutable")
 
     def _key(self) -> tuple:
-        return (self.e, self.d, self.a, self.m, self.variant, self.delta,
+        return (self.e, self.d, self.a, self.m, self.variant,
                 self.n_ref, self.n_hyp, self.label)
 
     def __eq__(self, other) -> bool:
@@ -233,8 +232,7 @@ class SpetsialAlgebraSpec:
         if low == 0:
             return self
         return SpetsialAlgebraSpec(self.e, self.d, self.a, tuple(v - low for v in self.m),
-                                   self.variant, self.delta, self.n_ref, self.n_hyp,
-                                   self.label)
+                                   self.variant, self.n_ref, self.n_hyp, self.label)
 
     def serialize(self) -> str:
         inner = ", ".join(u.serialize() for u in self.params().params)
@@ -242,8 +240,7 @@ class SpetsialAlgebraSpec:
 
     @staticmethod
     def from_params(params: CyclicHeckeParams, d: int, a: int,
-                    variant: str = "compact", delta: int = 1,
-                    n_ref: int = 0, n_hyp: int = 0,
+                    variant: str = "compact", n_ref: int = 0, n_hyp: int = 0,
                     label: str = "") -> "SpetsialAlgebraSpec":
         """Recover the normal form (j, m_j) from a specialized parameter set."""
         e = params.e
@@ -263,7 +260,7 @@ class SpetsialAlgebraSpec:
         if any(v is None for v in m):
             raise ValueError("parameters do not exhaust the e-th roots of unity")
         return SpetsialAlgebraSpec(e=e, d=d, a=a, m=tuple(m), variant=variant,
-                                   delta=delta, n_ref=n_ref, n_hyp=n_hyp, label=label)
+                                   n_ref=n_ref, n_hyp=n_hyp, label=label)
 
     def __repr__(self) -> str:
         return f"SpetsialAlgebraSpec({self.serialize()}, zeta=E({self.d},{self.a}))"
@@ -279,16 +276,15 @@ def one_spetsial_spec(e: int, n_ref: int | None = None,
 
 
 def parse_spec(text: str, d: int, a: int, variant: str = "compact",
-               delta: int = 1, n_ref: int = 0, n_hyp: int = 0) -> SpetsialAlgebraSpec:
+               n_ref: int = 0, n_hyp: int = 0) -> SpetsialAlgebraSpec:
     """Parse ``H_{Z_e}(p_0, ..., p_{e-1})`` given the series eigenvalue E(d, a)."""
     m = re.fullmatch(r"H_\{(?P<label>[^}]*)\}\((?P<inner>.*)\)$", text.strip())
     if not m:
         raise ValueError(f"cannot parse algebra spec: {text!r}")
     parts = _split_top(m.group("inner"))
     params = CyclicHeckeParams.of(parts)
-    return SpetsialAlgebraSpec.from_params(params, d, a, variant=variant, delta=delta,
-                                           n_ref=n_ref, n_hyp=n_hyp,
-                                           label=m.group("label"))
+    return SpetsialAlgebraSpec.from_params(params, d, a, variant=variant, n_ref=n_ref,
+                                           n_hyp=n_hyp, label=m.group("label"))
 
 
 def _split_top(text: str) -> list[str]:
@@ -327,7 +323,7 @@ def _flip_variant(spec: SpetsialAlgebraSpec, new_variant: str) -> SpetsialAlgebr
     # parameters map to (zeta^{-1}x)^{m_I} / u_j with m_I = e_W / e_I
     m_i = Fraction(spec.n_ref + spec.n_hyp, spec.e)
     new_m = tuple(m_i - spec.m[(-j) % spec.e] for j in range(spec.e))
-    return SpetsialAlgebraSpec(spec.e, spec.d, spec.a, new_m, new_variant, spec.delta,
+    return SpetsialAlgebraSpec(spec.e, spec.d, spec.a, new_m, new_variant,
                                spec.n_ref, spec.n_hyp, spec.label)
 
 
@@ -338,7 +334,7 @@ def ennola_twist(spec: SpetsialAlgebraSpec, eps: Cyclo) -> SpetsialAlgebraSpec:
         raise ValueError("Ennola twist requires a root of unity")
     z = spec.zeta * eps
     d, a = z.root_of_unity_order() or (1, 0)
-    return SpetsialAlgebraSpec(spec.e, d, a, spec.m, spec.variant, spec.delta,
+    return SpetsialAlgebraSpec(spec.e, d, a, spec.m, spec.variant,
                                spec.n_ref, spec.n_hyp, spec.label)
 
 
@@ -362,18 +358,20 @@ def omega_sigma_delta(spec: SpetsialAlgebraSpec, i: int
     return omega, sigma, delta_chi
 
 
-def frobenius_model(e: int, d: int, a: int, i: int, delta_rho: Fraction,
-                    delta: int = 1) -> tuple[FracExpMonomial, ...]:
+def frobenius_model(e: int, d: int, a: int, i: int, delta_rho: Fraction
+                    ) -> tuple[FracExpMonomial, ...]:
     """Frobenius eigenvalue candidates from the (a, A) statistics alone.
 
     Returns ``lam * x^mu`` with ``mu`` reduced mod 1; when ``mu = p/q`` with
-    ``q > 1`` the full q-element set of candidates is returned.
+    ``q > 1`` the full q-element set of candidates is returned.  The coset
+    is split: for a twist of order delta, a/d would become a*delta/d in
+    both k and the exponent.
     """
-    k = Fraction(a * e * delta, d)
+    k = Fraction(a * e, d)
     if k.denominator != 1:
         raise ArithmeticError("central element is not a power of the braid generator")
     omega_theta = zeta_root(e, i * int(k))
-    expo = Fraction(delta_rho * a * delta, d)
+    expo = Fraction(delta_rho * a, d)
     lam = omega_theta * _zeta_power(d, a, expo) if a else omega_theta
     mu = (-expo) % 1
     q = mu.denominator
@@ -385,7 +383,7 @@ def frobenius_model(e: int, d: int, a: int, i: int, delta_rho: Fraction,
 def frobenius(spec: SpetsialAlgebraSpec, i: int) -> tuple[FracExpMonomial, ...]:
     """Frobenius eigenvalue(s) of character ``i`` of the series."""
     delta_rho = spec.n_ref - spec.schur()[i].sigma()
-    return frobenius_model(spec.e, spec.d, spec.a, i, delta_rho, spec.delta)
+    return frobenius_model(spec.e, spec.d, spec.a, i, delta_rho)
 
 
 # -- the spetsial condition report --------------------------------------------------

@@ -329,16 +329,7 @@ class LaurentPoly:
 
     # -- serialization ---------------------------------------------------------
     def serialize(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for e, c in reversed(self.coeffs):
-            sign, core = _term_str(c, e)
-            if not parts:
-                parts.append(core if sign > 0 else "-" + core)
-            else:
-                parts.append((" + " if sign > 0 else " - ") + core)
-        return "".join(parts)
+        return _serialize_terms(reversed(self.coeffs))
 
     @staticmethod
     def parse(text: str) -> "LaurentPoly":
@@ -366,7 +357,21 @@ def _poly(v: "LaurentPoly | Scalar") -> LaurentPoly:
     return LaurentPoly.constant(v)
 
 
-def _term_str(c: Cyclo, e: int) -> tuple[int, str]:
+def _serialize_terms(terms: Iterable[tuple[int | Fraction, Cyclo]]) -> str:
+    """The term-list grammar of :meth:`LaurentPoly.serialize` for nonzero
+    terms (e, c) in decreasing exponent order: " - " before a negative term,
+    and x^(p/q) for a fractional exponent."""
+    parts: list[str] = []
+    for e, c in terms:
+        sign, core = _term_str(c, e)
+        if not parts:
+            parts.append(core if sign > 0 else "-" + core)
+        else:
+            parts.append((" + " if sign > 0 else " - ") + core)
+    return "".join(parts) or "0"
+
+
+def _term_str(c: Cyclo, e: int | Fraction) -> tuple[int, str]:
     """(sign, unsigned term string) for c*x^e."""
     ser = c.serialize()
     sign = 1
@@ -381,7 +386,7 @@ def _term_str(c: Cyclo, e: int) -> tuple[int, str]:
         omit = False
     if e == 0:
         return sign, coeff_core if not omit else "1"
-    xpart = "x" if e == 1 else f"x^{e}"
+    xpart = "x" if e == 1 else f"x^{e}" if e.denominator == 1 else f"x^({e})"
     return sign, xpart if omit else f"{coeff_core}*{xpart}"
 
 
@@ -499,12 +504,14 @@ class FracExpMonomial:
         text = text.strip()
         # an exponent with a zero denominator is left to fail as a literal
         m = re.search(r"x(?:\^\(?(-?\d+(?:/0*[1-9]\d*)?)\)?)?$", text)
-        if m and (m.start() == 0 or text[m.start() - 1] in "*) "):
+        head = text[: m.start()].rstrip() if m else None
+        # a bare power may carry a leading sign, as in parse_poly
+        if m and (head in ("", "+", "-") or text[m.start() - 1] in "*) "):
             exp = Fraction(m.group(1)) if m.group(1) else Fraction(1)
-            head = text[: m.start()].rstrip()
             if head.endswith("*"):
                 head = head[:-1].rstrip()
-            coeff = _parse_coeff(head) if head else Cyclo.rational(1)
+            sign = {"": 1, "+": 1, "-": -1}.get(head)
+            coeff = _parse_coeff(head) if sign is None else Cyclo.rational(sign)
             return FracExpMonomial(coeff, exp)
         return FracExpMonomial(_parse_coeff(text), Fraction(0))
 

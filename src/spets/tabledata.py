@@ -31,8 +31,8 @@ from .hecke import CyclicHeckeParams
 from .laurent import FracExpMonomial, LaurentPoly
 from .orders import order_poly
 from .reflection import Matrix, ReflectionCoset, SubCoset, build_group
-from .uch import (Family, SeriesDetermination, UchTable, UnipotentCharacter,
-                  _cyclic_feg_map, assign_families, cyclic_uch,
+from .uch import (Family, SeriesDetermination, SignedDegreeIndex, UchTable,
+                  UnipotentCharacter, _cyclic_feg_map, assign_families, cyclic_uch,
                   determine_parameters, ennola_transform, hc_series,
                   principal_series)
 
@@ -174,10 +174,12 @@ def diff_tables(a: UchTable, b: UchTable) -> TableDiff:
     diff = TableDiff()
     pair: dict[str, str] = {}
     used: set[str] = set()
+    index = SignedDegreeIndex(r.degree for r in b.rows)
 
     def find(row, sign: int):
-        for cand in b.rows:
-            if cand.name in used or cand.degree != row.degree * sign:
+        for i, s in index.get(row.degree, ()):
+            cand = b.rows[i]
+            if s != sign or cand.name in used:
                 continue
             if row.fr is not None and cand.fr is not None and row.fr != cand.fr:
                 continue
@@ -388,18 +390,9 @@ def construct_uch(name: str) -> PipelineResult:
             datum.fr_lambda, datum.cusp_name, datum.rel_params,
             datum.rel_names))
 
-    pending = list(cfg["cuspidal_names"])
-
-    def name_new(_src, _deg):
-        return pending.pop(0) if pending else None
-
+    names = iter(cfg["cuspidal_names"])
     for d, a in cfg["ennola"]:
-        xi = zeta(d, a)
-        while True:
-            result = ennola_transform(table, xi, name_new)
-            table = result.table
-            if not result.new_names:
-                break
+        table = ennola_transform(table, zeta(d, a), names).table
 
     specs: dict[tuple[int, int], SeriesDetermination] = {}
     for d, a in cfg["zeta_series"]:

@@ -1,7 +1,7 @@
 """Construction of unipotent-character tables.
 
 Provides the cyclic-group tables, principal series built from Schur elements,
-Ennola transforms, the parameter-determination search for cyclic series,
+the Ennola closure, the parameter-determination search for cyclic series,
 family partitioning and the axiom verification suite, which reads whether
 a degree divides the split order off its root multiplicities.
 """
@@ -25,6 +25,7 @@ __all__ = [
     "UnipotentCharacter",
     "Family",
     "UchTable",
+    "SignedDegreeIndex",
     "SeriesDetermination",
     "DeterminationError",
     "AxiomReport",
@@ -92,15 +93,22 @@ class UchTable:
     def names(self) -> list[str]:
         return [r.name for r in self.rows]
 
-    def match_degree(self, deg: LaurentPoly) -> list[tuple[UnipotentCharacter, int]]:
-        """Rows whose degree is deg (sign +1) or -deg (sign -1)."""
-        out = []
-        for r in self.rows:
-            if r.degree == deg:
-                out.append((r, 1))
-            elif r.degree == -deg:
-                out.append((r, -1))
-        return out
+
+class SignedDegreeIndex(dict):
+    """Polynomials indexed up to sign: the i-th appended p is filed as (i, +1)
+    under p and as (i, -1) under -p, so ``self.get(q, ())`` lists every
+    (i, s) with p_i == s * q, lowest i first."""
+
+    def __init__(self, degrees=()):
+        super().__init__()
+        self.size = 0
+        for p in degrees:
+            self.append(p)
+
+    def append(self, p: LaurentPoly) -> None:
+        self.setdefault(p, []).append((self.size, 1))
+        self.setdefault(-p, []).append((self.size, -1))
+        self.size += 1
 
 
 # -- cyclic tables ------------------------------------------------------------------
@@ -191,44 +199,39 @@ class EnnolaResult:
         self.new_names = new_names
 
 
-def ennola_transform(table: UchTable, xi: Cyclo,
-                     new_name_map=None) -> EnnolaResult:
-    """Extend a table by the signed permutation x -> xi^{-1} x on degrees.
+def ennola_transform(table: UchTable, xi: Cyclo, names=()) -> EnnolaResult:
+    """Close a table under the signed permutation x -> xi^{-1} x on degrees.
 
-    Transformed degrees matched (up to sign) against existing rows; unmatched
-    degrees become new characters.
+    One pass over the growing row list transforms each row, old or new, once:
+    a transformed degree matching a row up to sign maps there (the lowest
+    such row); otherwise it becomes a new character, named from ``names``
+    in turn and then ``group[k]``, k counting the new rows of the closure.
     """
     if xi.root_of_unity_order() is None:
         raise ValueError("Ennola transform requires a root of unity")
     zinv = xi.inverse()
+    names = iter(names)
+    rows = list(table.rows)
+    index = SignedDegreeIndex(r.degree for r in rows)
     perm: dict[str, tuple[str, int]] = {}
-    new_rows: list[UnipotentCharacter] = []
-    counter = 0
-    for row in table.rows:
+    new_names: list[str] = []
+    for row in rows:  # also visits the rows appended below
         cand = row.degree.scale_x(zinv)
-        pool = UchTable(table.group, table.rows + new_rows)
-        hits = pool.match_degree(cand)
+        hits = index.get(cand)
         if hits:
-            hit, sign = hits[0]
-            perm[row.name] = (hit.name, sign)
+            i, sign = hits[0]
+            perm[row.name] = (rows[i].name, sign)
             continue
-        counter += 1
         lead = cand.leading_coeff()
-        resolved = False
-        if lead.conjugate() == lead:  # real leading coefficient: take it positive
-            if (lead.as_rational() or 0) < 0:
-                cand = -cand
-            resolved = True
-        name = None
-        if new_name_map is not None:
-            name = new_name_map(row.name, cand)
-        if name is None:
-            name = f"{table.group}[{counter}]"
-        new_rows.append(UnipotentCharacter(name, cand, None,
-                                           sign_resolved=resolved))
+        resolved = lead.conjugate() == lead  # a real leading coefficient is taken positive
+        if resolved and (lead.as_rational() or 0) < 0:
+            cand = -cand
+        name = next(names, None) or f"{table.group}[{len(new_names) + 1}]"
+        rows.append(UnipotentCharacter(name, cand, None, sign_resolved=resolved))
+        index.append(cand)
+        new_names.append(name)
         perm[row.name] = (name, 1)
-    out = UchTable(table.group, table.rows + new_rows, table.families)
-    return EnnolaResult(out, perm, [r.name for r in new_rows])
+    return EnnolaResult(UchTable(table.group, rows, table.families), perm, new_names)
 
 
 # -- parameter determination ----------------------------------------------------------
@@ -332,17 +335,16 @@ def _match_series(spec: SpetsialAlgebraSpec, feg: LaurentPoly,
     except (ArithmeticError, ValueError):
         return None
     frs_all = [frobenius(spec, j) for j in range(spec.e)]
+    index = SignedDegreeIndex(quos)
     assignment: dict[int, str | None] = dict.fromkeys(range(spec.e))
     eps = [0] * spec.e
     for row in members:
-        hits = [j for j, quo in enumerate(quos)
-                if row.degree in (quo, -quo)
-                and (row.fr is None or row.fr in frs_all[j])
+        hits = [(j, s) for j, s in index.get(row.degree, ())
+                if (row.fr is None or row.fr in frs_all[j])
                 and (row is not trivial or j == 0)]
-        if len(hits) != 1 or assignment[hits[0]] is not None:
+        if len(hits) != 1 or assignment[hits[0][0]] is not None:
             return None
-        j = hits[0]
-        eps[j] = 1 if row.degree == quos[j] else -1
+        j, eps[j] = hits[0]
         assignment[j] = row.name
     for j, quo in enumerate(quos):
         if assignment[j] is not None:

@@ -66,6 +66,23 @@ class TestSchur:
         assert code == 0
         assert out.splitlines()[0] == "S_0 = x^2 + x + 1"
 
+    def test_signed_bare_fractional_power(self, capsys):
+        # (u_1 - u_0)/u_1 = 2 for u = x^(1/2), -x^(1/2)
+        code, out = run(capsys, "schur", "--cyclic", "2",
+                        "--params", "x^(1/2),-x^(1/2)")
+        assert code == 0
+        assert out == "S_0 = 2\nS_1 = 2\n"
+
+    def test_fractional_exponents_use_the_polynomial_grammar(self, capsys):
+        # decreasing exponents, and " - " before a negative term
+        code, out = run(capsys, "schur", "--cyclic", "4",
+                        "--params", "1,E(4,1)*x^(1/2),x,E(4,3)*x^(1/2)")
+        assert code == 0
+        assert out == ("S_0 = 1 - x^-2\n"
+                       "S_1 = (-2*E(4,1))*x^(1/2) + (-2*E(4,1))*x^(-1/2)\n"
+                       "S_2 = -x^2 + 1\n"
+                       "S_3 = (2*E(4,1))*x^(1/2) + (2*E(4,1))*x^(-1/2)\n")
+
     def test_malformed_params_exit_2(self, capsys):
         code = main(["schur", "--cyclic", "2", "--params", "x,E(3"])
         captured = capsys.readouterr()

@@ -287,7 +287,7 @@ def _oracle_report(spec, G=None, w=None):
     conds["CS" if spec.variant == "compact" else "NCS"] = const == want
     schur = spec.schur()
     polys = [s.poly for s in schur]
-    conds["SC1"] = all(c.is_integral() for p in polys for _, c in p.coeffs)
+    conds["SC1"] = all(c.den == 1 for p in polys for _, c in p.coeffs)
     ca2, sc1 = conds.pop("CA2"), conds.pop("SC1")
     assert ca2 and sc1, spec
     maximal = [i for i, p in enumerate(polys) if all(q_.divides(p) for q_ in polys)]

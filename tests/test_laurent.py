@@ -241,6 +241,16 @@ class TestFracExpMonomial:
         m = FracExpMonomial.parse(text)
         assert FracExpMonomial.parse(m.serialize()) == m
 
+    @pytest.mark.parametrize("exp", [1, 3, -2, Fraction(1, 2), Fraction(-2, 3)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_signed_power_roundtrip(self, sign, exp):
+        m = FracExpMonomial.of(sign, exp)
+        assert FracExpMonomial.parse(m.serialize()) == m
+        # a bare power with its sign, as parse_poly reads it
+        x_part = m.serialize().removeprefix("-1*")
+        assert FracExpMonomial.parse(("-" if sign < 0 else "") + x_part) == m
+        assert FracExpMonomial.parse(("-" if sign < 0 else "+") + x_part) == m
+
     def test_vee(self):
         m = FracExpMonomial(zeta(3), Fraction(2))
         assert m.vee() == FracExpMonomial(zeta(3, 2), Fraction(-2))

@@ -1,10 +1,15 @@
 """Table file grammar, diffing, the spetsial classification, and data lookup."""
 
+from math import gcd, lcm
+
 import pytest
 
 from spets import orders, tabledata
 from spets.chartables import char_table, feg_map
-from spets.reflection import build_group
+from spets.cyclotomic import Cyclo
+from spets.laurent import LaurentPoly
+from spets.orders import fake_degree_torus
+from spets.reflection import Matrix, build_group
 from spets.tabledata import (construct_uch, data_dir, diff_tables, emit_uch,
                              is_spetsial, load_reference, load_schur_data,
                              parse_uch)
@@ -132,6 +137,37 @@ class TestDataDir:
         monkeypatch.setenv("SPETS_DATA", str(tmp_path))
         with pytest.raises(ValueError, match=rf"schur_bad\.txt line 4: {message}"):
             load_schur_data("schur_bad.txt")
+
+
+SCHUR_FILES = {"G4": "schur_g4.txt", "G(3,1,2)": "schur_g312.txt"}
+
+
+@pytest.mark.parametrize("name", SCHUR_FILES)
+class TestShippedSchurData:
+    """Identities every Schur element of the generic algebra obeys, checked
+    on each row of the shipped files with no formula for S itself."""
+
+    def test_value_at_one_is_order_over_degree(self, name):
+        G = build_group(name)
+        for row, s, dim in load_schur_data(SCHUR_FILES[name]):
+            assert s.evaluate(1) * dim == Cyclo.rational(G.order), row
+
+    def test_trace_of_one_is_one(self, name):
+        # sum chi(1)/S_chi = 1, cleared of denominators by Feg(R_1)
+        G = build_group(name)
+        feg = fake_degree_torus(G, Matrix.identity(G.rank))
+        total = LaurentPoly.combination((feg.exact_div(s), dim)
+                                        for _, s, dim in load_schur_data(SCHUR_FILES[name]))
+        assert total == feg
+
+    def test_splits_over_roots_of_the_degrees(self, name):
+        G = build_group(name)
+        top = lcm(*(d for d, _ in G.degrees))
+        for row, s, _ in load_schur_data(SCHUR_FILES[name]):
+            width = s.degree() - s.valuation()
+            roots = {(d, k): width for d in range(1, top + 1) if top % d == 0
+                     for k in range(d) if gcd(k, d) == 1}
+            assert sum(s.multiplicities(roots).values()) == width, row
 
 
 class TestSpetsial:

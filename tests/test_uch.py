@@ -448,6 +448,23 @@ class TestEnnola:
         back = ennola_transform(res.table, zeta(3) ** 2)
         assert back.new_names == []
 
+    def test_one_call_closes_the_table(self):
+        # x - 1 -> E(3,2) x - 1 -> E(3,1) x - 1 -> x - 1: an orbit of three,
+        # whose two new rows take names numbered across the whole closure
+        table = UchTable("Z_3", [UnipotentCharacter("a", LaurentPoly.x() - 1)])
+        res = ennola_transform(table, zeta(3))
+        assert res.new_names == ["Z_3[1]", "Z_3[2]"]
+        assert res.table.names() == ["a", "Z_3[1]", "Z_3[2]"]
+        assert res.permutation == {"a": ("Z_3[1]", 1), "Z_3[1]": ("Z_3[2]", 1),
+                                   "Z_3[2]": ("a", 1)}
+        assert table.names() == ["a"]
+        assert ennola_transform(res.table, zeta(3)).new_names == []
+
+    def test_new_rows_take_the_given_names_first(self):
+        table = UchTable("Z_3", [UnipotentCharacter("a", LaurentPoly.x() - 1)])
+        res = ennola_transform(table, zeta(3), ["b"])
+        assert res.new_names == ["b", "Z_3[2]"]
+
     def test_pipeline_specs_cover_series(self, g4_result, g312_result):
         assert set(g4_result.specs) == {(4, 1), (3, 1)}
         assert set(g312_result.specs) == {(6, 1), (6, 5), (2, 1)}

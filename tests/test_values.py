@@ -40,7 +40,7 @@ def test_fields_cannot_be_assigned(make, field):
 
 
 def _spec_fields(s):
-    return (s.e, s.d, s.a, s.m, s.variant, s.delta, s.n_ref, s.n_hyp, s.label)
+    return (s.e, s.d, s.a, s.m, s.variant, s.n_ref, s.n_hyp, s.label)
 
 
 @pytest.mark.parametrize("values, fields", [
