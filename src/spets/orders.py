@@ -10,15 +10,22 @@ Conventions (split coset, Poincare polynomial ``P = prod(1 - zeta_i x^{d_i})``):
 
 Sylow counting: for each K-cyclotomic Phi dividing the order polynomial the
 quotient ``|G| / (|W_G(L)| |L|)`` is congruent to 1 modulo Phi, in both
-order variants, where L is the centralizer of a Sylow Phi-sub-coset.
+order variants, where L is the centralizer of a Sylow Phi-sub-coset.  Both
+orders split into linear factors over roots of unity, so the congruence is
+decided on root multisets: the quotient is a product of x - rho over the
+roots of G's order not taken by L's, and its value at each root of Phi is
+compared with |W_G(L)| by an exact zero test on an integer lift.  No order
+polynomial is built or divided on this path.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
-from .cyclotomic import Cyclo, divisors, sum_of_products, zeta
+from .cyclotomic import Cyclo, _to_basis, divisors, sum_of_products, zeta
 from .laurent import KCycloPoly, LaurentPoly, k_cyclotomic_factors
 from .reflection import Matrix, ReflectionCoset, SubCoset, sylow_subcoset
 
@@ -30,6 +37,7 @@ __all__ = [
     "fake_degree_char",
     "CharTable",
     "cyclic_char_table",
+    "order_roots",
     "sylow_congruence",
     "all_sylow_congruences",
 ]
@@ -46,12 +54,20 @@ def order_poly(C: ReflectionCoset | SubCoset, variant: str = "compact") -> Laure
     leading coefficient of P is (-1)^rank prod(zeta_i)."""
     if variant not in ("compact", "noncompact"):
         raise ValueError(f"unknown order variant: {variant!r}")
-    P = C.poincare
-    core = LaurentPoly([(P.degree() - e, c) for e, c in P.coeffs])
+    core = _reversal(C.poincare)
     if variant == "compact":
         return core.shift(C.n_hyp)
-    zprod = P.leading_coeff() * ((-1) ** C.rank)
-    return (core * (zprod.conjugate() ** 2)).shift(C.n_ref)
+    return (core * (_zeta_product(C).conjugate() ** 2)).shift(C.n_ref)
+
+
+def _reversal(P: LaurentPoly) -> LaurentPoly:
+    """rev(P) = x^deg(P) P(1/x), which is prod(x^{d_i} - zeta_i)."""
+    return LaurentPoly([(P.degree() - e, c) for e, c in P.coeffs])
+
+
+def _zeta_product(C: ReflectionCoset | SubCoset) -> Cyclo:
+    """prod(zeta_i): the leading coefficient of P times (-1)^rank."""
+    return C.poincare.leading_coeff() * ((-1) ** C.rank)
 
 
 def torus_order(G: ReflectionCoset, w: Matrix, variant: str = "compact") -> LaurentPoly:
@@ -129,28 +145,73 @@ def fake_degree_char(table: CharTable, name: str) -> LaurentPoly:
 # -- Sylow congruences -------------------------------------------------------
 
 
+def order_roots(G: ReflectionCoset) -> Counter:
+    """The nonzero roots of the order of G, those of prod(x^d_i - zeta_i),
+    with multiplicity, as reduced pairs (m, r) for E(m, r): x^d = E(n, k) at
+    x = E(n * d, k + t * n)."""
+    roots: Counter = Counter()
+    for d, z in G.degrees:
+        n, k = z.root_of_unity_order()
+        for t in range(d):
+            g = gcd(k + t * n, n * d)
+            roots[n * d // g, (k + t * n) // g] += 1
+    return roots
+
+
 def sylow_congruence(G: ReflectionCoset, phi: KCycloPoly) -> bool:
-    """Check |G| / (|W_G(L)| |L|) = 1 mod Phi in both order variants."""
-    a, L = sylow_subcoset(G, phi)
-    for variant in ("compact", "noncompact"):
-        num = order_poly(G, variant)
-        den = order_poly(L, variant) * Fraction(L.relative_order)
-        if not _divides(phi, num.exact_div(den) - 1):
-            return False
+    """Check |G| / (|W_G(L)| |L|) = 1 mod Phi in both order variants.
+
+    Both orders are x^N times a unit times rev(P) = prod(x^d_i - zeta_i), a
+    monic product of linear factors over roots of unity.  The roots R_L of
+    rev(P_L) are its multiplicities capped at R_G = ``order_roots(G)``, so
+    rev(P_G) / rev(P_L) = prod(x - rho) over the multiset R_G - R_L; a
+    shortfall means rev(P_L) does not divide rev(P_G), an ArithmeticError.
+    Phi is squarefree, so it divides q - 1 exactly when q = 1 at each root
+    z of Phi.  prod(z - rho) is formed once per z on Z[x]/(x^n - 1); each
+    variant's power of z and unit conj(zeta_G / zeta_L)^2 are index shifts;
+    and the value minus |W_G(L)| is zero exactly when its rewrite on the
+    Zumbroich basis, a Q-basis, is empty.  No order polynomial is divided.
+    """
+    _, L = sylow_subcoset(G, phi)
+    rev = _reversal(L.poincare)
+    roots = order_roots(G)
+    mults = rev.multiplicities(roots)
+    if sum(mults.values()) != rev.degree():
+        raise ArithmeticError("non-exact polynomial division")
+    quotient = roots - Counter(mults)
+    (ng, g), (nl, l) = (_zeta_product(C).root_of_unity_order() for C in (G, L))
+    d = phi.root_order
+    n = lcm(d, ng, nl, *[m for m, _ in quotient])
+    unit = 2 * (l * (n // nl) - g * (n // ng))
+    c = L.relative_order
+    for k in phi.root_exponents:
+        a = k * (n // d)
+        acc = {0: 1}
+        for (m, r), mult in quotient.items():
+            b = r * (n // m)
+            for _ in range(mult):
+                nxt: dict[int, int] = {}
+                for e, v in acc.items():
+                    i, j = (e + a) % n, (e + b) % n
+                    nxt[i] = nxt.get(i, 0) + v
+                    nxt[j] = nxt.get(j, 0) - v
+                acc = nxt
+        for s in (a * (G.n_hyp - L.n_hyp), a * (G.n_ref - L.n_ref) + unit):
+            value = {(i + s) % n: v for i, v in acc.items()}
+            value[0] = value.get(0, 0) - c
+            if _to_basis(n, value):
+                return False
     return True
 
 
-def _divides(phi: KCycloPoly, f: LaurentPoly) -> bool:
-    """Phi | f: Phi is squarefree, so exactly when f vanishes at its roots."""
-    return all(f.vanishes_at([(phi.root_order, k) for k in phi.root_exponents]))
-
-
 def all_sylow_congruences(G: ReflectionCoset) -> list[tuple[KCycloPoly, bool]]:
-    """Sylow congruences for every K-cyclotomic divisor of the order polynomial."""
-    order = order_poly(G)
+    """Sylow congruences for every K-cyclotomic divisor of the order
+    polynomial.  Phi is squarefree and the order splits into linear factors,
+    so Phi divides it exactly when every root of Phi is in ``order_roots``."""
+    roots = order_roots(G)
     out = []
     for d in sorted({dd for dd, _ in G.degrees for dd in divisors(dd)}):
         for phi in k_cyclotomic_factors(d, G.field):
-            if _divides(phi, order):
+            if all((d, k) in roots for k in phi.root_exponents):
                 out.append((phi, sylow_congruence(G, phi)))
     return out

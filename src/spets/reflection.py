@@ -520,8 +520,12 @@ class SubCoset:
 
     @property
     def relative_order(self) -> int:
-        """|W_G(L)| = |N_W(L)| / |W_L|."""
-        return self.normalizer_order // len(self.group_elements)
+        """|W_G(L)| = |N_W(L)| / |W_L|, exact as W_L is normal in N_W(L)."""
+        q, r = divmod(self.normalizer_order, len(self.group_elements))
+        if r:
+            raise ArithmeticError(f"|N_W(L)| = {self.normalizer_order} is not a multiple "
+                                  f"of |W_L| = {len(self.group_elements)}")
+        return q
 
     @property
     def rank(self) -> int:

@@ -18,7 +18,7 @@ from .cyclotomic import (Cyclo, CycloField, CycloSum, _to_basis, divisors,
 from .laurent import FracExpMonomial, LaurentPoly
 from .hecke import (SpetsialAlgebraSpec, check_spetsial, frobenius,
                     frobenius_model, schur_cyclic, CyclicHeckeParams)
-from .orders import fake_degree_torus, order_poly
+from .orders import fake_degree_torus, order_poly, order_roots
 from .reflection import Matrix, ReflectionCoset
 
 __all__ = [
@@ -543,7 +543,7 @@ def verify_axioms(table: UchTable, G: ReflectionCoset,
 
     regulars = regular_eigenvalues(G)
     orders = [z.root_of_unity_order() for z in regulars]
-    roots = _order_roots(G)
+    roots = order_roots(G)
     # cap 1 at a regular eigenvalue, the order's multiplicity at its roots
     caps = {**dict.fromkeys(orders, 1), **roots}
     # vanishes[name, z]: whether the row's degree is zero at z
@@ -568,19 +568,6 @@ def verify_axioms(table: UchTable, G: ReflectionCoset,
 
     _check_galois_closure(table, G.field, fails["galois-closure"])
     return AxiomReport(fails)
-
-
-def _order_roots(G: ReflectionCoset) -> Counter:
-    """The roots of the compact order prod(x^d_i - zeta_i) * x^N_hyp * unit
-    other than 0, with multiplicity, as reduced pairs (m, r) for E(m, r):
-    x^d = E(n, k) at x = E(n * d, k + t * n)."""
-    roots: Counter = Counter()
-    for d, z in G.degrees:
-        n, k = z.root_of_unity_order()
-        for t in range(d):
-            r = Fraction(k + t * n, n * d)
-            roots[r.denominator, r.numerator] += 1
-    return roots
 
 
 def _divides_order(p: LaurentPoly, mults: dict[tuple[int, int], int],

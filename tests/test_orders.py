@@ -2,9 +2,11 @@
 congruences |G|/(|W_G(L)||L|) = 1 mod Phi."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from spets import orders
 from spets.chartables import char_table, feg_map
 from spets.cyclotomic import Cyclo, divisors, zeta
 from spets.laurent import LaurentPoly, k_cyclotomic_factors
@@ -13,7 +15,7 @@ from spets.orders import (all_sylow_congruences, cyclic_char_table,
                           poincare, torus_order)
 from spets.reflection import Matrix, build_group, sylow_subcoset
 
-ORACLE_GROUPS = ("G4", "G(3,1,2)") + tuple(f"Z_{e}" for e in range(1, 13))
+from conftest import EXTRA_GROUPS, ORACLE_GROUPS, extra_group
 
 
 class TestPoincare:
@@ -168,19 +170,65 @@ class TestSylow:
         ds = sorted({phi.root_order for phi, _ in all_sylow_congruences(g4)})
         assert ds == [1, 2, 3, 4, 6]
 
-    @pytest.mark.parametrize("name", ORACLE_GROUPS)
+    @pytest.mark.parametrize("name", ORACLE_GROUPS + tuple(EXTRA_GROUPS))
     def test_matches_polynomial_division(self, name):
-        # Phi | f tested by long division instead of at the roots of Phi
-        G = build_group(name)
+        # the order polynomials divided and Phi | f tested by long division,
+        # instead of root multisets and zero tests at the roots of Phi
+        G = extra_group(name) if name in EXTRA_GROUPS else build_group(name)
         order, want = order_poly(G), []
         for d in sorted({dd for dd, _ in G.degrees for dd in divisors(dd)}):
             for phi in k_cyclotomic_factors(d, G.field):
                 if not phi.poly.divides(order):
                     continue
-                _, L = sylow_subcoset(G, phi)
-                ok = all(phi.poly.divides(
-                    order_poly(G, v).exact_div(order_poly(L, v) * Fraction(L.relative_order)) - 1)
-                    for v in ("compact", "noncompact"))
+                ok = all(_division_verdict(G, phi, v) for v in ("compact", "noncompact"))
                 want.append((phi.poly.serialize(), ok))
         got = [(phi.poly.serialize(), ok) for phi, ok in all_sylow_congruences(G)]
         assert got == want
+
+    @pytest.mark.parametrize("name, holds", [("G(4,1,2)", 6), ("G6", 12), ("G8", 10),
+                                             ("G25", 11), ("G26", 11)])
+    def test_extra_group_verdict_counts(self, name, holds):
+        results = all_sylow_congruences(extra_group(name))
+        assert sum(ok for _, ok in results) == holds
+
+    def test_g26_fails_at_two_phi12_factors(self):
+        # An open finding, not a regression: at both factors of Phi_12 over
+        # Q(zeta_3) the compact congruence fails and the noncompact one holds
+        G = extra_group("G26")
+        assert (G.order, [d for d, _ in G.degrees], len(G.classes), G.n_ref, G.n_hyp) == \
+            (1296, [6, 12, 18], 48, 33, 21)
+        results = all_sylow_congruences(G)
+        assert len(results) == 13
+        failing = [phi for phi, ok in results if not ok]
+        assert [phi.poly.serialize() for phi in failing] == ["x^2 + (-1-E(3,1))", "x^2 + (E(3,1))"]
+        for phi in failing:
+            assert [_division_verdict(G, phi, v) for v in ("compact", "noncompact")] == \
+                [False, True]
+
+    def test_non_dividing_subcoset_raises(self, g4, monkeypatch):
+        # a sub-coset order that does not divide |G| is an error, as in the
+        # long division: 1 - x^5 has four roots that G4's order lacks
+        fake = SimpleNamespace(poincare=LaurentPoly({0: 1, 5: -1}))
+        monkeypatch.setattr(orders, "sylow_subcoset", lambda G, phi: (1, fake))
+        phi = k_cyclotomic_factors(1, g4.field)[0]
+        with pytest.raises(ArithmeticError, match="non-exact"):
+            orders.sylow_congruence(g4, phi)
+
+
+def _division_verdict(G, phi, variant):
+    """Phi | |G| / (|W_G(L)| |L|) - 1 by long division of the order polynomials."""
+    _, L = sylow_subcoset(G, phi)
+    ratio = order_poly(G, variant).exact_div(order_poly(L, variant) * Fraction(L.relative_order))
+    return phi.poly.divides(ratio - 1)
+
+
+class TestExtraGroups:
+    @pytest.mark.parametrize("name", EXTRA_GROUPS)
+    def test_literature_data(self, name):
+        order, degrees, codegrees, classes = EXTRA_GROUPS[name]
+        G = extra_group(name)
+        assert G.order == order
+        assert tuple(d for d, _ in G.degrees) == degrees
+        assert len(G.classes) == classes
+        assert G.n_ref == sum(d - 1 for d in degrees)
+        assert G.n_hyp == sum(d + 1 for d in codegrees)

@@ -13,6 +13,8 @@ from spets.reflection import (Matrix, SubCoset, build_group, row_reduce,
                               sylow_subcoset)
 from spets.tabledata import _levi_order
 
+from conftest import ORACLE_GROUPS
+
 
 class TestBuiltins:
     def test_cyclic_orders(self):
@@ -242,9 +244,15 @@ class TestSylowNormalizer:
                 _, L = sylow_subcoset(G, phi)
                 assert L.normalizer_order == _brute_normalizer_order(
                     G, L.group_elements, L.twist)
+                assert L.relative_order * len(L.group_elements) == L.normalizer_order
 
-
-ORACLE_GROUPS = ("G4", "G(3,1,2)") + tuple(f"Z_{e}" for e in range(1, 13))
+    def test_relative_order_rejects_a_remainder(self, g4):
+        # W_L is normal in N_W(L): a normaliser count that |W_L| does not
+        # divide is wrong, and is reported with both numbers
+        s = g4.gens[0]
+        L = SubCoset(g4, tuple(g4.powers(s)), Matrix.identity(2), 4)
+        with pytest.raises(ArithmeticError, match=r"\|N_W\(L\)\| = 4 .* \|W_L\| = 3"):
+            L.relative_order
 
 
 @pytest.fixture(scope="module", params=ORACLE_GROUPS)

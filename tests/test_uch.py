@@ -478,10 +478,10 @@ ORDER_ROOT_TABLES = {"G4": ["uch_g4.txt"], "G(3,1,2)": ["uch_g312.txt"],
 def test_divides_order_matches_long_division(name):
     """The root-multiplicity test against LaurentPoly.divides, on every
     shipped row and on rows given an extra factor."""
-    from spets.orders import order_poly
-    from spets.uch import _divides_order, _order_roots
+    from spets.orders import order_poly, order_roots
+    from spets.uch import _divides_order
     G = build_group(name)
-    order, roots = order_poly(G, "compact"), _order_roots(G)
+    order, roots = order_poly(G, "compact"), order_roots(G)
     rows = [r.degree for f in ORDER_ROOT_TABLES.get(name, [])
             for r in tabledata.load_reference(f).rows]
     if name.startswith("Z_"):
