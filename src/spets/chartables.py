@@ -78,7 +78,7 @@ def _monomial_data(g: Matrix) -> tuple[bool, int, int, int]:
 
 
 def _table_g312(G: ReflectionCoset) -> CharTable:
-    reps = [G.elements[c.rep_index] for c in G.classes]
+    reps = [G.matrix(c.rep_index) for c in G.classes]
     data = [_monomial_data(g) for g in reps]
     names: list[str] = []
     values: dict[str, tuple[Cyclo, ...]] = {}

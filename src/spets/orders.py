@@ -2,11 +2,14 @@
 
 Conventions (split coset, Poincare polynomial ``P = prod(1 - zeta_i x^{d_i})``):
 
-* compact order       ``|G|_c  = conj(Delta) x^{n_hyp} prod (x^{d_i} - zeta_i)``
+* compact order       ``|G|_c  = x^{n_hyp} prod (x^{d_i} - zeta_i)``, with no unit
 * non-compact order   ``|G|_nc = (prod conj(zeta_i))^2 x^{n_ref} prod (x^{d_i} - zeta_i)``
 * torus order         ``|T_w|_c = det(x - w)``
 * fake degree         ``Feg(R_w) = conj(P_G) / conj(det(1 - x w))``
 * character fake degree ``Feg(theta) = (1/|W|) sum_c |c| conj(theta(c)) conj(Feg(R_c))``
+
+For a twisted sub-coset with prod zeta_i != 1 the compact order may lack a
+unit (``tests/test_orders.py::TestSylow::test_g26_fails_at_two_phi12_factors``).
 
 Sylow counting: for each K-cyclotomic Phi dividing the order polynomial the
 quotient ``|G| / (|W_G(L)| |L|)`` is congruent to 1 modulo Phi, in both
@@ -27,7 +30,7 @@ from math import gcd, lcm
 
 from .cyclotomic import Cyclo, _to_basis, divisors, sum_of_products, zeta
 from .laurent import KCycloPoly, LaurentPoly, k_cyclotomic_factors
-from .reflection import Matrix, ReflectionCoset, SubCoset, sylow_subcoset
+from .reflection import ReflectionCoset, SubCoset, sylow_subcoset
 
 __all__ = [
     "poincare",
@@ -70,14 +73,15 @@ def _zeta_product(C: ReflectionCoset | SubCoset) -> Cyclo:
     return C.poincare.leading_coeff() * ((-1) ** C.rank)
 
 
-def torus_order(G: ReflectionCoset, w: Matrix, variant: str = "compact") -> LaurentPoly:
+def torus_order(G: ReflectionCoset, w: int, variant: str = "compact") -> LaurentPoly:
     """Order polynomial of the twisted torus (V, w): the sub-coset with
-    trivial W_L, whose normaliser is the centralizer of w."""
-    torus = SubCoset(G, (G.elements[0],), w, len(G.centralizer(w)))
+    trivial W_L, whose normaliser is the centralizer of w, of order |G|
+    divided by the size of the class of w."""
+    torus = SubCoset(G, (0,), w, G.order // G.classes[G.class_of(w)].size)
     return order_poly(torus, variant)
 
 
-def fake_degree_torus(G: ReflectionCoset, w: Matrix) -> LaurentPoly:
+def fake_degree_torus(G: ReflectionCoset, w: int) -> LaurentPoly:
     """Feg(R_w): the graded multiplicity polynomial of the torus induction."""
     return G.class_fake_degree(G.class_of(w)).conjugate()
 
@@ -98,7 +102,7 @@ class CharTable:
         assert d is not None and d.denominator == 1
         return int(d)
 
-    def value(self, name: str, g: Matrix) -> Cyclo:
+    def value(self, name: str, g: int) -> Cyclo:
         return self.values[name][self.group.class_of(g)]
 
     @cached_property
@@ -121,7 +125,7 @@ class CharTable:
 def cyclic_char_table(G: ReflectionCoset) -> CharTable:
     """Character table of a cyclic (rank-one or scalar-generated) group."""
     e = G.order
-    gen = next(g for g in G.elements if G.element_order(g) == e)
+    gen = next(g for g in range(e) if G.element_order(g) == e)
     # identify each class representative as a power of gen
     powers = {m: k for k, m in enumerate(G.powers(gen))}
     names = []
@@ -129,7 +133,7 @@ def cyclic_char_table(G: ReflectionCoset) -> CharTable:
     for j in range(e):
         name = f"chi{j}"
         names.append(name)
-        values[name] = tuple(zeta(e, (j * powers[G.elements[c.rep_index]]) % e)
+        values[name] = tuple(zeta(e, (j * powers[c.rep_index]) % e)
                              for c in G.classes)
     return CharTable(G, tuple(names), values)
 

@@ -1,23 +1,22 @@
 """Finite complex reflection groups as split reflection cosets.
 
-Groups are given by exact generator matrices over a cyclotomic field and
-enumerated explicitly (the built-ins are tiny).  Enumeration is the only
-place that multiplies group elements: one breadth-first pass records the
-elements, their shortest words and an integer multiplication table.
-Conjugacy classes, centralizers, powers, element orders and the Sylow
-normaliser count are then lookups in that table.  The eigenvalues of each
-class are computed once, with the classes; since an element of finite order
-is diagonalisable, eigenspace dimensions, regular classes and reflections
-are eigenvalue multiplicities read off that cache.  Two reflections share a
-hyperplane exactly when their product is the identity or a reflection, so
-hyperplanes are read off the table too.
+A group is given by generator matrices over a cyclotomic field, each the
+identity or a reflection, and acts faithfully on the orbit of their roots
+(CHEVIE's ``PermRootGroup``: J. Michel, J. Algebra 435 (2015)).  The orbit
+is walked once; one breadth-first pass then lists the elements and their
+shortest words, and from there on an element is its integer index, with
+products, powers, conjugacy classes (orbits under conjugation by the
+generators), parabolic subgroups and Sylow normalisers read off index
+tables of |G| rows, one column per generator.  ``ReflectionCoset.matrix``
+builds an element's matrix from its word on first use, for eigenvalues and
+eigenspaces.  Each class's eigenvalues are computed once; as an element of
+finite order is diagonalisable, eigenspace dimensions, regular classes and
+reflections are eigenvalue multiplicities.
 
 A coset and its sub-cosets (V, W_L * w) share one model: det(1 - x w) is a
 product over the cached eigenvalues of each class, and the Poincare
 polynomial of a coset is the inverse of its Molien series, a sum over the
-classes of G weighted by how many coset elements fall in each.  The module
-also finds the reflection degrees, whether a centralizer is cyclic and
-faithful on an eigenspace, and Sylow data for K-cyclotomic polynomials.
+classes of G weighted by how many coset elements fall in each.
 """
 
 from __future__ import annotations
@@ -42,14 +41,13 @@ __all__ = [
 class Matrix:
     """Small immutable matrix over cyclotomic numbers."""
 
-    __slots__ = ("rows", "_hash")
+    __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence[Cyclo | int | Fraction]]):
         norm = tuple(
             tuple(c if isinstance(c, Cyclo) else Cyclo.rational(c) for c in row)
             for row in rows)
         object.__setattr__(self, "rows", norm)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
@@ -78,11 +76,7 @@ class Matrix:
         return self.rows == other.rows
 
     def __hash__(self) -> int:
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
-            h = hash(self.rows)
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(self.rows)
 
     def trace(self) -> Cyclo:
         s = CycloSum()
@@ -173,60 +167,119 @@ def _poly_det(entries: list[list[LaurentPoly]]) -> LaurentPoly:
 
 
 class ConjClass:
-    """A conjugacy class; ``eigenvalues`` are those of every member, with
-    multiplicity."""
+    """A conjugacy class; ``order`` and ``eigenvalues`` are those of every
+    member, the eigenvalues with multiplicity."""
 
-    def __init__(self, rep_index: int, rep_word: str, size: int,
+    def __init__(self, rep_index: int, rep_word: str, size: int, order: int,
                  member_indices: tuple[int, ...], eigenvalues: tuple[Cyclo, ...]):
         self.__dict__.update(rep_index=rep_index, rep_word=rep_word, size=size,
-                             member_indices=member_indices, eigenvalues=eigenvalues)
+                             order=order, member_indices=member_indices,
+                             eigenvalues=eigenvalues)
 
     def __setattr__(self, *a):
         raise AttributeError("ConjClass is immutable")
 
 
+# admits G29 (order 7,680); peak RSS 20 MB for G29 with its classes and
+# 52 MB to enumerate Z_7999 (Python 3.11)
+MAX_GROUP_ORDER = 8000
+
+
 class ReflectionCoset:
-    """A split reflection coset: a finite reflection group with phi = 1."""
+    """A split reflection coset: a finite reflection group with phi = 1.
+
+    Elements are integer indices in breadth-first order, 0 the identity;
+    ``gens`` holds the index of each generator and ``words`` the shortest
+    word of each element.
+    """
 
     def __init__(self, name: str, gens: Sequence[Matrix], field: CycloField):
         self.name = name
         self.field = field
         self.rank = gens[0].n if gens else 0
-        self.gens = list(gens)
-        # mul[i][j] is the index of elements[i] @ elements[j]; 0 is the identity
-        self.elements, self.words, self.mul = _enumerate(gens)
-        self.index = {m: i for i, m in enumerate(self.elements)}
+        self._gen_matrices = list(gens)
+        # G acts trivially on V modulo the span of the generators' roots, so
+        # (Maschke) faithfully on their orbit, which has at most |G| points
+        start = dict.fromkeys(r for k, g in enumerate(gens) if (r := _root(k, g)))
+        _, images, _ = _walk(start, [lambda v, g=g: tuple(g.apply(v)) for g in gens],
+                             len(gens) * MAX_GROUP_ORDER)
+        inverses = [{row[gi]: k for k, row in enumerate(images)} for gi in range(len(gens))]
+        # g is keyed by g^-1 r for the generators' roots r, as (g s)^-1 r =
+        # s^-1 (g^-1 r); _right[i][gi] is element i times generator gi, and
+        # element j > 0 was found as element p times generator gi for
+        # (p, gi) = _found[j - 1]
+        _, self._right, self._found = _walk(
+            [tuple(range(len(start)))],
+            [lambda key, inv=inv: tuple(inv[b] for b in key) for inv in inverses],
+            MAX_GROUP_ORDER)
+        names = "stuvwabcdefghijklmnopqr"
+        labels = [names[gi] if gi < len(names) else f"g{gi}." for gi in range(len(gens))]
+        self.words = [""]
+        for p, gi in self._found:
+            self.words.append(self.words[p] + labels[gi])
+        self.gens = self._right[0]
+        self._matrices = {0: Matrix.identity(self.rank)}
         self._class_fake_degrees: dict[int, LaurentPoly] = {}
         self._cyclic_centralizer_orders: dict[tuple[int, Cyclo], int | None] = {}
 
+    def matrix(self, i: int) -> Matrix:
+        """The matrix of element i, built on first use from its word (the
+        matrix of each prefix times the next generator) and kept."""
+        chain = []
+        while i not in self._matrices:
+            chain.append(i)
+            i = self._found[i - 1][0]
+        m = self._matrices[i]
+        for j in reversed(chain):
+            m = self._matrices[j] = m @ self._gen_matrices[self._found[j - 1][1]]
+        return m
+
     # -- group structure ------------------------------------------------
-    @cached_property
+    @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.words)
+
+    def _mul(self, i: int, j: int) -> int:
+        """Index of element i times element j, along the word of j."""
+        steps = []
+        while j:
+            j, gi = self._found[j - 1]
+            steps.append(gi)
+        for gi in reversed(steps):
+            i = self._right[i][gi]
+        return i
 
     @cached_property
-    def _inv(self) -> list[int]:
-        return [row.index(0) for row in self.mul]
-
-    def _conj(self, h: int, i: int) -> int:
-        """Index of h g h^-1 for g = elements[i]."""
-        return self.mul[self.mul[h][i]][self._inv[h]]
+    def _gen_conjugates(self) -> list[list[int]]:
+        """Per generator s, the index of s g s^-1 for each g: the h with h s = s g,
+        where s g is read along the word of g, s (p t) = (s p) t."""
+        out = []
+        for gi, s in enumerate(self.gens):
+            left = [s]
+            for p, t in self._found:
+                left.append(self._right[left[p]][t])
+            back = [0] * self.order
+            for h, row in enumerate(self._right):
+                back[row[gi]] = h
+            out.append([back[g] for g in left])
+        return out
 
     @cached_property
     def classes(self) -> list[ConjClass]:
+        """Orbits under conjugation by the generators, which generate G."""
+        conj = self._gen_conjugates
         seen: set[int] = set()
         found = []
         for i in range(self.order):
             if i in seen:
                 continue
-            members = sorted({self._conj(h, i) for h in range(self.order)})
+            members = sorted(_walk([i], [c.__getitem__ for c in conj], self.order)[0])
             seen.update(members)
             rep = min(members, key=lambda j: (len(self.words[j]), self.words[j]))
-            g = self.elements[rep]
-            order = self.element_order(g)
-            eig = _eigenvalues(g, order)
+            order = len(self.powers(rep))
+            eig = _eigenvalues(self.matrix(rep), order)
             key = (order, len(members), sorted(v.serialize() for v in eig), self.words[rep])
-            found.append((key, ConjClass(rep, self.words[rep], len(members),
+            found.append((key, ConjClass(rep, self.words[rep], len(members), order,
                                          tuple(members), tuple(eig))))
         return [c for _, c in sorted(found, key=lambda t: t[0])]
 
@@ -239,28 +292,26 @@ class ReflectionCoset:
                 out[i] = ci
         return out
 
-    def class_of(self, g: Matrix) -> int:
-        return self._class_index[self.index[g]]
+    def class_of(self, i: int) -> int:
+        return self._class_index[i]
 
-    def centralizer(self, g: Matrix) -> list[Matrix]:
-        i, mul = self.index[g], self.mul
-        return [h for j, h in enumerate(self.elements) if mul[j][i] == mul[i][j]]
+    def centralizer(self, i: int) -> list[int]:
+        return [j for j in range(self.order) if self._mul(j, i) == self._mul(i, j)]
 
-    def powers(self, g: Matrix) -> list[Matrix]:
-        """g^0, g^1, ..., g^(k-1) for g of order k."""
-        i = self.index[g]
-        out, k = [self.elements[0]], i
+    def powers(self, i: int) -> list[int]:
+        """g^0, g^1, ..., g^(k-1) for g = element i of order k."""
+        out, k = [0], i
         while k:
-            out.append(self.elements[k])
-            k = self.mul[k][i]
+            out.append(k)
+            k = self._mul(k, i)
         return out
 
-    def element_order(self, g: Matrix) -> int:
-        return len(self.powers(g))
+    def element_order(self, i: int) -> int:
+        return self.classes[self.class_of(i)].order
 
-    def eigenvalues(self, g: Matrix) -> list[Cyclo]:
-        """Eigenvalues of g with multiplicity, as powers of zeta(order of g)."""
-        return list(self.classes[self.class_of(g)].eigenvalues)
+    def eigenvalues(self, i: int) -> list[Cyclo]:
+        """Eigenvalues of element i with multiplicity, as powers of zeta(its order)."""
+        return list(self.classes[self.class_of(i)].eigenvalues)
 
     def _eigenvalue_counts(self, eigval: Cyclo) -> list[int]:
         """dim V(w, eigval) for w in each class: the multiplicity of eigval."""
@@ -279,43 +330,30 @@ class ReflectionCoset:
         fixed = self._eigenvalue_counts(Cyclo.rational(1))
         refl = [i for i, ci in enumerate(self._class_index) if fixed[ci] == self.rank - 1]
         on_hyperplane = set(refl) | {0}
-        return {r: next(s for s in refl if self.mul[s][r] in on_hyperplane)
+        return {r: next(s for s in refl if self._mul(s, r) in on_hyperplane)
                 for r in refl}
 
-    @cached_property
-    def reflections(self) -> list[Matrix]:
-        return [self.elements[r] for r in self._hyperplanes]
+    @property
+    def reflections(self) -> list[int]:
+        return list(self._hyperplanes)
 
     @property
     def n_ref(self) -> int:
         return len(self._hyperplanes)
 
-    @cached_property
-    def hyperplane_reflections(self) -> list[Matrix]:
-        """The first reflection, in element order, on each hyperplane."""
-        return [self.elements[h] for h in dict.fromkeys(self._hyperplanes.values())]
-
     @property
     def n_hyp(self) -> int:
-        return len(self.hyperplane_reflections)
+        return len(set(self._hyperplanes.values()))
 
-    def parabolic_subgroup(self, vectors: list[list[Cyclo]]) -> list[Matrix]:
-        """The pointwise stabilizer of the vectors, in element order.  By
-        Steinberg's theorem it is generated by the reflections whose
-        hyperplane contains them: one reflection per hyperplane is tested,
-        and every reflection on a passing hyperplane (of any order) is a
-        generator of the closure in the multiplication table."""
-        fixing = {h for h in dict.fromkeys(self._hyperplanes.values())
-                  if all(self.elements[h].apply(v) == v for v in vectors)}
+    def parabolic_subgroup(self, vectors: list[list[Cyclo]]) -> tuple[list[int], list[int]]:
+        """The pointwise stabilizer of the vectors: its generators, the
+        reflections on the hyperplanes holding the vectors (Steinberg), and
+        its members in element order.  One reflection per hyperplane is tested."""
+        fixing = {h for h in set(self._hyperplanes.values())
+                  if all(self.matrix(h).apply(v) == v for v in vectors)}
         gens = [r for r, h in self._hyperplanes.items() if h in fixing]
-        members, frontier = {0}, [0]
-        while frontier:
-            row = self.mul[frontier.pop()]
-            for r in gens:
-                if row[r] not in members:
-                    members.add(row[r])
-                    frontier.append(row[r])
-        return [self.elements[i] for i in sorted(members)]
+        members = _walk([0], [lambda m, r=r: self._mul(m, r) for r in gens], self.order)[0]
+        return gens, sorted(members)
 
     # -- the Molien series ------------------------------------------------
     @cached_property
@@ -371,13 +409,12 @@ class ReflectionCoset:
         best = max(dims)
         return [ci for ci, dim in enumerate(dims) if dim == best]
 
-    def regular_element(self, eigval: Cyclo) -> Matrix:
+    def regular_element(self, eigval: Cyclo) -> int:
         """A representative with maximal eigval-eigenspace, of maximal order."""
-        cands = [self.elements[self.classes[ci].rep_index]
-                 for ci in self.regular_classes(eigval)]
-        return max(cands, key=self.element_order)
+        return max((self.classes[ci].rep_index for ci in self.regular_classes(eigval)),
+                   key=self.element_order)
 
-    def cyclic_centralizer_order(self, w: Matrix, eigval: Cyclo) -> int | None:
+    def cyclic_centralizer_order(self, w: int, eigval: Cyclo) -> int | None:
         """|C| when C = C_W(w) is cyclic and acts faithfully on V(w, eigval),
         else None: exactly when the restriction of C to V(w, eigval) is a
         cyclic group of order |C|.  All three are invariant under
@@ -388,58 +425,59 @@ class ReflectionCoset:
             self._cyclic_centralizer_orders[key] = self._cyclic_centralizer_order(w, eigval)
         return self._cyclic_centralizer_orders[key]
 
-    def _cyclic_centralizer_order(self, w: Matrix, eigval: Cyclo) -> int | None:
-        basis = w.eigenspace(eigval)
+    def _cyclic_centralizer_order(self, w: int, eigval: Cyclo) -> int | None:
+        basis = self.matrix(w).eigenspace(eigval)
         if not basis:
             raise ValueError("empty eigenspace")
         cent = self.centralizer(w)
         if not any(self.element_order(g) == len(cent) for g in cent):
             return None
-        # cent[0] is the identity; every other member must move V(w, eigval)
-        if any(all(g.apply(b) == b for b in basis) for g in cent[1:]):
-            return None
-        return len(cent)
+        # C is faithful on V(w, eigval) when it meets its pointwise stabilizer in 1
+        _, fixing = self.parabolic_subgroup(basis)
+        return len(cent) if len(set(cent).intersection(fixing)) == 1 else None
 
 
-MAX_GROUP_ORDER = 2000  # largest group enumerated; mul has its square of entries
+def _root(k: int, g: Matrix) -> tuple[Cyclo, ...] | None:
+    """A root of generator k, spanning im(g - 1), or None for the identity;
+    a generator that is neither the identity nor a reflection is an error."""
+    cells = [(i, j) for i in range(g.n) for j in range(g.n)]
+    a = {(i, j): g.rows[i][j] - (i == j) for i, j in cells}
+    p, q = next((c for c in cells if a[c]), (0, None))
+    if q is None:
+        return None
+    root = tuple(a[i, q] for i in range(g.n))
+    # rank(g - 1) = 1 when every 2x2 minor through a[p, q] vanishes (no
+    # division: an inverse at a large conductor such as 999 takes seconds),
+    # and a reflection scales its root by an eigenvalue other than 1
+    minors = (a[i, j] * a[p, q] - a[i, q] * a[p, j] for i, j in cells if i != p and j != q)
+    if any(minors) or g.apply(root) == list(root):
+        raise ValueError(f"generator {k} is neither the identity nor a reflection")
+    if sum(map(bool, root)) == 1:  # on a coordinate axis: take the unit vector
+        root = tuple(Cyclo.rational(int(bool(v))) for v in root)
+    return root
 
 
-def _enumerate(gens: Sequence[Matrix]
-               ) -> tuple[list[Matrix], list[str], list[list[int]]]:
-    """Elements in breadth-first order, their shortest words, and ``mul``.
-
-    The only products are ``right[i][gi]`` = elements[i] @ gens[gi].  Each
-    element j > 0 was found as elements[p] @ gens[gi], so mul[i][j] is
-    right[mul[i][p]][gi].
-    """
-    if not gens:
-        return [Matrix.identity(1)], [""], [[0]]
-    names = "stuvwabcdefghijklmnopqr"
-    labels = [names[gi] if gi < len(names) else f"g{gi}." for gi in range(len(gens))]
-    elements, words = [Matrix.identity(gens[0].n)], [""]
-    seen = {elements[0]: 0}
-    found: list[tuple[int, int]] = []  # (p, gi) for elements 1, 2, ...
-    right: list[list[int]] = []
-    for i, g in enumerate(elements):  # the list grows while it is walked
+def _walk(start, moves, bound: int) -> tuple[list, list[list[int]], list[tuple[int, int]]]:
+    """The orbit of the start points under the moves in breadth-first order;
+    per point, the index of its image under each move; and per point found
+    beyond the start, the (point, move) it was found from.  More than bound
+    points is an ``ArithmeticError``."""
+    points = list(start)
+    index = {x: k for k, x in enumerate(points)}
+    images, found = [], []
+    for k, x in enumerate(points):  # the list grows while it is walked
         row = []
-        for gi, gen in enumerate(gens):
-            h = g @ gen
-            j = seen.setdefault(h, len(elements))
-            if j == len(elements):
-                elements.append(h)
-                words.append(words[i] + labels[gi])
-                found.append((i, gi))
+        for mi, move in enumerate(moves):
+            y = move(x)
+            j = index.setdefault(y, len(points))
+            if j == len(points):
+                points.append(y)
+                found.append((k, mi))
             row.append(j)
-        right.append(row)
-        if len(elements) > MAX_GROUP_ORDER:
+        images.append(row)
+        if len(points) > bound:
             raise ArithmeticError("group enumeration exceeded bound")
-    mul = []
-    for i in range(len(elements)):
-        row = [i]
-        for p, gi in found:
-            row.append(right[row[p]][gi])
-        mul.append(row)
-    return elements, words, mul
+    return points, images, found
 
 
 def coset_poincare(G: ReflectionCoset, counts: Sequence[int]) -> LaurentPoly:
@@ -506,12 +544,12 @@ def build_group(name: str) -> ReflectionCoset:
 class SubCoset:
     """A sub-coset (V, W_L * w) of a split coset, e.g. a Sylow centralizer.
 
-    ``group_elements`` lists W_L, ``twist`` is w and ``normalizer_order``
-    is |N_W(L)|.
+    ``group_elements`` lists the indices of W_L, ``twist`` is the index of w
+    and ``normalizer_order`` is |N_W(L)|.
     """
 
-    def __init__(self, parent: ReflectionCoset, group_elements: tuple[Matrix, ...],
-                 twist: Matrix, normalizer_order: int):
+    def __init__(self, parent: ReflectionCoset, group_elements: tuple[int, ...],
+                 twist: int, normalizer_order: int):
         self.__dict__.update(parent=parent, group_elements=group_elements,
                              twist=twist, normalizer_order=normalizer_order)
 
@@ -532,27 +570,23 @@ class SubCoset:
         return self.parent.rank
 
     @cached_property
-    def _members(self) -> set[int]:
-        return {self.parent.index[g] for g in self.group_elements}
-
-    @cached_property
     def poincare(self) -> LaurentPoly:
         """prod(1 - zeta_i x^{d_i}) from the G-classes of the elements l w."""
         G = self.parent
-        wi = G.index[self.twist]
         counts = [0] * len(G.classes)
-        for l in self._members:
-            counts[G._class_index[G.mul[l][wi]]] += 1
+        for l in self.group_elements:
+            counts[G.class_of(G._mul(l, self.twist))] += 1
         return coset_poincare(G, counts)
 
     @cached_property
     def n_ref(self) -> int:
         # W_L is a subgroup of W, so its reflections are those of W lying in it
-        return sum(1 for r in self.parent._hyperplanes if r in self._members)
+        return sum(1 for r in self.group_elements if r in self.parent._hyperplanes)
 
     @cached_property
     def n_hyp(self) -> int:
-        return len({h for r, h in self.parent._hyperplanes.items() if r in self._members})
+        hyp = self.parent._hyperplanes
+        return len({hyp[r] for r in self.group_elements if r in hyp})
 
 
 def sylow_subcoset(G: ReflectionCoset, phi: KCycloPoly) -> tuple[int, SubCoset]:
@@ -569,13 +603,11 @@ def sylow_subcoset(G: ReflectionCoset, phi: KCycloPoly) -> tuple[int, SubCoset]:
         raise ValueError("polynomial does not divide the group order polynomial")
     # among classes attaining the bound pick the representative of largest order
     w = G.regular_element(eigval)
-    basis = w.eigenspace(eigval)
-    w_l = G.parabolic_subgroup(basis)
-    # |N_W(L)|: v with v W_L v^-1 = W_L and v w v^-1 in W_L w
-    wi = G.index[w]
-    w_l_set = {G.index[g] for g in w_l}
-    coset = {G.mul[l][wi] for l in w_l_set}
-    normalizer = sum(1 for v in range(G.order)
-                     if all(G._conj(v, l) in w_l_set for l in w_l_set)
-                     and G._conj(v, wi) in coset)
-    return a, SubCoset(G, tuple(w_l), w, normalizer)
+    _, w_l = G.parabolic_subgroup(G.matrix(w).eigenspace(eigval))
+    # |N_W(L)| counts the v with v w v^-1 = l w in W_L w.  Such a v maps
+    # V(w, eigval) onto V(l w, eigval), which holds V(w, eigval) (l fixes it)
+    # and is no larger (its dimension a is maximal), so v also normalises
+    # W_L.  Each member of the class of w is v w v^-1 for |G| / |class| v.
+    ci = G.class_of(w)
+    hits = sum(1 for l in w_l if G.class_of(G._mul(l, w)) == ci)
+    return a, SubCoset(G, tuple(w_l), w, hits * G.order // G.classes[ci].size)

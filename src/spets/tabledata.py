@@ -30,7 +30,7 @@ from .cyclotomic import zeta
 from .hecke import CyclicHeckeParams
 from .laurent import FracExpMonomial, LaurentPoly
 from .orders import order_poly
-from .reflection import Matrix, ReflectionCoset, SubCoset, build_group
+from .reflection import ReflectionCoset, SubCoset, build_group
 from .uch import (Family, SeriesDetermination, SignedDegreeIndex, UchTable,
                   UnipotentCharacter, _cyclic_feg_map, assign_families, cyclic_uch,
                   determine_parameters, ennola_transform, hc_series,
@@ -316,7 +316,7 @@ class PipelineResult:
 
 def _levi_order(G: ReflectionCoset, gen_index: int) -> LaurentPoly:
     elems = G.powers(G.gens[gen_index])
-    sub = SubCoset(G, tuple(elems), Matrix.identity(G.rank), len(elems))
+    sub = SubCoset(G, tuple(elems), 0, len(elems))
     return order_poly(sub, "compact")
 
 
@@ -379,7 +379,7 @@ def construct_uch(name: str) -> PipelineResult:
     cfg = _PIPELINES[G.name]
     fm = feg_map(char_table(G))
 
-    rows = principal_series(G, Matrix.identity(G.rank),
+    rows = principal_series(G, 0,
                             schur_data=load_schur_data(cfg["schur_file"]))
     table = UchTable(G.name, rows)
 

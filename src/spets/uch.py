@@ -19,7 +19,7 @@ from .laurent import FracExpMonomial, LaurentPoly
 from .hecke import (SpetsialAlgebraSpec, check_spetsial, frobenius,
                     frobenius_model, schur_cyclic, CyclicHeckeParams)
 from .orders import fake_degree_torus, order_poly, order_roots
-from .reflection import Matrix, ReflectionCoset
+from .reflection import ReflectionCoset
 
 __all__ = [
     "UnipotentCharacter",
@@ -163,7 +163,7 @@ def _cyclic_feg_map(e: int) -> dict[str, LaurentPoly]:
 # -- principal series ----------------------------------------------------------------
 
 
-def principal_series(G: ReflectionCoset, w: Matrix,
+def principal_series(G: ReflectionCoset, w: int,
                      schur_data: list[tuple[str, LaurentPoly, int]]
                      ) -> list[UnipotentCharacter]:
     """One character per algebra character, with degree eps * Feg / S.
@@ -468,16 +468,9 @@ def assign_families(table: UchTable, feg_map: dict[str, LaurentPoly]) -> UchTabl
 
 def regular_eigenvalues(G: ReflectionCoset) -> list[Cyclo]:
     """All roots of unity admitting a regular eigenvector, sorted by (d, a)."""
-    exponent = lcm(*(G.element_order(g) for g in G.elements))
-    out = []
-    for d in divisors(exponent):
-        for a in range(d):
-            if d > 1 and gcd(a, d) != 1 or (d == 1 and a != 0):
-                continue
-            z = zeta_root(d, a)
-            if _has_regular_vector(G, z):
-                out.append(z)
-    return out
+    exponent = lcm(*(c.order for c in G.classes))
+    roots = (zeta_root(d, a) for d in divisors(exponent) for a in range(d) if gcd(a, d) == 1)
+    return [z for z in roots if _has_regular_vector(G, z)]
 
 
 def _has_regular_vector(G: ReflectionCoset, z: Cyclo) -> bool:
@@ -488,11 +481,8 @@ def _has_regular_vector(G: ReflectionCoset, z: Cyclo) -> bool:
     reflection on it fixes V(w, z) pointwise."""
     if G.max_eigenspace_dim(z) == 0:
         return False
-    for ci in G.regular_classes(z):
-        basis = G.elements[G.classes[ci].rep_index].eigenspace(z)
-        if not any(all(r.apply(b) == b for b in basis) for r in G.hyperplane_reflections):
-            return True
-    return False
+    return any(not G.parabolic_subgroup(G.matrix(G.classes[ci].rep_index).eigenspace(z))[0]
+               for ci in G.regular_classes(z))
 
 
 # -- axiom verification ------------------------------------------------------------------
@@ -535,7 +525,7 @@ def verify_axioms(table: UchTable, G: ReflectionCoset,
     _check_family_sums(table, feg_map, fails["family-sum"])
 
     # principal 1-series: Feg(R_1) = sum theta(1) Deg(rho_theta)
-    feg1 = fake_degree_torus(G, Matrix.identity(G.elements[0].n))
+    feg1 = fake_degree_torus(G, 0)
     total = LaurentPoly.combination((table.row(name).degree, fg.evaluate(1))
                                     for name, fg in feg_map.items())
     if total != feg1:

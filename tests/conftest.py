@@ -29,6 +29,9 @@ def _extra_gens():
         "G8": ([r((1, 0), i), r((1, 1), i)], 4),
         "G25": (g25, 3),
         "G26": (g25 + [r((1, -1, 0), -1)], 3),
+        # G(4,4,4) and r((1,1,1,1), -1)
+        "G29": ([r((1, -1, 0, 0), -1), r((0, 1, -1, 0), -1), r((0, 0, 1, -1), -1),
+                 r((0, 0, 1, -i), -1), r((1, 1, 1, 1), -1)], 4),
     }
 
 
@@ -41,6 +44,7 @@ EXTRA_GROUPS = {
     "G8": (96, (8, 12), (0, 4), 16),
     "G25": (648, (6, 9, 12), (0, 3, 6), 24),
     "G26": (1296, (6, 12, 18), (0, 6, 12), 48),
+    "G29": (7680, (4, 8, 12, 20), (0, 8, 12, 16), 37),
 }
 
 

@@ -6,14 +6,14 @@ from math import lcm
 import pytest
 
 from spets import reflection
-from spets.cyclotomic import Cyclo, divisors, zeta
+from spets.cyclotomic import Cyclo, CycloField, divisors, zeta
 from spets.laurent import LaurentPoly, k_cyclotomic_factors
 from spets.orders import all_sylow_congruences, order_poly
-from spets.reflection import (Matrix, SubCoset, build_group, row_reduce,
-                              sylow_subcoset)
+from spets.reflection import (Matrix, ReflectionCoset, SubCoset, build_group,
+                              row_reduce, sylow_subcoset)
 from spets.tabledata import _levi_order
 
-from conftest import ORACLE_GROUPS
+from conftest import ORACLE_GROUPS, extra_group
 
 
 class TestBuiltins:
@@ -51,6 +51,38 @@ class TestBuiltins:
             assert sum(c.size for c in G.classes) == G.order
 
 
+class TestGenerators:
+    """Generators must be reflections or the identity: the action on the
+    roots is faithful only then."""
+
+    @pytest.mark.parametrize("gens, bad", [
+        ([Matrix.diagonal([-1, 1]), Matrix.diagonal([-1, -1])], 1),  # rank(g - 1) = 2
+        ([Matrix([[1, 1], [0, 1]])], 0),                              # a transvection
+    ])
+    def test_non_reflection_is_value_error(self, gens, bad):
+        with pytest.raises(ValueError, match=f"generator {bad} is neither"):
+            ReflectionCoset("bad", gens, CycloField.rationals())
+
+    def test_identity_generator(self):
+        # Z_1 is built from [[1]], which has no root
+        G = build_group("Z_1")
+        assert (G.order, G.rank, G.gens, G.words, len(G.classes)) == (1, 1, [0], [""], 1)
+        assert G.matrix(0) == Matrix.identity(1)
+        assert G.n_ref == G.n_hyp == 0
+
+    def test_infinite_order_stops_at_the_bound(self, monkeypatch):
+        # diag(2, 1) fixes a hyperplane but has infinite order: its root's
+        # orbit grows until the bound on the root walk
+        monkeypatch.setattr(reflection, "MAX_GROUP_ORDER", 50)
+        with pytest.raises(ArithmeticError, match="enumeration exceeded bound"):
+            ReflectionCoset("inf", [Matrix.diagonal([2, 1])], CycloField.rationals())
+
+    @pytest.mark.parametrize("name", ["G4", "G(3,1,2)"])
+    def test_matrix_is_built_once(self, name):
+        G = build_group(name)
+        assert all(G.matrix(i) is G.matrix(i) for i in range(G.order))
+
+
 class TestMatrix:
     def test_identity_and_mul(self):
         I = Matrix.identity(2)
@@ -84,11 +116,11 @@ class TestRegular:
         w = g4.regular_element(zeta(4))
         assert w is not None
         assert g4.element_order(w) % 4 == 0
-        assert len(w.eigenspace(zeta(4))) == 1
+        assert len(g4.matrix(w).eigenspace(zeta(4))) == 1
 
     def test_g4_minus_one_regular(self, g4):
         w = g4.regular_element(Cyclo.rational(-1))
-        assert w == Matrix.diagonal([Cyclo.rational(-1)] * 2)
+        assert g4.matrix(w) == Matrix.diagonal([Cyclo.rational(-1)] * 2)
 
     def test_g312_regular(self, g312):
         for z in (zeta(6), zeta(6) ** 5, Cyclo.rational(-1)):
@@ -100,23 +132,23 @@ class TestRegular:
         assert len(cent) == g4.element_order(w)
         # cyclic: generated by w itself
         powers = set()
-        p = w
+        m = p = g4.matrix(w)
         for _ in range(g4.element_order(w)):
             powers.add(p)
-            p = p @ w
-        assert set(cent) == powers
+            p = p @ m
+        assert {g4.matrix(g) for g in cent} == powers
 
 
 def _restricted_centralizer(G, w, z):
     """The image of C_W(w) acting on V(w, z): each member's matrix on a basis
     of V(w, z), its coordinates solved by row-reducing [basis | g b]."""
-    basis = w.eigenspace(z)
+    basis = G.matrix(w).eigenspace(z)
     k = len(basis)
     images = set()
     for g in G.centralizer(w):
         cols = []
         for b in basis:
-            gb = g.apply(b)
+            gb = G.matrix(g).apply(b)
             rows = [[v[i] for v in basis] + [gb[i]] for i in range(G.rank)]
             assert row_reduce(rows) == list(range(k))  # g b lies in V(w, z)
             cols.append([rows[j][k] for j in range(k)])
@@ -135,7 +167,7 @@ class TestEigenspaceCentralizer:
     def test_restriction_is_cyclic(self, g4):
         w = g4.regular_element(zeta(4))
         assert g4.cyclic_centralizer_order(w, zeta(4)) == 4
-        assert len(w.eigenspace(zeta(4))) == 1
+        assert len(g4.matrix(w).eigenspace(zeta(4))) == 1
 
     def test_g312_zeta6(self, g312):
         w = g312.regular_element(zeta(6))
@@ -149,7 +181,7 @@ class TestEigenspaceCentralizer:
         for name in ("G4", "G(3,1,2)", "Z_6", "Z_12"):
             G = build_group(name)
             for c in G.classes:
-                w = G.elements[c.rep_index]
+                w = c.rep_index
                 for z in dict.fromkeys(c.eigenvalues):
                     image = _restricted_centralizer(G, w, z)
                     order = len(G.centralizer(w))
@@ -161,7 +193,7 @@ class TestEigenspaceCentralizer:
 
     def test_empty_eigenspace_is_value_error(self, g4):
         with pytest.raises(ValueError, match="empty eigenspace"):
-            g4.cyclic_centralizer_order(g4.elements[0], Cyclo.rational(-1))
+            g4.cyclic_centralizer_order(0, Cyclo.rational(-1))
 
 
 TABLE_GROUPS = ("G4", "G(3,1,2)", "Z_6")
@@ -170,37 +202,41 @@ TABLE_GROUPS = ("G4", "G(3,1,2)", "Z_6")
 class TestTables:
     @pytest.mark.parametrize("name", TABLE_GROUPS)
     def test_mul_matches_matrix_products(self, name):
+        # products of root permutations against products of matrices
         G = build_group(name)
-        for i, a in enumerate(G.elements):
-            for j, b in enumerate(G.elements):
-                assert G.elements[G.mul[i][j]] == a @ b
+        for i in range(G.order):
+            for j in range(G.order):
+                assert G.matrix(G._mul(i, j)) == G.matrix(i) @ G.matrix(j)
 
     @pytest.mark.parametrize("name", TABLE_GROUPS)
     def test_words_spell_elements(self, name):
+        # each word spells its element, and distinct elements have distinct
+        # matrices: the action on the roots is faithful
         G = build_group(name)
-        for g, word in zip(G.elements, G.words):
+        for i, word in enumerate(G.words):
             m = Matrix.identity(G.rank)
             for ch in word:
-                m = m @ G.gens["stuvw".index(ch)]
-            assert m == g
+                m = m @ G.matrix(G.gens["stuvw".index(ch)])
+            assert m == G.matrix(i)
+        assert len({G.matrix(i) for i in range(G.order)}) == G.order
 
     @pytest.mark.parametrize("name", TABLE_GROUPS)
     def test_powers_match_matrix_powers(self, name):
         G = build_group(name)
         ident = Matrix.identity(G.rank)
-        for g in G.elements:
-            want, p = [ident], g
+        for g in range(G.order):
+            want, p = [ident], G.matrix(g)
             while p != ident:
                 want.append(p)
-                p = p @ g
-            assert G.powers(g) == want
+                p = p @ G.matrix(g)
+            assert [G.matrix(k) for k in G.powers(g)] == want
             assert G.element_order(g) == len(want)
 
     def test_eigenvalues_give_det_one_minus_x(self, g4, g312):
         # det(1 - x g) is the coefficient reversal of the charpoly det(x - g)
         for G in (g4, g312):
             for c, det in zip(G.classes, G._class_dets):
-                g = G.elements[c.rep_index]
+                g = G.matrix(c.rep_index)
                 want = LaurentPoly([(g.n - e, a) for e, a in g.charpoly().coeffs])
                 assert det == want
 
@@ -220,13 +256,30 @@ class TestTables:
 def _brute_normalizer_order(G, w_l, w):
     """|{v : v W_L v^-1 = W_L and v w v^-1 in W_L w}| by matrix products."""
     ident = Matrix.identity(G.rank)
+    elements = [G.matrix(i) for i in range(G.order)]
+    w_l = [elements[i] for i in w_l]
+    w = elements[w]
     w_l_set = set(w_l)
     coset = {g @ w for g in w_l}
     count = 0
-    for v in G.elements:
-        vinv = next(h for h in G.elements if h @ v == ident)
+    for v in elements:
+        vinv = next(h for h in elements if h @ v == ident)
         if ({v @ g @ vinv for g in w_l} == w_l_set
                 and v @ w @ vinv in coset):
+            count += 1
+    return count
+
+
+def _conjugation_normalizer_order(G, w_l, w):
+    """|{v : v W_L v^-1 = W_L and v w v^-1 in W_L w}|, conjugating w and every
+    member of W_L by each v in turn, with v^-1 = v^(k-1) for v of order k."""
+    w_l = set(w_l)
+    coset = {G._mul(l, w) for l in w_l}
+    count = 0
+    for v in range(G.order):
+        inv = G.powers(v)[-1]
+        conj = {g: G._mul(G._mul(v, g), inv) for g in (w, *w_l)}
+        if {conj[l] for l in w_l} == w_l and conj[w] in coset:
             count += 1
     return count
 
@@ -246,11 +299,21 @@ class TestSylowNormalizer:
                     G, L.group_elements, L.twist)
                 assert L.relative_order * len(L.group_elements) == L.normalizer_order
 
+    def test_nontrivial_w_l_matches_direct_count(self):
+        # every Sylow W_L of G4 and G(3,1,2) is trivial; G29's are of order 8
+        # at the factors x^2 -+ i of Phi_8 over Q(i)
+        G = extra_group("G29")
+        for phi in k_cyclotomic_factors(8, G.field):
+            _, L = sylow_subcoset(G, phi)
+            assert len(L.group_elements) == 8
+            assert L.normalizer_order == 64 == \
+                _conjugation_normalizer_order(G, L.group_elements, L.twist)
+
     def test_relative_order_rejects_a_remainder(self, g4):
         # W_L is normal in N_W(L): a normaliser count that |W_L| does not
         # divide is wrong, and is reported with both numbers
         s = g4.gens[0]
-        L = SubCoset(g4, tuple(g4.powers(s)), Matrix.identity(2), 4)
+        L = SubCoset(g4, tuple(g4.powers(s)), 0, 4)
         with pytest.raises(ArithmeticError, match=r"\|N_W\(L\)\| = 4 .* \|W_L\| = 3"):
             L.relative_order
 
@@ -262,7 +325,7 @@ def oracle_group(request):
 
 def _roots_of_exponent(G):
     """Every E(d, a) with d dividing the exponent of G."""
-    exponent = lcm(*(G.element_order(g) for g in G.elements))
+    exponent = lcm(*(G.element_order(g) for g in range(G.order)))
     return [zeta(d, a) for d in divisors(exponent) for a in range(d)]
 
 
@@ -273,16 +336,16 @@ class TestEigenDataOracle:
 
     def test_multiplicity_is_eigenspace_dimension(self, oracle_group):
         G = oracle_group
-        for g in G.elements:
+        for g in range(G.order):
             eig = G.eigenvalues(g)
             for z in _roots_of_exponent(G):
-                assert eig.count(z) == len(g.eigenspace(z)), (G.name, g, z)
+                assert eig.count(z) == len(G.matrix(g).eigenspace(z)), (G.name, g, z)
 
     def test_regular_classes_and_elements(self, oracle_group):
         G = oracle_group
-        reps = [G.elements[c.rep_index] for c in G.classes]
+        reps = [c.rep_index for c in G.classes]
         for z in _roots_of_exponent(G):
-            dims = [len(w.eigenspace(z)) for w in reps]
+            dims = [len(G.matrix(w).eigenspace(z)) for w in reps]
             best = max(dims)
             want = [ci for ci, dim in enumerate(dims) if dim == best]
             assert G.max_eigenspace_dim(z) == best
@@ -293,18 +356,18 @@ class TestEigenDataOracle:
     def test_reflections(self, oracle_group):
         G = oracle_group
         ident, one = Matrix.identity(G.rank), Cyclo.rational(1)
-        assert G.reflections == [g for g in G.elements if g != ident
-                                 and len(g.eigenspace(one)) == G.rank - 1]
+        assert G.reflections == [g for g in range(G.order) if G.matrix(g) != ident
+                                 and len(G.matrix(g).eigenspace(one)) == G.rank - 1]
 
     def test_class_of(self, oracle_group):
         G = oracle_group
-        for i, g in enumerate(G.elements):
-            assert G.class_of(g) == next(ci for ci, c in enumerate(G.classes)
+        for i in range(G.order):
+            assert G.class_of(i) == next(ci for ci, c in enumerate(G.classes)
                                          if i in c.member_indices)
 
     def test_eigenvalues_return_a_copy(self, oracle_group):
         G = oracle_group
-        g = G.elements[-1]
+        g = G.order - 1
         want = G.eigenvalues(g)
         G.eigenvalues(g).append(Cyclo.rational(0))
         assert G.eigenvalues(g) == want
@@ -326,7 +389,7 @@ class TestHyperplaneOracle:
         G = oracle_group
         by_line, by_table = {}, {}
         for g in G.reflections:
-            by_line.setdefault(_root_line(g), set()).add(G.index[g])
+            by_line.setdefault(_root_line(G.matrix(g)), set()).add(g)
         for r, h in G._hyperplanes.items():
             by_table.setdefault(h, set()).add(r)
         assert sorted(map(sorted, by_table.values())) == \
@@ -348,8 +411,9 @@ def _matrix_order_poly(L, variant):
     """The order of a sub-coset from its matrices l @ w: det(1 - x m) as the
     reversed charpoly of each, the Molien series as their mean inverse, and
     the hyperplanes of W_L grouped by root line."""
-    mats = [g @ L.twist for g in L.group_elements]
-    rank, one = L.twist.n, Cyclo.rational(1)
+    G = L.parent
+    mats = [G.matrix(g) @ G.matrix(L.twist) for g in L.group_elements]
+    rank, one = G.rank, Cyclo.rational(1)
     bound = len(mats) * rank + 1  # at least the degree of P
     molien = LaurentPoly.zero()
     for m in mats:
@@ -357,7 +421,8 @@ def _matrix_order_poly(L, variant):
         molien = molien + _series_inverse(det, bound) * Fraction(1, len(mats))
     P = _series_inverse(molien, bound)
     core = LaurentPoly([(P.degree() - e, c) for e, c in P.coeffs])
-    refl = [g for g in L.group_elements
+    refl = [G.matrix(g) for g in L.group_elements]
+    refl = [g for g in refl
             if g != Matrix.identity(rank) and len(g.eigenspace(one)) == rank - 1]
     if variant == "compact":
         return core.shift(len({_root_line(g) for g in refl}))
@@ -384,14 +449,14 @@ class TestSubCosetOracle:
         G = build_group(name)
         for gi, gen in enumerate(G.gens):
             elems = tuple(G.powers(gen))
-            L = SubCoset(G, elems, Matrix.identity(G.rank), len(elems))
+            L = SubCoset(G, elems, 0, len(elems))
             assert _levi_order(G, gi) == _matrix_order_poly(L, "compact")
             assert order_poly(L, "noncompact") == _matrix_order_poly(L, "noncompact")
 
 
 def _pointwise_stabilizer(G, vectors):
     """Every element of G that fixes each vector, in element order."""
-    return [g for g in G.elements if all(g.apply(v) == v for v in vectors)]
+    return [g for g in range(G.order) if all(G.matrix(g).apply(v) == v for v in vectors)]
 
 
 class TestParabolicSubgroup:
@@ -405,14 +470,14 @@ class TestParabolicSubgroup:
         for phi in phis:
             d, k = phi.root_order, min(phi.root_exponents)
             eigval = zeta(d, k) if d > 1 else Cyclo.rational(1)
-            basis = G.regular_element(eigval).eigenspace(eigval)
-            assert G.parabolic_subgroup(basis) == _pointwise_stabilizer(G, basis), \
+            basis = G.matrix(G.regular_element(eigval)).eigenspace(eigval)
+            assert G.parabolic_subgroup(basis)[1] == _pointwise_stabilizer(G, basis), \
                 (G.name, phi)
 
     def test_every_eigenspace(self, oracle_group):
         G = oracle_group
         for c in G.classes:
-            g = G.elements[c.rep_index]
+            g = G.matrix(c.rep_index)
             for lam in set(c.eigenvalues):
                 basis = g.eigenspace(lam)
-                assert G.parabolic_subgroup(basis) == _pointwise_stabilizer(G, basis)
+                assert G.parabolic_subgroup(basis)[1] == _pointwise_stabilizer(G, basis)

@@ -20,6 +20,8 @@ from spets.uch import (DeterminationError, SeriesDetermination,
                        cyclic_uch, determine_parameters, ennola_transform,
                        hc_candidate_filter, regular_eigenvalues, verify_axioms)
 
+from conftest import EXTRA_GROUPS, extra_group
+
 
 class TestCyclicTables:
     @pytest.mark.parametrize("e", range(2, 13))
@@ -97,7 +99,7 @@ class TestAxioms:
         G = build_group("Z_12")
         report = verify_axioms(cyclic_uch(12), G, uch._cyclic_feg_map(12))
         assert report.passed
-        assert list(G._class_fake_degrees) == [G.class_of(Matrix.identity(1))]
+        assert list(G._class_fake_degrees) == [G.class_of(0)]
 
     @staticmethod
     def _with_degree(table, name, change):
@@ -173,7 +175,9 @@ class TestAxioms:
 # degrees and codegrees (Lehrer-Taylor, Unitary Reflection Groups, 2009)
 SPRINGER_DATA = {"G4": ((4, 6), (0, 2)), "G(3,1,2)": ((3, 6), (0, 3)),
                  "B3": ((2, 4, 6), (0, 2, 4)),
-                 **{f"Z_{e}": ((e,), (0,)) for e in range(2, 13)}}
+                 **{f"Z_{e}": ((e,), (0,)) for e in range(2, 13)},
+                 **{name: (degrees, codegrees)
+                    for name, (_, degrees, codegrees, _) in EXTRA_GROUPS.items()}}
 
 
 def _b3():
@@ -206,7 +210,8 @@ class TestRegularEigenvalues:
         want = {(d, a) for d in range(1, max(degrees) + 1)
                 if sum(x % d == 0 for x in degrees) == sum(x % d == 0 for x in codegrees)
                 for a in range(d) if gcd(a, d) == 1}
-        G = _b3() if name == "B3" else build_group(name)
+        G = (_b3() if name == "B3" else extra_group(name) if name in EXTRA_GROUPS
+             else build_group(name))
         assert [d for d, _ in G.degrees] == list(degrees)
         got = [z.root_of_unity_order() for z in regular_eigenvalues(G)]
         assert len(got) == len(want) and set(got) == want

@@ -16,7 +16,7 @@ from spets.tabledata import _g4_hc
 
 def _sub_coset():
     G = build_group("Z_3")
-    return SubCoset(G, (G.elements[0],), G.elements[0], 1)
+    return SubCoset(G, (0,), 0, 1)
 
 
 @pytest.mark.parametrize("make, field", [

@@ -12,7 +12,7 @@ from spets.chartables import char_table
 from spets.cyclotomic import Cyclo, CycloField, zeta
 from spets.laurent import FracExpMonomial, LaurentPoly, k_cyclotomic_factors
 from spets.orders import fake_degree_torus
-from spets.reflection import Matrix, build_group
+from spets.reflection import build_group
 from spets.tabledata import emit_uch
 from spets.uch import Family, UchTable, UnipotentCharacter, cyclic_uch
 
@@ -150,7 +150,7 @@ def reference_g312():
 def schur_file(group, ref_table, principal_names):
     G = build_group(group)
     T = char_table(G)
-    feg = fake_degree_torus(G, Matrix.identity(G.rank))
+    feg = fake_degree_torus(G, 0)
     lines = []
     for name in T.names:
         deg = ref_table.row(name).degree if name in principal_names else None
