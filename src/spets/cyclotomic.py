@@ -32,10 +32,14 @@ conductors, over one common denominator; that ring maps onto Z[zeta_N], so
 the canonical form is taken once, for the whole sum.  Raw products are not
 chained there (no powers or Horner steps in the group ring): x^N - 1 is not
 the cyclotomic polynomial, and the coefficients of a chain grow binomially.
-Only products of reduced numbers are accumulated.  The one bounded exception
-is ``hecke.schur_cyclic``, which chains the e - 1 binomials 1 - q*v^k of a
-Schur element on one lift: q is reduced, so each factor has lift L1 norm
-1 + ||q||_1, and for a root of unity q that is 2.
+Only products of reduced numbers are accumulated.  The bounded exceptions
+are two chains of the e - 1 binomials 1 - q*v^k of a Schur element on one
+lift.  ``hecke.schur_cyclic`` multiplies them: q is reduced, so each factor
+has lift L1 norm 1 + ||q||_1, and for a root of unity q that is 2.
+``hecke.schur_quotients`` peels them off a polynomial p from its low end,
+q_i = p_i + q * q_(i-k): q is a root of unity, an index shift of the lift,
+so a peel only adds shifted copies of p's coefficients, and the largest
+coefficient L1 norm grows at most by the factor deg(p)/k + 1 per peel.
 
 Where only "is it zero?" is asked, no canonical form is built at all: the
 integers of a group-ring lift are rewritten on the Zumbroich basis

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .cyclotomic import Cyclo, _to_basis, divisors, sum_of_products, zeta
+from .cyclotomic import Cyclo, CycloSum, _to_basis, divisors, zeta
 from .laurent import KCycloPoly, LaurentPoly, k_cyclotomic_factors
 from .reflection import ReflectionCoset, SubCoset, sylow_subcoset
 
@@ -111,13 +111,18 @@ class CharTable:
         return {name: fake_degree_char(self, name) for name in self.names}
 
     def verify_orthogonality(self) -> None:
+        """sum_g a(g) conj(b(g)) = |W| delta_ab for all rows a, b, each row conjugated
+        and weighted by the class sizes once, each pair a ``CycloSum.is_zero`` test."""
         W = self.group
+        conj = {b: [v.conjugate() * cls.size for v, cls in zip(self.values[b], W.classes)]
+                for b in self.names}
         for i, a in enumerate(self.names):
             for b in self.names[i:]:
-                acc = sum_of_products((u, v.conjugate() * cls.size) for u, v, cls
-                                      in zip(self.values[a], self.values[b], W.classes))
-                want = Cyclo.rational(W.order if a == b else 0)
-                if acc != want:
+                acc = CycloSum()
+                for u, v in zip(self.values[a], conj[b]):
+                    acc.add(u, v)
+                acc.add(Cyclo.rational(-W.order if a == b else 0))
+                if not acc.is_zero():
                     raise ArithmeticError(
                         f"character table fails orthogonality at ({a}, {b})")
 

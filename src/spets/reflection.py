@@ -147,7 +147,10 @@ def row_reduce(rows: list[list]) -> list[int]:
 
 def _eigenvalues(g: Matrix, order: int) -> list[Cyclo]:
     """Eigenvalues of g, an element of the given order, with multiplicity, as
-    powers of zeta(order): the root multiplicities of the charpoly."""
+    powers of zeta(order): the root multiplicities of the charpoly, or the
+    entry itself when g is 1 x 1."""
+    if g.n == 1:
+        return [g.rows[0][0]]
     mults = g.charpoly().multiplicities({(order, k): g.n for k in range(order)})
     return [zeta(order, k) for (_, k), m in mults.items() for _ in range(m)]
 

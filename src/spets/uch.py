@@ -11,13 +11,14 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from fractions import Fraction
-from math import gcd, lcm
+from functools import lru_cache, partial
+from math import comb, gcd, lcm
 
 from .cyclotomic import (Cyclo, CycloField, CycloSum, _to_basis, divisors,
                          zeta as zeta_root)
 from .laurent import FracExpMonomial, LaurentPoly
-from .hecke import (SpetsialAlgebraSpec, check_spetsial, frobenius,
-                    frobenius_model, schur_cyclic, CyclicHeckeParams)
+from .hecke import (SpetsialAlgebraSpec, check_spetsial, frobenius_model,
+                    schur_cyclic, schur_quotients, CyclicHeckeParams)
 from .orders import fake_degree_torus, order_poly, order_roots
 from .reflection import ReflectionCoset
 
@@ -238,9 +239,10 @@ def ennola_transform(table: UchTable, xi: Cyclo, names=()) -> EnnolaResult:
 
 
 class DeterminationError(ValueError):
-    def __init__(self, message: str, survivors: int):
+    def __init__(self, message: str, survivors: int, funnel: dict[str, int] | None = None):
         super().__init__(message)
         self.survivors = survivors
+        self.funnel = funnel
 
 
 class SeriesDetermination:
@@ -252,6 +254,7 @@ class SeriesDetermination:
         self.degrees = degrees
         self.frs = frs
         self.epsilons = epsilons
+        self.funnel: dict[str, int] | None = None
 
 
 def determine_parameters(G: ReflectionCoset, zeta_c: Cyclo,
@@ -259,15 +262,16 @@ def determine_parameters(G: ReflectionCoset, zeta_c: Cyclo,
     """Search for the spetsial algebra of the zeta-series of a coset.
 
     Scope: cyclic centralizer.  The unknown is the exponent vector m of the
-    spetsial normal form u_j = zeta_e^j (zeta^{-1} x)^{m_j}.  The known
-    series members pin exponents m_r from their (a, A) statistics, and every
-    ordered m with sum(m) = N^hyp whose multiset contains them is a
-    candidate.  A candidate is kept only if the known members fit pairwise
-    distinct slots, each with its exponent and Frobenius residue (the
-    trivial character only slot 0); it is then checked once against the
-    algebra conditions, and the known members are placed by degree lookup,
-    each at exactly one slot.  Condition SC3, that each Schur element
-    divides the fake degree, is decided by that placement's exact quotients.
+    spetsial normal form u_j = zeta_e^j (zeta^{-1} x)^{m_j}, sum(m) = N^hyp.
+    The known series members pin exponents m_r from their (a, A) statistics
+    and slots by their Frobenius residue (the trivial character slot 0);
+    only the vectors seating them at pairwise distinct slots are generated,
+    each checked once against the algebra conditions, and the members are
+    placed by degree lookup, each at exactly one slot.  SC3, that each Schur
+    element divides the fake degree, is decided by the placement's exact
+    quotients.  ``funnel`` counts the search space C(N^hyp + e - 1, e - 1),
+    the candidates, those failing the conditions, those left unplaced, and
+    the survivors.
     """
     d, a = zeta_c.root_of_unity_order() or (1, 0)
     if G.max_eigenspace_dim(zeta_c) == 0:
@@ -277,7 +281,10 @@ def determine_parameters(G: ReflectionCoset, zeta_c: Cyclo,
     if e is None:
         raise ValueError("cyclic reduction only: the centralizer is not cyclic")
     n_ref, n_hyp = G.n_ref, G.n_hyp
+    funnel = dict(space=comb(n_hyp + e - 1, e - 1), candidates=0, failed_check=0,
+                  unmatched=0, survivors=0)
     feg = fake_degree_torus(G, w)
+    fr_model = lru_cache(maxsize=None)(partial(frobenius_model, e, d, a))  # (j, delta)
 
     members = [r for r in known.rows if not r.degree.vanishes_at([(d, a)])[0]]
     trivial = next((r for r in members if r.degree == LaurentPoly.one()), None)
@@ -286,55 +293,77 @@ def determine_parameters(G: ReflectionCoset, zeta_c: Cyclo,
         m_r = Fraction(n_ref + n_hyp - r.delta, e)
         if m_r < 0 or m_r.denominator != 1:
             raise DeterminationError(
-                f"known member {r.name} pins a non-integral exponent {m_r}", 0)
+                f"known member {r.name} pins a non-integral exponent {m_r}", 0, funnel)
         # the trivial character always indexes slot 0
         slots = [j for j in (range(1) if r is trivial else range(e))
-                 if r.fr is None
-                 or r.fr in frobenius_model(e, d, a, j, Fraction(r.delta))]
+                 if r.fr is None or r.fr in fr_model(j, r.delta)]
         pinned.append((int(m_r), slots))
 
     if sum(m for m, _ in pinned) > n_hyp or len(pinned) > e:
-        raise DeterminationError("known series members overfill the exponent budget", 0)
+        raise DeterminationError("known series members overfill the exponent budget",
+                                 0, funnel)
 
-    survivors: list[SeriesDetermination] = []
-    for m in _exponent_vectors(e, n_hyp):
-        fits = [[j for j in slots if m[j] == m_r] for m_r, slots in pinned]
-        if not any(len(set(p)) == len(p) for p in itertools.product(*fits)):
-            continue
-        spec = SpetsialAlgebraSpec(e=e, d=d, a=a, m=m, n_ref=n_ref, n_hyp=n_hyp)
-        if not check_spetsial(spec).passed:
-            continue
-        result = _match_series(spec, feg, members, trivial)
-        if result is not None:
-            survivors.append(result)
+    specs = [SpetsialAlgebraSpec(e=e, d=d, a=a, m=m, n_ref=n_ref, n_hyp=n_hyp)
+             for m in _candidate_vectors(e, n_hyp, pinned)]
+    passed = [spec for spec in specs if check_spetsial(spec).passed]
+    survivors = [r for r in (_match_series(spec, feg, members, trivial, fr_model)
+                             for spec in passed) if r is not None]
+    funnel.update(candidates=len(specs), failed_check=len(specs) - len(passed),
+                  unmatched=len(passed) - len(survivors), survivors=len(survivors))
 
     if len(survivors) != 1:
         raise DeterminationError(
             f"expected a unique surviving assignment, found {len(survivors)}",
-            len(survivors))
+            len(survivors), funnel)
+    survivors[0].funnel = funnel
     return survivors[0]
 
 
 def _exponent_vectors(e: int, total: int):
-    """Ordered e-tuples of nonnegative integers with the given sum."""
+    """Ordered e-tuples of nonnegative integers with the given sum, in
+    lexicographic order (that of the e - 1 cuts of stars and bars)."""
+    if e == 0:
+        if total == 0:
+            yield ()
+        return
     for cuts in itertools.combinations(range(total + e - 1), e - 1):
         bounds = (-1,) + cuts + (total + e - 1,)
         yield tuple(hi - lo - 1 for lo, hi in zip(bounds, bounds[1:]))
 
 
+def _candidate_vectors(e: int, total: int, pinned: list[tuple[int, list[int]]]
+                       ) -> list[tuple[int, ...]]:
+    """The vectors of ``_exponent_vectors(e, total)``, in its order, that seat
+    each pinned (m_r, slots) at its own slot j from its slots, m_j = m_r:
+    each injective seating, with the free slots filled by the compositions
+    of the remaining budget."""
+    rem = total - sum(m for m, _ in pinned)
+    seatings: list[tuple[int, ...]] = [()] if rem >= 0 else []
+    for _, slots in pinned:
+        seatings = [seats + (j,) for seats in seatings for j in slots if j not in seats]
+    out: set[tuple[int, ...]] = set()
+    for seats in seatings:
+        free = [j for j in range(e) if j not in seats]
+        m = dict(zip(seats, [m_r for m_r, _ in pinned]))
+        for fill in _exponent_vectors(len(free), rem):
+            m.update(zip(free, fill))
+            out.add(tuple(m[j] for j in range(e)))
+    return sorted(out)
+
+
 def _match_series(spec: SpetsialAlgebraSpec, feg: LaurentPoly,
                   members: list[UnipotentCharacter],
-                  trivial: UnipotentCharacter | None
+                  trivial: UnipotentCharacter | None, fr_model
                   ) -> SeriesDetermination | None:
     """Place each known member at the one slot j where its degree is
-    +-Feg/S_j and its Fr is a Frobenius eigenvalue of chi_j; every other slot
-    takes the sign that makes its degree +-1 at zeta.  None when some S_j
-    does not divide Feg (SC3) or no placement fits."""
-    try:
-        quos = [feg.exact_div(s.as_x()) for s in spec.schur()]
-    except (ArithmeticError, ValueError):
+    +-Feg/S_j and its Fr is a Frobenius eigenvalue of chi_j, from
+    ``fr_model(j, delta)`` (:func:`frobenius_model` of the series); every
+    other slot takes the sign that makes its degree +-1 at zeta.  None when
+    some S_j does not divide Feg (SC3) or no placement fits."""
+    quos = schur_quotients(spec, feg)
+    if quos is None:
         return None
-    frs_all = [frobenius(spec, j) for j in range(spec.e)]
+    frs_all = [fr_model(j, spec.n_ref - spec.sigma(j)) for j in range(spec.e)]
     index = SignedDegreeIndex(quos)
     assignment: dict[int, str | None] = dict.fromkeys(range(spec.e))
     eps = [0] * spec.e

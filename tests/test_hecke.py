@@ -12,8 +12,8 @@ from spets import uch
 from spets.cyclotomic import Cyclo, CycloField, zeta
 from spets.hecke import (CyclicHeckeParams, SpetsialAlgebraSpec, check_spetsial,
                          compactify, ennola_twist, frobenius, noncompactify,
-                         omega_sigma_delta, one_spetsial_spec, parse_spec,
-                         schur_cyclic, tau_pi)
+                         frobenius_model, omega_sigma_delta, one_spetsial_spec,
+                         parse_spec, schur_cyclic, schur_quotients, tau_pi)
 from spets.laurent import FracExpMonomial, LaurentPoly
 from spets.orders import fake_degree_torus
 from spets.uch import regular_eigenvalues
@@ -203,6 +203,74 @@ class TestEigenvalueData:
         frs = [frobenius(spec, i) for i in range(6)]
         assert [[f.serialize() for f in fr] for fr in frs] == \
             [["1"], ["1"], ["1"], ["(-1-E(3,1))"], ["(-1-E(3,1))"], ["1"]]
+
+
+class TestClosedFormSigma:
+    def test_sigma_and_frobenius_match_the_schur_elements(self):
+        # sigma_i = e*m_i - sum(m) against valuation plus degree of S_i, on
+        # the grid specs, fractional exponents (h > 1) included
+        fractional = 0
+        for spec in _grid_specs():
+            for i, s in enumerate(spec.schur()):
+                assert spec.sigma(i) == s.sigma(), (spec, i)
+                if Fraction(spec.a * spec.e, spec.d).denominator == 1:
+                    assert frobenius(spec, i) == frobenius_model(
+                        spec.e, spec.d, spec.a, i, spec.n_ref - s.sigma())
+            fractional += any(v.denominator > 1 for v in spec.m)
+        assert fractional > 0
+
+
+class TestSchurQuotients:
+    def test_match_exact_division_on_the_series_cosets(self, g4, g312):
+        """Every exponent vector of the five series of G4 and G(3,1,2): the
+        quotients are Feg / S_j, and None exactly when SC3 fails."""
+        count = Counter()
+        for G, series in ((g4, [(4, 1), (3, 1)]), (g312, [(6, 1), (6, 5), (2, 1)])):
+            for d, a in series:
+                w = G.regular_element(zeta(d, a))
+                e = G.cyclic_centralizer_order(w, zeta(d, a))
+                feg = fake_degree_torus(G, w)
+                for m in uch._exponent_vectors(e, G.n_hyp):
+                    spec = SpetsialAlgebraSpec(e=e, d=d, a=a, m=m, n_ref=G.n_ref,
+                                               n_hyp=G.n_hyp)
+                    quos = schur_quotients(spec, feg)
+                    sc3 = "SC3" not in check_spetsial(spec, G, w).failures()
+                    assert (quos is not None) == sc3, (G.name, d, a, m)
+                    if quos is None:
+                        with pytest.raises(ArithmeticError):
+                            [feg.exact_div(s.as_x()) for s in spec.schur()]
+                    else:
+                        assert quos == [feg.exact_div(s.as_x()) for s in spec.schur()]
+                    count[sc3] += 1
+        assert sum(count.values()) == 917 and count[True] > 0
+
+    @given(st.integers(1, 4).flatmap(lambda e: st.tuples(
+        st.lists(st.integers(-2, 3), min_size=e, max_size=e),
+        st.sampled_from([(1, 0), (2, 1), (3, 1), (4, 3), (6, 5)]),
+        st.dictionaries(st.integers(-3, 3), _COEFFS.filter(bool), min_size=1, max_size=3),
+        st.lists(st.booleans(), min_size=e, max_size=e))))
+    @settings(max_examples=100, deadline=None)
+    def test_match_exact_division_on_products(self, case):
+        # p = r * prod of some S_j, with negative exponents and valuations
+        m, (d, a), r, take = case
+        spec = SpetsialAlgebraSpec(e=len(m), d=d, a=a, m=m)
+        schur = [s.as_x() for s in spec.schur()]
+        p = LaurentPoly(r)
+        for s, t in zip(schur, take):
+            p = p * s if t else p
+        want = []
+        for s in schur:
+            try:
+                want.append(p.exact_div(s))
+            except ArithmeticError:
+                want = None
+                break
+        assert schur_quotients(spec, p) == want
+
+    def test_refuses_fractional_exponents(self):
+        spec = SpetsialAlgebraSpec(e=2, d=1, a=0, m=(Fraction(1, 2), Fraction(0)))
+        with pytest.raises(ArithmeticError, match="fractional"):
+            schur_quotients(spec, LaurentPoly.one())
 
 
 class TestPalindromicity:

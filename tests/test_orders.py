@@ -1,6 +1,7 @@
 """Order polynomials, fake degrees, character tables, and the Sylow-style
 congruences |G|/(|W_G(L)||L|) = 1 mod Phi."""
 
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ from spets import orders
 from spets.chartables import char_table, feg_map
 from spets.cyclotomic import Cyclo, divisors, zeta
 from spets.laurent import LaurentPoly, k_cyclotomic_factors
-from spets.orders import (all_sylow_congruences, cyclic_char_table,
+from spets.orders import (CharTable, all_sylow_congruences, cyclic_char_table,
                           fake_degree_char, fake_degree_torus, order_poly,
                           poincare, torus_order)
 from spets.reflection import build_group, sylow_subcoset
@@ -105,6 +106,18 @@ class TestCharTables:
 
     def test_g312_orthogonality(self, g312):
         char_table(g312).verify_orthogonality()
+
+    @pytest.mark.parametrize("name", ["G4", "G(3,1,2)"])
+    def test_corrupted_entry_fails_orthogonality(self, name):
+        # the trivial row pairs with a corrupted last row first
+        table = char_table(build_group(name))
+        first, last = table.names[0], table.names[-1]
+        row = list(table.values[last])
+        row[-1] = row[-1] + zeta(3)
+        bad = CharTable(table.group, table.names, {**table.values, last: tuple(row)})
+        with pytest.raises(ArithmeticError, match=re.escape(
+                f"character table fails orthogonality at ({first}, {last})")):
+            bad.verify_orthogonality()
 
     def test_g4_fake_degrees(self, g4, g4_fegs):
         want = {

@@ -240,6 +240,16 @@ class TestTables:
                 want = LaurentPoly([(g.n - e, a) for e, a in g.charpoly().coeffs])
                 assert det == want
 
+    def test_rank_one_eigenvalue_is_the_entry(self):
+        # a 1 x 1 element is its own eigenvalue; the charpoly route agrees
+        for e in range(1, 25):
+            G = build_group(f"Z_{e}")
+            for c in G.classes:
+                g = G.matrix(c.rep_index)
+                mults = g.charpoly().multiplicities({(c.order, k): 1 for k in range(c.order)})
+                assert c.eigenvalues == tuple(zeta(c.order, k)
+                                              for (_, k), m in mults.items() if m)
+
     @pytest.mark.parametrize("name", ["Z_0", "Z0"])
     def test_cyclic_order_zero(self, name):
         with pytest.raises(ValueError, match="cyclic order must be positive"):

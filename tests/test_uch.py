@@ -2,15 +2,17 @@
 steps, family partitions, and the axiom checker."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spets import tabledata, uch
 from spets.cyclotomic import Cyclo, CycloField, zeta
-from spets.hecke import (SpetsialAlgebraSpec, check_spetsial, frobenius,
-                         frobenius_model)
+from spets.hecke import SpetsialAlgebraSpec, check_spetsial, frobenius_model
 from spets.laurent import LaurentPoly
 from spets.orders import fake_degree_torus
 from spets.reflection import Matrix, ReflectionCoset, build_group
@@ -323,9 +325,51 @@ class TestDetermination:
             if check_spetsial(spec).passed and \
                     check_spetsial(spec, g4, w).failures() == ["SC3"]:
                 only_sc3.append(spec)
-                assert uch._match_series(spec, feg, members, trivial) is None, m
+                assert uch._match_series(spec, feg, members, trivial,
+                                         partial(frobenius_model, e, 4, 1)) is None, m
         assert len(only_sc3) == 20
         assert only_sc3[0].m == (0, 0, 0, 4)
+
+    def test_funnel_counts(self, g4, g4_result, g312_result):
+        # search space C(N_hyp + e - 1, e - 1), candidates generated, failed
+        # conditions, unplaced, survivors
+        def funnel(*counts):
+            return dict(zip(("space", "candidates", "failed_check", "unmatched",
+                             "survivors"), counts))
+
+        assert determine_parameters(g4, zeta(4), g4_result.table).funnel == \
+            funnel(35, 1, 0, 0, 1)
+        assert determine_parameters(g4, zeta(3), g4_result.table).funnel == \
+            funnel(126, 2, 1, 0, 1)
+        total = Counter()
+        for res in (g4_result, g312_result):
+            for det in res.specs.values():
+                total.update(det.funnel)
+        assert total == funnel(917, 6, 1, 0, 5)
+
+    def test_error_carries_the_funnel(self, g4, g4_result):
+        known = UchTable("G4", [r for r in g4_result.table.rows if r.name != "phi_{1,0}"])
+        with pytest.raises(DeterminationError,
+                           match="^expected a unique surviving assignment, found 2$") as info:
+            determine_parameters(g4, zeta(3), known)
+        assert info.value.survivors == 2
+        assert info.value.funnel == dict(space=126, candidates=4, failed_check=2,
+                                         unmatched=0, survivors=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda e: st.tuples(
+        st.just(e), st.integers(0, 7),
+        st.lists(st.tuples(st.integers(0, 4),
+                           st.lists(st.integers(0, e - 1), max_size=e, unique=True)),
+                 max_size=e + 1))))
+    def test_candidates_are_the_seated_vectors(self, case):
+        # the generator equals enumerate-all-then-filter, in the same order;
+        # pins may repeat m_r, have no slot, or outnumber the slots
+        e, total, pinned = case
+        want = [m for m in uch._exponent_vectors(e, total)
+                if any(len(set(p)) == len(p) for p in itertools.product(
+                    *[[j for j in slots if m[j] == m_r] for m_r, slots in pinned]))]
+        assert uch._candidate_vectors(e, total, pinned) == want
 
     @pytest.mark.parametrize("group", ["G4", "G(3,1,2)"])
     def test_checked_vectors_seat_the_known_members(self, monkeypatch, group):
@@ -418,7 +462,8 @@ def _place_in_order(spec, feg, order):
     degrees, frs, eps, assignment = {}, {}, {}, {}
     for j, ((row, _), s) in enumerate(zip(order, spec.schur())):
         quo = feg.exact_div(s.as_x())
-        frs_j = frobenius(spec, j)
+        # sigma from the Schur element, independent of hecke.frobenius
+        frs_j = frobenius_model(spec.e, spec.d, spec.a, j, spec.n_ref - s.sigma())
         frs[j] = frs_j[0] if len(frs_j) == 1 else None
         if row is not None:
             if row.degree not in (quo, -quo):
