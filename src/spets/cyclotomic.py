@@ -33,13 +33,14 @@ the canonical form is taken once, for the whole sum.  Raw products are not
 chained there (no powers or Horner steps in the group ring): x^N - 1 is not
 the cyclotomic polynomial, and the coefficients of a chain grow binomially.
 Only products of reduced numbers are accumulated.  The bounded exceptions
-are two chains of the e - 1 binomials 1 - q*v^k of a Schur element on one
-lift.  ``hecke.schur_cyclic`` multiplies them: q is reduced, so each factor
-has lift L1 norm 1 + ||q||_1, and for a root of unity q that is 2.
-``hecke.schur_quotients`` peels them off a polynomial p from its low end,
-q_i = p_i + q * q_(i-k): q is a root of unity, an index shift of the lift,
-so a peel only adds shifted copies of p's coefficients, and the largest
-coefficient L1 norm grows at most by the factor deg(p)/k + 1 per peel.
+are two chains of binomials 1 - q*x^k on one lift.  ``hecke.schur_cyclic``
+multiplies the e - 1 of a Schur element: q is reduced, so each factor has
+lift L1 norm 1 + ||q||_1, and for a root of unity q that is 2.
+``LaurentPoly.peel``, the one polynomial division, peels them off a
+polynomial p from one end, q_i = p_i + q * q_(i-k): q is a root of unity,
+an index shift of the lift, so a peel only adds shifted copies of p's
+coefficients, and the largest coefficient L1 norm grows at most by the
+factor deg(p)/|k| + 1 per peel.
 
 Where only "is it zero?" is asked, no canonical form is built at all: the
 integers of a group-ring lift are rewritten on the Zumbroich basis
@@ -646,8 +647,8 @@ class CycloField:
         for g in gens:
             if gcd(g, conductor) != 1:
                 raise ValueError("stabilizer exponents must be coprime to the conductor")
-        # close under multiplication
-        frontier = [1] + gens
+        # close under multiplication, from the identity of (Z/n)^*: 1 mod n
+        frontier = [1 % conductor] + gens
         while frontier:
             g = frontier.pop()
             if g in group:

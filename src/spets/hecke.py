@@ -21,7 +21,7 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cyclotomic import Cyclo, _to_basis, zeta as zeta_root
+from .cyclotomic import Cyclo, zeta as zeta_root
 from .laurent import FracExpMonomial, LaurentPoly, _serialize_terms
 
 __all__ = [
@@ -445,53 +445,22 @@ def schur_quotients(spec: SpetsialAlgebraSpec, p: LaurentPoly) -> list[LaurentPo
     Schur element is built, and the exponents must be integral.
 
     With u_j/u_k = E(T, t_j - t_k) x^K, K = m_j - m_k (:func:`_param_angles`),
-    the factor 1 - u_j/u_k of S_j is a constant for K = 0, a binomial
-    1 - r*x^K for K > 0, and the unit -r*x^K times 1 - x^(-K)/r for K < 0.
-    The binomials are peeled off one integer lift of p (:func:`_peel`), the
-    units shift it, and one canonical Cyclo is built per coefficient, then
-    multiplied by the inverse of the constants."""
+    the factor 1 - u_j/u_k of S_j is a binomial for K != 0, peeled off p
+    (:meth:`LaurentPoly.peel`), and a nonzero constant for K = 0, divided out."""
     h, T, angles = _param_angles(spec)
     if h != 1:
         raise ArithmeticError("Schur element has fractional x-exponents")
-    val, cs = p.valuation(), dict(p.coeffs)
-    n, den = lcm(T, *[c.n for c in cs.values()]), lcm(*[c.den for c in cs.values()])
-    lift = [cs[e]._lift(n, den // cs[e].den) if e in cs else {}
-            for e in range(val, p.degree() + 1)]
     out = []
     for kj, tj in angles:
-        q, const, x_shift, z_shift, sign = lift, Cyclo.rational(1), val, 0, 1
+        q = p.peel([(T, tj - tk, kj - kk) for kk, tk in angles if kk != kj])
+        if q is None:
+            return None
+        const = Cyclo.rational(1)
         for kk, tk in angles:
-            K, s = kj - kk, (tj - tk) * (n // T)
-            if K > 0:
-                q = _peel(n, q, K, s)
-            elif K < 0:
-                q = _peel(n, q, -K, -s)
-                x_shift, z_shift, sign = x_shift - K, z_shift - s, -sign
-            elif tk != tj:
+            if kk == kj and tk != tj:
                 const = const * (1 - zeta_root(T, tj - tk))
-            if q is None:
-                return None
-        inv = const.inverse()
-        out.append(LaurentPoly({x_shift + i: inv * Cyclo(n, {(t + z_shift) % n: sign * a
-                                                            for t, a in c.items()}, den)
-                                for i, c in enumerate(q)}))
+        out.append(q * const.inverse())
     return out
-
-
-def _peel(n: int, p: list[dict[int, int]], k: int, s: int) -> list[dict[int, int]] | None:
-    """p / (1 - z^s x^k) on lifts in Z[z]/(z^n - 1), p listed from x^0, or
-    None when the remainder is nonzero.  From the low end, q_i = p_i +
-    z^s q_(i-k); the top k of these make the remainder, each zero-tested by
-    its basis rewrite."""
-    q: list[dict[int, int]] = []
-    for i, c in enumerate(p):
-        if i >= k:
-            c = dict(c)
-            for t, a in q[i - k].items():
-                c[(t + s) % n] = c.get((t + s) % n, 0) + a
-        q.append(c)
-    cut = max(0, len(p) - k)
-    return None if any(_to_basis(n, dict(c)) for c in q[cut:]) else q[:cut]
 
 
 def check_spetsial(spec: SpetsialAlgebraSpec, G=None, w=None) -> ConditionReport:

@@ -17,7 +17,7 @@ fractional exponents as ``x^(p/q)``.
 from __future__ import annotations
 
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Union
@@ -135,9 +135,11 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
         other = _poly(other)
-        if len(self.coeffs) == 1 or len(other.coeffs) == 1:  # nothing to sum
-            return LaurentPoly([(e1 + e2, c1 * c2) for e1, c1 in self.coeffs
-                                for e2, c2 in other.coeffs])
+        if len(self.coeffs) == 1 or len(other.coeffs) == 1:
+            # nothing to sum: the exponents stay sorted and distinct, and a
+            # product of nonzero numbers is nonzero
+            return _lmake(tuple([(e1 + e2, c1 * c2) for e1, c1 in self.coeffs
+                                 for e2, c2 in other.coeffs]))
         sums: defaultdict[int, CycloSum] = defaultdict(CycloSum)
         for e1, c1 in self.coeffs:
             for e2, c2 in other.coeffs:
@@ -168,63 +170,65 @@ class LaurentPoly:
             return self
         return _lmake(tuple([(e + k, c) for e, c in self.coeffs]))
 
-    def divmod_poly(self, other: "LaurentPoly") -> tuple["LaurentPoly", "LaurentPoly"]:
-        """Division with remainder after normalizing both to valuation 0."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        va = 0 if self.is_zero() else min(0, self.valuation())
-        vb = min(0, other.valuation())
-        a = self.shift(-va)
-        b = other.shift(-vb)
-        # the pending coefficients stay unreduced sums; a sum that is not
-        # zero in the group ring can still be zero, so test reduced values
-        num: defaultdict[int, CycloSum] = defaultdict(CycloSum)
-        for e, c in a.coeffs:
-            num[e].add(c)
-        deg_b, lead_b = b.coeffs[-1]
-        inv_lead = lead_b.inverse()
-        quo: dict[int, Cyclo] = {}
-        while num:
-            deg_n = max(num)
-            if deg_n < deg_b:
-                break
-            lead = num.pop(deg_n).value()
-            if lead.is_zero():
-                continue
-            f = lead * inv_lead
-            quo[deg_n - deg_b] = f
-            f = -f
-            for e, c in b.coeffs[:-1]:  # f * lead_b cancels lead
-                num[e + deg_n - deg_b].add(f, c)
-        rem = LaurentPoly({e: s.value() for e, s in num.items()})
-        return LaurentPoly(quo).shift(va - vb), rem.shift(va)
+    def peel(self, factors: Iterable[tuple[int, int, int]]) -> "LaurentPoly | None":
+        """self / prod(1 - E(d, k) * x^K) over the factors (d, k, K), K != 0,
+        or None when one of them does not divide.
 
-    def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
-        # Laurent-ring divisibility ignores valuations: strip them first.
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
+        The coefficients of self / x^val are lifted once onto Z[z]/(z^n - 1),
+        n the lcm of their conductors and the orders d, over one denominator.
+        A binomial with K > 0 is peeled off from the low end, q_i = p_i +
+        z^s q_(i-K) with s = k*n/d, an index shift of the lift, and one with
+        K < 0 likewise from the high end; the last |K| of these make the
+        remainder, each zero-tested by its basis rewrite.  One canonical Cyclo
+        is built per coefficient of the quotient."""
+        if not self.coeffs:
             return self
-        if other.is_monomial():  # a unit of the Laurent ring: shift and scale
-            e, c = other.coeffs[0]
-            inv = c.inverse()
-            return _lmake(tuple([(ee - e, cc * inv) for ee, cc in self.coeffs]))
-        va, vb = self.valuation(), other.valuation()
-        q, r = self.shift(-va).divmod_poly(other.shift(-vb))
-        if not r.is_zero():
-            raise ArithmeticError("non-exact polynomial division")
-        return q.shift(va - vb)
+        factors = list(factors)
+        val, cs = self.coeffs[0][0], dict(self.coeffs)
+        n = lcm(*[c.n for c in cs.values()], *[d for d, _, _ in factors])
+        den = lcm(*[c.den for c in cs.values()])
+        p = [cs[e]._lift(n, den // cs[e].den) if e in cs else {}
+             for e in range(val, self.degree() + 1)]
+        for d, k, K in factors:  # in place: each lift is read once, then replaced
+            s, m = k * (n // d) % n, abs(K)
+            if K < 0:
+                p.reverse()
+            for i in range(m, len(p)):
+                c = p[i]
+                for t, a in p[i - m].items():
+                    t = (t + s) % n
+                    c[t] = c.get(t, 0) + a
+            cut = max(0, len(p) - m)
+            if any(_to_basis(n, c) for c in p[cut:]):
+                return None
+            del p[cut:]
+            if K < 0:
+                p.reverse()
+                val += m
+        return LaurentPoly({val + i: Cyclo(n, c, den) for i, c in enumerate(p)})
 
-    def __truediv__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
-        return self.exact_div(_poly(other))
+    def roots(self, caps: Mapping[tuple[int, int], int]) -> Counter | None:
+        """The nonzero roots E(d, k) of self with multiplicity, as a Counter
+        of (d, k), read by one ``multiplicities`` call capped at ``caps``; or
+        None when self has a root off caps, or above its cap."""
+        mults = Counter(self.multiplicities(caps))
+        return mults if sum(mults.values()) == self.degree() - self.valuation() else None
 
-    def divides(self, other: "LaurentPoly") -> bool:
-        if self.is_zero():
-            return other.is_zero()
-        if other.is_zero():
-            return True
-        return other.shift(-other.valuation()).divmod_poly(
-            self.shift(-self.valuation()))[1].is_zero()
+    def quotient(self, divisor: "LaurentPoly", caps: Mapping[tuple[int, int], int]
+                 ) -> "LaurentPoly | None":
+        """self / divisor in the Laurent ring for a divisor that splits over
+        the roots in ``caps`` (those of self, or of a multiple of it), or None
+        when it does not divide.  With c and v its lowest coefficient and
+        valuation, the divisor is c * x^v * prod(1 - x / rho) over its roots
+        rho (:meth:`roots`): the binomials are peeled, then c and x^v divided
+        out."""
+        roots = divisor.roots(caps)
+        q = None if roots is None else self.peel(
+            [(d, -k, 1) for (d, k), m in roots.items() for _ in range(m)])
+        if q is None:
+            return None
+        v, c = divisor.coeffs[0]
+        return q.shift(-v) * c.inverse()
 
     # -- transforms ---------------------------------------------------------
     def evaluate(self, v: Scalar) -> Cyclo:

@@ -182,12 +182,11 @@ def sylow_congruence(G: ReflectionCoset, phi: KCycloPoly) -> bool:
     Zumbroich basis, a Q-basis, is empty.  No order polynomial is divided.
     """
     _, L = sylow_subcoset(G, phi)
-    rev = _reversal(L.poincare)
     roots = order_roots(G)
-    mults = rev.multiplicities(roots)
-    if sum(mults.values()) != rev.degree():
+    mults = _reversal(L.poincare).roots(roots)
+    if mults is None:
         raise ArithmeticError("non-exact polynomial division")
-    quotient = roots - Counter(mults)
+    quotient = roots - mults
     (ng, g), (nl, l) = (_zeta_product(C).root_of_unity_order() for C in (G, L))
     d = phi.root_order
     n = lcm(d, ng, nl, *[m for m, _ in quotient])

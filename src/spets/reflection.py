@@ -390,16 +390,21 @@ class ReflectionCoset:
         for _ in range(self.rank):
             d, c = next((e, c) for e, c in Q.coeffs if e > 0)
             out.append((d, -c))
-            Q = Q.exact_div(LaurentPoly({0: 1, d: c}))
+            root = (-c).root_of_unity_order()
+            Q = Q.peel([(*root, d)]) if root else None
+            if Q is None:
+                raise ArithmeticError(f"no factor 1 - zeta*x^{d} peels off the Poincare polynomial")
         assert Q == LaurentPoly.one()
         return sorted(out, key=lambda t: (t[0], t[1].serialize()))
 
     def class_fake_degree(self, ci: int) -> LaurentPoly:
         """P / det(1 - x w) for w in class ci, computed on first use: the
-        complex conjugate of the torus fake degree Feg(R_w)."""
+        complex conjugate of the torus fake degree Feg(R_w).  det(1 - x w) is
+        prod(1 - lambda x) over the eigenvalues lambda of w, each peeled off P."""
         q = self._class_fake_degrees.get(ci)
         if q is None:
-            q = self._class_fake_degrees[ci] = self.poincare.exact_div(self._class_dets[ci])
+            q = self._class_fake_degrees[ci] = self.poincare.peel(
+                [(*lam.root_of_unity_order(), 1) for lam in self.classes[ci].eigenvalues])
         return q
 
     # -- eigenspace data ------------------------------------------------------

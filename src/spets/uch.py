@@ -170,12 +170,17 @@ def principal_series(G: ReflectionCoset, w: int,
     """One character per algebra character, with degree eps * Feg / S.
 
     ``schur_data`` holds ingested ``(name, S, theta(1))`` triples; the sign
-    eps makes the degree at x = 1 equal theta(1), and Fr = 1.
+    eps makes the degree at x = 1 equal theta(1), and Fr = 1.  Feg(R_w) =
+    conj(P) / conj(det(1 - x w)) has the roots of the order of G less the
+    eigenvalues of w, and S is divided out on those (:meth:`LaurentPoly.quotient`).
     """
     feg = fake_degree_torus(G, w)
+    caps = order_roots(G) - Counter(lam.root_of_unity_order() for lam in G.eigenvalues(w))
     rows: list[UnipotentCharacter] = []
     for name, s, theta1 in schur_data:
-        quo = feg.exact_div(s)
+        quo = feg.quotient(s, caps)
+        if quo is None:
+            raise ArithmeticError(f"Schur element of {name} does not divide Feg(R_w)")
         val = quo.evaluate(1)
         if val == Cyclo.rational(theta1):
             deg = quo
@@ -395,7 +400,9 @@ def _match_series(spec: SpetsialAlgebraSpec, feg: LaurentPoly,
 
 def _hc_ratio(G: ReflectionCoset, l_order: LaurentPoly) -> LaurentPoly:
     """(|G|/|L|)_{x'}: the order ratio with its power of x divided out."""
-    ratio = order_poly(G, "compact").exact_div(l_order)
+    ratio = order_poly(G, "compact").quotient(l_order, order_roots(G))
+    if ratio is None:
+        raise ArithmeticError("the Levi order does not divide the order of G")
     return ratio.shift(-ratio.valuation())
 
 
@@ -406,12 +413,15 @@ def hc_series(G: ReflectionCoset, l_order: LaurentPoly, deg_lambda: LaurentPoly,
     """Characters above a cuspidal pair with cyclic relative algebra.
 
     Degrees are Deg(lambda) * (|G|/|L|)_{x'} / S_chi for the Schur elements of
-    the relative algebra; Frobenius eigenvalues are inherited from lambda.
+    the relative algebra, each of which divides |G|, so it is divided out on
+    the order's roots; Frobenius eigenvalues are inherited from lambda.
     """
-    ratio = _hc_ratio(G, l_order)
+    num, roots = deg_lambda * _hc_ratio(G, l_order), order_roots(G)
     rows = []
     for s, rel_name in zip(schur_cyclic(rel_params), rel_names):
-        deg = (deg_lambda * ratio).exact_div(s.as_x())
+        deg = num.quotient(s.as_x(), roots)
+        if deg is None:
+            raise ArithmeticError(f"Schur element of {rel_name} does not divide the degree")
         rows.append(UnipotentCharacter(
             f"{cusp_name}:{rel_name}", deg, fr_lambda,
             series=(cusp_name, rel_name), sign_resolved=False))
@@ -427,17 +437,19 @@ def hc_candidate_filter(G: ReflectionCoset, l_order: LaurentPoly,
 
     Filters by divisibility by Deg(lambda), by the induced Schur element
     being a Laurent polynomial, and by the x = 1 specialization being a
-    character degree of the relative group.
+    character degree of the relative group.  Every degree here divides |G|,
+    so both divisibilities are inclusions of root multisets capped at the
+    order's roots.
     """
-    ratio = _hc_ratio(G, l_order)
+    roots = order_roots(G)
+    num = deg_lambda * _hc_ratio(G, l_order)
+    low, top = deg_lambda.roots(roots), Counter(num.multiplicities(roots))
     out = []
     for row in known.rows:
-        if not deg_lambda.divides(row.degree):
+        mults = row.degree.roots(roots)
+        if low is None or mults is None or not low <= mults <= top:
             continue
-        try:
-            s = (deg_lambda * ratio).exact_div(row.degree)
-        except ArithmeticError:
-            continue
+        s = num.quotient(row.degree, mults)
         s_one = s.evaluate(1)
         if s_one.is_zero():
             continue
@@ -672,11 +684,7 @@ def _check_galois_closure(table, field: CycloField, failures):
             cond = lcm(cond, c.n)
     base = Counter((r.degree, r.fr.coeff if r.fr else None, r.fr.exp if r.fr else None)
                    for r in table.rows)
-    for k in range(2, cond):
-        if gcd(k, cond) != 1:
-            continue
-        if k % field.conductor not in field.stabilizer:
-            continue
+    for k in field.galois_orbit_exponents(cond)[1:]:
         mapped = Counter((LaurentPoly([(e, c.galois(k)) for e, c in r.degree.coeffs]),
                           r.fr.coeff.galois(k) if r.fr else None,
                           r.fr.exp if r.fr else None) for r in table.rows)

@@ -4,6 +4,7 @@ import pytest
 
 from spets.chartables import char_table, feg_map
 from spets.cyclotomic import Cyclo, CycloField, zeta
+from spets.laurent import LaurentPoly
 from spets.reflection import Matrix, ReflectionCoset, build_group
 from spets.tabledata import construct_uch
 
@@ -53,6 +54,47 @@ def extra_group(name):
     """One of EXTRA_GROUPS, built once per session."""
     gens, conductor = _extra_gens()[name]
     return ReflectionCoset(name, gens, CycloField.cyclotomic(conductor))
+
+
+def divmod_poly(a, b):
+    """Long division with remainder after shifting both to valuation >= 0:
+    the reference for the library's one division, ``LaurentPoly.peel``."""
+    if b.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    va = 0 if a.is_zero() else min(0, a.valuation())
+    vb = min(0, b.valuation())
+    num, b = dict(a.shift(-va).coeffs), b.shift(-vb)
+    deg_b, lead_b = b.coeffs[-1]
+    quo = {}
+    while num and max(num) >= deg_b:
+        top = max(num)
+        f = quo[top - deg_b] = num.pop(top) / lead_b
+        for e, c in b.coeffs[:-1]:
+            e += top - deg_b
+            num[e] = num.get(e, Cyclo.rational(0)) - f * c
+            if num[e].is_zero():
+                del num[e]
+    return LaurentPoly(quo).shift(va - vb), LaurentPoly(num).shift(va)
+
+
+def exact_div(a, b):
+    """a / b in the Laurent ring, by long division; ArithmeticError if inexact."""
+    if b.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    if a.is_zero():
+        return a
+    q, r = divmod_poly(a.shift(-a.valuation()), b.shift(-b.valuation()))
+    if not r.is_zero():
+        raise ArithmeticError("non-exact polynomial division")
+    return q.shift(a.valuation() - b.valuation())
+
+
+def divides(a, b):
+    """Whether a divides b in the Laurent ring, by long division."""
+    if a.is_zero():
+        return b.is_zero()
+    return b.is_zero() or divmod_poly(b.shift(-b.valuation()),
+                                      a.shift(-a.valuation()))[1].is_zero()
 
 
 @pytest.fixture(scope="session")

@@ -181,6 +181,12 @@ class TestFields:
         assert field_from_name("Q(zeta3)") == CycloField.cyclotomic(3)
         assert field_from_name("12") == CycloField.cyclotomic(12)
 
+    def test_rationals_are_the_first_cyclotomic_field(self):
+        # both close the stabilizer from 1 mod 1 = 0
+        q, q1 = CycloField.rationals(), CycloField.cyclotomic(1)
+        assert q == q1 and hash(q) == hash(q1)
+        assert q.stabilizer == q1.stabilizer == {0} and q1.degree() == 1
+
     def test_galois_orbit_exponents_rationals(self):
         # the identity is the only element over any modulus base
         assert CycloField.rationals().galois_orbit_exponents(1) == [1]

@@ -8,6 +8,8 @@ from spets.cyclotomic import Cyclo, CycloField, zeta
 from spets.laurent import (FracExpMonomial, LaurentPoly, k_cyclotomic_factors,
                            parse_poly)
 
+from conftest import divides, divmod_poly, exact_div
+
 x = LaurentPoly.x()
 
 
@@ -29,13 +31,19 @@ class TestRing:
     def test_laurent_division_strips_valuations(self):
         num = LaurentPoly({3: 1, 1: 1})          # x^3 + x
         den = LaurentPoly({2: zeta(3), 0: zeta(3)})  # zeta3*(x^2 + 1)
-        q = num.exact_div(den)
+        q = exact_div(num, den)
         assert q * den == num
-        assert den.divides(num)
+        assert divides(den, num)
+        # x^2 + 1 has the roots E(4, 1) and E(4, 3)
+        assert num.quotient(den, {(4, 1): 1, (4, 3): 1}) == q
 
     def test_non_exact_division(self):
         with pytest.raises(ArithmeticError):
-            (x + 1).exact_div(x - 1)
+            exact_div(x + 1, x - 1)
+        assert (x + 1).peel([(1, 0, 1)]) is None
+        assert (x + 1).quotient(x - 1, {(1, 0): 1}) is None
+        # a divisor with a root off the caps does not divide
+        assert (x ** 2 - 1).quotient(x - 1, {(2, 1): 1}) is None
 
     def test_evaluate(self):
         p = x ** 2 + x + 1
@@ -57,8 +65,8 @@ class TestRing:
         if p.is_zero() or q.is_zero():
             return
         prod = p * q
-        assert p.divides(prod)
-        assert prod.exact_div(p) == q
+        assert divides(p, prod)
+        assert exact_div(prod, p) == q
 
     @given(rand_poly())
     @settings(max_examples=50, deadline=None)
@@ -146,6 +154,34 @@ def assert_same(got, want):
         assert_canonical(c)
 
 
+def binomial(d, k, K):
+    """1 - E(d, k) * x^K."""
+    return LaurentPoly({0: 1, K: -zeta(d, k)})
+
+
+BINOMIALS = st.integers(1, 24).flatmap(lambda d: st.tuples(
+    st.just(d), st.integers(0, d - 1), st.integers(-4, 4).filter(bool)))
+
+
+class TestPeel:
+    @given(mixed_poly(-3, 4).filter(bool), st.lists(BINOMIALS, min_size=1, max_size=3),
+           BINOMIALS)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_long_division(self, a, factors, stray):
+        # a times the binomials, the first one twice, peels back to a; one
+        # binomial more gives the long division's quotient, or None
+        factors = factors + factors[:1]
+        prod = a
+        for f in factors:
+            prod = ref_mul(prod, binomial(*f))
+        assert_same(prod.peel(factors), a)
+        got = prod.peel(factors + [stray])
+        try:
+            assert_same(got, exact_div(a, binomial(*stray)))
+        except ArithmeticError:
+            assert got is None
+
+
 class TestSumsOfProducts:
     @given(mixed_poly(-2, 4), mixed_poly(-2, 4))
     @settings(max_examples=60, deadline=None)
@@ -165,7 +201,7 @@ class TestSumsOfProducts:
     @settings(max_examples=60, deadline=None)
     def test_divmod_identity(self, a, b):
         assume(not b.is_zero())
-        q, r = a.divmod_poly(b)
+        q, r = divmod_poly(a, b)
         assert r.is_zero() or r.degree() < b.degree()
         for _, c in q.coeffs + r.coeffs:
             assert_canonical(c)
@@ -176,8 +212,8 @@ class TestSumsOfProducts:
     def test_exact_div_round_trip(self, a, b):
         assume(not b.is_zero())
         prod = ref_mul(a, b)
-        assert b.divides(prod)
-        assert_same(prod.exact_div(b), a)
+        assert divides(b, prod)
+        assert_same(exact_div(prod, b), a)
 
     @given(mixed_poly(-3, 4), mixed_cyclo(), st.integers(-3, 3))
     @settings(max_examples=60, deadline=None)
@@ -185,17 +221,20 @@ class TestSumsOfProducts:
         assume(not a.is_zero() and not c.is_zero())
         m = LaurentPoly.monomial(c, e)
         va = a.valuation()
-        q, r = a.shift(-va).divmod_poly(m.shift(-e))
+        q, r = divmod_poly(a.shift(-va), m.shift(-e))
         assert r.is_zero()
-        assert_same(a.exact_div(m), q.shift(va - e))
-        assert_same(a / m, q.shift(va - e))
+        assert_same(exact_div(a, m), q.shift(va - e))
+        # a monomial has no roots: its quotient is a shift and a scaling
+        assert_same(a.quotient(m, {}), q.shift(va - e))
 
     def test_group_ring_zero_reduces_to_zero(self):
         # 1 + E(3,1) + E(3,2) is nonzero in Z[x]/(x^3 - 1) but zero in Q(zeta3)
         p = LaurentPoly({0: 1, 1: 1, 2: 1})
         assert_same(p.evaluate(zeta(3)), Cyclo.rational(0))
-        q, r = (x ** 3 - 1).divmod_poly(x - zeta(3))
+        q, r = divmod_poly(x ** 3 - 1, x - zeta(3))
         assert r.is_zero() and q == (x - zeta(3, 2)) * (x - 1)
+        # the peel zero-tests the same group-ring lifts: 1 - x^3 over 1 - E(3, 1) x
+        assert (1 - x ** 3).peel([(3, 1, 1)]) == (1 - x * zeta(3, 2)) * (1 - x)
 
 
 ROOT_ORDERS = [1, 2, 3, 4, 6, 8, 12, 24]

@@ -16,7 +16,7 @@ from spets.orders import (CharTable, all_sylow_congruences, cyclic_char_table,
                           poincare, torus_order)
 from spets.reflection import build_group, sylow_subcoset
 
-from conftest import EXTRA_GROUPS, ORACLE_GROUPS, extra_group
+from conftest import EXTRA_GROUPS, ORACLE_GROUPS, divides, exact_div, extra_group
 
 
 class TestPoincare:
@@ -74,12 +74,12 @@ class TestTorus:
         assert fd * (LaurentPoly.x() - 1) ** 2 == poincare(g4)
 
 
-    @pytest.mark.parametrize("name", ORACLE_GROUPS)
+    @pytest.mark.parametrize("name", ORACLE_GROUPS + tuple(EXTRA_GROUPS))
     def test_every_class_against_charpoly(self, name):
         # |T_w| = det(x - w), scaled by conj(det w)^2 when noncompact, and
         # Feg(R_w) = conj(P) / conj(det(1 - x w)) with det(1 - x w) the
-        # reversed charpoly
-        G = build_group(name)
+        # reversed charpoly, divided by the reference long division
+        G = extra_group(name) if name in EXTRA_GROUPS else build_group(name)
         for c in G.classes:
             w = G.matrix(c.rep_index)
             cp = w.charpoly()
@@ -87,7 +87,7 @@ class TestTorus:
             assert torus_order(G, c.rep_index, "noncompact") == cp * w.det().conjugate() ** 2
             det = LaurentPoly([(w.n - e, a) for e, a in cp.coeffs])
             assert fake_degree_torus(G, c.rep_index) == \
-                poincare(G).conjugate().exact_div(det.conjugate())
+                exact_div(poincare(G).conjugate(), det.conjugate())
 
     def test_class_fake_degrees_on_first_use(self):
         G = build_group("G4")
@@ -188,7 +188,7 @@ class TestSylow:
         order, want = order_poly(G), []
         for d in sorted({dd for dd, _ in G.degrees for dd in divisors(dd)}):
             for phi in k_cyclotomic_factors(d, G.field):
-                if not phi.poly.divides(order):
+                if not divides(phi.poly, order):
                     continue
                 ok = all(_division_verdict(G, phi, v) for v in ("compact", "noncompact"))
                 want.append((phi.poly.serialize(), ok))
@@ -240,8 +240,8 @@ class TestSylow:
 def _division_verdict(G, phi, variant):
     """Phi | |G| / (|W_G(L)| |L|) - 1 by long division of the order polynomials."""
     _, L = sylow_subcoset(G, phi)
-    ratio = order_poly(G, variant).exact_div(order_poly(L, variant) * Fraction(L.relative_order))
-    return phi.poly.divides(ratio - 1)
+    ratio = exact_div(order_poly(G, variant), order_poly(L, variant) * Fraction(L.relative_order))
+    return divides(phi.poly, ratio - 1)
 
 
 class TestExtraGroups:

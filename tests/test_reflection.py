@@ -13,7 +13,7 @@ from spets.reflection import (Matrix, ReflectionCoset, SubCoset, build_group,
                               row_reduce, sylow_subcoset)
 from spets.tabledata import _levi_order
 
-from conftest import ORACLE_GROUPS, extra_group
+from conftest import ORACLE_GROUPS, divides, extra_group
 
 
 class TestBuiltins:
@@ -45,6 +45,14 @@ class TestBuiltins:
     def test_degree_sum_counts_reflections(self, g4, g312):
         for G in (g4, g312, build_group("Z_5")):
             assert sum(d - 1 for d, _ in G.degrees) == G.n_ref
+
+    def test_repeated_degree_is_a_named_error(self):
+        # A1 x A1 has P = (1 - x^2)^2: the coefficient -2 of x^2 is no root
+        # of unity, so the degrees cannot be peeled off one at a time
+        G = ReflectionCoset("A1xA1", [Matrix([[-1, 0], [0, 1]]), Matrix([[1, 0], [0, -1]])],
+                            CycloField.rationals())
+        with pytest.raises(ArithmeticError, match=r"no factor 1 - zeta\*x\^2 peels off"):
+            G.degrees
 
     def test_class_sizes_sum(self, g4, g312):
         for G in (g4, g312):
@@ -301,7 +309,7 @@ class TestSylowNormalizer:
             phis = [phi for d in sorted({dd for dd, _ in G.degrees
                                          for dd in divisors(dd)})
                     for phi in k_cyclotomic_factors(d, G.field)
-                    if phi.poly.divides(order)]
+                    if divides(phi.poly, order)]
             assert phis
             for phi in phis:
                 _, L = sylow_subcoset(G, phi)

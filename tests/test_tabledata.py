@@ -1,5 +1,7 @@
 """Table file grammar, diffing, the spetsial classification, and data lookup."""
 
+import re
+import shutil
 from math import gcd, lcm
 
 import pytest
@@ -14,6 +16,8 @@ from spets.tabledata import (construct_uch, data_dir, diff_tables, emit_uch,
                              is_spetsial, load_reference, load_schur_data,
                              parse_uch)
 from spets.uch import UnipotentCharacter, UchTable, _cyclic_feg_map, cyclic_uch
+
+from conftest import exact_div
 
 ALL_TABLES = ["uch_z3_rho.txt", "uch_z3.txt", "uch_z4.txt",
               "uch_g4.txt", "uch_g312.txt"]
@@ -138,6 +142,16 @@ class TestDataDir:
         with pytest.raises(ValueError, match=rf"schur_bad\.txt line 4: {message}"):
             load_schur_data("schur_bad.txt")
 
+    def test_schur_element_off_the_fake_degree_names_its_row(self, tmp_path, monkeypatch):
+        # x + 2 has no root of unity for a root, so it divides no Feg(R_1)
+        shutil.copytree(data_dir(), tmp_path, dirs_exist_ok=True)
+        path = tmp_path / "schur_g4.txt"
+        path.write_text(path.read_text().replace(
+            "phi_{3,2} | x^2 + 2*x + 2 + 2*x^-1 + x^-2 | 3", "phi_{3,2} | x + 2 | 3"))
+        monkeypatch.setenv("SPETS_DATA", str(tmp_path))
+        with pytest.raises(ArithmeticError, match=re.escape("Schur element of phi_{3,2}")):
+            construct_uch("G4")
+
 
 SCHUR_FILES = {"G4": "schur_g4.txt", "G(3,1,2)": "schur_g312.txt"}
 
@@ -156,7 +170,7 @@ class TestShippedSchurData:
         # sum chi(1)/S_chi = 1, cleared of denominators by Feg(R_1)
         G = build_group(name)
         feg = fake_degree_torus(G, 0)
-        total = LaurentPoly.combination((feg.exact_div(s), dim)
+        total = LaurentPoly.combination((exact_div(feg, s), dim)
                                         for _, s, dim in load_schur_data(SCHUR_FILES[name]))
         assert total == feg
 

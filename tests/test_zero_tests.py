@@ -17,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 from spets.cyclotomic import Cyclo, CycloSum, cyclotomic_int_coeffs, zeta
 from spets.laurent import LaurentPoly
 
+from conftest import divmod_poly
+
 CONDUCTORS = [1, 3, 4, 8, 12, 24]
 
 x = LaurentPoly.x()
@@ -130,7 +132,7 @@ def divided_multiplicity(p, d, k):
     """How often x - E(d, k) divides the nonzero p, by repeated long division."""
     lin, m = x - zeta(d, k), 0
     while True:
-        q, r = p.divmod_poly(lin)
+        q, r = divmod_poly(p, lin)
         if not r.is_zero():
             return m
         p, m = q, m + 1

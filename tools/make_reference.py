@@ -6,12 +6,13 @@ factored form; Schur-element files are derived from the principal-series
 degrees via S = Feg / Deg.  Output goes to src/spets/data/.
 """
 
+from collections import Counter
 from pathlib import Path
 
 from spets.chartables import char_table
 from spets.cyclotomic import Cyclo, CycloField, zeta
 from spets.laurent import FracExpMonomial, LaurentPoly, k_cyclotomic_factors
-from spets.orders import fake_degree_torus
+from spets.orders import fake_degree_torus, order_roots
 from spets.reflection import build_group
 from spets.tabledata import emit_uch
 from spets.uch import Family, UchTable, UnipotentCharacter, cyclic_uch
@@ -91,7 +92,7 @@ def reference_z4():
     quarter = Cyclo.rational(1) / 4
     return table("Z_4", [
         [row("1", LaurentPoly.one(), 1, "*")],
-        [row("-1", (x * phi(4)) / 2, 1),
+        [row("-1", (x * phi(4)) * (one / 2), 1),
          row("i", (x * phi(2) * p4pp) * ((1 - i4) * quarter), 1, "*"),
          row("Z_4^{1022}", (x * phi(1) * p4p) * ((1 - i4) * quarter), -one),
          row("Z_4^{0212}", (x * phi(1) * phi(2)) * (i4 / 2), -i4),
@@ -112,8 +113,8 @@ def reference_g4():
          row("Z_3:2", (x * phi(1) * phi(2) * phi(4)) * (s3 / 3), z3 ** 2)],
         [row("phi_{3,2}", LaurentPoly.x(2) * phi(3) * phi(6), 1, "*")],
         [row("phi_{1,4}", (x4 * p3pp * phi(4) * p6pp) * (-s3 * sixth), 1, "*"),
-         row("phi_{2,5}", (x4 * phi(2) * phi(2) * phi(6)) / 2, 1),
-         row("G_4", (x4 * phi(1) * phi(1) * phi(3)) / 2, -one),
+         row("phi_{2,5}", (x4 * phi(2) * phi(2) * phi(6)) * (one / 2), 1),
+         row("G_4", (x4 * phi(1) * phi(1) * phi(3)) * (one / 2), -one),
          row("Z_3:11", (x4 * phi(1) * phi(2) * phi(4)) * (s3 / 3), z3 ** 2),
          row("phi_{1,8}", (x4 * p3p * phi(4) * p6p) * (s3 * sixth), 1, "#")],
     ])
@@ -151,11 +152,14 @@ def schur_file(group, ref_table, principal_names):
     G = build_group(group)
     T = char_table(G)
     feg = fake_degree_torus(G, 0)
+    # Feg(R_1) = conj(P) / (1 - x)^rank: the order's roots less 1^rank
+    caps = order_roots(G) - Counter({(1, 0): G.rank})
     lines = []
     for name in T.names:
         deg = ref_table.row(name).degree if name in principal_names else None
         assert deg is not None, name
-        s = feg.exact_div(deg)
+        s = feg.quotient(deg, caps)
+        assert s is not None, name
         lines.append(f"{name} | {s.serialize()} | {T.degree(name)}")
     return "\n".join(lines) + "\n"
 
