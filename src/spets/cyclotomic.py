@@ -32,15 +32,14 @@ conductors, over one common denominator; that ring maps onto Z[zeta_N], so
 the canonical form is taken once, for the whole sum.  Raw products are not
 chained there (no powers or Horner steps in the group ring): x^N - 1 is not
 the cyclotomic polynomial, and the coefficients of a chain grow binomially.
-Only products of reduced numbers are accumulated.  The bounded exceptions
-are two chains of binomials 1 - q*x^k on one lift.  ``hecke.schur_cyclic``
-multiplies the e - 1 of a Schur element: q is reduced, so each factor has
-lift L1 norm 1 + ||q||_1, and for a root of unity q that is 2.
-``LaurentPoly.peel``, the one polynomial division, peels them off a
-polynomial p from one end, q_i = p_i + q * q_(i-k): q is a root of unity,
-an index shift of the lift, so a peel only adds shifted copies of p's
-coefficients, and the largest coefficient L1 norm grows at most by the
-factor deg(p)/|k| + 1 per peel.
+Only products of reduced numbers are accumulated.  The bounded exception is
+a chain of binomials 1 - q*x^k, the form Schur elements are kept in (only
+``hecke.schur_cyclic``, for the CLI and serialisation, multiplies them out,
+as reduced products).  ``LaurentPoly.peel``, the one polynomial division,
+peels them off a polynomial p from one end on one lift, q_i = p_i + q *
+q_(i-k): q is a root of unity, an index shift of the lift, so a peel only
+adds shifted copies of p's coefficients, and the largest coefficient L1 norm
+grows at most by the factor deg(p)/|k| + 1 per peel.
 
 Where only "is it zero?" is asked, no canonical form is built at all: the
 integers of a group-ring lift are rewritten on the Zumbroich basis
@@ -60,7 +59,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Optional, Union
 
 __all__ = [
@@ -91,35 +90,23 @@ def divisors(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def cyclotomic_int_coeffs(n: int) -> tuple[int, ...]:
-    """Integer coefficients (low to high) of the n-th cyclotomic polynomial.
-
-    Computed by exact division of ``x^n - 1`` by the product of ``Phi_d``
-    over proper divisors ``d`` of ``n``.
-    """
-    # numerator x^n - 1
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    for d in divisors(n)[:-1]:
-        den = cyclotomic_int_coeffs(d)
-        num = _polydiv_exact_int(num, list(den))
-    return tuple(num)
-
-
-def _polydiv_exact_int(num: list[int], den: list[int]) -> list[int]:
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % den[-1] != 0:  # pragma: no cover - defensive
-            raise ArithmeticError("non-exact polynomial division")
-        q = c // den[-1]
-        out[i] = q
-        if q:
-            for j, dc in enumerate(den):
-                num[i + j] -= q * dc
-    if any(num):  # pragma: no cover - defensive
-        raise ArithmeticError("non-exact polynomial division")
-    return out
+    """Integer coefficients (low to high) of the n-th cyclotomic polynomial:
+    for n > 1, prod (1 - x^(n/m))^mu(m) over the squarefree divisors m of n,
+    each factor multiplied or divided out as an integer series to degree
+    phi(n)."""
+    if n == 1:
+        return (-1, 1)
+    top, ps = totient(n), list(_prime_factors(n))
+    c = [1] + [0] * top
+    for r in range(1 << len(ps)):
+        d = n // prod(p for i, p in enumerate(ps) if r >> i & 1)
+        if bin(r).count("1") % 2:  # mu = -1: divide by 1 - x^d
+            for i in range(d, top + 1):
+                c[i] += c[i - d]
+        else:
+            for i in range(top, d - 1, -1):
+                c[i] -= c[i - d]
+    return tuple(c)
 
 
 @lru_cache(maxsize=None)

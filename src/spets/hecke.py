@@ -11,7 +11,10 @@ v = x^(1/h), so :func:`check_spetsial` decides rationality (CA1) by a Galois
 permutation of the parameters and divisibility of Schur elements (SC2,
 SC3) by inclusion of root multisets.  Each is exact, by unique factorisation
 over the cyclotomic numbers, and no Schur element is built; CA2 and SC1
-hold by the normal form.
+hold by the normal form.  A Schur element is kept as its binomials:
+:func:`schur_quotients` peels them off a dividend, :func:`ariki_koike_schur`
+lists them for the Ariki-Koike algebra, and only :func:`schur_cyclic`, for
+``spets schur`` and :func:`omega_sigma_delta`, multiplies them out.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "frobenius",
     "one_spetsial_spec",
     "parse_spec",
+    "ariki_koike_schur",
 ]
 
 
@@ -87,6 +91,15 @@ class CyclicHeckeParams:
     def v_denominator(self) -> int:
         return lcm(1, *(m.exp.denominator for m in self.params))
 
+    def angles(self) -> tuple[int, int, list[tuple[int, int]]]:
+        """(h, T, [(k_j, t_j)]) with u_j = E(T, t_j) * v^(k_j) and v^h = x,
+        when every coefficient is a root of unity."""
+        orders = [m.coeff.root_of_unity_order() for m in self.params]
+        if None in orders:
+            raise ArithmeticError("a parameter's coefficient is not a root of unity")
+        h, T = self.v_denominator(), lcm(1, *(n for n, _ in orders))
+        return h, T, [(int(m.exp * h), k * (T // n)) for m, (n, k) in zip(self.params, orders)]
+
 
 class SchurElement:
     """A specialized Schur element, stored as a Laurent polynomial in ``v``.
@@ -119,10 +132,7 @@ def schur_cyclic(params: CyclicHeckeParams) -> list[SchurElement]:
     """Schur elements ``S_i = prod_{j != i} (u_j - u_i)/u_j``.
 
     With ``u_j = c_j v^(k_j)``, ``S_i`` is the product of the binomials
-    ``1 - q v^(k_i - k_j)``, ``q = c_i/c_j``.  They are multiplied on integer
-    lifts in Z[z]/(z^N - 1), N the lcm of the conductors of the ratios q,
-    over one denominator, and one canonical Cyclo is built per coefficient
-    of the product."""
+    ``1 - q v^(k_i - k_j)``, ``q = c_i/c_j``, multiplied out."""
     h = params.v_denominator()
     cs = [m.coeff for m in params.params]
     ks = [int(m.exp * h) for m in params.params]
@@ -131,24 +141,10 @@ def schur_cyclic(params: CyclicHeckeParams) -> list[SchurElement]:
         raise ZeroDivisionError("division by zero polynomial")
     out = []
     for i in range(params.e):
-        factors = [(cs[i] / cs[j], ks[i] - ks[j]) for j in range(params.e) if j != i]
-        n = lcm(1, *[q.n for q, _ in factors])
-        den = 1
-        acc: dict[int, dict[int, int]] = {0: {0: 1}}  # v-exponent -> lift
-        for q, s in factors:
-            lift = q._lift(n, 1).items()
-            nxt: dict[int, dict[int, int]] = {}
-            for ex, terms in acc.items():
-                tgt = nxt.setdefault(ex, {})
-                for z, a in terms.items():
-                    tgt[z] = tgt.get(z, 0) + a * q.den
-                tgt = nxt.setdefault(ex + s, {})
-                for z, a in terms.items():
-                    for y, b in lift:
-                        t = (z + y) % n
-                        tgt[t] = tgt.get(t, 0) - a * b
-            acc, den = nxt, den * q.den
-        poly = LaurentPoly({ex: Cyclo(n, terms, den) for ex, terms in acc.items()})
+        poly = LaurentPoly.one()
+        for j in range(params.e):
+            if j != i:
+                poly = poly * LaurentPoly([(0, 1), (ks[i] - ks[j], -(cs[i] / cs[j]))])
         out.append(SchurElement(poly, h, i))
     return out
 
@@ -220,6 +216,20 @@ class SpetsialAlgebraSpec:
 
     def schur(self) -> list[SchurElement]:
         return schur_cyclic(self.params())
+
+    def angles(self) -> tuple[int, int, list[tuple[int, int]]]:
+        """(h, T, [(k_j, t_j)]) with u_j = E(T, t_j) * v^(k_j) and v^h = x.
+
+        In the normal form u_j = E(e, j) * E(d * q, -a * p) * x^(m_j) for
+        m_j = p/q, so T = lcm(e, d*h) makes t_j = j*T/e - a*p*T/(d*q) an
+        integer and k_j = m_j * h."""
+        h = lcm(1, *(m.denominator for m in self.m))
+        T = lcm(self.e, self.d * h)
+        out = []
+        for j, m in enumerate(self.m):
+            t = j * (T // self.e) - self.a * m.numerator * (T // (self.d * m.denominator))
+            out.append((int(m * h), t % T))
+        return h, T, out
 
     def sigma(self, i: int) -> Fraction:
         """Valuation plus degree of S_i in x, read off the exponents: S_i is
@@ -405,49 +415,26 @@ class ConditionReport:
         return [k for k, ok in self.conditions.items() if not ok]
 
 
-def _param_angles(spec: SpetsialAlgebraSpec) -> tuple[int, int, list[tuple[int, int]]]:
-    """(h, T, [(k_j, t_j)]) with u_j = E(T, t_j) * v^(k_j) and v^h = x.
-
-    In the normal form u_j = E(e, j) * E(d * q, -a * p) * x^(m_j) for
-    m_j = p/q, so T = lcm(e, d*h) makes t_j = j*T/e - a*p*T/(d*q) an integer
-    and k_j = m_j * h."""
-    h = lcm(1, *(m.denominator for m in spec.m))
-    T = lcm(spec.e, spec.d * h)
-    out = []
-    for j, m in enumerate(spec.m):
-        t = j * (T // spec.e) - spec.a * m.numerator * (T // (spec.d * m.denominator))
-        out.append((int(m * h), t % T))
-    return h, T, out
+def _binomial_roots(T: int, t: int, K: int):
+    """The |K| roots of 1 - E(T, t) * v^K as reduced pairs: (d, k) with
+    gcd(d, k) = 1 stands for the root E(d, k).  They are the v with
+    v^K = E(T, -t), at the angles (s*T - t) / (T*K) mod 1; none for K = 0."""
+    m, sign = T * abs(K), 1 if K > 0 else -1
+    for s in range(abs(K)):
+        num = sign * (s * T - t) % m
+        g = gcd(num, m)
+        yield m // g, num // g
 
 
-def _schur_roots(T: int, angles: list[tuple[int, int]]) -> list[Counter]:
-    """The roots of each Schur element, with multiplicity, as reduced pairs:
-    (d, k) with gcd(d, k) = 1 stands for the root E(d, k).
+def schur_quotients(spec: SpetsialAlgebraSpec | CyclicHeckeParams, p: LaurentPoly
+                    ) -> list[LaurentPoly] | None:
+    """p / S_j for every j, or None when some S_j does not divide p; no Schur
+    element is built, and the exponents must be integral.
 
-    S_i = prod_{j != i} (1 - u_i/u_j), and u_i/u_j = E(T, t_i - t_j) v^K with
-    K = k_i - k_j.  For K != 0 that factor is a unit times a binomial whose
-    |K| roots are the v with v^K = E(T, t_j - t_i), at the angles
-    (t_j - t_i + s*T) / (T*K); for K = 0 it is a nonzero constant, as the
-    parameters are distinct."""
-    out = []
-    for ki, ti in angles:
-        roots: Counter = Counter()
-        for kj, tj in angles:
-            for s in range(abs(ki - kj)):
-                r = Fraction(tj - ti + s * T, T * (ki - kj)) % 1
-                roots[r.denominator, r.numerator] += 1
-        out.append(roots)
-    return out
-
-
-def schur_quotients(spec: SpetsialAlgebraSpec, p: LaurentPoly) -> list[LaurentPoly] | None:
-    """p / S_j for every j, or None when some S_j does not divide p; no
-    Schur element is built, and the exponents must be integral.
-
-    With u_j/u_k = E(T, t_j - t_k) x^K, K = m_j - m_k (:func:`_param_angles`),
+    With u_j/u_k = E(T, t_j - t_k) x^K, K = k_j - k_k (``spec.angles()``),
     the factor 1 - u_j/u_k of S_j is a binomial for K != 0, peeled off p
     (:meth:`LaurentPoly.peel`), and a nonzero constant for K = 0, divided out."""
-    h, T, angles = _param_angles(spec)
+    h, T, angles = spec.angles()
     if h != 1:
         raise ArithmeticError("Schur element has fractional x-exponents")
     out = []
@@ -463,13 +450,49 @@ def schur_quotients(spec: SpetsialAlgebraSpec, p: LaurentPoly) -> list[LaurentPo
     return out
 
 
+def ariki_koike_schur(lam: tuple[tuple[int, ...], ...], T: int,
+                      Q: list[tuple[int, int]]) -> tuple[Cyclo, int, Counter]:
+    """The Schur element of the Ariki-Koike algebra at the d-multipartition
+    ``lam`` of n, for q = x and Q_s = E(T, t_s) x^(k_s), ``Q`` = [(k_s, t_s)],
+    as (c, v, roots): S = c x^v prod(1 - x/rho) over the Counter ``roots`` of
+    pairs (d, k) for rho = E(d, k).  By Geck-Iancu-Malle (Indag. Math. 11
+    (2000)) and Chlouveraki-Jacon (J. Algebraic Combin. 35 (2012)),
+    S = (-1)^(n(d-1)) x^(-N(lam-bar)) (x - 1)^(-n) prod_s prod_{(i,j) in lam^s}
+    prod_t (x^h(s,t,i,j) Q_s/Q_t - 1), h(s,t,i,j) = lam^s_i - i + lam^t'_j - j + 1
+    with lam^t' the conjugate partition, N(mu) = sum (i - 1) mu_i, and lam-bar
+    the partition of all parts of lam.  A factor x^a E(T, r) - 1 has lowest
+    term -1 (a > 0), E(T, r) x^a (a < 0), or is a nonzero constant (a = 0),
+    and the |a| roots of :func:`_binomial_roots`; c's roots of unity are
+    summed as one turn."""
+    n = sum(map(sum, lam))
+    conj = [[sum(1 for p in part if p > j) for j in range(max(part, default=0))]
+            for part in lam]
+    v = -sum(i * p for i, p in enumerate(sorted((p for part in lam for p in part), reverse=True)))
+    turn = Fraction(n * len(lam), 2)  # (-1)^(n(d-1)) and the -1 of each x - 1
+    c, roots = Cyclo.rational(1), Counter()
+    for part, (ks, ts) in zip(lam, Q):
+        for i, row in enumerate(part):
+            for j in range(row):
+                for cols, (kt, tt) in zip(conj, Q):
+                    a = row - i + (cols[j] if j < len(cols) else 0) - j - 1 + ks - kt
+                    if a == 0:
+                        c = c * (zeta_root(T, ts - tt) - 1)
+                    elif a > 0:
+                        turn += Fraction(1, 2)
+                    else:
+                        turn, v = turn + Fraction(ts - tt, T), v + a
+                    roots.update(_binomial_roots(T, ts - tt, a))
+    roots[1, 0] -= n
+    return c * zeta_root(turn.denominator, turn.numerator), v, +roots
+
+
 def check_spetsial(spec: SpetsialAlgebraSpec, G=None, w=None) -> ConditionReport:
     """Evaluate the defining conditions of a spetsial cyclotomic algebra.
 
     ``G`` and ``w`` (the ambient coset and regular element) enable the
     divisibility test of the Schur elements into the twisted fake degree.
 
-    Every parameter is u_j = E(T, t_j) v^(k_j) with v^h = x (:func:`_param_angles`),
+    Every parameter is u_j = E(T, t_j) v^(k_j) with v^h = x (:meth:`~SpetsialAlgebraSpec.angles`),
     so every condition is read off the pairs (k_j, t_j) and no Schur element
     is built:
 
@@ -480,9 +503,9 @@ def check_spetsial(spec: SpetsialAlgebraSpec, G=None, w=None) -> ConditionReport
       is the fixed field of those sigma_k.  Fractional exponents must also
       be permuted by v -> zeta_h v.
     - SC2: in the Laurent ring over the cyclotomic numbers S_a divides S_b
-      exactly when the root multiset of S_a lies in that of S_b
-      (:func:`_schur_roots`); associates are separated by the
-      valuation-zero representative: S_i has valuation
+      exactly when the root multiset of S_a lies in that of S_b, those of
+      its factors 1 - u_a/u_j (:func:`_binomial_roots`); associates are
+      separated by the valuation-zero representative: S_i has valuation
       sum_j min(0, k_i - k_j) in v, zero exactly when k_i is greatest.
     - SC3: S_i divides the fake degree exactly when the fake degree has
       each root of S_i with at least its multiplicity.
@@ -495,7 +518,7 @@ def check_spetsial(spec: SpetsialAlgebraSpec, G=None, w=None) -> ConditionReport
     """
     conds: dict[str, bool] = {}
     msgs: list[str] = []
-    h, T, angles = _param_angles(spec)
+    h, T, angles = spec.angles()
     base = set(angles)
 
     # CA1: coefficients of prod(t - u_j) lie in the character field of the series
@@ -518,7 +541,8 @@ def check_spetsial(spec: SpetsialAlgebraSpec, G=None, w=None) -> ConditionReport
 
     # SC2: a unique divisibility-maximal character; Laurent associates are
     # separated by the valuation-zero representative
-    roots = _schur_roots(T, angles)
+    roots = [Counter(r for kj, tj in angles for r in _binomial_roots(T, ti - tj, ki - kj))
+             for ki, ti in angles]
     maximal = [i for i, r in enumerate(roots) if all(q_ <= r for q_ in roots)]
     if len(maximal) > 1:
         maximal = [i for i in maximal if angles[i][0] == max(k for k, _ in angles)]

@@ -214,21 +214,14 @@ class LaurentPoly:
         mults = Counter(self.multiplicities(caps))
         return mults if sum(mults.values()) == self.degree() - self.valuation() else None
 
-    def quotient(self, divisor: "LaurentPoly", caps: Mapping[tuple[int, int], int]
-                 ) -> "LaurentPoly | None":
-        """self / divisor in the Laurent ring for a divisor that splits over
-        the roots in ``caps`` (those of self, or of a multiple of it), or None
-        when it does not divide.  With c and v its lowest coefficient and
-        valuation, the divisor is c * x^v * prod(1 - x / rho) over its roots
-        rho (:meth:`roots`): the binomials are peeled, then c and x^v divided
-        out."""
-        roots = divisor.roots(caps)
-        q = None if roots is None else self.peel(
-            [(d, -k, 1) for (d, k), m in roots.items() for _ in range(m)])
-        if q is None:
-            return None
-        v, c = divisor.coeffs[0]
-        return q.shift(-v) * c.inverse()
+    def divide_split(self, c: Cyclo, v: int, roots: Mapping[tuple[int, int], int]
+                     ) -> "LaurentPoly | None":
+        """self / (c * x^v * prod(1 - x / rho)), a split divisor with lowest
+        term c x^v and roots rho = E(d, k) with the multiplicities ``roots``,
+        or None when it does not divide: the binomials are peeled, then c x^v
+        divided out."""
+        q = self.peel([(d, -k, 1) for (d, k), m in roots.items() for _ in range(m)])
+        return None if q is None else q.shift(-v) * c.inverse()
 
     # -- transforms ---------------------------------------------------------
     def evaluate(self, v: Scalar) -> Cyclo:

@@ -155,16 +155,10 @@ def fake_degree_char(table: CharTable, name: str) -> LaurentPoly:
 
 
 def order_roots(G: ReflectionCoset) -> Counter:
-    """The nonzero roots of the order of G, those of prod(x^d_i - zeta_i),
-    with multiplicity, as reduced pairs (m, r) for E(m, r): x^d = E(n, k) at
-    x = E(n * d, k + t * n)."""
-    roots: Counter = Counter()
-    for d, z in G.degrees:
-        n, k = z.root_of_unity_order()
-        for t in range(d):
-            g = gcd(k + t * n, n * d)
-            roots[n * d // g, (k + t * n) // g] += 1
-    return roots
+    """The nonzero roots of the order of G, those of prod(x^d_i - 1) as G
+    is split: the d_i-th roots of unity, with multiplicity, as reduced pairs
+    (m, r) for E(m, r)."""
+    return Counter((d // gcd(k, d), k // gcd(k, d)) for d, _ in G.degrees for k in range(d))
 
 
 def sylow_congruence(G: ReflectionCoset, phi: KCycloPoly) -> bool:

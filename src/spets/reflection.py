@@ -13,16 +13,18 @@ eigenspaces.  Each class's eigenvalues are computed once; as an element of
 finite order is diagonalisable, eigenspace dimensions, regular classes and
 reflections are eigenvalue multiplicities.
 
-A coset and its sub-cosets (V, W_L * w) share one model: det(1 - x w) is a
-product over the cached eigenvalues of each class, and the Poincare
-polynomial of a coset is the inverse of its Molien series, a sum over the
-classes of G weighted by how many coset elements fall in each.
+The degrees are read off the fixed-space dimensions by Shephard-Todd, and
+the Poincare polynomial P_G of G is prod(1 - x^{d_i}).  A class's fake degree
+is P_G / det(1 - x w), its eigenvalues peeled off P_G, and for a sub-coset
+(V, W_L * w) P_G / P is the mean of those of its elements (Molien).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 from .cyclotomic import Cyclo, CycloField, CycloSum, sum_of_products, zeta
@@ -279,8 +281,9 @@ class ReflectionCoset:
             members = sorted(_walk([i], [c.__getitem__ for c in conj], self.order)[0])
             seen.update(members)
             rep = min(members, key=lambda j: (len(self.words[j]), self.words[j]))
-            order = len(self.powers(rep))
-            eig = _eigenvalues(self.matrix(rep), order)
+            g = self.matrix(rep)  # a 1 x 1 element has the order of its entry
+            order = g.rows[0][0].root_of_unity_order()[0] if g.n == 1 else len(self.powers(rep))
+            eig = _eigenvalues(g, order)
             key = (order, len(members), sorted(v.serialize() for v in eig), self.words[rep])
             found.append((key, ConjClass(rep, self.words[rep], len(members), order,
                                          tuple(members), tuple(eig))))
@@ -358,44 +361,35 @@ class ReflectionCoset:
         members = _walk([0], [lambda m, r=r: self._mul(m, r) for r in gens], self.order)[0]
         return gens, sorted(members)
 
-    # -- the Molien series ------------------------------------------------
+    # -- degrees and fake degrees ------------------------------------------
     @cached_property
-    def _class_dets(self) -> list[LaurentPoly]:
-        """det(1 - x w) = prod(1 - lambda x) over the eigenvalues of each class."""
-        out = []
-        for c in self.classes:
-            p = LaurentPoly.one()
-            for lam in c.eigenvalues:
-                p = p * LaurentPoly({0: 1, 1: -lam})
-            out.append(p)
+    def degrees(self) -> list[tuple[int, Cyclo]]:
+        """Pairs (d_i, 1), as the coset is split.  By Shephard-Todd,
+        sum_w t^(dim V^w) = prod(t + d_i - 1), with dim V^w the multiplicity
+        of the eigenvalue 1 of w; integer synthetic division by t + d - 1,
+        for d = 1, 2, ... in turn, reads the d_i, repeated ones included."""
+        poly = [0] * (self.rank + 1)  # coefficients of t^rank, ..., t^0
+        for dim, c in zip(self._eigenvalue_counts(Cyclo.rational(1)), self.classes):
+            poly[self.rank - dim] += c.size
+        out, d = [], 1
+        while len(poly) > 1:
+            if d > self.order:
+                raise ArithmeticError("the fixed-space dimensions give no degrees")
+            *quo, rem = accumulate(poly, lambda acc, a: acc * (1 - d) + a)
+            if rem:
+                d += 1
+            else:
+                poly, out = quo, out + [(d, Cyclo.rational(1))]
         return out
 
     @cached_property
-    def _class_series(self) -> list[list[tuple[int, Cyclo]]]:
-        """1 / det(1 - x w) for each class, up to x^(n_ref + rank): the degree
-        of the Poincare polynomial of G and a bound on that of each sub-coset."""
-        bound = self.n_ref + self.rank
-        return [_series_invert(p, bound) for p in self._class_dets]
-
-    @cached_property
     def poincare(self) -> LaurentPoly:
-        """The coset Poincare polynomial prod(1 - zeta_i x^{d_i})."""
-        return coset_poincare(self, [c.size for c in self.classes])
-
-    @cached_property
-    def degrees(self) -> list[tuple[int, Cyclo]]:
-        """Pairs (d_i, zeta_i), peeled off the Poincare polynomial."""
-        out: list[tuple[int, Cyclo]] = []
-        Q = self.poincare
-        for _ in range(self.rank):
-            d, c = next((e, c) for e, c in Q.coeffs if e > 0)
-            out.append((d, -c))
-            root = (-c).root_of_unity_order()
-            Q = Q.peel([(*root, d)]) if root else None
-            if Q is None:
-                raise ArithmeticError(f"no factor 1 - zeta*x^{d} peels off the Poincare polynomial")
-        assert Q == LaurentPoly.one()
-        return sorted(out, key=lambda t: (t[0], t[1].serialize()))
+        """The Poincare polynomial prod(1 - x^{d_i}), on integers."""
+        coeffs = [1]
+        for d, _ in self.degrees:
+            coeffs = [a - (coeffs[i - d] if i >= d else 0)
+                      for i, a in enumerate(coeffs + [0] * d)]
+        return LaurentPoly(enumerate(coeffs))
 
     def class_fake_degree(self, ci: int) -> LaurentPoly:
         """P / det(1 - x w) for w in class ci, computed on first use: the
@@ -488,32 +482,6 @@ def _walk(start, moves, bound: int) -> tuple[list, list[list[int]], list[tuple[i
     return points, images, found
 
 
-def coset_poincare(G: ReflectionCoset, counts: Sequence[int]) -> LaurentPoly:
-    """P = prod(1 - zeta_i x^{d_i}) of a coset of G whose elements fall
-    counts[c] times into class c of G: the inverse of its Molien series."""
-    bound = G.n_ref + G.rank
-    total = sum(counts)
-    sums = [CycloSum() for _ in range(bound + 1)]
-    for series, n in zip(G._class_series, counts):
-        if n:
-            weight = Cyclo.rational(Fraction(n, total))
-            for e, c in series:
-                sums[e].add(c, weight)
-    molien = LaurentPoly([(e, s.value()) for e, s in enumerate(sums)])
-    return LaurentPoly(_series_invert(molien, bound))
-
-
-def _series_invert(P: LaurentPoly, bound: int) -> list[tuple[int, Cyclo]]:
-    """Coefficients of 1/P up to x^bound (P must have constant term 1)."""
-    c0 = P.coeff(0)
-    assert c0 == Cyclo.rational(1), "series inversion expects constant term 1"
-    neg = [(k, -c) for k, c in P.coeffs if k > 0]
-    inv = [c0]
-    for e in range(1, bound + 1):
-        inv.append(sum_of_products((c, inv[e - k]) for k, c in neg if k <= e))
-    return [(e, c) for e, c in enumerate(inv) if not c.is_zero()]
-
-
 # -- built-in groups ---------------------------------------------------------
 
 
@@ -578,13 +546,26 @@ class SubCoset:
         return self.parent.rank
 
     @cached_property
+    def relative_poincare(self) -> LaurentPoly:
+        """P_G / P, with constant term 1.  By Molien, 1/P is the mean of
+        1/det(1 - x l w) over the elements l w, so P_G / P is the mean of
+        their class fake degrees P_G / det(1 - x l w)."""
+        G, size = self.parent, len(self.group_elements)
+        counts = Counter(G.class_of(G._mul(l, self.twist)) for l in self.group_elements)
+        return LaurentPoly.combination((G.class_fake_degree(ci), Fraction(n, size))
+                                       for ci, n in counts.items())
+
+    @cached_property
     def poincare(self) -> LaurentPoly:
-        """prod(1 - zeta_i x^{d_i}) from the G-classes of the elements l w."""
-        G = self.parent
-        counts = [0] * len(G.classes)
-        for l in self.group_elements:
-            counts[G.class_of(G._mul(l, self.twist))] += 1
-        return coset_poincare(G, counts)
+        """prod(1 - zeta_i x^{d_i}) = P_G / :attr:`relative_poincare`, a power
+        series division, exact as P divides P_G."""
+        P, ratio = self.parent.poincare, self.relative_poincare
+        neg = [(k, -c) for k, c in ratio.coeffs if k > 0]
+        q: list[Cyclo] = []
+        for e in range(P.degree() - ratio.degree() + 1):
+            q.append(sum_of_products([(P.coeff(e), Cyclo.rational(1))] +
+                                     [(c, q[e - k]) for k, c in neg if k <= e]))
+        return LaurentPoly(enumerate(q))
 
     @cached_property
     def n_ref(self) -> int:

@@ -22,14 +22,16 @@ from __future__ import annotations
 
 import os
 import re
+from collections import Counter
 from functools import cache
+from math import gcd
 from pathlib import Path
 
 from .chartables import char_table, feg_map
-from .cyclotomic import zeta
-from .hecke import CyclicHeckeParams
+from .cyclotomic import Cyclo, parse_cyclo, zeta
+from .hecke import CyclicHeckeParams, ariki_koike_schur
 from .laurent import FracExpMonomial, LaurentPoly
-from .orders import order_poly
+from .orders import CharTable, order_poly
 from .reflection import ReflectionCoset, SubCoset, build_group
 from .uch import (Family, SeriesDetermination, SignedDegreeIndex, UchTable,
                   UnipotentCharacter, _cyclic_feg_map, assign_families, cyclic_uch,
@@ -271,8 +273,11 @@ def is_spetsial(name: str) -> bool:
 # -- Schur reference data --------------------------------------------------------------
 
 
-def load_schur_data(filename: str) -> list[tuple[str, LaurentPoly, int]]:
-    """Rows ``name | Schur element | character degree`` from a data file."""
+def load_schur_data(filename: str) -> list[tuple[str, tuple[Cyclo, int, Counter], int]]:
+    """Rows ``name | c | v | roots | theta(1)`` of a data file, as ``(name,
+    (c, v, roots), theta(1))`` for S = c x^v prod(1 - x / rho) over the roots
+    rho = E(d, k), listed as ``d:k`` or ``d:k^m`` (multiplicity m > 0) with
+    0 <= k < d coprime; c is a cyclotomic literal and v an integer."""
     out = []
     path = data_dir() / filename
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
@@ -280,11 +285,30 @@ def load_schur_data(filename: str) -> list[tuple[str, LaurentPoly, int]]:
         if not line or line.startswith("#"):
             continue
         try:
-            name, poly_s, dim_s = (p.strip() for p in line.split("|"))
-            out.append((name, LaurentPoly.parse(poly_s), int(dim_s)))
+            name, c_s, v_s, roots_s, dim_s = (p.strip() for p in line.split("|"))
+            c, roots = parse_cyclo(c_s), Counter()
+            if c.is_zero():
+                raise ValueError("the constant of a Schur element is zero")
+            for tok in roots_s.split():
+                m = re.fullmatch(r"(\d+):(\d+)(?:\^(\d+))?", tok)
+                d, k, mult = (int(g or 1) for g in m.groups()) if m else (0, 0, 0)
+                if not 0 <= k < d or gcd(d, k) != 1 or mult <= 0:
+                    raise ValueError(f"root {tok!r} is not d:k or d:k^m with "
+                                     "0 <= k < d coprime and m > 0")
+                roots[d, k] += mult
+            out.append((name, (c, int(v_s), roots), int(dim_s)))
         except (ValueError, ArithmeticError) as exc:
             raise ValueError(f"{path} line {lineno}: {exc}") from exc
     return out
+
+
+def _g312_schur(T: CharTable) -> list[tuple[str, tuple[Cyclo, int, Counter], int]]:
+    """The Schur elements of G(3,1,2)'s Hecke algebra at q = x, (Q_0, Q_1,
+    Q_2) = (x, E(3,1), E(3,2)) (:func:`hecke.ariki_koike_schur`); the
+    character a.b.c of ``T`` is the 3-multipartition (a, b, c)."""
+    return [(name, ariki_koike_schur(tuple(tuple(map(int, part)) for part in name.split(".")),
+                                     3, [(1, 0), (0, 1), (0, 2)]), T.degree(name))
+            for name in T.names]
 
 
 # -- construction pipelines -------------------------------------------------------------
@@ -314,10 +338,10 @@ class PipelineResult:
         self.fegs = fegs  # principal-series fake degrees by row name
 
 
-def _levi_order(G: ReflectionCoset, gen_index: int) -> LaurentPoly:
-    elems = G.powers(G.gens[gen_index])
-    sub = SubCoset(G, tuple(elems), 0, len(elems))
-    return order_poly(sub, "compact")
+def _levi(G: ReflectionCoset, gen_index: int) -> SubCoset:
+    """The Levi sub-coset (V, W_L), W_L generated by one reflection of G."""
+    elems = tuple(G.powers(G.gens[gen_index]))
+    return SubCoset(G, elems, 0, len(elems))
 
 
 def _z3_hc(rel_params: list[str], rel_names: tuple[str, ...]) -> HCDatum:
@@ -344,14 +368,14 @@ def _g312_hc() -> HCDatum:
 # Harish-Chandra data are built on first use, Ennola roots E(d, a) are (d, a)
 _PIPELINES: dict[str, dict] = {
     "G4": dict(
-        schur_file="schur_g4.txt",
+        schur=lambda T: load_schur_data("schur_g4.txt"),
         hc=[_g4_hc],
         ennola=[(2, 1)],
         cuspidal_names=["G_4"],
         zeta_series=[(4, 1), (3, 1)],
     ),
     "G(3,1,2)": dict(
-        schur_file="schur_g312.txt",
+        schur=_g312_schur,
         hc=[_g312_hc],
         ennola=[(3, 1)],
         cuspidal_names=["G_{3,1,2}^{103}", "G_{3,1,2}^{130}"],
@@ -363,7 +387,8 @@ _PIPELINES: dict[str, dict] = {
 def construct_uch(name: str) -> PipelineResult:
     """Run the full construction pipeline for a builtin group.
 
-    Stages: principal series from ingested Schur data; Harish-Chandra series
+    Stages: principal series from Schur elements as root multisets (shipped
+    for G4, the Ariki-Koike formula for G(3,1,2)); Harish-Chandra series
     above the shipped cuspidal data; Ennola closure under the center (new
     degrees become cuspidal characters); parameter determination of the
     regular eigenvalue series, fixing Frobenius eigenvalues; family
@@ -377,16 +402,16 @@ def construct_uch(name: str) -> PipelineResult:
     if G.name not in _PIPELINES:
         raise ValueError(f"no construction pipeline for {name!r}")
     cfg = _PIPELINES[G.name]
-    fm = feg_map(char_table(G))
+    T = char_table(G)
+    fm = feg_map(T)
 
-    rows = principal_series(G, 0,
-                            schur_data=load_schur_data(cfg["schur_file"]))
+    rows = principal_series(G, 0, schur_data=cfg["schur"](T))
     table = UchTable(G.name, rows)
 
     for make_datum in cfg["hc"]:
         datum = make_datum()
         table.rows.extend(hc_series(
-            G, _levi_order(G, datum.levi_gen), datum.deg_lambda,
+            _levi(G, datum.levi_gen), datum.deg_lambda,
             datum.fr_lambda, datum.cusp_name, datum.rel_params,
             datum.rel_names))
 

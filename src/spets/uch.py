@@ -18,9 +18,9 @@ from .cyclotomic import (Cyclo, CycloField, CycloSum, _to_basis, divisors,
                          zeta as zeta_root)
 from .laurent import FracExpMonomial, LaurentPoly
 from .hecke import (SpetsialAlgebraSpec, check_spetsial, frobenius_model,
-                    schur_cyclic, schur_quotients, CyclicHeckeParams)
-from .orders import fake_degree_torus, order_poly, order_roots
-from .reflection import ReflectionCoset
+                    schur_quotients, CyclicHeckeParams)
+from .orders import fake_degree_torus, order_roots
+from .reflection import ReflectionCoset, SubCoset
 
 __all__ = [
     "UnipotentCharacter",
@@ -165,20 +165,22 @@ def _cyclic_feg_map(e: int) -> dict[str, LaurentPoly]:
 
 
 def principal_series(G: ReflectionCoset, w: int,
-                     schur_data: list[tuple[str, LaurentPoly, int]]
+                     schur_data: list[tuple[str, tuple[Cyclo, int, Counter], int]]
                      ) -> list[UnipotentCharacter]:
     """One character per algebra character, with degree eps * Feg / S.
 
-    ``schur_data`` holds ingested ``(name, S, theta(1))`` triples; the sign
-    eps makes the degree at x = 1 equal theta(1), and Fr = 1.  Feg(R_w) =
-    conj(P) / conj(det(1 - x w)) has the roots of the order of G less the
-    eigenvalues of w, and S is divided out on those (:meth:`LaurentPoly.quotient`).
+    ``schur_data`` holds ``(name, (c, v, roots), theta(1))``: S = c x^v
+    prod(1 - x / rho) over the Counter ``roots`` of pairs (d, k), rho = E(d, k).
+    The sign eps makes the degree at x = 1 equal theta(1), and Fr = 1.
+    Feg(R_w) splits over the roots of the order of G less the eigenvalues of
+    w, so S divides it exactly when its roots lie among those, tested before
+    any lift; S is then divided out (:meth:`LaurentPoly.divide_split`).
     """
     feg = fake_degree_torus(G, w)
     caps = order_roots(G) - Counter(lam.root_of_unity_order() for lam in G.eigenvalues(w))
     rows: list[UnipotentCharacter] = []
-    for name, s, theta1 in schur_data:
-        quo = feg.quotient(s, caps)
+    for name, (c, v, roots), theta1 in schur_data:
+        quo = feg.divide_split(c, v, roots) if roots <= caps else None
         if quo is None:
             raise ArithmeticError(f"Schur element of {name} does not divide Feg(R_w)")
         val = quo.evaluate(1)
@@ -398,40 +400,34 @@ def _match_series(spec: SpetsialAlgebraSpec, feg: LaurentPoly,
 # -- Harish-Chandra series -------------------------------------------------------------
 
 
-def _hc_ratio(G: ReflectionCoset, l_order: LaurentPoly) -> LaurentPoly:
-    """(|G|/|L|)_{x'}: the order ratio with its power of x divided out."""
-    ratio = order_poly(G, "compact").quotient(l_order, order_roots(G))
-    if ratio is None:
-        raise ArithmeticError("the Levi order does not divide the order of G")
-    return ratio.shift(-ratio.valuation())
+def _hc_ratio(L: SubCoset) -> LaurentPoly:
+    """(|G|/|L|)_{x'}, the order ratio with its power of x divided out, for
+    the Levi L of G: each order is x^N rev(P), so the ratio is the monic
+    rev(P_G / P_L) of L's relative Poincare polynomial."""
+    q = L.relative_poincare
+    return LaurentPoly([(q.degree() - e, c) for e, c in q.coeffs])
 
 
-def hc_series(G: ReflectionCoset, l_order: LaurentPoly, deg_lambda: LaurentPoly,
-              fr_lambda: FracExpMonomial | None, cusp_name: str,
-              rel_params: CyclicHeckeParams, rel_names: list[str]
+def hc_series(levi: SubCoset, deg_lambda: LaurentPoly, fr_lambda: FracExpMonomial | None,
+              cusp_name: str, rel_params: CyclicHeckeParams, rel_names: list[str]
               ) -> list[UnipotentCharacter]:
-    """Characters above a cuspidal pair with cyclic relative algebra.
+    """Characters above a cuspidal pair on a Levi, with cyclic relative algebra.
 
     Degrees are Deg(lambda) * (|G|/|L|)_{x'} / S_chi for the Schur elements of
-    the relative algebra, each of which divides |G|, so it is divided out on
-    the order's roots; Frobenius eigenvalues are inherited from lambda.
+    the relative algebra, whose binomials are peeled off from the parameters'
+    roots of unity (:func:`hecke.schur_quotients`), with no Schur element built;
+    Frobenius eigenvalues are inherited from lambda.
     """
-    num, roots = deg_lambda * _hc_ratio(G, l_order), order_roots(G)
-    rows = []
-    for s, rel_name in zip(schur_cyclic(rel_params), rel_names):
-        deg = num.quotient(s.as_x(), roots)
-        if deg is None:
-            raise ArithmeticError(f"Schur element of {rel_name} does not divide the degree")
-        rows.append(UnipotentCharacter(
-            f"{cusp_name}:{rel_name}", deg, fr_lambda,
-            series=(cusp_name, rel_name), sign_resolved=False))
-    return rows
+    degs = schur_quotients(rel_params, deg_lambda * _hc_ratio(levi))
+    if degs is None:
+        raise ArithmeticError(f"a Schur element above {cusp_name} does not divide the degree")
+    return [UnipotentCharacter(f"{cusp_name}:{rel_name}", deg, fr_lambda,
+                               series=(cusp_name, rel_name), sign_resolved=False)
+            for deg, rel_name in zip(degs, rel_names)]
 
 
-def hc_candidate_filter(G: ReflectionCoset, l_order: LaurentPoly,
-                        deg_lambda: LaurentPoly, rel_order: int,
-                        known: UchTable,
-                        rel_char_degrees: tuple[int, ...] = (1,)
+def hc_candidate_filter(levi: SubCoset, deg_lambda: LaurentPoly, rel_order: int,
+                        known: UchTable, rel_char_degrees: tuple[int, ...] = (1,)
                         ) -> list[UnipotentCharacter]:
     """Rows of the table that can lie above the given cuspidal pair.
 
@@ -441,15 +437,16 @@ def hc_candidate_filter(G: ReflectionCoset, l_order: LaurentPoly,
     so both divisibilities are inclusions of root multisets capped at the
     order's roots.
     """
-    roots = order_roots(G)
-    num = deg_lambda * _hc_ratio(G, l_order)
+    roots = order_roots(levi.parent)
+    num = deg_lambda * _hc_ratio(levi)
     low, top = deg_lambda.roots(roots), Counter(num.multiplicities(roots))
     out = []
     for row in known.rows:
         mults = row.degree.roots(roots)
         if low is None or mults is None or not low <= mults <= top:
             continue
-        s = num.quotient(row.degree, mults)
+        v, c = row.degree.coeffs[0]
+        s = num.divide_split(c, v, mults)
         s_one = s.evaluate(1)
         if s_one.is_zero():
             continue
@@ -459,13 +456,11 @@ def hc_candidate_filter(G: ReflectionCoset, l_order: LaurentPoly,
     return out
 
 
-def check_inducing_sum(G: ReflectionCoset, l_order: LaurentPoly,
-                       deg_lambda: LaurentPoly,
+def check_inducing_sum(levi: SubCoset, deg_lambda: LaurentPoly,
                        rows_with_dims: list[tuple[UnipotentCharacter, int]]) -> bool:
     """Deg(lambda) (|G|/|L|)_{x'} = sum Deg(rho_chi) chi(1) over a proposed tuple."""
-    ratio = _hc_ratio(G, l_order)
     total = LaurentPoly.combination((row.degree, dim) for row, dim in rows_with_dims)
-    return total == deg_lambda * ratio
+    return total == deg_lambda * _hc_ratio(levi)
 
 
 # -- families --------------------------------------------------------------------------

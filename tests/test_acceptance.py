@@ -158,11 +158,11 @@ def test_ac8_g312_principal_series_and_filter(g312, g312_result):
             want = ref.row(name)
             assert got.degree in (want.degree, -want.degree)
             assert got.fr == want.fr
-        from spets.tabledata import _g312_hc, _levi_order
+        from spets.tabledata import _g312_hc, _levi
         from spets.uch import hc_candidate_filter
         hc = _g312_hc()
-        rows = hc_candidate_filter(g312, _levi_order(g312, hc.levi_gen),
-                                   hc.deg_lambda, 3, g312_result.table)
+        rows = hc_candidate_filter(_levi(g312, hc.levi_gen), hc.deg_lambda, 3,
+                                   g312_result.table)
         assert sorted(r.name for r in rows) == \
             ["Z_3:1", "Z_3:zeta3", "Z_3:zeta3^2"]
     _report("AC8", check)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,15 @@ class TestAnalyze:
         assert code == 0
         assert "order 24" in out
         assert "x^14 - x^10 - x^8 + x^4" in out
+
+    def test_large_cyclic_group_is_bounded(self, capsys):
+        # each class's order is read off its 1 x 1 entry and the degrees off
+        # the fixed-space count, so Z_300 takes well under the bound
+        start = time.perf_counter()
+        code, out = run(capsys, "analyze", "Z_300")
+        assert time.perf_counter() - start < 1.5
+        assert code == 0
+        assert "order 300\n" in out and "degrees (300,1)\n" in out
 
 
 class TestSchur:

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from spets import uch
 from spets.cyclotomic import Cyclo, CycloField, zeta
-from spets.hecke import (CyclicHeckeParams, SpetsialAlgebraSpec, check_spetsial,
+from spets.hecke import (CyclicHeckeParams, SpetsialAlgebraSpec, ariki_koike_schur,
+                         check_spetsial,
                          compactify, ennola_twist, frobenius, noncompactify,
                          frobenius_model, omega_sigma_delta, one_spetsial_spec,
                          parse_spec, schur_cyclic, schur_quotients, tau_pi)
@@ -127,6 +128,21 @@ class TestSchurCyclicOracle:
             assert got is want
         else:
             assert [s.poly for s in got] == want[1]
+
+
+class TestArikiKoike:
+    def test_one_component_is_the_poincare_polynomial(self):
+        # d = 1 is the Iwahori-Hecke algebra of S_3: the trivial character's
+        # Schur element is the Poincare polynomial (1 + x)(1 + x + x^2)
+        c, v, roots = ariki_koike_schur(((3,),), 1, [(0, 0)])
+        assert (c, v) == (Cyclo.rational(1), 0)
+        assert roots == Counter({(2, 1): 1, (3, 1): 1, (3, 2): 1})
+
+    def test_sign_character_of_s3(self):
+        # the sign character's element is the bar image x^-3 (1 + x)(1 + x + x^2)
+        c, v, roots = ariki_koike_schur(((1, 1, 1),), 1, [(0, 0)])
+        assert (c, v) == (Cyclo.rational(1), -3)
+        assert roots == Counter({(2, 1): 1, (3, 1): 1, (3, 2): 1})
 
 
 class TestSpetsialConditions:

@@ -61,10 +61,16 @@ tables = st.one_of(
               st.lists(st.one_of(family_lines, row_lines), max_size=6)),
     shipped_g4_with_edits())
 
+ROOT_TOKENS = ["1:0", "2:1", "3:1^2", "6:5^3", "0:0", "0:1", "4:2", "3:1^0", "3:-1", "3:4",
+               "-3:1", "3:", ":1", "3:1^", "3:1^-1", "99999999999999999999:1", "x", "1/0"]
+roots = st.lists(st.sampled_from(ROOT_TOKENS), max_size=4).map(" ".join)
+dims = st.sampled_from(["1", "2", "x", "", "-1"])
 schur_files = st.lists(st.one_of(
-    st.builds(lambda n, p, d: f"{n} | {p} | {d}",
-              st.sampled_from(ROW_NAMES), polys, st.sampled_from(["1", "2", "x", "", "-1"])),
-    st.sampled_from(["# comment", "", "a | b", "a | x | 1 | 2"]),
+    st.builds(lambda n, c, v, r, d: f"{n} | {c} | {v} | {r} | {d}",
+              st.sampled_from(ROW_NAMES), polys, st.one_of(ints, st.sampled_from(["x", ""])),
+              roots, dims),
+    st.builds(lambda n, p, d: f"{n} | {p} | {d}", st.sampled_from(ROW_NAMES), polys, dims),
+    st.sampled_from(["# comment", "", "a | b", "a | 1 | 0 | 2:1 | 1 | 2", "a | 0 | 0 | | 1"]),
     odd_lines), max_size=6).map("\n".join)
 
 

@@ -11,7 +11,7 @@ from spets.laurent import LaurentPoly, k_cyclotomic_factors
 from spets.orders import all_sylow_congruences, order_poly
 from spets.reflection import (Matrix, ReflectionCoset, SubCoset, build_group,
                               row_reduce, sylow_subcoset)
-from spets.tabledata import _levi_order
+from spets.tabledata import _levi
 
 from conftest import ORACLE_GROUPS, divides, extra_group
 
@@ -47,12 +47,13 @@ class TestBuiltins:
             assert sum(d - 1 for d, _ in G.degrees) == G.n_ref
 
     def test_repeated_degree_is_a_named_error(self):
-        # A1 x A1 has P = (1 - x^2)^2: the coefficient -2 of x^2 is no root
-        # of unity, so the degrees cannot be peeled off one at a time
+        # A1 x A1 has P = (1 - x^2)^2, whose coefficient -2 of x^2 is no root
+        # of unity; the Shephard-Todd count t^2 + 2t + 1 = (t + 1)^2 reads
+        # the repeated degree 2 twice, with no error
         G = ReflectionCoset("A1xA1", [Matrix([[-1, 0], [0, 1]]), Matrix([[1, 0], [0, -1]])],
                             CycloField.rationals())
-        with pytest.raises(ArithmeticError, match=r"no factor 1 - zeta\*x\^2 peels off"):
-            G.degrees
+        assert [(d, z.serialize()) for d, z in G.degrees] == [(2, "1"), (2, "1")]
+        assert G.poincare == LaurentPoly({0: 1, 2: -2, 4: 1})
 
     def test_class_sizes_sum(self, g4, g312):
         for G in (g4, g312):
@@ -241,12 +242,17 @@ class TestTables:
             assert G.element_order(g) == len(want)
 
     def test_eigenvalues_give_det_one_minus_x(self, g4, g312):
-        # det(1 - x g) is the coefficient reversal of the charpoly det(x - g)
+        # det(1 - x g) is the coefficient reversal of the charpoly det(x - g),
+        # and the class fake degree is P / det(1 - x g)
         for G in (g4, g312):
-            for c, det in zip(G.classes, G._class_dets):
+            for ci, c in enumerate(G.classes):
+                det = LaurentPoly.one()
+                for lam in c.eigenvalues:
+                    det = det * LaurentPoly({0: 1, 1: -lam})
                 g = G.matrix(c.rep_index)
                 want = LaurentPoly([(g.n - e, a) for e, a in g.charpoly().coeffs])
                 assert det == want
+                assert G.class_fake_degree(ci) * det == G.poincare
 
     def test_rank_one_eigenvalue_is_the_entry(self):
         # a 1 x 1 element is its own eigenvalue; the charpoly route agrees
@@ -468,7 +474,7 @@ class TestSubCosetOracle:
         for gi, gen in enumerate(G.gens):
             elems = tuple(G.powers(gen))
             L = SubCoset(G, elems, 0, len(elems))
-            assert _levi_order(G, gi) == _matrix_order_poly(L, "compact")
+            assert order_poly(_levi(G, gi)) == _matrix_order_poly(L, "compact")
             assert order_poly(L, "noncompact") == _matrix_order_poly(L, "noncompact")
 
 

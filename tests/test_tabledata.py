@@ -8,7 +8,7 @@ import pytest
 
 from spets import orders, tabledata
 from spets.chartables import char_table, feg_map
-from spets.cyclotomic import Cyclo
+from spets.cyclotomic import Cyclo, zeta
 from spets.laurent import LaurentPoly
 from spets.orders import fake_degree_torus
 from spets.reflection import build_group
@@ -130,40 +130,68 @@ class TestDataDir:
         assert all(d >= 1 for _, _, d in rows)
 
     @pytest.mark.parametrize("row, message", [
+        # rows of the former name | polynomial | degree grammar miss fields now
         ("phi_{1,0} | x + 1", "not enough values to unpack"),
-        ("phi_{1,0} | x + 1 | one", "invalid literal for int"),
-        ("phi_{1,0} | x + E(3 | 1", "cannot parse cyclotomic literal"),
+        ("phi_{1,0} | x + 1 | one", "not enough values to unpack"),
+        ("phi_{1,0} | x + E(3 | 1", "not enough values to unpack"),
+        ("phi_{1,0} | 1 | 0 | 2:1 | 1 | 2", "too many values to unpack"),
+        ("phi_{1,0} | x + 1 | 0 | 2:1 | 1", "cannot parse cyclotomic literal"),
+        ("phi_{1,0} | 1/0 | 0 | 2:1 | 1", "zero denominator"),
+        ("phi_{1,0} | 0 | 0 | 2:1 | 1", "the constant of a Schur element is zero"),
+        ("phi_{1,0} | 1 | x | 2:1 | 1", "invalid literal for int"),
+        ("phi_{1,0} | 1 | 0 | 0:0 | 1", "root '0:0' is not"),
+        ("phi_{1,0} | 1 | 0 | 4:2 | 1", "root '4:2' is not"),
+        ("phi_{1,0} | 1 | 0 | 3:1^0 | 1", "root '3:1^0' is not"),
+        ("phi_{1,0} | 1 | 0 | 3:-1 | 1", "root '3:-1' is not"),
+        ("phi_{1,0} | 1 | 0 | 3:4 | 1", "root '3:4' is not"),
     ])
     def test_schur_data_errors_name_file_and_line(self, tmp_path, monkeypatch,
                                                    row, message):
+        # only a ValueError naming the file and line escapes, never a bare
+        # ZeroDivisionError
         (tmp_path / "schur_bad.txt").write_text(
-            "# name | Schur element | degree\n\nphi_{2,1} | x^2 | 2\n" + row + "\n")
+            "# name | c | v | roots | degree\n\nphi_{2,1} | 1 | 0 | 2:1^2 | 2\n" + row + "\n")
         monkeypatch.setenv("SPETS_DATA", str(tmp_path))
-        with pytest.raises(ValueError, match=rf"schur_bad\.txt line 4: {message}"):
+        with pytest.raises(ValueError, match=rf"schur_bad\.txt line 4: {re.escape(message)}"):
             load_schur_data("schur_bad.txt")
 
     def test_schur_element_off_the_fake_degree_names_its_row(self, tmp_path, monkeypatch):
-        # x + 2 has no root of unity for a root, so it divides no Feg(R_1)
+        # Feg(R_1) of G4 has no root of order 5, so an S with one divides it not
         shutil.copytree(data_dir(), tmp_path, dirs_exist_ok=True)
         path = tmp_path / "schur_g4.txt"
         path.write_text(path.read_text().replace(
-            "phi_{3,2} | x^2 + 2*x + 2 + 2*x^-1 + x^-2 | 3", "phi_{3,2} | x + 2 | 3"))
+            "phi_{3,2} | 1 | -2 | 2:1^2 4:1 4:3 | 3", "phi_{3,2} | 1 | -2 | 2:1^2 5:1 | 3"))
         monkeypatch.setenv("SPETS_DATA", str(tmp_path))
         with pytest.raises(ArithmeticError, match=re.escape("Schur element of phi_{3,2}")):
             construct_uch("G4")
 
 
-SCHUR_FILES = {"G4": "schur_g4.txt", "G(3,1,2)": "schur_g312.txt"}
+def _schur_elements(name):
+    """(row, S, theta(1)) for each principal-series character: S expanded
+    from the shipped G4 rows or from G(3,1,2)'s Ariki-Koike elements."""
+    x = LaurentPoly.x()
+    if name == "G4":
+        data = load_schur_data("schur_g4.txt")
+    else:
+        data = tabledata._g312_schur(char_table(build_group(name)))
+    out = []
+    for row, (c, v, roots), dim in data:
+        s = LaurentPoly.monomial(c, v)
+        for (d, k), m in roots.items():
+            s = s * (1 - x * zeta(d, -k)) ** m
+        out.append((row, s, dim))
+    return out
 
 
-@pytest.mark.parametrize("name", SCHUR_FILES)
+@pytest.mark.parametrize("name", ["G4", "G(3,1,2)"])
 class TestShippedSchurData:
     """Identities every Schur element of the generic algebra obeys, checked
-    on each row of the shipped files with no formula for S itself."""
+    on each of G4's shipped rows and of G(3,1,2)'s Ariki-Koike elements, with
+    no formula for S itself."""
 
     def test_value_at_one_is_order_over_degree(self, name):
         G = build_group(name)
-        for row, s, dim in load_schur_data(SCHUR_FILES[name]):
+        for row, s, dim in _schur_elements(name):
             assert s.evaluate(1) * dim == Cyclo.rational(G.order), row
 
     def test_trace_of_one_is_one(self, name):
@@ -171,17 +199,28 @@ class TestShippedSchurData:
         G = build_group(name)
         feg = fake_degree_torus(G, 0)
         total = LaurentPoly.combination((exact_div(feg, s), dim)
-                                        for _, s, dim in load_schur_data(SCHUR_FILES[name]))
+                                        for _, s, dim in _schur_elements(name))
         assert total == feg
 
     def test_splits_over_roots_of_the_degrees(self, name):
         G = build_group(name)
         top = lcm(*(d for d, _ in G.degrees))
-        for row, s, _ in load_schur_data(SCHUR_FILES[name]):
+        for row, s, _ in _schur_elements(name):
             width = s.degree() - s.valuation()
             roots = {(d, k): width for d in range(1, top + 1) if top % d == 0
                      for k in range(d) if gcd(k, d) == 1}
             assert sum(s.multiplicities(roots).values()) == width, row
+
+    def test_root_multisets_are_feg_over_the_golden_degrees(self, name):
+        # S = Feg(R_1) / Deg from the transcribed reference table, by long
+        # division, against each element's constant, valuation and roots
+        G = build_group(name)
+        feg = fake_degree_torus(G, 0)
+        ref = load_reference({"G4": "uch_g4.txt", "G(3,1,2)": "uch_g312.txt"}[name])
+        elements = _schur_elements(name)
+        assert len(elements) == len(char_table(G).names)
+        for row, s, _ in elements:
+            assert s == exact_div(feg, ref.row(row).degree), row
 
 
 class TestSpetsial:

@@ -10,13 +10,13 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spets import tabledata, uch
+from spets import laurent, tabledata, uch
 from spets.cyclotomic import Cyclo, CycloField, zeta
 from spets.hecke import SpetsialAlgebraSpec, check_spetsial, frobenius_model
 from spets.laurent import LaurentPoly
-from spets.orders import fake_degree_torus
+from spets.orders import fake_degree_torus, order_poly
 from spets.reflection import Matrix, ReflectionCoset, build_group
-from spets.tabledata import _g4_hc, _g312_hc, _levi_order, construct_uch
+from spets.tabledata import _g4_hc, _g312_hc, _levi, construct_uch
 from spets.uch import (DeterminationError, SeriesDetermination,
                        UchTable, UnipotentCharacter, check_inducing_sum,
                        cyclic_uch, determine_parameters, ennola_transform,
@@ -233,22 +233,57 @@ class TestRegularEigenvalues:
 class TestHarishChandra:
     def test_g4_candidate_filter(self, g4, g4_result):
         hc = _g4_hc()
-        l_order = _levi_order(g4, hc.levi_gen)
-        rows = hc_candidate_filter(g4, l_order, hc.deg_lambda, 2,
-                                   g4_result.table)
+        levi = _levi(g4, hc.levi_gen)
+        rows = hc_candidate_filter(levi, hc.deg_lambda, 2, g4_result.table)
         assert sorted(r.name for r in rows) == ["Z_3:11", "Z_3:2"]
-        assert check_inducing_sum(g4, l_order, hc.deg_lambda,
-                                  [(r, 1) for r in rows])
+        assert check_inducing_sum(levi, hc.deg_lambda, [(r, 1) for r in rows])
 
     def test_g312_candidate_filter(self, g312, g312_result):
         hc = _g312_hc()
-        l_order = _levi_order(g312, hc.levi_gen)
-        rows = hc_candidate_filter(g312, l_order, hc.deg_lambda, 3,
-                                   g312_result.table)
+        levi = _levi(g312, hc.levi_gen)
+        rows = hc_candidate_filter(levi, hc.deg_lambda, 3, g312_result.table)
         assert sorted(r.name for r in rows) == \
             ["Z_3:1", "Z_3:zeta3", "Z_3:zeta3^2"]
-        assert check_inducing_sum(g312, l_order, hc.deg_lambda,
-                                  [(r, 1) for r in rows])
+        assert check_inducing_sum(levi, hc.deg_lambda, [(r, 1) for r in rows])
+
+
+class TestRootMultisets:
+    """The principal and Harish-Chandra series divide by Schur elements held
+    as root multisets, never read back from a polynomial."""
+
+    def test_pipelines_read_no_polynomial_roots(self, monkeypatch):
+        refs = {g: tabledata.load_reference(f)
+                for g, f in (("G4", "uch_g4.txt"), ("G(3,1,2)", "uch_g312.txt"))}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a polynomial was parsed or had its roots read")
+        # no polynomial division but LaurentPoly.peel is left to call
+        assert not hasattr(LaurentPoly, "quotient")
+        monkeypatch.setattr(LaurentPoly, "roots", refuse)
+        monkeypatch.setattr(LaurentPoly, "parse", staticmethod(refuse))
+        monkeypatch.setattr(laurent, "parse_poly", refuse)
+        for group, ref in refs.items():
+            diff = tabledata.diff_tables(construct_uch(group).table, ref)
+            assert diff.empty and not diff.renames, diff.summary()
+
+    def test_root_off_the_fake_degree_fails_before_any_lift(self, g4, monkeypatch):
+        fake_degree_torus(g4, 0)  # the fake degree is built and held first
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("lifted")
+        monkeypatch.setattr(Cyclo, "_lift", refuse)
+        monkeypatch.setattr(LaurentPoly, "peel", refuse)
+        stray = ("stray", (Cyclo.rational(1), 0, Counter({(999983, 1): 1})), 1)
+        with pytest.raises(ArithmeticError, match="Schur element of stray does not divide"):
+            uch.principal_series(g4, 0, [stray])
+
+    @pytest.mark.parametrize("name", ["G4", "G(3,1,2)"])
+    def test_hc_ratio_is_the_order_quotient(self, name):
+        # the Molien ratio P_G / P_L against the long division of the orders
+        G = build_group(name)
+        for gi in range(len(G.gens)):
+            ratio = exact_div(order_poly(G), order_poly(_levi(G, gi)))
+            assert uch._hc_ratio(_levi(G, gi)) == ratio.shift(-ratio.valuation())
 
 
 class TestDetermination:

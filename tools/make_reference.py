@@ -2,8 +2,10 @@
 """Generate the shipped reference data files from transcribed golden tables.
 
 Degrees, Frobenius eigenvalues, family blocks and markers are hard-coded in
-factored form; Schur-element files are derived from the principal-series
-degrees via S = Feg / Deg.  Output goes to src/spets/data/.
+factored form; G4's Schur elements are derived from its principal-series
+degrees via S = Feg / Deg, as a constant, a valuation and a root multiset
+(those of G(3,1,2) come from the Ariki-Koike formula at run time).  Output
+goes to src/spets/data/.
 """
 
 from collections import Counter
@@ -149,18 +151,25 @@ def reference_g312():
 
 
 def schur_file(group, ref_table, principal_names):
+    """One row ``name | c | v | roots | theta(1)`` per character: S = Feg / Deg
+    with Feg = Feg(R_1) = c_F x^v_F prod(1 - x/rho) over the order's roots
+    less 1^rank, and Deg's roots read off those once (``roots``), so S has
+    the constant c_F / c_D, the valuation v_F - v_D and the roots left over."""
     G = build_group(group)
     T = char_table(G)
-    feg = fake_degree_torus(G, 0)
-    # Feg(R_1) = conj(P) / (1 - x)^rank: the order's roots less 1^rank
+    v_f, c_f = fake_degree_torus(G, 0).coeffs[0]
     caps = order_roots(G) - Counter({(1, 0): G.rank})
     lines = []
     for name in T.names:
-        deg = ref_table.row(name).degree if name in principal_names else None
-        assert deg is not None, name
-        s = feg.quotient(deg, caps)
-        assert s is not None, name
-        lines.append(f"{name} | {s.serialize()} | {T.degree(name)}")
+        assert name in principal_names, name
+        deg = ref_table.row(name).degree
+        roots = deg.roots(caps)
+        assert roots is not None, name
+        v_d, c_d = deg.coeffs[0]
+        listed = " ".join(f"{d}:{k}" + (f"^{m}" if m > 1 else "")
+                          for (d, k), m in sorted((caps - roots).items()))
+        lines.append(f"{name} | {(c_f / c_d).serialize()} | {v_f - v_d} | {listed}"
+                     f" | {T.degree(name)}")
     return "\n".join(lines) + "\n"
 
 
@@ -176,9 +185,6 @@ def main():
             "G4", reference_g4(),
             {f"phi_{{{d},{b}}}" for d, b in
              ((1, 0), (2, 1), (2, 3), (3, 2), (1, 4), (2, 5), (1, 8))}),
-        "schur_g312.txt": schur_file(
-            "G(3,1,2)", reference_g312(),
-            {"2..", "11..", ".2.", ".11.", "..2", "..11", "1.1.", "1..1", ".1.1"}),
     }
     # sanity: the computed cyclic table round-trips against the rho-named file
     assert emit_uch(cyclic_uch(3)) == files["uch_z3_rho.txt"]
