@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import gcd, lcm
 
 
 def _cmd_analyze(args) -> int:
-    from .orders import order_poly, poincare
+    from .orders import order_poly
     from .reflection import build_group
     G = build_group(args.group)
     print(f"group {G.name}")
@@ -24,7 +25,7 @@ def _cmd_analyze(args) -> int:
         f"({d},{z.serialize()})" for d, z in G.degrees))
     print(f"reflections {G.n_ref}")
     print(f"hyperplanes {G.n_hyp}")
-    print(f"poincare {poincare(G).serialize()}")
+    print(f"poincare {G.poincare.serialize()}")
     print(f"order_compact {order_poly(G, 'compact').serialize()}")
     print(f"order_noncompact {order_poly(G, 'noncompact').serialize()}")
     return 0
@@ -52,6 +53,11 @@ def _cmd_series(args) -> int:
     d, a = int(d), int(a) if a else 1
     res = construct_uch(args.group)
     det = res.specs.get((d, a))
+    # an eigenvalue's order divides |G|; a larger one is refused before
+    # zeta(d, a) builds a basis of that size
+    g = gcd(d, a)
+    if det is None and d > 0 and d // g > res.group.order:
+        raise ValueError(f"E({d // g},{a // g % (d // g)}) is not an eigenvalue of {res.group.name}")
     if det is None:
         det = determine_parameters(res.group, zeta(d, a), res.table)
     print(det.spec.serialize())
@@ -93,9 +99,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_factors(args) -> int:
-    from .cyclotomic import field_from_name
+    from .cyclotomic import MAX_LITERAL_ORDER, field_from_name
     from .laurent import k_cyclotomic_factors
     field = field_from_name(args.field)
+    # the factors are products over Q(zeta_n), n = lcm(d, conductor), whose
+    # cost grows as a power of n
+    n = lcm(args.d, field.conductor) if args.d > 0 else 0
+    if n > MAX_LITERAL_ORDER:
+        raise ValueError(f"root of unity order lcm({args.d}, {field.conductor}) = {n}"
+                         f" outside 1..{MAX_LITERAL_ORDER}")
     for phi in k_cyclotomic_factors(args.d, field):
         exps = ",".join(str(k) for k in sorted(phi.root_exponents))
         print(f"Phi_{args.d}[{exps}] = {phi.poly.serialize()}")

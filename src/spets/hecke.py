@@ -14,7 +14,7 @@ over the cyclotomic numbers, and no Schur element is built; CA2 and SC1
 hold by the normal form.  A Schur element is kept as its binomials:
 :func:`schur_quotients` peels them off a dividend, :func:`ariki_koike_schur`
 lists them for the Ariki-Koike algebra, and only :func:`schur_cyclic`, for
-``spets schur`` and :func:`omega_sigma_delta`, multiplies them out.
+``spets schur`` and :meth:`SpetsialAlgebraSpec.schur`, multiplies them out.
 """
 
 from __future__ import annotations
@@ -354,18 +354,16 @@ def ennola_twist(spec: SpetsialAlgebraSpec, eps: Cyclo) -> SpetsialAlgebraSpec:
 
 def omega_sigma_delta(spec: SpetsialAlgebraSpec, i: int
                       ) -> tuple[FracExpMonomial, Fraction, Fraction]:
-    """Central character on pi, sigma and delta statistics of character ``i``."""
-    sch = spec.schur()[i]
-    sigma = sch.sigma()
+    """Central character on pi, sigma and delta statistics of character ``i``,
+    with sigma read off the exponents (:meth:`SpetsialAlgebraSpec.sigma`)."""
+    sigma = spec.sigma(i)
     n = spec.n_hyp if spec.variant == "compact" else spec.n_ref
     expo = n + sigma
     omega = FracExpMonomial(_zeta_power(spec.d, -spec.a, Fraction(expo)), Fraction(expo))
     delta_chi = spec.n_ref - sigma
-    if spec.variant == "compact":
-        # cross-check: e * m_i = N^hyp + sigma for the spetsial normal form
-        if spec.e * spec.m[i] != spec.n_hyp + sigma:
-            raise ArithmeticError(
-                f"sigma statistic inconsistent with exponent m_{i} = {spec.m[i]}")
+    # the spetsial normal form has e * m_i = N^hyp + sigma_i, that is sum(m) = N^hyp
+    if spec.variant == "compact" and sum(spec.m) != spec.n_hyp:
+        raise ArithmeticError(f"exponents sum to {sum(spec.m)}, not N^hyp = {spec.n_hyp}")
     return omega, sigma, delta_chi
 
 

@@ -13,64 +13,53 @@ unit (``tests/test_orders.py::TestSylow::test_g26_fails_at_two_phi12_factors``).
 
 Sylow counting: for each K-cyclotomic Phi dividing the order polynomial the
 quotient ``|G| / (|W_G(L)| |L|)`` is congruent to 1 modulo Phi, in both
-order variants, where L is the centralizer of a Sylow Phi-sub-coset.  Both
-orders split into linear factors over roots of unity, so the congruence is
-decided on root multisets: the quotient is a product of x - rho over the
-roots of G's order not taken by L's, and its value at each root of Phi is
-compared with |W_G(L)| by an exact zero test on an integer lift.  No order
-polynomial is built or divided on this path.
+order variants, where L is the centralizer of a Sylow Phi-sub-coset.  The
+quotient of the orders is read off L's relative Poincare polynomial
+P_G / P_L (Molien), reversed, with each variant's power of x and unit; the
+congruence is a zero test of the quotient less |W_G(L)| at the roots of Phi.
+No order polynomial is built or divided on this path.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
 
-from .cyclotomic import Cyclo, CycloSum, _to_basis, divisors, zeta
+from .cyclotomic import Cyclo, CycloSum, divisors, zeta
 from .laurent import KCycloPoly, LaurentPoly, k_cyclotomic_factors
 from .reflection import ReflectionCoset, SubCoset, sylow_subcoset
 
 __all__ = [
-    "poincare",
     "order_poly",
+    "reversal",
     "torus_order",
     "fake_degree_torus",
     "fake_degree_char",
     "CharTable",
     "cyclic_char_table",
-    "order_roots",
     "sylow_congruence",
     "all_sylow_congruences",
 ]
 
 
-def poincare(G: ReflectionCoset) -> LaurentPoly:
-    """The coset Poincare polynomial prod(1 - zeta_i x^{d_i})."""
-    return G.poincare
-
-
 def order_poly(C: ReflectionCoset | SubCoset, variant: str = "compact") -> LaurentPoly:
     """The order of a coset or sub-coset from its Poincare polynomial P:
     prod(x^{d_i} - zeta_i) is the coefficient reversal rev(P), and the
-    leading coefficient of P is (-1)^rank prod(zeta_i)."""
+    leading coefficient of P is (-1)^rank prod(zeta_i), so the noncompact
+    unit conj(prod(zeta_i))^2 is its conjugate squared."""
     if variant not in ("compact", "noncompact"):
         raise ValueError(f"unknown order variant: {variant!r}")
-    core = _reversal(C.poincare)
+    core = reversal(C.poincare)
     if variant == "compact":
         return core.shift(C.n_hyp)
-    return (core * (_zeta_product(C).conjugate() ** 2)).shift(C.n_ref)
+    return (core * C.poincare.leading_coeff().conjugate() ** 2).shift(C.n_ref)
 
 
-def _reversal(P: LaurentPoly) -> LaurentPoly:
-    """rev(P) = x^deg(P) P(1/x), which is prod(x^{d_i} - zeta_i)."""
+def reversal(P: LaurentPoly) -> LaurentPoly:
+    """rev(P) = x^deg(P) P(1/x): prod(x^{d_i} - zeta_i) for a Poincare
+    polynomial, and for a Levi's relative one P_G / P_L the order ratio
+    |G| / |L| with its power of x divided out."""
     return LaurentPoly([(P.degree() - e, c) for e, c in P.coeffs])
-
-
-def _zeta_product(C: ReflectionCoset | SubCoset) -> Cyclo:
-    """prod(zeta_i): the leading coefficient of P times (-1)^rank."""
-    return C.poincare.leading_coeff() * ((-1) ** C.rank)
 
 
 def torus_order(G: ReflectionCoset, w: int, variant: str = "compact") -> LaurentPoly:
@@ -154,63 +143,36 @@ def fake_degree_char(table: CharTable, name: str) -> LaurentPoly:
 # -- Sylow congruences -------------------------------------------------------
 
 
-def order_roots(G: ReflectionCoset) -> Counter:
-    """The nonzero roots of the order of G, those of prod(x^d_i - 1) as G
-    is split: the d_i-th roots of unity, with multiplicity, as reduced pairs
-    (m, r) for E(m, r)."""
-    return Counter((d // gcd(k, d), k // gcd(k, d)) for d, _ in G.degrees for k in range(d))
-
-
 def sylow_congruence(G: ReflectionCoset, phi: KCycloPoly) -> bool:
     """Check |G| / (|W_G(L)| |L|) = 1 mod Phi in both order variants.
 
-    Both orders are x^N times a unit times rev(P) = prod(x^d_i - zeta_i), a
-    monic product of linear factors over roots of unity.  The roots R_L of
-    rev(P_L) are its multiplicities capped at R_G = ``order_roots(G)``, so
-    rev(P_G) / rev(P_L) = prod(x - rho) over the multiset R_G - R_L; a
-    shortfall means rev(P_L) does not divide rev(P_G), an ArithmeticError.
-    Phi is squarefree, so it divides q - 1 exactly when q = 1 at each root
-    z of Phi.  prod(z - rho) is formed once per z on Z[x]/(x^n - 1); each
-    variant's power of z and unit conj(zeta_G / zeta_L)^2 are index shifts;
-    and the value minus |W_G(L)| is zero exactly when its rewrite on the
-    Zumbroich basis, a Q-basis, is empty.  No order polynomial is divided.
+    Both orders are x^N times a unit times rev(P) = prod(x^d_i - zeta_i), so
+    their quotient is read off rel = ``L.relative_poincare`` = P_G / P_L:
+    q = rev(rel) is monic, prod(x - rho) over the roots of |G| that |L|
+    lacks; the compact quotient is x^(N_hyp(G) - N_hyp(L)) q, and the
+    noncompact one x^(N_ref(G) - N_ref(L)) conj(zeta_G / zeta_L)^2 q, where
+    zeta_G / zeta_L = lead(P_G) / lead(P_L) = lead(rel).  A q with a root
+    off the roots of |G| means rev(P_L) does not divide rev(P_G), an
+    ArithmeticError.  Phi is squarefree, so it divides the quotient over
+    |W_G(L)| less 1 exactly when the quotient less |W_G(L)| vanishes at
+    each root of Phi.  No order polynomial is divided.
     """
     _, L = sylow_subcoset(G, phi)
-    roots = order_roots(G)
-    mults = _reversal(L.poincare).roots(roots)
-    if mults is None:
+    rel = L.relative_poincare
+    q = reversal(rel)
+    if q.roots(G.order_roots) is None:
         raise ArithmeticError("non-exact polynomial division")
-    quotient = roots - mults
-    (ng, g), (nl, l) = (_zeta_product(C).root_of_unity_order() for C in (G, L))
-    d = phi.root_order
-    n = lcm(d, ng, nl, *[m for m, _ in quotient])
-    unit = 2 * (l * (n // nl) - g * (n // ng))
-    c = L.relative_order
-    for k in phi.root_exponents:
-        a = k * (n // d)
-        acc = {0: 1}
-        for (m, r), mult in quotient.items():
-            b = r * (n // m)
-            for _ in range(mult):
-                nxt: dict[int, int] = {}
-                for e, v in acc.items():
-                    i, j = (e + a) % n, (e + b) % n
-                    nxt[i] = nxt.get(i, 0) + v
-                    nxt[j] = nxt.get(j, 0) - v
-                acc = nxt
-        for s in (a * (G.n_hyp - L.n_hyp), a * (G.n_ref - L.n_ref) + unit):
-            value = {(i + s) % n: v for i, v in acc.items()}
-            value[0] = value.get(0, 0) - c
-            if _to_basis(n, value):
-                return False
-    return True
+    c, roots = L.relative_order, [(phi.root_order, k) for k in phi.root_exponents]
+    unit = rel.leading_coeff().conjugate() ** 2
+    return (all((q.shift(G.n_hyp - L.n_hyp) - c).vanishes_at(roots))
+            and all(((q * unit).shift(G.n_ref - L.n_ref) - c).vanishes_at(roots)))
 
 
 def all_sylow_congruences(G: ReflectionCoset) -> list[tuple[KCycloPoly, bool]]:
     """Sylow congruences for every K-cyclotomic divisor of the order
     polynomial.  Phi is squarefree and the order splits into linear factors,
-    so Phi divides it exactly when every root of Phi is in ``order_roots``."""
-    roots = order_roots(G)
+    so Phi divides it exactly when every root of Phi is in ``G.order_roots``."""
+    roots = G.order_roots
     out = []
     for d in sorted({dd for dd, _ in G.degrees for dd in divisors(dd)}):
         for phi in k_cyclotomic_factors(d, G.field):

@@ -14,9 +14,12 @@ finite order is diagonalisable, eigenspace dimensions, regular classes and
 reflections are eigenvalue multiplicities.
 
 The degrees are read off the fixed-space dimensions by Shephard-Todd, and
-the Poincare polynomial P_G of G is prod(1 - x^{d_i}).  A class's fake degree
-is P_G / det(1 - x w), its eigenvalues peeled off P_G, and for a sub-coset
-(V, W_L * w) P_G / P is the mean of those of its elements (Molien).
+the Poincare polynomial P_G of G is prod(1 - x^{d_i}); its roots, the d_i-th
+roots of unity, are ``order_roots``.  A class's fake degree is
+P_G / det(1 - x w), its eigenvalues peeled off P_G, and for a sub-coset
+(V, W_L * w) P_G / P is the mean of those of its elements (Molien), so P is
+P_G with the roots of that mean peeled off: each polynomial division here
+is a :meth:`LaurentPoly.peel`.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from math import gcd
 from typing import Sequence
 
 from .cyclotomic import Cyclo, CycloField, CycloSum, sum_of_products, zeta
@@ -383,6 +387,13 @@ class ReflectionCoset:
         return out
 
     @cached_property
+    def order_roots(self) -> Counter:
+        """The nonzero roots of the order of G, those of prod(x^d_i - 1) as G
+        is split: the d_i-th roots of unity, with multiplicity, as reduced pairs
+        (m, r) for E(m, r)."""
+        return Counter((d // gcd(k, d), k // gcd(k, d)) for d, _ in self.degrees for k in range(d))
+
+    @cached_property
     def poincare(self) -> LaurentPoly:
         """The Poincare polynomial prod(1 - x^{d_i}), on integers."""
         coeffs = [1]
@@ -497,6 +508,8 @@ def build_group(name: str) -> ReflectionCoset:
         e = int(m.group(1))
         if e < 1:
             raise ValueError("cyclic order must be positive")
+        if e > MAX_GROUP_ORDER:  # refused before zeta(e) builds its basis
+            raise ArithmeticError("group enumeration exceeded bound")
         fld = CycloField.cyclotomic(e)
         return ReflectionCoset(f"Z_{e}", [Matrix([[zeta(e)]])], fld)
     if key in ("G4", "G_4"):
@@ -557,15 +570,13 @@ class SubCoset:
 
     @cached_property
     def poincare(self) -> LaurentPoly:
-        """prod(1 - zeta_i x^{d_i}) = P_G / :attr:`relative_poincare`, a power
-        series division, exact as P divides P_G."""
-        P, ratio = self.parent.poincare, self.relative_poincare
-        neg = [(k, -c) for k, c in ratio.coeffs if k > 0]
-        q: list[Cyclo] = []
-        for e in range(P.degree() - ratio.degree() + 1):
-            q.append(sum_of_products([(P.coeff(e), Cyclo.rational(1))] +
-                                     [(c, q[e - k]) for k, c in neg if k <= e]))
-        return LaurentPoly(enumerate(q))
+        """prod(1 - zeta_i x^{d_i}) = P_G / :attr:`relative_poincare`.  Both
+        split over the roots of the order of G, so P_G's binomials at the
+        roots of the relative polynomial are peeled off
+        (:meth:`LaurentPoly.divide_split`)."""
+        G = self.parent
+        return G.poincare.divide_split(Cyclo.rational(1), 0,
+                                       self.relative_poincare.roots(G.order_roots))
 
     @cached_property
     def n_ref(self) -> int:

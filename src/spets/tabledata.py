@@ -190,17 +190,10 @@ def diff_tables(a: UchTable, b: UchTable) -> TableDiff:
 
     ordered = sorted(a.rows, key=lambda r: not r.sign_resolved)
     for row in ordered:
-        cand = find(row, 1)
-        flip = False
-        if cand is None and not row.sign_resolved:
-            cand = find(row, -1)
+        cand, flip = find(row, 1), False
         if cand is None:
-            other = find(row, -1)
-            if other is not None and not other.sign_resolved:
-                cand = other
-            elif other is not None:
-                cand = other
-                flip = True
+            cand = find(row, -1)
+            flip = cand is not None and row.sign_resolved and cand.sign_resolved
         if cand is None:
             diff.mismatches.append(f"unmatched row {row.name} in first table")
             continue

@@ -19,7 +19,7 @@ from .cyclotomic import (Cyclo, CycloField, CycloSum, _to_basis, divisors,
 from .laurent import FracExpMonomial, LaurentPoly
 from .hecke import (SpetsialAlgebraSpec, check_spetsial, frobenius_model,
                     schur_quotients, CyclicHeckeParams)
-from .orders import fake_degree_torus, order_roots
+from .orders import fake_degree_torus, reversal
 from .reflection import ReflectionCoset, SubCoset
 
 __all__ = [
@@ -177,7 +177,7 @@ def principal_series(G: ReflectionCoset, w: int,
     any lift; S is then divided out (:meth:`LaurentPoly.divide_split`).
     """
     feg = fake_degree_torus(G, w)
-    caps = order_roots(G) - Counter(lam.root_of_unity_order() for lam in G.eigenvalues(w))
+    caps = G.order_roots - Counter(lam.root_of_unity_order() for lam in G.eigenvalues(w))
     rows: list[UnipotentCharacter] = []
     for name, (c, v, roots), theta1 in schur_data:
         quo = feg.divide_split(c, v, roots) if roots <= caps else None
@@ -400,14 +400,6 @@ def _match_series(spec: SpetsialAlgebraSpec, feg: LaurentPoly,
 # -- Harish-Chandra series -------------------------------------------------------------
 
 
-def _hc_ratio(L: SubCoset) -> LaurentPoly:
-    """(|G|/|L|)_{x'}, the order ratio with its power of x divided out, for
-    the Levi L of G: each order is x^N rev(P), so the ratio is the monic
-    rev(P_G / P_L) of L's relative Poincare polynomial."""
-    q = L.relative_poincare
-    return LaurentPoly([(q.degree() - e, c) for e, c in q.coeffs])
-
-
 def hc_series(levi: SubCoset, deg_lambda: LaurentPoly, fr_lambda: FracExpMonomial | None,
               cusp_name: str, rel_params: CyclicHeckeParams, rel_names: list[str]
               ) -> list[UnipotentCharacter]:
@@ -418,7 +410,7 @@ def hc_series(levi: SubCoset, deg_lambda: LaurentPoly, fr_lambda: FracExpMonomia
     roots of unity (:func:`hecke.schur_quotients`), with no Schur element built;
     Frobenius eigenvalues are inherited from lambda.
     """
-    degs = schur_quotients(rel_params, deg_lambda * _hc_ratio(levi))
+    degs = schur_quotients(rel_params, deg_lambda * reversal(levi.relative_poincare))
     if degs is None:
         raise ArithmeticError(f"a Schur element above {cusp_name} does not divide the degree")
     return [UnipotentCharacter(f"{cusp_name}:{rel_name}", deg, fr_lambda,
@@ -437,8 +429,8 @@ def hc_candidate_filter(levi: SubCoset, deg_lambda: LaurentPoly, rel_order: int,
     so both divisibilities are inclusions of root multisets capped at the
     order's roots.
     """
-    roots = order_roots(levi.parent)
-    num = deg_lambda * _hc_ratio(levi)
+    roots = levi.parent.order_roots
+    num = deg_lambda * reversal(levi.relative_poincare)
     low, top = deg_lambda.roots(roots), Counter(num.multiplicities(roots))
     out = []
     for row in known.rows:
@@ -460,7 +452,7 @@ def check_inducing_sum(levi: SubCoset, deg_lambda: LaurentPoly,
                        rows_with_dims: list[tuple[UnipotentCharacter, int]]) -> bool:
     """Deg(lambda) (|G|/|L|)_{x'} = sum Deg(rho_chi) chi(1) over a proposed tuple."""
     total = LaurentPoly.combination((row.degree, dim) for row, dim in rows_with_dims)
-    return total == deg_lambda * _hc_ratio(levi)
+    return total == deg_lambda * reversal(levi.relative_poincare)
 
 
 # -- families --------------------------------------------------------------------------
@@ -569,7 +561,7 @@ def verify_axioms(table: UchTable, G: ReflectionCoset,
 
     regulars = regular_eigenvalues(G)
     orders = [z.root_of_unity_order() for z in regulars]
-    roots = order_roots(G)
+    roots = G.order_roots
     # cap 1 at a regular eigenvalue, the order's multiplicity at its roots
     caps = {**dict.fromkeys(orders, 1), **roots}
     # vanishes[name, z]: whether the row's degree is zero at z

@@ -11,7 +11,7 @@ from spets.cyclotomic import Cyclo, field_from_name, zeta
 from spets.hecke import (CyclicHeckeParams, compactify, noncompactify,
                          one_spetsial_spec, schur_cyclic)
 from spets.laurent import (FracExpMonomial, LaurentPoly, k_cyclotomic_factors)
-from spets.orders import all_sylow_congruences, poincare
+from spets.orders import all_sylow_congruences
 from spets.reflection import build_group
 from spets.tabledata import data_dir, diff_tables, load_reference
 from spets.uch import _cyclic_feg_map, cyclic_uch, verify_axioms
@@ -96,7 +96,7 @@ def test_ac7_property_suite(g4, g312):
         groups = [g4, g312, build_group("Z_6")]
         # order polynomial semi-palindromicity
         for G in groups:
-            P = poincare(G)
+            P = G.poincare
             flipped = LaurentPoly([(-e, c) for e, c in P.coeffs])
             assert LaurentPoly.x(G.n_ref + G.rank) * flipped == \
                 P * ((-1) ** G.rank)

@@ -61,6 +61,15 @@ class TestAnalyze:
         assert code == 0
         assert "order 300\n" in out and "degrees (300,1)\n" in out
 
+    def test_huge_cyclic_group_is_refused_first(self, capsys):
+        # past MAX_GROUP_ORDER the group is refused before zeta(e) builds an
+        # O(e) basis, which took 5 s and 525 MB for this e
+        start = time.perf_counter()
+        code = main(["analyze", "Z_4194304"])
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert capsys.readouterr().err == "analyze: group enumeration exceeded bound\n"
+
 
 class TestSchur:
     def test_cyclic(self, capsys):
@@ -106,6 +115,22 @@ class TestSeries:
         code, out = run(capsys, "series", "G4", "--zeta", "4/1")
         assert code == 0
         assert "H_{Z_4}((E(4,1))*x^3, (E(4,1)), (E(4,1))*x, (-E(4,1)))" in out
+
+    def test_root_of_unity_past_the_group_order_is_refused_first(self, capsys):
+        # an eigenvalue's order divides |G|, so E(4194304,1) is refused before
+        # zeta builds its O(d) basis (2 s and 526 MB); the rest is G4's table
+        start = time.perf_counter()
+        code = main(["series", "G4", "--zeta", "4194304/1"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert capsys.readouterr().err == "series: E(4194304,1) is not an eigenvalue of G4\n"
+
+    def test_reduced_order_is_compared(self, capsys):
+        # E(4,2) = -1 is an eigenvalue of Z_2 though 4 > |Z_2|
+        code, out = run(capsys, "series", "Z_2", "--zeta", "4/2")
+        assert code == 0
+        assert out.splitlines()[1:] == ["chi_0 -> 1 (eps +1, fr 1)",
+                                        "chi_1 -> rho_{1,0} (eps -1, fr 1)"]
 
 
 class TestVerify:
@@ -161,6 +186,16 @@ class TestFactors:
         code, out = run(capsys, "factors", "12", "--field", "Q(sqrt3)")
         assert code == 0
         assert "x^2" in out and "Phi_12" in out
+
+    def test_order_past_the_literal_bound_is_refused(self, capsys):
+        # Phi_1920 over Q took 93 s; the bound is MAX_LITERAL_ORDER on
+        # lcm(d, conductor), here reached through the field
+        start = time.perf_counter()
+        for argv, n in ((["factors", "1920", "--field", "Q"], "lcm(1920, 1) = 1920"),
+                        (["factors", "3", "--field", "Q(zeta1024)"], "lcm(3, 1024) = 3072")):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"factors: root of unity order {n} outside 1..1000\n"
+        assert time.perf_counter() - start < 0.5
 
 
 class TestErrors:

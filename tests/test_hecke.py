@@ -204,6 +204,8 @@ class TestEigenvalueData:
         for i in (1, 2):
             assert out[i][0].serialize() == "1"
             assert (out[i][1], out[i][2]) == (Fraction(-1), Fraction(3))
+        # sigma off the exponents is that of the expanded Schur elements
+        assert [o[1] for o in out] == [s.sigma() for s in spec.schur()]
 
     def test_frobenius_order_four_series(self):
         spec = parse_spec(

@@ -13,7 +13,7 @@ from spets.cyclotomic import Cyclo, divisors, zeta
 from spets.laurent import LaurentPoly, k_cyclotomic_factors
 from spets.orders import (CharTable, all_sylow_congruences, cyclic_char_table,
                           fake_degree_char, fake_degree_torus, order_poly,
-                          poincare, torus_order)
+                          torus_order)
 from spets.reflection import build_group, sylow_subcoset
 
 from conftest import EXTRA_GROUPS, ORACLE_GROUPS, divides, exact_div, extra_group
@@ -21,12 +21,12 @@ from conftest import EXTRA_GROUPS, ORACLE_GROUPS, divides, exact_div, extra_grou
 
 class TestPoincare:
     def test_g4(self, g4):
-        assert poincare(g4).serialize() == "x^10 - x^6 - x^4 + 1"
+        assert g4.poincare.serialize() == "x^10 - x^6 - x^4 + 1"
 
     def test_semi_palindromic(self, g4, g312):
         # x^{N_ref + rank} P(1/x) == (-1)^rank P(x) for every builtin group
         for G in (g4, g312, build_group("Z_6")):
-            P = poincare(G)
+            P = G.poincare
             flipped = LaurentPoly([(-e, c) for e, c in P.coeffs])
             sign = (-1) ** G.rank
             assert LaurentPoly.x(G.n_ref + G.rank) * flipped == P * sign
@@ -35,7 +35,7 @@ class TestPoincare:
         want = LaurentPoly.one()
         for d, _ in g4.degrees:
             want = want * (LaurentPoly.x(d) - 1)
-        assert poincare(g4) == want
+        assert g4.poincare == want
 
     @pytest.mark.parametrize("name", ORACLE_GROUPS)
     def test_degrees_rebuild_poincare(self, name):
@@ -43,7 +43,7 @@ class TestPoincare:
         want = LaurentPoly.one()
         for d, z in G.degrees:
             want = want * LaurentPoly({0: 1, d: -z})
-        assert poincare(G) == want
+        assert G.poincare == want
 
 
 class TestOrderPoly:
@@ -53,7 +53,7 @@ class TestOrderPoly:
     def test_variant_prefactors(self, g4, g312):
         # compact variant carries x^{N_hyp}, noncompact carries x^{N_ref}
         for G in (g4, g312, build_group("Z_5")):
-            P = poincare(G)
+            P = G.poincare
             assert order_poly(G, "compact") in \
                 (LaurentPoly.x(G.n_hyp) * P, -LaurentPoly.x(G.n_hyp) * P)
             assert order_poly(G, "noncompact") in \
@@ -71,7 +71,7 @@ class TestTorus:
     def test_fake_degree_times_torus(self, g4):
         # Feg(R_w) * |T_w| = prod (x^{d_i} - 1) for the identity twist
         fd = fake_degree_torus(g4, 0)
-        assert fd * (LaurentPoly.x() - 1) ** 2 == poincare(g4)
+        assert fd * (LaurentPoly.x() - 1) ** 2 == g4.poincare
 
 
     @pytest.mark.parametrize("name", ORACLE_GROUPS + tuple(EXTRA_GROUPS))
@@ -87,7 +87,7 @@ class TestTorus:
             assert torus_order(G, c.rep_index, "noncompact") == cp * w.det().conjugate() ** 2
             det = LaurentPoly([(w.n - e, a) for e, a in cp.coeffs])
             assert fake_degree_torus(G, c.rep_index) == \
-                exact_div(poincare(G).conjugate(), det.conjugate())
+                exact_div(G.poincare.conjugate(), det.conjugate())
 
     def test_class_fake_degrees_on_first_use(self):
         G = build_group("G4")
@@ -229,8 +229,9 @@ class TestSylow:
 
     def test_non_dividing_subcoset_raises(self, g4, monkeypatch):
         # a sub-coset order that does not divide |G| is an error, as in the
-        # long division: 1 - x^5 has four roots that G4's order lacks
-        fake = SimpleNamespace(poincare=LaurentPoly({0: 1, 5: -1}))
+        # long division: a relative Poincare polynomial 1 - x^5 makes the
+        # quotient x^5 - 1, which has four roots that G4's order lacks
+        fake = SimpleNamespace(relative_poincare=LaurentPoly({0: 1, 5: -1}))
         monkeypatch.setattr(orders, "sylow_subcoset", lambda G, phi: (1, fake))
         phi = k_cyclotomic_factors(1, g4.field)[0]
         with pytest.raises(ArithmeticError, match="non-exact"):

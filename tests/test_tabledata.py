@@ -63,6 +63,17 @@ class TestDiff:
         other = UchTable(t.group, rows, t.families)
         assert diff_tables(t, other).empty
 
+    def test_resolved_row_matches_an_unresolved_negated_row_silently(self):
+        # rho_{1,0} is sign-resolved in the first table only
+        t = cyclic_uch(3)
+        assert t.row("rho_{1,0}").sign_resolved
+        rows = [UnipotentCharacter(r.name, -r.degree, r.fr, r.family,
+                                   r.series, False, r.marker)
+                if r.name == "rho_{1,0}" else r for r in t.rows]
+        other = UchTable(t.group, rows, t.families)
+        d = diff_tables(t, other)
+        assert d.empty and not d.renames
+
     def test_rename_is_informational(self):
         t = cyclic_uch(3)
         rows = [UnipotentCharacter("rho'", r.degree, r.fr, r.family,

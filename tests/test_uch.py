@@ -14,7 +14,7 @@ from spets import laurent, tabledata, uch
 from spets.cyclotomic import Cyclo, CycloField, zeta
 from spets.hecke import SpetsialAlgebraSpec, check_spetsial, frobenius_model
 from spets.laurent import LaurentPoly
-from spets.orders import fake_degree_torus, order_poly
+from spets.orders import fake_degree_torus, order_poly, reversal
 from spets.reflection import Matrix, ReflectionCoset, build_group
 from spets.tabledata import _g4_hc, _g312_hc, _levi, construct_uch
 from spets.uch import (DeterminationError, SeriesDetermination,
@@ -283,7 +283,7 @@ class TestRootMultisets:
         G = build_group(name)
         for gi in range(len(G.gens)):
             ratio = exact_div(order_poly(G), order_poly(_levi(G, gi)))
-            assert uch._hc_ratio(_levi(G, gi)) == ratio.shift(-ratio.valuation())
+            assert reversal(_levi(G, gi).relative_poincare) == ratio.shift(-ratio.valuation())
 
 
 class TestDetermination:
@@ -574,10 +574,10 @@ ORDER_ROOT_TABLES = {"G4": ["uch_g4.txt"], "G(3,1,2)": ["uch_g312.txt"],
 def test_divides_order_matches_long_division(name):
     """The root-multiplicity test against LaurentPoly.divides, on every
     shipped row and on rows given an extra factor."""
-    from spets.orders import order_poly, order_roots
+    from spets.orders import order_poly
     from spets.uch import _divides_order
     G = build_group(name)
-    order, roots = order_poly(G, "compact"), order_roots(G)
+    order, roots = order_poly(G, "compact"), G.order_roots
     rows = [r.degree for f in ORDER_ROOT_TABLES.get(name, [])
             for r in tabledata.load_reference(f).rows]
     if name.startswith("Z_"):

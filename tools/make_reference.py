@@ -14,7 +14,7 @@ from pathlib import Path
 from spets.chartables import char_table
 from spets.cyclotomic import Cyclo, CycloField, zeta
 from spets.laurent import FracExpMonomial, LaurentPoly, k_cyclotomic_factors
-from spets.orders import fake_degree_torus, order_roots
+from spets.orders import fake_degree_torus
 from spets.reflection import build_group
 from spets.tabledata import emit_uch
 from spets.uch import Family, UchTable, UnipotentCharacter, cyclic_uch
@@ -158,7 +158,7 @@ def schur_file(group, ref_table, principal_names):
     G = build_group(group)
     T = char_table(G)
     v_f, c_f = fake_degree_torus(G, 0).coeffs[0]
-    caps = order_roots(G) - Counter({(1, 0): G.rank})
+    caps = G.order_roots - Counter({(1, 0): G.rank})
     lines = []
     for name in T.names:
         assert name in principal_names, name
