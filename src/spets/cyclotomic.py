@@ -41,13 +41,22 @@ q_(i-k): q is a root of unity, an index shift of the lift, so a peel only
 adds shifted copies of p's coefficients, and the largest coefficient L1 norm
 grows at most by the factor deg(p)/|k| + 1 per peel.
 
-Where only "is it zero?" is asked, no canonical form is built at all: the
-integers of a group-ring lift are rewritten on the Zumbroich basis
-(``_to_basis``) and the element is zero exactly when nothing is left, as the
-basis is a Q-basis of Q(zeta_N).  :meth:`CycloSum.is_zero` and
-``LaurentPoly.multiplicities`` (one per Hasse derivative) decide zero this
-way; root multiplicities, and with them every divisibility by a polynomial
-of known roots (the verifier's and SC3's), are runs of such zero tests.
+Where only "is it zero?" is asked, no canonical form is built at all.  An
+integer lift g in Z[z] is packed as one Python integer g(2^b) (Kronecker
+substitution), and g(zeta_N) = 0 exactly when Phi_N(2^b) divides it, for a
+slot width b set by the L1 norm of g and a bound on the coefficients of
+z^k mod Phi_N (``_is_zero_packed`` has the proof); the bignum multiply and
+remainder do the convolutions and the reduction.  That one remainder is
+every zero test in the library: :meth:`CycloSum.is_zero`, the remainder of
+``LaurentPoly.peel``, ``LaurentPoly.multiplicities`` and the Sylow tests
+(one per Hasse derivative or value, on lifts packed once per polynomial:
+``laurent.PackedLift``), and the verifier's family sums.  Root
+multiplicities, and with them every divisibility by a polynomial of known
+roots (the verifier's and SC3's), are runs of such zero tests.  Above
+phi(N) = ``_PACK_PHI`` a lift is first split over the primes of N into
+lifts at smaller conductors (``_is_zero_lift``), as the remainder's cost
+grows as phi(N)^2.  The basis rewrite ``_to_basis`` serves only the
+canonical form.
 
 Serialization converts to the power basis ``1, zeta, ..., zeta^{phi(n)-1}``
 and uses the grammar ``c`` / ``c*E(n,k)`` joined by ``+``, where ``E(n,k)``
@@ -80,7 +89,9 @@ Rat = Union[int, Fraction]
 
 @lru_cache(maxsize=None)
 def totient(n: int) -> int:
-    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+    for p in _prime_factors(n):
+        n -= n // p
+    return n
 
 
 @lru_cache(maxsize=None)
@@ -91,22 +102,26 @@ def divisors(n: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def cyclotomic_int_coeffs(n: int) -> tuple[int, ...]:
     """Integer coefficients (low to high) of the n-th cyclotomic polynomial:
-    for n > 1, prod (1 - x^(n/m))^mu(m) over the squarefree divisors m of n,
-    each factor multiplied or divided out as an integer series to degree
-    phi(n)."""
-    if n == 1:
-        return (-1, 1)
-    top, ps = totient(n), list(_prime_factors(n))
+    for n > 1, prod (1 - x^(n/m))^mu(m) over the squarefree divisors m > 1
+    of n (the factor 1 - x^n only acts above degree phi(n))."""
+    return (-1, 1) if n == 1 else tuple(_mobius_series(n, totient(n), 1))
+
+
+def _mobius_series(n: int, top: int, sign: int) -> list[int]:
+    """prod (1 - x^(n/m))^(sign * mu(m)) over the squarefree divisors m > 1
+    of n, each factor multiplied or divided out as an integer series to
+    degree ``top``."""
+    ps = list(_prime_factors(n))
     c = [1] + [0] * top
-    for r in range(1 << len(ps)):
+    for r in range(1, 1 << len(ps)):
         d = n // prod(p for i, p in enumerate(ps) if r >> i & 1)
-        if bin(r).count("1") % 2:  # mu = -1: divide by 1 - x^d
+        if bin(r).count("1") % 2 == (sign > 0):  # exponent -1: divide by 1 - x^d
             for i in range(d, top + 1):
                 c[i] += c[i - d]
         else:
             for i in range(top, d - 1, -1):
                 c[i] -= c[i - d]
-    return tuple(c)
+    return c
 
 
 @lru_cache(maxsize=None)
@@ -176,6 +191,101 @@ def _descend(n: int, coeffs: dict[int, int]) -> tuple[int, dict[int, int]]:
                 inv = pow(p, -1, m)
                 return _descend(m, {r * inv % m: -cs[0] for r, cs in classes.items()})
     return n, coeffs
+
+
+# -- zero tests ----------------------------------------------------------------
+
+# Largest phi(n) at which a lift is packed whole: a remainder costs about
+# (phi(n) * b)^2 word operations, a split of the lift one step per term
+_PACK_PHI = 256
+
+
+@lru_cache(maxsize=None)
+def _zero_test_norms(n: int) -> tuple[int, int]:
+    """(c, h): h = ||Phi_n||_1 and c = (h - 1) * ||Psi_n||_inf, a bound on
+    C_n = max_k ||z^k mod Phi_n||_inf, where Psi_n = (z^n - 1) / Phi_n is
+    -prod (1 - z^(n/m))^(-mu(m)) over the m of ``cyclotomic_int_coeffs``.
+
+    For k < phi(n), z^k is its own remainder.  For k >= phi(n) and n > 1,
+    Phi_n is self-reciprocal with constant term 1; write z^k = Q Phi_n + r
+    and substitute z = 1/w, times w^k: 1 = Q~(w) Phi_n(w) + w^(k-phi+1) r~(w)
+    with Q~, r~ the reversals.  So Q~ is the series 1/Phi_n = -Psi_n /
+    (1 - w^n) cut at degree k - phi, and r~ is Phi_n times the tail of that
+    series, cut below degree phi.  The series repeats the coefficients of
+    Psi_n, of degree n - phi < n, and a coefficient of r~ below degree phi
+    meets only the coefficients of Phi_n below its leading 1, of absolute
+    sum h - 1.  For n = 1, z^k mod (z - 1) = 1 = c.  (c is 2 where C_n = 1
+    at n = 12, and 218 where C_n = 3 at n = 385: 7 bits of slack.)"""
+    h = sum(map(abs, cyclotomic_int_coeffs(n)))
+    return (h - 1) * max(map(abs, _mobius_series(n, n - totient(n), -1))), h
+
+
+def _slot_bits(n: int, norm: int) -> int:
+    """A slot width b, a multiple of 16, with 2^b > 2 * norm * c + h
+    (``_zero_test_norms``): every lift g with ||g||_1 <= norm is zero-tested
+    exactly at conductor n from g(2^b) (``_is_zero_packed``)."""
+    c, h = _zero_test_norms(n)
+    return -(-(2 * norm * c + h).bit_length() // 16) * 16
+
+
+def _pack(coeffs: dict[int, int], b: int) -> int:
+    """g(2^b) for the lift g = sum(c * z^i) over {i: c}, i >= 0."""
+    return sum([c << b * i for i, c in coeffs.items()])
+
+
+@lru_cache(maxsize=64)
+def _packed_phi(n: int, b: int) -> int:
+    """Phi_n(2^b); b is a multiple of 16, so few widths recur per conductor."""
+    return _pack(dict(enumerate(cyclotomic_int_coeffs(n))), b)
+
+
+def _is_zero_packed(n: int, f: int, b: int) -> bool:
+    """Whether g(zeta_n) = 0 for the lift g in Z[z] packed as f = g(B),
+    B = 2^b, given b = ``_slot_bits(n, ||g||_1)``: exactly when Phi_n(B)
+    divides f.
+
+    Let r = g mod Phi_n, so g(zeta_n) = 0 exactly when r = 0, and let R =
+    ||g||_1 * c >= ||r||_inf (r = sum g_k (z^k mod Phi_n)), H = ||Phi_n||_1,
+    B > 2R + H.  As g - r = Phi_n s with s in Z[z], f = r(B) + Phi_n(B) s(B).
+    If r != 0 has degree t < phi(n): |r(B)| >= B^t - R (B^t - 1)/(B - 1) > 0
+    as B > R + 1; and |r(B)| <= R (B^phi - 1)/(B - 1) < 2R B^(phi-1) <
+    B^(phi-1) (B - H + 1) <= Phi_n(B), the coefficients of Phi_n below its
+    leading 1 having absolute sum H - 1.  So Phi_n(B) does not divide f."""
+    return not f % _packed_phi(n, b)
+
+
+def _is_zero_lift(n: int, coeffs: dict[int, int]) -> bool:
+    """Whether sum(c * zeta_n^i) over {i: c}, i >= 0, is zero: one pack and
+    one remainder (``_is_zero_packed``) when phi(n) <= _PACK_PHI.
+
+    Above that, the test splits over the largest prime p of n into tests at
+    m = n/p, as Q(zeta_n) is free over Q(zeta_m).  If p | m, the basis is
+    1, zeta_n, ..., zeta_n^(p-1) and zeta_n^(pj + r) = zeta_n^r zeta_m^j, so
+    each class of i mod p is a lift at m that must vanish.  If not, zeta_n^i
+    = zeta_m^a zeta_p^t with a = i/p mod m and t = i/m mod p, and the only
+    relation of 1, zeta_p, ..., zeta_p^(p-1) over Q(zeta_m) is their sum;
+    so the lifts h_t of the p classes of t must be equal: each is zero if
+    one class is empty, else each differs from the smallest by zero."""
+    if totient(n) <= _PACK_PHI:
+        b = _slot_bits(n, sum(map(abs, coeffs.values())))
+        return _is_zero_packed(n, _pack(coeffs, b), b)
+    p = max(_prime_factors(n))
+    m = n // p
+    if m % p == 0:
+        split = [(i % p, i % n // p, c) for i, c in coeffs.items()]
+    else:
+        u, v = pow(p, -1, m), pow(m, -1, p)
+        split = [(i * v % p, i * u % m, c) for i, c in coeffs.items()]
+    classes: dict[int, dict[int, int]] = {}
+    for t, a, c in split:
+        h = classes.setdefault(t, {})
+        h[a] = h.get(a, 0) + c
+    if len(classes) == p and m % p:
+        ref = classes.pop(min(classes, key=lambda t: len(classes[t])))
+        for h in classes.values():
+            for a, c in ref.items():
+                h[a] = h.get(a, 0) - c
+    return all(_is_zero_lift(m, h) for h in classes.values())
 
 
 class Cyclo:
@@ -485,8 +595,8 @@ class CycloSum:
         return Cyclo(self.n, dict(self.acc), self.den)
 
     def is_zero(self) -> bool:
-        """Whether the sum is zero: its basis rewrite is empty."""
-        return not _to_basis(self.n, dict(self.acc))
+        """Whether the sum is zero: one packed remainder (``_is_zero_lift``)."""
+        return _is_zero_lift(self.n, self.acc)
 
 
 def sum_of_products(pairs: Iterable[tuple[Cyclo, Cyclo]]) -> Cyclo:

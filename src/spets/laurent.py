@@ -22,12 +22,15 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Union
 
-from .cyclotomic import Cyclo, CycloField, CycloSum, _to_basis, zeta
+from .cyclotomic import (_PACK_PHI, Cyclo, CycloField, CycloSum, _is_zero_lift,
+                         _is_zero_packed, _pack, _slot_bits, cyclotomic_int_coeffs, totient,
+                         zeta)
 
 __all__ = [
     "LaurentPoly",
     "FracExpMonomial",
     "KCycloPoly",
+    "PackedLift",
     "k_cyclotomic_factors",
     "parse_poly",
 ]
@@ -42,7 +45,7 @@ def _coerce(c: Scalar) -> Cyclo:
 class LaurentPoly:
     """Immutable Laurent polynomial with exact cyclotomic coefficients."""
 
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("coeffs", "_hash", "_lift")
 
     coeffs: tuple[tuple[int, Cyclo], ...]  # sorted by exponent, no zeros
 
@@ -56,6 +59,7 @@ class LaurentPoly:
             acc[e] = c
         _set_coeffs(self, tuple(sorted([(e, c) for e, c in acc.items() if c.terms])))
         _set_lhash(self, None)
+        _set_llift(self, None)
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentPoly is immutable")
@@ -179,8 +183,9 @@ class LaurentPoly:
         A binomial with K > 0 is peeled off from the low end, q_i = p_i +
         z^s q_(i-K) with s = k*n/d, an index shift of the lift, and one with
         K < 0 likewise from the high end; the last |K| of these make the
-        remainder, each zero-tested by its basis rewrite.  One canonical Cyclo
-        is built per coefficient of the quotient."""
+        remainder, each zero-tested by one packed remainder
+        (``cyclotomic._is_zero_lift``).  One canonical Cyclo is built per
+        coefficient of the quotient."""
         if not self.coeffs:
             return self
         factors = list(factors)
@@ -199,7 +204,7 @@ class LaurentPoly:
                     t = (t + s) % n
                     c[t] = c.get(t, 0) + a
             cut = max(0, len(p) - m)
-            if any(_to_basis(n, c) for c in p[cut:]):
+            if not all(_is_zero_lift(n, c) for c in p[cut:]):
                 return None
             del p[cut:]
             if K < 0:
@@ -211,8 +216,9 @@ class LaurentPoly:
         """The nonzero roots E(d, k) of self with multiplicity, as a Counter
         of (d, k), read by one ``multiplicities`` call capped at ``caps``; or
         None when self has a root off caps, or above its cap."""
-        mults = Counter(self.multiplicities(caps))
-        return mults if sum(mults.values()) == self.degree() - self.valuation() else None
+        if not self.coeffs:
+            raise ValueError("roots of zero")
+        return self.packed().roots(caps)
 
     def divide_split(self, c: Cyclo, v: int, roots: Mapping[tuple[int, int], int]
                      ) -> "LaurentPoly | None":
@@ -254,38 +260,21 @@ class LaurentPoly:
 
     def multiplicities(self, caps: Mapping[tuple[int, int], int]
                        ) -> dict[tuple[int, int], int]:
-        """min(multiplicity of the root E(d, k), cap) for each (d, k): cap.
-
-        The coefficients of q = self / x^val are lifted once onto
-        Z[x]/(x^N - 1), N the lcm of their conductors and the root orders,
-        over one denominator; there c_e * E(d, k)^e is the lift of c_e
-        shifted by e*k*N/d.  The multiplicity at z is the least j where the
-        Hasse derivative sum(binomial(e, j) * c_e * z^(e - j)) of q, times
-        the unit z^j, is nonzero: one integer accumulation and its basis
-        rewrite, empty exactly when the value is zero.  The zero polynomial
-        meets every cap."""
+        """min(multiplicity of the root E(d, k), cap) for each (d, k): cap,
+        read off the :class:`PackedLift` of self.  The zero polynomial meets
+        every cap."""
         if not self.coeffs:
             return dict(caps)
-        val = self.coeffs[0][0]
-        n = lcm(*[c.n for _, c in self.coeffs], *[d for d, _ in caps])
-        den = lcm(*[c.den for _, c in self.coeffs])
-        lifted = [(e - val, c._lift(n, den // c.den).items()) for e, c in self.coeffs]
-        out = {}
-        for (d, k), cap in caps.items():
-            step = k * (n // d)
-            j = 0
-            while j < cap:
-                acc: dict[int, int] = {}
-                for e, terms in lifted:
-                    b, s = comb(e, j), e * step
-                    for i, a in terms:
-                        t = (i + s) % n
-                        acc[t] = acc.get(t, 0) + a * b
-                if _to_basis(n, acc):
-                    break
-                j += 1
-            out[d, k] = j
-        return out
+        return self.packed().multiplicities(caps)
+
+    def packed(self) -> "PackedLift":
+        """The coefficients of a nonzero self lifted and packed for zero
+        tests, built on first use and kept with self."""
+        lift = object.__getattribute__(self, "_lift")
+        if lift is None:
+            lift = PackedLift(self)
+            _set_llift(self, lift)
+        return lift
 
     def conjugate(self) -> "LaurentPoly":
         """Complex-conjugate the coefficients."""
@@ -337,7 +326,8 @@ class LaurentPoly:
 
 
 # the slot setters, which bypass the immutability guard
-_set_coeffs, _set_lhash = LaurentPoly.coeffs.__set__, LaurentPoly._hash.__set__
+_set_coeffs, _set_lhash, _set_llift = (
+    LaurentPoly.coeffs.__set__, LaurentPoly._hash.__set__, LaurentPoly._lift.__set__)
 
 
 def _lmake(coeffs: tuple[tuple[int, Cyclo], ...]) -> LaurentPoly:
@@ -345,6 +335,7 @@ def _lmake(coeffs: tuple[tuple[int, Cyclo], ...]) -> LaurentPoly:
     p = object.__new__(LaurentPoly)
     _set_coeffs(p, coeffs)
     _set_lhash(p, None)
+    _set_llift(p, None)
     return p
 
 
@@ -352,6 +343,102 @@ def _poly(v: "LaurentPoly | Scalar") -> LaurentPoly:
     if isinstance(v, LaurentPoly):
         return v
     return LaurentPoly.constant(v)
+
+
+class PackedLift:
+    """A nonzero Laurent polynomial p = x^val * q packed for zero tests at
+    roots of unity.
+
+    For a root E(d, k), the coefficients c_e of q are lifted onto Z[z]
+    (exponents below n, the lcm of their conductors and d) over one
+    denominator ``den``, and each lift g_e is packed as one integer g_e(2^b)
+    (``cyclotomic._pack``), once per (n, b).  With s = k*n/d, the Hasse
+    derivative sum(binomial(e, j) * c_e * z^(e - j)) of q at z = E(d, k),
+    times the unit z^j, lifts to sum(binomial(e, j) * z^(e*s mod n) * g_e):
+    each term a packed lift shifted left by b * (e*s mod n), zero-tested by
+    one remainder (``cyclotomic._is_zero_packed``).  The multiplicity of z
+    is the least j where that is nonzero.  Where phi(n) exceeds
+    ``cyclotomic._PACK_PHI`` the lifts stay integer dicts and the sum goes
+    to ``cyclotomic._is_zero_lift``, which splits it over primes of n."""
+
+    __slots__ = ("cond", "den", "val", "coeffs", "exps", "norm", "_lifts")
+
+    def __init__(self, p: LaurentPoly):
+        self.val = val = p.coeffs[0][0]
+        self.cond = lcm(*[c.n for _, c in p.coeffs])
+        self.den = den = lcm(*[c.den for _, c in p.coeffs])
+        self.coeffs = [(e - val, c, den // c.den) for e, c in p.coeffs]
+        self.exps = [e for e, _, _ in self.coeffs]
+        # the L1 norm of the lifts, the same at every n
+        self.norm = sum([abs(a) * m for _, c, m in self.coeffs for _, a in c.terms])
+        self._lifts: dict[tuple[int, int], list] = {}
+
+    def _at(self, n: int, norm: int) -> tuple[int, list]:
+        """(b, the coefficient lifts at conductor n): packed at the slot width
+        b for lifts of L1 norm up to ``norm``, or, where phi(n) exceeds
+        ``_PACK_PHI``, integer dicts with b = 0."""
+        b = _slot_bits(n, norm) if totient(n) <= _PACK_PHI else 0
+        lifts = self._lifts.get((n, b))
+        if lifts is None:
+            lifts = self._lifts[n, b] = [
+                sum([a * m << b * (i * (n // c.n)) for i, a in c.terms]) if b else c._lift(n, m)
+                for _, c, m in self.coeffs]
+        return b, lifts
+
+    def _is_zero(self, n: int, b: int, lifts: list, s: int, o: int,
+                 mults: list[int] | None, minus: dict[int, int]) -> bool:
+        """Whether sum(a_e * z^(e*s + o) * g_e) - minus is zero at zeta_n,
+        for the lifts g_e from ``_at`` and multipliers a_e (all 1 for None)."""
+        es = self.exps
+        if b:
+            f = sum([g << b * ((e * s + o) % n) for e, g in zip(es, lifts)] if mults is None
+                    else [a * g << b * ((e * s + o) % n) for a, e, g in zip(mults, es, lifts)])
+            return _is_zero_packed(n, f - _pack(minus, b) if minus else f, b)
+        acc = {i: -c for i, c in minus.items()}
+        for a, e, g in zip(mults or [1] * len(es), es, lifts):
+            for i, c in g.items():
+                i = (i + e * s + o) % n
+                acc[i] = acc.get(i, 0) + a * c
+        return _is_zero_lift(n, acc)
+
+    def multiplicities(self, caps: Mapping[tuple[int, int], int]
+                       ) -> dict[tuple[int, int], int]:
+        """min(multiplicity of E(d, k), cap) for each (d, k): cap.  The j-th
+        Hasse derivative is tested only for j <= deg q, as the deg q-th is the
+        leading coefficient; so binomial(e, j) <= binomial(deg q, min(j,
+        deg q // 2)) bounds the lifts' L1 norm."""
+        es = self.exps
+        top = es[-1]
+        j_max = max(0, min(max(caps.values(), default=0) - 1, top))
+        norm, at, out = comb(top, min(j_max, top // 2)) * self.norm, {}, {}
+        for (d, k), cap in caps.items():
+            if d not in at:
+                n = lcm(self.cond, d)
+                at[d] = n, *self._at(n, norm)
+            n, b, lifts = at[d]
+            s = k * (n // d)
+            j = 0
+            while j < cap and self._is_zero(n, b, lifts, s, 0,
+                                            [comb(e, j) for e in es] if j else None, {}):
+                j += 1
+            out[d, k] = j
+        return out
+
+    def roots(self, caps: Mapping[tuple[int, int], int]) -> Counter | None:
+        """The nonzero roots E(d, k) of p with multiplicity, as a Counter of
+        (d, k), or None when p has a root off caps, or above its cap."""
+        mults = Counter(self.multiplicities(caps))
+        return mults if sum(mults.values()) == self.exps[-1] else None
+
+    def value_is(self, root: tuple[int, int], shift: int, w: Cyclo) -> bool:
+        """Whether z^shift * p(z) = w at z = E(d, k) = root: den_w *
+        z^(shift + val) * q(z) - den * w, lifted at n = lcm(d, w.n, the
+        conductors of q), is one zero test."""
+        d, k = root
+        n = lcm(self.cond, d, w.n)
+        s, lw = k * (n // d), w._lift(n, self.den)
+        b, lifts = self._at(n, w.den * self.norm + sum(map(abs, lw.values())))
+        return self._is_zero(n, b, lifts, s, (shift + self.val) * s, [w.den] * len(lifts), lw)
 
 
 def _serialize_terms(terms: Iterable[tuple[int | Fraction, Cyclo]]) -> str:
@@ -546,7 +633,9 @@ def k_cyclotomic_factors(d: int, field: CycloField) -> list[KCycloPoly]:
 
     Roots are grouped into orbits under Gal(Qbar/K) acting on primitive
     d-th roots of unity; factors are ordered by their smallest root
-    exponent.
+    exponent.  An orbit of all phi(d) primitive roots (always, over Q) is
+    Phi_d itself, read off its integer coefficients; any other is the
+    product of its linear factors over Q(zeta_lcm(d, conductor)).
     """
     if d < 1:
         raise ValueError(f"cyclotomic polynomial index must be positive, got {d}")
@@ -563,9 +652,12 @@ def k_cyclotomic_factors(d: int, field: CycloField) -> list[KCycloPoly]:
         orbits.append(orbit)
     out = []
     for orbit in orbits:
-        poly = LaurentPoly.one()
-        for k in orbit:
-            poly = poly * (LaurentPoly.x() - LaurentPoly.constant(zeta(d, k)))
+        if len(orbit) == totient(d):  # all primitive roots: Phi_d itself
+            poly = LaurentPoly(dict(enumerate(cyclotomic_int_coeffs(d))))
+        else:
+            poly = LaurentPoly.one()
+            for k in orbit:
+                poly = poly * (LaurentPoly.x() - LaurentPoly.constant(zeta(d, k)))
         for _, c in poly.coeffs:
             if not field.contains(c):  # pragma: no cover - sanity
                 raise ArithmeticError("factor coefficients escaped the field")

@@ -154,18 +154,21 @@ def sylow_congruence(G: ReflectionCoset, phi: KCycloPoly) -> bool:
     zeta_G / zeta_L = lead(P_G) / lead(P_L) = lead(rel).  A q with a root
     off the roots of |G| means rev(P_L) does not divide rev(P_G), an
     ArithmeticError.  Phi is squarefree, so it divides the quotient over
-    |W_G(L)| less 1 exactly when the quotient less |W_G(L)| vanishes at
-    each root of Phi.  No order polynomial is divided.
+    |W_G(L)| less 1 exactly when the quotient equals |W_G(L)| at each root
+    z of Phi: z^(N_hyp(G) - N_hyp(L)) q(z) = |W_G(L)|, and the same with
+    N_ref and |W_G(L)| over the unit.  q is lifted and packed once
+    (``LaurentPoly.packed``) for its roots and both tests.  No order
+    polynomial is divided.
     """
     _, L = sylow_subcoset(G, phi)
     rel = L.relative_poincare
-    q = reversal(rel)
+    unit = rel.leading_coeff().conjugate() ** 2
+    q = reversal(rel).packed()
     if q.roots(G.order_roots) is None:
         raise ArithmeticError("non-exact polynomial division")
-    c, roots = L.relative_order, [(phi.root_order, k) for k in phi.root_exponents]
-    unit = rel.leading_coeff().conjugate() ** 2
-    return (all((q.shift(G.n_hyp - L.n_hyp) - c).vanishes_at(roots))
-            and all(((q * unit).shift(G.n_ref - L.n_ref) - c).vanishes_at(roots)))
+    c, roots = Cyclo.rational(L.relative_order), [(phi.root_order, k) for k in phi.root_exponents]
+    return (all(q.value_is(z, G.n_hyp - L.n_hyp, c) for z in roots)
+            and all(q.value_is(z, G.n_ref - L.n_ref, c / unit) for z in roots))
 
 
 def all_sylow_congruences(G: ReflectionCoset) -> list[tuple[KCycloPoly, bool]]:

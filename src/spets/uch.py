@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, gcd, lcm
 
-from .cyclotomic import (Cyclo, CycloField, CycloSum, _to_basis, divisors,
-                         zeta as zeta_root)
+from .cyclotomic import (Cyclo, CycloField, CycloSum, _is_zero_packed, _slot_bits,
+                         divisors, zeta as zeta_root)
 from .laurent import FracExpMonomial, LaurentPoly
 from .hecke import (SpetsialAlgebraSpec, check_spetsial, frobenius_model,
                     schur_quotients, CyclicHeckeParams)
@@ -541,9 +541,11 @@ def verify_axioms(table: UchTable, G: ReflectionCoset,
     degree's root multiplicities at the regular eigenvalues and the order's
     roots (one call per row), whether a family sum differs from its
     fake-degree sum at x^i y^j, and whether sum |Feg(zeta)|^2 differs from
-    the zeta-series count.  Each answer is exact, as an element of Q(zeta_N)
-    is zero exactly when its rewrite on the Zumbroich basis, a Q-basis, is
-    empty; no canonical form is built for a value that is only tested.
+    the zeta-series count.  Each lift is packed as one integer g(2^b) and is
+    zero at zeta_N exactly when Phi_N(2^b) divides it
+    (``cyclotomic._is_zero_packed``); the family sums take one big-integer
+    product per term and X-exponent.  No canonical form is built for a
+    value that is only tested.
     """
     fails: dict[str, list[str]] = {k: [] for k in (
         "degree-divides-order", "family-sum", "principal-series-sum",
@@ -602,31 +604,62 @@ def _divides_order(p: LaurentPoly, mults: dict[tuple[int, int], int],
 def _check_family_sums(table, feg_map, failures):
     """Sum Deg_x(X) conj(Deg_x)(Y) = Sum Feg_chi(X) Feg_chi(Y) over each
     family, coefficient by coefficient in X and Y.  The coefficients are
-    lifted onto Z[z]/(z^N - 1) over one denominator, conj taking z^t to
-    z^-t, and lhs - rhs is zero-tested at each x^i y^j."""
+    lifted onto Z[z] (exponents below N, the lcm of their conductors) over
+    one denominator, conj taking z^t to z^(-t mod N), and packed at one
+    slot width b, as g(2^b) for a lift g.  For each term (p, q) of either
+    side, q's coefficients are packed into one row, the one of Y^j in block
+    number j (j in the sorted Y-exponents of the family), and each X^i
+    coefficient of p multiplies that row once, as a sum of shifted copies
+    of it, one per term of its lift: block j of the sum of these products
+    over the terms is the lift of the X^i Y^j coefficient
+    of lhs - rhs, of degree at most 2N - 2 and L1 norm at most the sum over
+    the terms of max ||p_i||_1 * max ||q_j||_1, which sets b
+    (``cyclotomic._slot_bits``).  As 2^b > 2 * norm + 1, the block's value
+    is below 2^(b(2N - 1) - 1) in absolute value, so blocks of W = b(2N - 1)
+    bits are read off as signed digits, and each is zero-tested by one
+    remainder (``cyclotomic._is_zero_packed``)."""
     for fam in table.families:
         degs = [table.row(name).degree for name in fam.members]
         fegs = [feg_map[name] for name in fam.members if name in feg_map]
         coeffs = [c for p in degs + fegs for _, c in p.coeffs]
         n, den = lcm(*[c.n for c in coeffs]), lcm(*[c.den for c in coeffs])
 
-        def lift(p, sign=1, conj=1):
-            return [(i, [(conj * t % n, sign * a) for t, a in c._lift(n, den // c.den).items()])
+        def top(p):  # the largest L1 norm of a lifted coefficient of p or conj(p)
+            return max([sum([abs(a) for _, a in c.terms]) * (den // c.den) for _, c in p.coeffs],
+                       default=0)
+
+        b = _slot_bits(n, sum([top(p) ** 2 for p in degs + fegs]))
+        width = b * (2 * n - 1)
+
+        def lift(p, conj=1):
+            return [(i, [(b * (conj * t * (n // c.n) % n), a * (den // c.den)) for t, a in c.terms])
                     for i, c in p.coeffs]
 
-        pairs = [(lift(d), lift(d, conj=-1)) for d in degs] + [(lift(f, -1), lift(f)) for f in fegs]
-        sums: defaultdict[tuple[int, int], dict[int, int]] = defaultdict(dict)
-        for p, q in pairs:
-            for i, xs in p:
-                for j, ys in q:
-                    acc = sums[i, j]
-                    for s, x in xs:
-                        for t, y in ys:
-                            k = (s + t) % n
-                            acc[k] = acc.get(k, 0) + x * y
-        bad = [ij for ij in sorted(sums) if _to_basis(n, sums[ij])]
+        terms = [(lift(d), lift(d, -1), 1) for d in degs] + [(lift(f), lift(f), -1) for f in fegs]
+        block = {j: width * t for t, j in enumerate(sorted({j for _, q, _ in terms for j, _ in q}))}
+        sums: defaultdict[int, int] = defaultdict(int)
+        for p, q, sign in terms:
+            row = sign * sum([a << s + block[j] for j, g in q for s, a in g])
+            for i, g in p:  # g times the row, one shifted copy per term of the sparse lift
+                sums[i] += sum([a * row << s for s, a in g])
+        bad = next(((i, j) for i in sorted(sums)
+                    for j, v in zip(block, _signed_blocks(sums[i], width, len(block)))
+                    if not _is_zero_packed(n, v, b)), None)
         if bad:
-            failures.append(f"family {fam.index} at x^{bad[0][0]} y^{bad[0][1]}")
+            failures.append(f"family {fam.index} at x^{bad[0]} y^{bad[1]}")
+
+
+def _signed_blocks(s: int, width: int, count: int):
+    """The signed digits v_0, ..., v_(count-1) of s = sum(v_t * 2^(width*t)),
+    each |v_t| < 2^(width - 1)."""
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    for _ in range(count):
+        v = s & mask
+        s >>= width
+        if v >= half:
+            v -= mask + 1
+            s += 1
+        yield v
 
 
 def _check_series_compat(table, regulars, vanishes, failures):

@@ -170,3 +170,17 @@ def test_factor_degrees_match_sympy(fname):
         want = sorted(sympy.degree(f, X) for f, m in factors for _ in range(m))
         got = sorted(len(f.root_exponents) for f in k_cyclotomic_factors(d, field))
         assert got == want, (fname, d)
+
+
+@pytest.mark.parametrize("fname", ["Q", "Q(sqrt5)", "Q(i)"])
+def test_each_factor_is_the_product_of_its_linear_factors(fname):
+    """An orbit of all phi(d) primitive roots gives Phi_d from its integer
+    coefficients; every factor equals the product of x - E(d, k) over its
+    root exponents, d <= 36."""
+    field = field_from_name(fname)
+    for d in range(1, 37):
+        for f in k_cyclotomic_factors(d, field):
+            prod = one
+            for k in sorted(f.root_exponents):
+                prod = prod * (x - zeta(d, k))
+            assert f.poly == prod, (fname, d)

@@ -1,21 +1,30 @@
 """The zero tests on integer lifts against the canonical values they replace.
 
-``CycloSum.is_zero`` and ``LaurentPoly.vanishes_at`` decide zero from the
-Zumbroich-basis rewrite of an integer lift, with no canonical form built.
-Each is compared with ``is_zero`` of the canonical value: on coefficients of
-conductors 1 to 24, with negative exponents, at roots of unity of order up
-to 24, and on sums built to vanish, some only after the basis rewrite.
-``LaurentPoly.multiplicities``, a run of such tests on Hasse derivatives, is
-compared with repeated long division by x - E(d, k).
+Every zero test packs an integer lift g as g(2^b) and takes one remainder
+mod Phi_n(2^b) (``cyclotomic._is_zero_packed``), with no canonical form
+built.  The kernel is compared with the emptiness of the Zumbroich-basis
+rewrite ``_to_basis`` on lifts of degree below 2n, at conductors 105 and 385
+(where max_k ||z^k mod Phi_n||_inf is 2 and 3) with coefficients up to
++-10^6, at conductors split over a prime before packing, and on lifts built
+to vanish at the packing point 2^b itself.  ``CycloSum.is_zero`` and
+``LaurentPoly.vanishes_at`` are compared with ``is_zero`` of the canonical
+value: on coefficients of conductors 1 to 24, with negative exponents, at
+roots of unity of order up to 24, and on sums built to vanish, some only
+after the basis rewrite.  ``LaurentPoly.multiplicities``, a run of such
+tests on Hasse derivatives, is compared with repeated long division by
+x - E(d, k) and with planted multiplicities up to 20.
 """
 
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spets.cyclotomic import Cyclo, CycloSum, cyclotomic_int_coeffs, zeta
-from spets.laurent import LaurentPoly
+import spets
+from spets.cyclotomic import (Cyclo, CycloSum, _is_zero_lift, _power_table, _slot_bits,
+                              _to_basis, _zero_test_norms, cyclotomic_int_coeffs, zeta)
+from spets.laurent import LaurentPoly, PackedLift
 
 from conftest import divmod_poly
 
@@ -155,3 +164,118 @@ def test_multiplicities_of_zero_meet_every_cap():
     caps = {(3, 1): 2, (1, 0): 0, (24, -5): 7}
     assert LaurentPoly.zero().multiplicities(caps) == caps
     assert LaurentPoly.zero().multiplicities({}) == {}
+
+
+# -- the packed kernel --------------------------------------------------------
+
+
+def basis_is_empty(n, g):
+    """The oracle: g folded mod z^n - 1 and rewritten on the Zumbroich basis."""
+    folded = {}
+    for i, c in g.items():
+        folded[i % n] = folded.get(i % n, 0) + c
+    return not _to_basis(n, folded)
+
+
+def times_phi(n, h):
+    """The lift h * Phi_n, zero at zeta_n."""
+    g = {}
+    for i, a in h.items():
+        for j, c in enumerate(cyclotomic_int_coeffs(n)):
+            g[i + j] = g.get(i + j, 0) + a * c
+    return g
+
+
+@pytest.mark.parametrize("n", list(range(1, 131)) + [210, 385])
+def test_norm_bound_covers_every_power(n):
+    c, h = _zero_test_norms(n)
+    assert h == sum(map(abs, cyclotomic_int_coeffs(n)))
+    assert c >= max(max(map(abs, row)) for row in _power_table(n))
+
+
+def test_conductors_105_and_385_need_the_bound():
+    # max_k ||z^k mod Phi_n||_inf, read from the power table
+    assert [max(max(map(abs, row)) for row in _power_table(n)) for n in (104, 105, 385)] == [1, 2, 3]
+
+
+def lifts(n):
+    """Lifts of degree below 2n with coefficients up to 10^6 in absolute
+    value: multiples of Phi_n, those plus one unit term, and arbitrary ones."""
+    phi = len(cyclotomic_int_coeffs(n)) - 1
+    coef = st.integers(-10 ** 6, 10 ** 6)
+    zero = st.dictionaries(st.integers(0, 2 * n - 1 - phi), coef, max_size=6).map(
+        lambda h: times_phi(n, h))
+    nudged = st.tuples(zero, st.integers(0, 2 * n - 1), st.sampled_from([-1, 1])).map(
+        lambda t: {**t[0], t[1]: t[0].get(t[1], 0) + t[2]})
+    return st.one_of(zero, nudged, st.dictionaries(st.integers(0, 2 * n - 1), coef, max_size=8))
+
+
+@pytest.mark.parametrize("n", [105, 385])
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_kernel_matches_the_basis_rewrite(n, data):
+    g = data.draw(lifts(n))
+    assert _is_zero_lift(n, g) == basis_is_empty(n, g)
+
+
+@pytest.mark.parametrize("n", [1155, 2310, 4096, 6561, 9240])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_split_conductors_match_the_basis_rewrite(n, data):
+    # phi(n) is above the packing bound, so the test splits over primes of n
+    g = data.draw(lifts(n))
+    assert _is_zero_lift(n, g) == basis_is_empty(n, g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 12, 105])
+def test_no_false_zero_at_the_packing_point(n):
+    # (2^m - z) * h vanishes at z = 2^m and at no root of unity; the slot
+    # width must exceed m for every m, and it is tightest where the bound
+    # on max_k ||z^k mod Phi_n|| is 1 (n a power of 2)
+    for m in range(1, 150):
+        for h in ({0: 1}, {0: 1, 3: -2}, {1: 5}):
+            g = {}
+            for i, a in h.items():
+                g[i] = g.get(i, 0) + a * 2 ** m
+                g[i + 1] = g.get(i + 1, 0) - a
+            assert not _is_zero_lift(n, g), (m, h)
+            assert _slot_bits(n, sum(map(abs, g.values()))) > m
+
+
+PLANTED = [{(1, 0): 20}, {(1, 0): 12, (4, 1): 5, (3, 2): 7}, {(6, 1): 9, (2, 1): 9},
+           {(12, 5): 4, (8, 3): 6}]
+
+
+@pytest.mark.parametrize("planted", PLANTED)
+def test_multiplicities_above_one(planted):
+    p = LaurentPoly.one()
+    for (d, k), m in planted.items():
+        p = p * (x - zeta(d, k)) ** m
+    caps = {**dict.fromkeys([(1, 0), (2, 1), (3, 1), (4, 3), (24, 7)], 25),
+            **dict.fromkeys(planted, 25)}
+    assert p.multiplicities(caps) == {r: planted.get(r, 0) for r in caps}
+    assert p.shift(-3).multiplicities({r: 3 for r in caps}) == {
+        r: min(planted.get(r, 0), 3) for r in caps}
+
+
+def test_x_minus_one_to_the_twentieth():
+    assert ((x - 1) ** 20).multiplicities({(1, 0): 25}) == {(1, 0): 20}
+
+
+@given(poly(-3, 3).filter(bool), roots, st.integers(-5, 5), cyclo(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_value_is_matches_evaluate(p, root, shift, w, hit):
+    z = zeta(*root)
+    value = z ** shift * p.evaluate(z)
+    if hit:
+        w = value
+    assert PackedLift(p).value_is(root, shift, w) == (value == w)
+
+
+def test_to_basis_serves_only_the_canonical_form():
+    # every zero test in the library goes through the packed kernel
+    src = Path(spets.__file__).parent
+    calls = [(f.name, line.strip()) for f in sorted(src.glob("*.py"))
+             for line in f.read_text().splitlines()
+             if "_to_basis(" in line and "def _to_basis(" not in line]
+    assert calls == [("cyclotomic.py", "coeffs = _to_basis(n, coeffs)")]
