@@ -610,10 +610,10 @@ def _check_family_sums(table, feg_map, failures):
     side, q's coefficients are packed into one row, the one of Y^j in block
     number j (j in the sorted Y-exponents of the family), and each X^i
     coefficient of p multiplies that row once, as a sum of shifted copies
-    of it, one per term of its lift: block j of the sum of these products
-    over the terms is the lift of the X^i Y^j coefficient
-    of lhs - rhs, of degree at most 2N - 2 and L1 norm at most the sum over
-    the terms of max ||p_i||_1 * max ||q_j||_1, which sets b
+    of it, one per term of its sparse lift.  Block j of the sum of these
+    products over the terms is the lift of the X^i Y^j coefficient of
+    lhs - rhs, of degree at most 2N - 2 and L1 norm at most ``norm``, the
+    sum over the terms of max ||p_i||_1 * max ||q_j||_1, which sets b
     (``cyclotomic._slot_bits``).  As 2^b > 2 * norm + 1, the block's value
     is below 2^(b(2N - 1) - 1) in absolute value, so blocks of W = b(2N - 1)
     bits are read off as signed digits, and each is zero-tested by one
