@@ -6,12 +6,20 @@ identity or a reflection, and acts faithfully on the orbit of their roots
 is walked once; one breadth-first pass then lists the elements and their
 shortest words, and from there on an element is its integer index, with
 products, powers, conjugacy classes (orbits under conjugation by the
-generators), parabolic subgroups and Sylow normalisers read off index
-tables of |G| rows, one column per generator.  ``ReflectionCoset.matrix``
-builds an element's matrix from its word on first use, for eigenvalues and
+generators), hyperplanes and Sylow normalisers read off index tables of |G|
+rows, one column per generator.  ``ReflectionCoset.matrix`` builds an
+element's matrix from its word on first use, for eigenvalues and
 eigenspaces.  Each class's eigenvalues are computed once; as an element of
 finite order is diagonalisable, eigenspace dimensions, regular classes and
 reflections are eigenvalue multiplicities.
+
+Each reflecting hyperplane is the kernel of one linear form, a nonzero row
+of h - 1 for a reflection h on it.  The pointwise stabilizer W_L of an
+eigenspace L = V(w, zeta) is generated by the reflections whose hyperplanes
+contain L (Steinberg), so each containment is one sum of products, zero
+tested by one packed remainder; ``ReflectionCoset.parabolic`` keeps W_L per
+(w, zeta) for the Sylow data, the regular eigenvalues and the centralizer
+test that all ask for it.
 
 The degrees are read off the fixed-space dimensions by Shephard-Todd, and
 the Poincare polynomial P_G of G is prod(1 - x^{d_i}); its roots, the d_i-th
@@ -230,6 +238,7 @@ class ReflectionCoset:
         self._matrices = {0: Matrix.identity(self.rank)}
         self._class_fake_degrees: dict[int, LaurentPoly] = {}
         self._cyclic_centralizer_orders: dict[tuple[int, Cyclo], int | None] = {}
+        self._parabolics: dict[tuple[int, Cyclo], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     def matrix(self, i: int) -> Matrix:
         """The matrix of element i, built on first use from its word (the
@@ -335,13 +344,28 @@ class ReflectionCoset:
         iff r s is the identity or a reflection: otherwise r s fixes only the
         intersection of the two hyperplanes, of codimension 2 (for an
         invariant Hermitian form, distinct hyperplanes have distinct root
-        lines, their orthogonal complements)."""
+        lines, their orthogonal complements).  r s is tested, not s r, as
+        ``_mul`` walks the word of its second argument and s, an early
+        reflection, has a short one; s r = s (r s) s^-1 gives the same verdict."""
         # the identity fixes all rank dimensions, so it is never counted
         fixed = self._eigenvalue_counts(Cyclo.rational(1))
         refl = [i for i, ci in enumerate(self._class_index) if fixed[ci] == self.rank - 1]
         on_hyperplane = set(refl) | {0}
-        return {r: next(s for s in refl if self._mul(s, r) in on_hyperplane)
+        return {r: next(s for s in refl if self._mul(r, s) in on_hyperplane)
                 for r in refl}
+
+    @cached_property
+    def _hyperplane_forms(self) -> dict[int, tuple[Cyclo, ...]]:
+        """The least reflection h on each hyperplane H_h (the values of
+        ``_hyperplanes``) -> a linear form alpha_h with kernel H_h: a nonzero
+        row of matrix(h) - 1.  That matrix has rank one and kernel H_h, the
+        fixed space of h, so each of its nonzero rows has kernel exactly H_h."""
+        forms = {}
+        for h in dict.fromkeys(self._hyperplanes.values()):
+            rows = (tuple(c - (i == j) for j, c in enumerate(row))
+                    for i, row in enumerate(self.matrix(h).rows))
+            forms[h] = next(row for row in rows if any(row))
+        return forms
 
     @property
     def reflections(self) -> list[int]:
@@ -358,12 +382,25 @@ class ReflectionCoset:
     def parabolic_subgroup(self, vectors: list[list[Cyclo]]) -> tuple[list[int], list[int]]:
         """The pointwise stabilizer of the vectors: its generators, the
         reflections on the hyperplanes holding the vectors (Steinberg), and
-        its members in element order.  One reflection per hyperplane is tested."""
-        fixing = {h for h in set(self._hyperplanes.values())
-                  if all(self.matrix(h).apply(v) == v for v in vectors)}
+        its members in element order.  v lies on H_h when alpha_h(v) = 0
+        (``_hyperplane_forms``), one packed zero test per hyperplane and vector."""
+        fixing = {h for h, form in self._hyperplane_forms.items()
+                  if all(_vanishes(form, v) for v in vectors)}
         gens = [r for r, h in self._hyperplanes.items() if h in fixing]
         members = _walk([0], [lambda m, r=r: self._mul(m, r) for r in gens], self.order)[0]
         return gens, sorted(members)
+
+    def parabolic(self, w: int, eigval: Cyclo) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``parabolic_subgroup`` of V(w, eigval) as tuples (generators,
+        members): W_L for L = V(w, eigval), computed on first use and kept per
+        (w, eigval).  Callers pass class representatives, so at most one
+        entry per class and eigenvalue is kept."""
+        key = (w, eigval)
+        got = self._parabolics.get(key)
+        if got is None:
+            gens, members = self.parabolic_subgroup(self.matrix(w).eigenspace(eigval))
+            got = self._parabolics[key] = tuple(gens), tuple(members)
+        return got
 
     # -- degrees and fake degrees ------------------------------------------
     @cached_property
@@ -439,15 +476,24 @@ class ReflectionCoset:
         return self._cyclic_centralizer_orders[key]
 
     def _cyclic_centralizer_order(self, w: int, eigval: Cyclo) -> int | None:
-        basis = self.matrix(w).eigenspace(eigval)
-        if not basis:
+        c = self.classes[self.class_of(w)]
+        if eigval not in c.eigenvalues:
             raise ValueError("empty eigenspace")
+        w = c.rep_index  # the answer is invariant under conjugation
         cent = self.centralizer(w)
         if not any(self.element_order(g) == len(cent) for g in cent):
             return None
         # C is faithful on V(w, eigval) when it meets its pointwise stabilizer in 1
-        _, fixing = self.parabolic_subgroup(basis)
+        _, fixing = self.parabolic(w, eigval)
         return len(cent) if len(set(cent).intersection(fixing)) == 1 else None
+
+
+def _vanishes(form: Sequence[Cyclo], v: Sequence[Cyclo]) -> bool:
+    """Whether the linear form is zero at v: one ``CycloSum`` zero test."""
+    s = CycloSum()
+    for a, x in zip(form, v):
+        s.add(a, x)
+    return s.is_zero()
 
 
 def _root(k: int, g: Matrix) -> tuple[Cyclo, ...] | None:
@@ -603,11 +649,11 @@ def sylow_subcoset(G: ReflectionCoset, phi: KCycloPoly) -> tuple[int, SubCoset]:
         raise ValueError("polynomial does not divide the group order polynomial")
     # among classes attaining the bound pick the representative of largest order
     w = G.regular_element(eigval)
-    _, w_l = G.parabolic_subgroup(G.matrix(w).eigenspace(eigval))
+    _, w_l = G.parabolic(w, eigval)
     # |N_W(L)| counts the v with v w v^-1 = l w in W_L w.  Such a v maps
     # V(w, eigval) onto V(l w, eigval), which holds V(w, eigval) (l fixes it)
     # and is no larger (its dimension a is maximal), so v also normalises
     # W_L.  Each member of the class of w is v w v^-1 for |G| / |class| v.
     ci = G.class_of(w)
     hits = sum(1 for l in w_l if G.class_of(G._mul(l, w)) == ci)
-    return a, SubCoset(G, tuple(w_l), w, hits * G.order // G.classes[ci].size)
+    return a, SubCoset(G, w_l, w, hits * G.order // G.classes[ci].size)

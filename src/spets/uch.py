@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, gcd, lcm
 
-from .cyclotomic import (Cyclo, CycloField, CycloSum, _is_zero_packed, _slot_bits,
+from .cyclotomic import (Cyclo, CycloField, _is_zero_packed, _slot_bits,
                          divisors, zeta as zeta_root)
 from .laurent import FracExpMonomial, LaurentPoly
 from .hecke import (SpetsialAlgebraSpec, check_spetsial, frobenius_model,
@@ -509,8 +509,7 @@ def _has_regular_vector(G: ReflectionCoset, z: Cyclo) -> bool:
     reflection on it fixes V(w, z) pointwise."""
     if G.max_eigenspace_dim(z) == 0:
         return False
-    return any(not G.parabolic_subgroup(G.matrix(G.classes[ci].rep_index).eigenspace(z))[0]
-               for ci in G.regular_classes(z))
+    return any(not G.parabolic(G.classes[ci].rep_index, z)[0] for ci in G.regular_classes(z))
 
 
 # -- axiom verification ------------------------------------------------------------------
@@ -675,21 +674,21 @@ def _check_series_compat(table, regulars, vanishes, failures):
 
 def _check_series_counting(table, G, feg_map, regulars, vanishes, failures):
     """sum |Feg_chi(zeta)|^2 over a family is the number of its members in
-    the zeta-series, for each regular zeta with a cyclic centralizer."""
-    for z in regulars:
-        if z == Cyclo.rational(1):
-            continue
-        if G.cyclic_centralizer_order(G.regular_element(z), z) is None:
-            continue
-        for fam in table.families:
-            s = CycloSum()
-            for name in fam.members:
-                if name in feg_map:
-                    v = feg_map[name].evaluate(z)
-                    s.add(v, v.conjugate())
+    the zeta-series, for each regular zeta with a cyclic centralizer.  As
+    |zeta| = 1, conj(F(zeta)) = F.vee()(zeta), so the sum is Q(zeta) for
+    Q = sum(Feg * Feg.vee()), built once per family; each (zeta, family) is
+    one packed zero test, and an empty Q holds exactly when the count is 0."""
+    zs = [z for z in regulars if z != Cyclo.rational(1)
+          and G.cyclic_centralizer_order(G.regular_element(z), z) is not None]
+    sums = [LaurentPoly.combination((feg_map[name] * feg_map[name].vee(), 1)
+                                    for name in fam.members if name in feg_map)
+            for fam in table.families]
+    for z in zs:
+        root = z.root_of_unity_order()
+        for fam, q in zip(table.families, sums):
             count = sum(1 for name in fam.members if not vanishes[name, z])
-            s.add(Cyclo.rational(-count))
-            if not s.is_zero():
+            if not (q.packed().value_is(root, 0, Cyclo.rational(count)) if q.coeffs
+                    else count == 0):
                 failures.append(f"family {fam.index} at E({z.serialize()})")
 
 

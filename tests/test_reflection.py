@@ -6,14 +6,14 @@ from math import lcm
 import pytest
 
 from spets import reflection
-from spets.cyclotomic import Cyclo, CycloField, divisors, zeta
+from spets.cyclotomic import Cyclo, CycloField, divisors, sum_of_products, zeta
 from spets.laurent import LaurentPoly, k_cyclotomic_factors
 from spets.orders import all_sylow_congruences, order_poly
 from spets.reflection import (Matrix, ReflectionCoset, SubCoset, build_group,
                               row_reduce, sylow_subcoset)
 from spets.tabledata import _levi
 
-from conftest import ORACLE_GROUPS, divides, extra_group
+from conftest import EXTRA_GROUPS, ORACLE_GROUPS, divides, extra_group
 
 
 class TestBuiltins:
@@ -347,6 +347,16 @@ def oracle_group(request):
     return build_group(request.param)
 
 
+# The oracle groups and the extra groups small enough to scan every element.
+SCAN_GROUPS = ORACLE_GROUPS + ("G(4,1,2)", "G6", "G8", "G25", "G26")
+
+
+@pytest.fixture(scope="module", params=SCAN_GROUPS)
+def scan_group(request):
+    name = request.param
+    return extra_group(name) if name in EXTRA_GROUPS else build_group(name)
+
+
 def _roots_of_exponent(G):
     """Every E(d, a) with d dividing the exponent of G."""
     exponent = lcm(*(G.element_order(g) for g in range(G.order)))
@@ -407,6 +417,19 @@ def _root_line(g):
     return tuple(v * inv for v in col)
 
 
+def _fixed_space_hyperplanes(G):
+    """Each reflection -> the least reflection with the same fixed space, from
+    matrices alone.  A row-reduced eigenspace basis is determined by the
+    space, so two reflections share a hyperplane iff their bases are equal."""
+    ident, one, least, out = Matrix.identity(G.rank), Cyclo.rational(1), {}, {}
+    for g in range(G.order):
+        m = G.matrix(g)
+        fixed = m.eigenspace(one)
+        if m != ident and len(fixed) == G.rank - 1:
+            out[g] = least.setdefault(tuple(map(tuple, fixed)), g)
+    return out
+
+
 class TestHyperplaneOracle:
     def test_partition_matches_root_lines(self, oracle_group):
         # reflections share a hyperplane iff they share a root line
@@ -420,6 +443,22 @@ class TestHyperplaneOracle:
             sorted(map(sorted, by_line.values()))
         assert all(h == min(rs) for h, rs in by_table.items())
         assert G.n_hyp == len(by_line)
+
+    def test_hyperplanes_match_fixed_spaces(self, scan_group):
+        G = scan_group
+        assert G._hyperplanes == _fixed_space_hyperplanes(G)
+
+    def test_form_vanishes_exactly_on_the_hyperplane(self, scan_group):
+        # alpha_h is zero on the fixed space of every reflection on H_h and
+        # not on that reflection's root, a nonzero column of r - 1
+        G, one = scan_group, Cyclo.rational(1)
+        forms = G._hyperplane_forms
+        assert list(forms) == sorted(set(G._hyperplanes.values()))
+        for r, h in G._hyperplanes.items():
+            form, m = forms[h], G.matrix(r)
+            for v in m.eigenspace(one):
+                assert sum_of_products(zip(form, v)).is_zero(), (G.name, r)
+            assert not sum_of_products(zip(form, _root_line(m))).is_zero(), (G.name, r)
 
 
 def _series_inverse(p, bound):
@@ -498,10 +537,29 @@ class TestParabolicSubgroup:
             assert G.parabolic_subgroup(basis)[1] == _pointwise_stabilizer(G, basis), \
                 (G.name, phi)
 
-    def test_every_eigenspace(self, oracle_group):
-        G = oracle_group
+    def test_every_eigenspace(self, scan_group):
+        # parabolic(w, lam) on every class representative and eigenvalue: its
+        # members, its generators (the reflections among them), and the
+        # object kept after the first call
+        G = scan_group
         for c in G.classes:
-            g = G.matrix(c.rep_index)
+            w = c.rep_index
+            for lam in dict.fromkeys(c.eigenvalues):
+                gens, members = G.parabolic(w, lam)
+                want = _pointwise_stabilizer(G, G.matrix(w).eigenspace(lam))
+                assert members == tuple(want), (G.name, c.rep_word, lam)
+                assert gens == tuple(r for r in G.reflections if r in set(want))
+                assert G.parabolic(w, lam) is G.parabolic(w, lam)
+        assert len(G._parabolics) <= sum(len(set(c.eigenvalues)) for c in G.classes)
+
+    def test_makes_no_matrix_product(self, monkeypatch):
+        G = build_group("G4")
+        G.classes, G._hyperplane_forms  # built before the patch
+
+        def refuse(*a):
+            raise AssertionError("Matrix.apply called")
+        monkeypatch.setattr(Matrix, "apply", refuse)
+        for c in G.classes:
             for lam in set(c.eigenvalues):
-                basis = g.eigenspace(lam)
-                assert G.parabolic_subgroup(basis)[1] == _pointwise_stabilizer(G, basis)
+                G.parabolic(c.rep_index, lam)
+
