@@ -52,16 +52,17 @@ every zero test in the library: :meth:`CycloSum.is_zero`, the remainder of
 (one per Hasse derivative or value, on lifts packed once per polynomial:
 ``laurent.PackedLift``), and the verifier's family sums.  Root
 multiplicities, and with them every divisibility by a polynomial of known
-roots (the verifier's and SC3's), are runs of such zero tests.  Above
-phi(N) = ``_PACK_PHI`` a lift is first split over the primes of N into
-lifts at smaller conductors (``_is_zero_lift``), as the remainder's cost
-grows as phi(N)^2.  The basis rewrite ``_to_basis`` serves only the
-canonical form.
+roots (the verifier's and SC3's), are runs of such zero tests.  The
+remainder's cost grows as phi(N)^2, so above phi(N) = ``_PACK_PHI`` a lift
+is rewritten on the basis instead (``_is_zero_lift``): the packed remainder
+and ``_to_basis`` are the two reductions mod Phi_N in the library.
 
-Serialization converts to the power basis ``1, zeta, ..., zeta^{phi(n)-1}``
-and uses the grammar ``c`` / ``c*E(n,k)`` joined by ``+``, where ``E(n,k)``
-denotes ``exp(2*pi*i*k/n)`` and terms are ordered by increasing ``k``; e.g.
-``sqrt(-3)`` prints as ``1+2*E(3,1)``.
+Serialization uses the power basis ``1, zeta, ..., zeta^{phi(n)-1}`` and
+the grammar ``c`` / ``c*E(n,k)`` joined by ``+``, where ``E(n,k)`` denotes
+``exp(2*pi*i*k/n)`` and terms are ordered by increasing ``k``; e.g.
+``sqrt(-3)`` prints as ``1+2*E(3,1)``.  Basis exponents below phi(n) are
+already power-basis coordinates; any other element is reduced by one packed
+remainder, read back as signed digits (:meth:`Cyclo.serialize`).
 """
 from __future__ import annotations
 
@@ -125,20 +126,6 @@ def _mobius_series(n: int, top: int, sign: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Representation of zeta_n^k on the power basis, for 0 <= k < n."""
-    phi = totient(n)
-    coeffs = cyclotomic_int_coeffs(n)
-    rows = [tuple(int(j == k) for j in range(phi)) for k in range(phi)]
-    for _ in range(phi, n):
-        # zeta * row, with zeta^phi = -(c_0 + ... + c_{phi-1} zeta^{phi-1})
-        # because Phi_n is monic
-        prev = rows[-1]
-        rows.append(tuple(s - prev[-1] * c for s, c in zip((0,) + prev[:-1], coeffs)))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
 def _zumbroich(n: int) -> tuple[tuple[int, int, int, frozenset[int]], ...]:
     """For each prime power p^e || n: (p, n // p, p^e, the residues mod p^e of
     the exponents whose p-digits the Zumbroich basis of Q(zeta_n) excludes).
@@ -196,7 +183,8 @@ def _descend(n: int, coeffs: dict[int, int]) -> tuple[int, dict[int, int]]:
 # -- zero tests ----------------------------------------------------------------
 
 # Largest phi(n) at which a lift is packed whole: a remainder costs about
-# (phi(n) * b)^2 word operations, a split of the lift one step per term
+# (phi(n) * b)^2 word operations, a basis rewrite p - 1 steps per term moved
+# over each prime p of n
 _PACK_PHI = 256
 
 
@@ -256,36 +244,29 @@ def _is_zero_packed(n: int, f: int, b: int) -> bool:
 
 def _is_zero_lift(n: int, coeffs: dict[int, int]) -> bool:
     """Whether sum(c * zeta_n^i) over {i: c}, i >= 0, is zero: one pack and
-    one remainder (``_is_zero_packed``) when phi(n) <= _PACK_PHI.
-
-    Above that, the test splits over the largest prime p of n into tests at
-    m = n/p, as Q(zeta_n) is free over Q(zeta_m).  If p | m, the basis is
-    1, zeta_n, ..., zeta_n^(p-1) and zeta_n^(pj + r) = zeta_n^r zeta_m^j, so
-    each class of i mod p is a lift at m that must vanish.  If not, zeta_n^i
-    = zeta_m^a zeta_p^t with a = i/p mod m and t = i/m mod p, and the only
-    relation of 1, zeta_p, ..., zeta_p^(p-1) over Q(zeta_m) is their sum;
-    so the lifts h_t of the p classes of t must be equal: each is zero if
-    one class is empty, else each differs from the smallest by zero."""
+    one remainder (``_is_zero_packed``) when phi(n) <= _PACK_PHI.  Above
+    that, the lift is folded mod z^n - 1 and rewritten on the Zumbroich basis
+    (``_to_basis``), which leaves no term exactly for zero."""
     if totient(n) <= _PACK_PHI:
         b = _slot_bits(n, sum(map(abs, coeffs.values())))
         return _is_zero_packed(n, _pack(coeffs, b), b)
-    p = max(_prime_factors(n))
-    m = n // p
-    if m % p == 0:
-        split = [(i % p, i % n // p, c) for i, c in coeffs.items()]
-    else:
-        u, v = pow(p, -1, m), pow(m, -1, p)
-        split = [(i * v % p, i * u % m, c) for i, c in coeffs.items()]
-    classes: dict[int, dict[int, int]] = {}
-    for t, a, c in split:
-        h = classes.setdefault(t, {})
-        h[a] = h.get(a, 0) + c
-    if len(classes) == p and m % p:
-        ref = classes.pop(min(classes, key=lambda t: len(classes[t])))
-        for h in classes.values():
-            for a, c in ref.items():
-                h[a] = h.get(a, 0) - c
-    return all(_is_zero_lift(m, h) for h in classes.values())
+    folded: dict[int, int] = {}
+    for i, c in coeffs.items():
+        folded[i % n] = folded.get(i % n, 0) + c
+    return not _to_basis(n, folded)
+
+
+def _signed_blocks(s: int, width: int, count: int):
+    """The signed digits v_0, ..., v_(count-1) of s = sum(v_t * 2^(width*t)),
+    each |v_t| < 2^(width - 1)."""
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    for _ in range(count):
+        v = s & mask
+        s >>= width
+        if v >= half:
+            v -= mask + 1
+            s += 1
+        yield v
 
 
 class Cyclo:
@@ -481,14 +462,30 @@ class Cyclo:
 
     # -- serialization ---------------------------------------------------
     def serialize(self) -> str:
+        """The printed form, on the power basis 1, zeta, ..., zeta^(phi-1).
+
+        When every basis exponent is below phi = phi(n), the numerators are
+        the power-basis coordinates.  Otherwise the lift g = sum(c * z^i) is
+        reduced once: f = g(B) mod Phi_n(B), B = 2^b and b = ``_slot_bits(n,
+        ||g||_1)``, taken in (-Phi_n(B)/2, Phi_n(B)/2), is r(B) for r = g mod
+        Phi_n, read as phi signed base-B digits (``_signed_blocks``).  With R
+        = ||g||_1 * c >= ||r||_inf and H = ||Phi_n||_1 (``_is_zero_packed``),
+        B > 2R + H gives (B - 1)(B - H + 1) >= (B - 1)(2R + 2) >= 2RB, so
+        2|r(B)| <= 2R (B^phi - 1)/(B - 1) < 2R B^phi/(B - 1) <= B^(phi-1) (B -
+        H + 1) <= Phi_n(B), and f is r(B) exactly; and |r_t| <= R < B/2, so
+        each digit is r_t."""
         if self.n == 1:
             return _fmt_fraction(self.as_rational())
-        # the printed form is on the power basis 1, zeta, ..., zeta^{phi-1}
-        vec = [0] * totient(self.n)
-        table = _power_table(self.n)
-        for i, c in self.terms:
-            for t, r in enumerate(table[i]):
-                vec[t] += c * r
+        phi = totient(self.n)
+        if self.terms[-1][0] < phi:
+            vec = [0] * phi
+            for i, c in self.terms:
+                vec[i] = c
+        else:
+            b = _slot_bits(self.n, sum([abs(c) for _, c in self.terms]))
+            m = _packed_phi(self.n, b)
+            f = _pack(dict(self.terms), b) % m
+            vec = _signed_blocks(f - m if 2 * f > m else f, b, phi)
         terms: list[str] = []
         for k, v in enumerate(vec):
             if v == 0:
@@ -523,6 +520,12 @@ def _coerce(v: "Cyclo | Rat") -> Cyclo:
 
 @lru_cache(maxsize=None)
 def _root_of_unity_order(z: Cyclo) -> Optional[tuple[int, int]]:
+    if z.den == 1 and len(z.terms) == 1 and abs(z.terms[0][1]) == 1:
+        # c * zeta_n^i is E(n, i), or E(2n, 2i + n) for c = -1
+        (i, c), = z.terms
+        n, k = (z.n, i) if c == 1 else (2 * z.n, 2 * i + z.n)
+        g = gcd(k, n)
+        return n // g, k // g % (n // g)
     # a root of unity of conductor n has order n or 2n
     for n in (z.n, 2 * z.n):
         for k in range(n):
@@ -680,8 +683,8 @@ _TERM_PATTERN = r"""\s*
       | E\(\s*(?P<n2>\d+)\s*,\s*(?P<k2>-?\d+)\s*\)
     )\s*"""
 
-# Largest n accepted in an ``E(n,k)`` literal: printing an element of
-# conductor n builds an n x phi(n) power table.
+# Largest n accepted in an ``E(n,k)`` literal: arithmetic at conductor n costs
+# a power of phi(n) (an inverse multiplies up to phi(n) Galois conjugates).
 MAX_LITERAL_ORDER = 1000
 
 
@@ -785,8 +788,6 @@ class CycloField:
         n = self.conductor
         if modulus % n != 0:
             raise ValueError("modulus must be divisible by the field conductor")
-        if n == 1:  # everything fixes the rationals
-            return [k for k in range(1, modulus + 1) if gcd(k, modulus) == 1]
         return [k for k in range(1, modulus + 1)
                 if gcd(k, modulus) == 1 and (k % n) in self.stabilizer]
 

@@ -359,7 +359,7 @@ class PackedLift:
     one remainder (``cyclotomic._is_zero_packed``).  The multiplicity of z
     is the least j where that is nonzero.  Where phi(n) exceeds
     ``cyclotomic._PACK_PHI`` the lifts stay integer dicts and the sum goes
-    to ``cyclotomic._is_zero_lift``, which splits it over primes of n."""
+    to ``cyclotomic._is_zero_lift``, which rewrites it on the basis."""
 
     __slots__ = ("cond", "den", "val", "coeffs", "exps", "norm", "_lifts")
 

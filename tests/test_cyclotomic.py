@@ -1,6 +1,7 @@
 import re
+import time
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,6 +65,17 @@ class TestArithmetic:
         assert (zeta(3) + 2).root_of_unity_order() is None
         assert Cyclo.rational(1).root_of_unity_order() == (1, 0)
 
+    def test_root_of_unity_order_matches_the_scan(self):
+        # the scan tries E(m, j), gcd(j, m) = 1, for m the conductor and twice
+        # it; each such root is E(m, j) for one pair only, so a dict stands in
+        scan = {}
+        for m in range(1, 241):
+            scan.update({zeta(m, j): (m, j) for j in range(m) if gcd(j, m) == 1})
+        for n in range(1, 121):
+            for k in range(n):
+                for z in (zeta(n, k), -zeta(n, k)):
+                    assert z.root_of_unity_order() == scan[z], (n, k, z)
+
     def test_rational_hashes_like_fraction(self):
         assert len({Cyclo.rational(1), 1}) == 1
         assert len({Cyclo.rational(Fraction(-2, 3)), Fraction(-2, 3)}) == 1
@@ -100,6 +112,13 @@ class TestElimination:
 
 
 class TestSerialization:
+    def test_large_conductor_prints_from_one_remainder(self):
+        # E(4001, 4000) is a basis root above phi = 4000: one packed remainder
+        t = time.perf_counter()
+        text = zeta(4001, 4000).serialize()
+        assert time.perf_counter() - t < 1
+        assert text == "-1" + "".join(f"-E(4001,{k})" for k in range(1, 4000))
+
     def test_grammar(self):
         c = zeta(3) * Fraction(2, 3) - Fraction(1, 2)
         assert c.serialize() == "-1/2+2/3*E(3,1)"
@@ -136,7 +155,7 @@ class TestSerialization:
             FracExpMonomial.parse("E(3,1)*x^(2/0)")
 
     def test_huge_root_order_is_value_error(self):
-        # rejected before the O(n * phi(n)) power table is built
+        # rejected before any arithmetic at conductor n, which costs a power of phi(n)
         with pytest.raises(ValueError, match=r"E\(100000,1\)"):
             parse_cyclo("E(100000,1)")
         with pytest.raises(ValueError, match="order 1001"):

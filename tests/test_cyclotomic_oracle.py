@@ -3,12 +3,14 @@
 Every result is read back from ``serialize()`` with this file's own parser and
 evaluated with mpmath at 60 digits, so neither ``parse_cyclo`` nor the exact
 kernel is on the oracle's side.  The expected values come from the drawn sums
-``sum c * E(n, k)`` directly.
+``sum c * E(n, k)`` directly.  The printed power-basis form is also checked
+against sympy's remainders mod Phi_n at conductors 1 to 130, 385 and 1155.
 """
 
+import random
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -124,3 +126,32 @@ def test_integrality_matches_power_basis(a):
     coeffs = power_basis(x.serialize()).values()
     # the Zumbroich basis spans Z[zeta_n] over Z: integral exactly when den == 1
     assert (x.den == 1) == all(c.denominator == 1 for c in coeffs)
+
+
+@pytest.mark.parametrize("n", list(range(1, 131)) + [385, 1155])
+def test_serialize_matches_sympy_remainders(n):
+    """Sums c * E(n, k) print on the power basis of Q(zeta_f), f the
+    element's conductor: every exponent is below phi(f), and the printed sum,
+    rewritten at n, differs from the drawn one by a multiple of Phi_n."""
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, z), z)
+    rng = random.Random(n)
+    draws = [[(n - 1, 1)], [(rng.randrange(n), -1)]] + [
+        [(rng.randrange(n), Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+         for _ in range(rng.randint(1, 6))] for _ in range(4)]
+    for terms in draws:
+        x = sum((zeta(n, k) * c for k, c in terms), Cyclo.rational(0))
+        printed = power_basis(x.serialize())
+        f = x.n
+        assert all((m, k) == (1, 0) or (m == f and 0 < k < sympy.totient(f))
+                   for m, k in printed), x
+        diff = {}
+        for e, c in [(k * n // m, c) for (m, k), c in printed.items()] + [
+                (k, -c) for k, c in terms]:
+            diff[e] = diff.get(e, 0) + c
+        # over ZZ, cleared of denominators: Phi_n is monic
+        den = lcm(*[c.denominator for c in diff.values()])
+        diff = sympy.Poly.from_dict({(e,): int(c * den) for e, c in diff.items()}, z,
+                                    domain="ZZ")
+        assert diff.rem(phi, auto=False).is_zero, x

@@ -4,9 +4,10 @@ Every zero test packs an integer lift g as g(2^b) and takes one remainder
 mod Phi_n(2^b) (``cyclotomic._is_zero_packed``), with no canonical form
 built.  The kernel is compared with the emptiness of the Zumbroich-basis
 rewrite ``_to_basis`` on lifts of degree below 2n, at conductors 105 and 385
-(where max_k ||z^k mod Phi_n||_inf is 2 and 3) with coefficients up to
-+-10^6, at conductors split over a prime before packing, and on lifts built
-to vanish at the packing point 2^b itself.  ``CycloSum.is_zero`` and
+(where max_k ||z^k mod Phi_n||_inf is 2 and 3, read from sympy remainders)
+with coefficients up to +-10^6, at conductors above ``_PACK_PHI`` (where
+``_is_zero_lift`` takes the rewrite itself, so the kernel is forced there),
+and on lifts built to vanish at the packing point 2^b itself.  ``CycloSum.is_zero`` and
 ``LaurentPoly.vanishes_at`` are compared with ``is_zero`` of the canonical
 value: on coefficients of conductors 1 to 24, with negative exponents, at
 roots of unity of order up to 24, and on sums built to vanish, some only
@@ -15,6 +16,7 @@ tests on Hasse derivatives, is compared with repeated long division by
 x - E(d, k) and with planted multiplicities up to 20.
 """
 
+from functools import lru_cache
 from math import gcd
 from pathlib import Path
 
@@ -22,8 +24,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spets
-from spets.cyclotomic import (Cyclo, CycloSum, _is_zero_lift, _power_table, _slot_bits,
-                              _to_basis, _zero_test_norms, cyclotomic_int_coeffs, zeta)
+from spets.cyclotomic import (Cyclo, CycloSum, _is_zero_lift, _is_zero_packed, _pack,
+                              _slot_bits, _to_basis, _zero_test_norms, cyclotomic_int_coeffs,
+                              zeta)
 from spets.laurent import LaurentPoly, PackedLift
 
 from conftest import divmod_poly
@@ -186,16 +189,28 @@ def times_phi(n, h):
     return g
 
 
+@lru_cache(maxsize=None)
+def largest_power_coefficient(n):
+    """max_k ||z^k mod Phi_n||_inf over 0 <= k < n, from sympy's remainders
+    z^(k+1) mod Phi_n = z * (z^k mod Phi_n) mod Phi_n."""
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    phi, r, top = sympy.Poly(sympy.cyclotomic_poly(n, z), z), sympy.Poly(1, z), 0
+    for _ in range(n):
+        top = max(top, *map(abs, r.all_coeffs()))
+        r = (r * sympy.Poly(z, z)).rem(phi, auto=False)
+    return top
+
+
 @pytest.mark.parametrize("n", list(range(1, 131)) + [210, 385])
 def test_norm_bound_covers_every_power(n):
     c, h = _zero_test_norms(n)
     assert h == sum(map(abs, cyclotomic_int_coeffs(n)))
-    assert c >= max(max(map(abs, row)) for row in _power_table(n))
+    assert c >= largest_power_coefficient(n)
 
 
 def test_conductors_105_and_385_need_the_bound():
-    # max_k ||z^k mod Phi_n||_inf, read from the power table
-    assert [max(max(map(abs, row)) for row in _power_table(n)) for n in (104, 105, 385)] == [1, 2, 3]
+    assert [largest_power_coefficient(n) for n in (104, 105, 385)] == [1, 2, 3]
 
 
 def lifts(n):
@@ -222,9 +237,11 @@ def test_kernel_matches_the_basis_rewrite(n, data):
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_split_conductors_match_the_basis_rewrite(n, data):
-    # phi(n) is above the packing bound, so the test splits over primes of n
+    # phi(n) is above the packing bound, so _is_zero_lift rewrites the lift
+    # on the basis; the packed remainder, forced at n, must agree
     g = data.draw(lifts(n))
-    assert _is_zero_lift(n, g) == basis_is_empty(n, g)
+    b = _slot_bits(n, sum(map(abs, g.values())))
+    assert _is_zero_lift(n, g) == _is_zero_packed(n, _pack(g, b), b)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 12, 105])
@@ -273,9 +290,11 @@ def test_value_is_matches_evaluate(p, root, shift, w, hit):
 
 
 def test_to_basis_serves_only_the_canonical_form():
-    # every zero test in the library goes through the packed kernel
+    # every zero test in the library goes through the packed kernel, or,
+    # above the packing bound, through _is_zero_lift's basis rewrite
     src = Path(spets.__file__).parent
     calls = [(f.name, line.strip()) for f in sorted(src.glob("*.py"))
              for line in f.read_text().splitlines()
              if "_to_basis(" in line and "def _to_basis(" not in line]
-    assert calls == [("cyclotomic.py", "coeffs = _to_basis(n, coeffs)")]
+    assert calls == [("cyclotomic.py", "return not _to_basis(n, folded)"),
+                     ("cyclotomic.py", "coeffs = _to_basis(n, coeffs)")]
