@@ -256,17 +256,23 @@ def _is_zero_lift(n: int, coeffs: dict[int, int]) -> bool:
     return not _to_basis(n, folded)
 
 
-def _signed_blocks(s: int, width: int, count: int):
-    """The signed digits v_0, ..., v_(count-1) of s = sum(v_t * 2^(width*t)),
-    each |v_t| < 2^(width - 1)."""
-    mask, half = (1 << width) - 1, 1 << (width - 1)
-    for _ in range(count):
-        v = s & mask
-        s >>= width
-        if v >= half:
-            v -= mask + 1
-            s += 1
-        yield v
+_NONZERO_BYTE = re.compile(rb"[^\x00]")
+
+
+def _signed_digits(s: int, width: int, count: int):
+    """The nonzero signed digits (t, v_t) of s = sum(v_t * 2^(width*t)), t <
+    count, |v_t| < 2^(width - 1), width a multiple of 8.  Adding the offset
+    sum(2^(width-1) * 2^(width*t)) makes slot t v_t + 2^(width-1), in [1,
+    2^width), with no carry; XOR with it leaves v_t mod 2^width, zero exactly
+    where v_t is, and a byte search finds each nonzero slot."""
+    mask, half, size = (1 << width) - 1, 1 << (width - 1), width // 8
+    offset = int.from_bytes(half.to_bytes(size, "little") * count, "little")
+    buf, end = ((s + offset) ^ offset).to_bytes(size * count, "little"), 0
+    while hit := _NONZERO_BYTE.search(buf, end):
+        t = hit.start() // size
+        end = (t + 1) * size
+        v = int.from_bytes(buf[t * size:end], "little")
+        yield t, v - mask - 1 if v >= half else v
 
 
 class Cyclo:
@@ -464,32 +470,28 @@ class Cyclo:
     def serialize(self) -> str:
         """The printed form, on the power basis 1, zeta, ..., zeta^(phi-1).
 
-        When every basis exponent is below phi = phi(n), the numerators are
-        the power-basis coordinates.  Otherwise the lift g = sum(c * z^i) is
-        reduced once: f = g(B) mod Phi_n(B), B = 2^b and b = ``_slot_bits(n,
-        ||g||_1)``, taken in (-Phi_n(B)/2, Phi_n(B)/2), is r(B) for r = g mod
-        Phi_n, read as phi signed base-B digits (``_signed_blocks``).  With R
-        = ||g||_1 * c >= ||r||_inf and H = ||Phi_n||_1 (``_is_zero_packed``),
-        B > 2R + H gives (B - 1)(B - H + 1) >= (B - 1)(2R + 2) >= 2RB, so
-        2|r(B)| <= 2R (B^phi - 1)/(B - 1) < 2R B^phi/(B - 1) <= B^(phi-1) (B -
-        H + 1) <= Phi_n(B), and f is r(B) exactly; and |r_t| <= R < B/2, so
-        each digit is r_t."""
+        When every basis exponent is below phi = phi(n), the terms are the
+        nonzero power-basis coordinates.  Otherwise the lift g = sum(c * z^i)
+        is reduced once: f = g(B) mod Phi_n(B), B = 2^b and b =
+        ``_slot_bits(n, ||g||_1)``, taken in (-Phi_n(B)/2, Phi_n(B)/2), is
+        r(B) for r = g mod Phi_n, whose nonzero signed base-B digits are read
+        (``_signed_digits``).  With R = ||g||_1 * c >= ||r||_inf and H =
+        ||Phi_n||_1 (``_is_zero_packed``), B > 2R + H gives (B - 1)(B - H +
+        1) >= (B - 1)(2R + 2) >= 2RB, so 2|r(B)| <= 2R (B^phi - 1)/(B - 1) <
+        2R B^phi/(B - 1) <= B^(phi-1) (B - H + 1) <= Phi_n(B), and f is r(B)
+        exactly; and |r_t| <= R < B/2, so each digit is r_t."""
         if self.n == 1:
             return _fmt_fraction(self.as_rational())
         phi = totient(self.n)
         if self.terms[-1][0] < phi:
-            vec = [0] * phi
-            for i, c in self.terms:
-                vec[i] = c
+            digits = self.terms
         else:
             b = _slot_bits(self.n, sum([abs(c) for _, c in self.terms]))
             m = _packed_phi(self.n, b)
             f = _pack(dict(self.terms), b) % m
-            vec = _signed_blocks(f - m if 2 * f > m else f, b, phi)
+            digits = _signed_digits(f - m if 2 * f > m else f, b, phi)
         terms: list[str] = []
-        for k, v in enumerate(vec):
-            if v == 0:
-                continue
+        for k, v in digits:
             c = Fraction(v, self.den)
             if k == 0:
                 terms.append(_fmt_fraction(c))
@@ -499,10 +501,7 @@ class Cyclo:
                 terms.append(f"-E({self.n},{k})")
             else:
                 terms.append(f"{_fmt_fraction(c)}*E({self.n},{k})")
-        out = terms[0]
-        for t in terms[1:]:
-            out += t if t.startswith("-") else "+" + t
-        return out
+        return terms[0] + "".join([t if t.startswith("-") else "+" + t for t in terms[1:]])
 
     @staticmethod
     def parse(text: str) -> "Cyclo":

@@ -176,7 +176,15 @@ class LaurentPoly:
 
     def peel(self, factors: Iterable[tuple[int, int, int]]) -> "LaurentPoly | None":
         """self / prod(1 - E(d, k) * x^K) over the factors (d, k, K), K != 0,
-        or None when one of them does not divide.
+        or None when one of them does not divide: the quotient's lifts
+        (``_peel_lifts``), with one canonical Cyclo built per coefficient."""
+        q = self._peel_lifts(factors)
+        return None if q is None else LaurentPoly(
+            {q[0] + i: Cyclo(q[1], c, q[2]) for i, c in enumerate(q[3])})
+
+    def _peel_lifts(self, factors: Iterable[tuple[int, int, int]]) -> tuple | None:
+        """The quotient of :meth:`peel` as (val, n, den, lifts), its x^(val +
+        i) coefficient lifts[i](zeta_n) / den; or None.
 
         The coefficients of self / x^val are lifted once onto Z[z]/(z^n - 1),
         n the lcm of their conductors and the orders d, over one denominator.
@@ -184,10 +192,9 @@ class LaurentPoly:
         z^s q_(i-K) with s = k*n/d, an index shift of the lift, and one with
         K < 0 likewise from the high end; the last |K| of these make the
         remainder, each zero-tested by one packed remainder
-        (``cyclotomic._is_zero_lift``).  One canonical Cyclo is built per
-        coefficient of the quotient."""
+        (``cyclotomic._is_zero_lift``)."""
         if not self.coeffs:
-            return self
+            return 0, 1, 1, []
         factors = list(factors)
         val, cs = self.coeffs[0][0], dict(self.coeffs)
         n = lcm(*[c.n for c in cs.values()], *[d for d, _, _ in factors])
@@ -210,7 +217,7 @@ class LaurentPoly:
             if K < 0:
                 p.reverse()
                 val += m
-        return LaurentPoly({val + i: Cyclo(n, c, den) for i, c in enumerate(p)})
+        return val, n, den, p
 
     def roots(self, caps: Mapping[tuple[int, int], int]) -> Counter | None:
         """The nonzero roots E(d, k) of self with multiplicity, as a Counter

@@ -133,11 +133,11 @@ def cyclic_char_table(G: ReflectionCoset) -> CharTable:
 
 
 def fake_degree_char(table: CharTable, name: str) -> LaurentPoly:
-    """Feg(theta) for an irreducible character given by its table row."""
+    """Feg(theta) for an irreducible character given by its table row: one
+    ``ReflectionCoset.class_sum`` over the class fake degrees."""
     G = table.group
-    return LaurentPoly.combination(
-        (G.class_fake_degree(ci), t.conjugate() * Fraction(cls.size, G.order))
-        for ci, (t, cls) in enumerate(zip(table.values[name], G.classes)))
+    return G.class_sum((ci, t.conjugate() * Fraction(cls.size, G.order))
+                       for ci, (t, cls) in enumerate(zip(table.values[name], G.classes)))
 
 
 # -- Sylow congruences -------------------------------------------------------

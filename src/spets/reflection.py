@@ -3,31 +3,29 @@
 A group is given by generator matrices over a cyclotomic field, each the
 identity or a reflection, and acts faithfully on the orbit of their roots
 (CHEVIE's ``PermRootGroup``: J. Michel, J. Algebra 435 (2015)).  The orbit
-is walked once; one breadth-first pass then lists the elements and their
-shortest words, and from there on an element is its integer index, with
-products, powers, conjugacy classes (orbits under conjugation by the
-generators), hyperplanes and Sylow normalisers read off index tables of |G|
-rows, one column per generator.  ``ReflectionCoset.matrix`` builds an
-element's matrix from its word on first use, for eigenvalues and
-eigenspaces.  Each class's eigenvalues are computed once; as an element of
-finite order is diagonalisable, eigenspace dimensions, regular classes and
-reflections are eigenvalue multiplicities.
+is walked once on integer keys: a point is its Zumbroich-basis coordinates
+at N, the lcm of the generator entries' conductors, over its least
+denominator (canonical, as N is fixed), and a move is one product with a
+generator's lifts.  A breadth-first pass lists the elements and their
+shortest words; an element is then an integer index, and products, powers,
+classes, hyperplanes and Sylow normalisers are read off index tables.
+``ReflectionCoset.matrix`` builds an element's matrix on first use.  A
+class's eigenvalues are the root multiplicities of its charpoly, each
+coefficient a sum of principal minors as one integer lift; eigenspace
+dimensions, regular classes and reflections are eigenvalue multiplicities.
 
 Each reflecting hyperplane is the kernel of one linear form, a nonzero row
-of h - 1 for a reflection h on it.  The pointwise stabilizer W_L of an
-eigenspace L = V(w, zeta) is generated by the reflections whose hyperplanes
-contain L (Steinberg), so each containment is one sum of products, zero
-tested by one packed remainder; ``ReflectionCoset.parabolic`` keeps W_L per
-(w, zeta) for the Sylow data, the regular eigenvalues and the centralizer
-test that all ask for it.
+of h - 1 for a reflection h on it.  The pointwise stabilizer W_L of L =
+V(w, zeta) is generated by the reflections whose hyperplanes contain L
+(Steinberg), each containment one packed zero test; ``parabolic`` keeps W_L.
 
 The degrees are read off the fixed-space dimensions by Shephard-Todd, and
-the Poincare polynomial P_G of G is prod(1 - x^{d_i}); its roots, the d_i-th
-roots of unity, are ``order_roots``.  A class's fake degree is
-P_G / det(1 - x w), its eigenvalues peeled off P_G, and for a sub-coset
-(V, W_L * w) P_G / P is the mean of those of its elements (Molien), so P is
-P_G with the roots of that mean peeled off: each polynomial division here
-is a :meth:`LaurentPoly.peel`.
+P_G = prod(1 - x^{d_i}); its roots are ``order_roots``.  A class's fake
+degree P_G / det(1 - x w) is its eigenvalues peeled off P_G, kept as integer
+lifts; ``class_sum`` adds weighted fake degrees on those lifts, for the
+Molien sums (Broue-Malle-Michel, Towards spetses I, 1999): P_G / P for a
+sub-coset (V, W_L * w), the mean over its elements, and Feg(theta).  P is
+P_G with that mean's roots peeled off; each division is a ``peel``.
 """
 
 from __future__ import annotations
@@ -35,11 +33,11 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
-from math import gcd
-from typing import Sequence
+from itertools import accumulate, combinations, permutations
+from math import gcd, lcm
+from typing import Iterable, Sequence
 
-from .cyclotomic import Cyclo, CycloField, CycloSum, sum_of_products, zeta
+from .cyclotomic import Cyclo, CycloField, CycloSum, _to_basis, sum_of_products, zeta
 from .laurent import KCycloPoly, LaurentPoly
 
 __all__ = [
@@ -92,22 +90,23 @@ class Matrix:
     def __hash__(self) -> int:
         return hash(self.rows)
 
-    def trace(self) -> Cyclo:
-        s = CycloSum()
-        for i, row in enumerate(self.rows):
-            s.add(row[i])
-        return s.value()
-
-    def det(self) -> Cyclo:
-        return self.charpoly().coeff(0) * ((-1) ** self.n)
-
     def charpoly(self) -> LaurentPoly:
-        """det(x*I - M) as a polynomial in x."""
-        n = self.n
-        entries = [[LaurentPoly.constant(-self.rows[i][j]) +
-                    (LaurentPoly.x() if i == j else LaurentPoly.zero())
-                    for j in range(n)] for i in range(n)]
-        return _poly_det(entries)
+        """det(x*I - M): the coefficient of x^(n - k) is (-1)^k times the sum
+        of the principal k x k minors, a signed sum of products of at most n
+        entries over permutations, summed as one integer lift reduced once."""
+        N = lcm(*[c.n for row in self.rows for c in row])
+        den, lifts = _lift_rows(self.rows, N)
+        coeffs = {self.n: 1}
+        for k in range(1, self.n + 1):
+            acc: dict[int, int] = {}
+            for rows in combinations(range(self.n), k):
+                for cols in permutations(rows):
+                    prod = {0: (-1) ** (k + sum(a > b for a, b in combinations(cols, 2)))}
+                    for i, j in zip(rows[:-1], cols):
+                        prod = _convolve(N, [(prod, lifts[i][j].items())])
+                    _convolve(N, [(prod, lifts[rows[-1]][cols[-1]].items())], acc)
+            coeffs[self.n - k] = Cyclo(N, acc, den ** k)
+        return LaurentPoly(coeffs)
 
     def apply(self, vec: Sequence[Cyclo]) -> list[Cyclo]:
         return [sum_of_products(zip(row, vec)) for row in self.rows]
@@ -169,18 +168,29 @@ def _eigenvalues(g: Matrix, order: int) -> list[Cyclo]:
     return [zeta(order, k) for (_, k), m in mults.items() for _ in range(m)]
 
 
-def _poly_det(entries: list[list[LaurentPoly]]) -> LaurentPoly:
-    n = len(entries)
-    if n == 1:
-        return entries[0][0]
-    acc = LaurentPoly.zero()
-    for j in range(n):
-        if entries[0][j].is_zero():
-            continue
-        minor = [[entries[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = entries[0][j] * _poly_det(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
+def _lift_rows(rows: Sequence[Sequence[Cyclo]], N: int) -> tuple[int, list[list[dict]]]:
+    """(den, lifts): entry (i, j) is lifts[i][j](zeta_N) / den, a dict {exponent: numerator}."""
+    den = lcm(*[c.den for row in rows for c in row])
+    return den, [[c._lift(N, den // c.den) for c in row] for row in rows]
+
+
+def _convolve(n: int, pairs: Iterable, out: dict[int, int] | None = None) -> dict[int, int]:
+    """out + sum(a * b) in Z[z]/(z^n - 1) over pairs (a dict, b's (exponent, numerator) pairs)."""
+    out = {} if out is None else out
+    for a, b in pairs:
+        for i, x in a.items():
+            for j, y in b:
+                k = (i + j) % n
+                out[k] = out.get(k, 0) + x * y
+    return out
+
+
+def _orbit_key(n: int, den: int, coords: list[dict[int, int]]) -> tuple:
+    """The point coords[i](zeta_n) / den as (least den, each coordinate's sorted
+    Zumbroich-basis (exponent, numerator) pairs): canonical at a fixed n."""
+    coords = [_to_basis(n, c) for c in coords]
+    g = gcd(den, *[c for v in coords for c in v.values()])
+    return (den // g, *[tuple(sorted([(i, c // g) for i, c in v.items()])) for v in coords])
 
 
 class ConjClass:
@@ -216,10 +226,15 @@ class ReflectionCoset:
         self.rank = gens[0].n if gens else 0
         self._gen_matrices = list(gens)
         # G acts trivially on V modulo the span of the generators' roots, so
-        # (Maschke) faithfully on their orbit, which has at most |G| points
-        start = dict.fromkeys(r for k, g in enumerate(gens) if (r := _root(k, g)))
-        _, images, _ = _walk(start, [lambda v, g=g: tuple(g.apply(v)) for g in gens],
-                             len(gens) * MAX_GROUP_ORDER)
+        # (Maschke) faithfully on their orbit, which has at most |G| points,
+        # each an ``_orbit_key`` at N, moved by a generator's integer lifts
+        N = lcm(*[c.n for g in gens for row in g.rows for c in row])
+        moves = [lambda key, den=den, rows=rows: _orbit_key(
+                     N, key[0] * den, [_convolve(N, zip(row, key[1:])) for row in rows])
+                 for den, rows in (_lift_rows(g.rows, N) for g in gens)]
+        start = dict.fromkeys(_orbit_key(N, den, coords) for k, g in enumerate(gens)
+                              if (r := _root(k, g)) for den, (coords,) in [_lift_rows([r], N)])
+        _, images, _ = _walk(start, moves, len(gens) * MAX_GROUP_ORDER)
         inverses = [{row[gi]: k for k, row in enumerate(images)} for gi in range(len(gens))]
         # g is keyed by g^-1 r for the generators' roots r, as (g s)^-1 r =
         # s^-1 (g^-1 r); _right[i][gi] is element i times generator gi, and
@@ -236,6 +251,7 @@ class ReflectionCoset:
             self.words.append(self.words[p] + labels[gi])
         self.gens = self._right[0]
         self._matrices = {0: Matrix.identity(self.rank)}
+        self._class_fake_lifts: dict[int, tuple] = {}
         self._class_fake_degrees: dict[int, LaurentPoly] = {}
         self._cyclic_centralizer_orders: dict[tuple[int, Cyclo], int | None] = {}
         self._parabolics: dict[tuple[int, Cyclo], tuple[tuple[int, ...], tuple[int, ...]]] = {}
@@ -440,14 +456,33 @@ class ReflectionCoset:
         return LaurentPoly(enumerate(coeffs))
 
     def class_fake_degree(self, ci: int) -> LaurentPoly:
-        """P / det(1 - x w) for w in class ci, computed on first use: the
-        complex conjugate of the torus fake degree Feg(R_w).  det(1 - x w) is
-        prod(1 - lambda x) over the eigenvalues lambda of w, each peeled off P."""
+        """P / det(1 - x w) for w in class ci, built from its lifts on first
+        use: the complex conjugate of the torus fake degree Feg(R_w)."""
         q = self._class_fake_degrees.get(ci)
         if q is None:
-            q = self._class_fake_degrees[ci] = self.poincare.peel(
-                [(*lam.root_of_unity_order(), 1) for lam in self.classes[ci].eigenvalues])
+            q = self._class_fake_degrees[ci] = self.class_sum([(ci, Cyclo.rational(1))])
         return q
+
+    def class_sum(self, weights: Iterable[tuple[int, Cyclo]]) -> LaurentPoly:
+        """sum(w * P / det(1 - x c)) over the pairs (class index c, weight w):
+        each class's quotient is peeled once and kept as lifts
+        (``LaurentPoly._peel_lifts``), and the sum is one integer lift per
+        coefficient at the lcm N of the conductors, reduced once."""
+        terms = []
+        for ci, w in weights:
+            if ci not in self._class_fake_lifts:
+                self._class_fake_lifts[ci] = self.poincare._peel_lifts(
+                    [(*lam.root_of_unity_order(), 1) for lam in self.classes[ci].eigenvalues])
+            terms.append((self._class_fake_lifts[ci], w))
+        N = lcm(*[lcm(n, w.n) for (_, n, _, _), w in terms])
+        den = lcm(*[d * w.den for (_, _, d, _), w in terms])
+        sums: dict[int, dict[int, int]] = {}
+        for (val, n, d, lifts), w in terms:
+            wl = w._lift(N, den // (d * w.den)).items()
+            for i, g in enumerate(lifts):
+                _convolve(N, [({t * (N // n): c for t, c in g.items()}, wl)],
+                          sums.setdefault(val + i, {}))
+        return LaurentPoly({e: Cyclo(N, acc, den) for e, acc in sums.items()})
 
     # -- eigenspace data ------------------------------------------------------
     def max_eigenspace_dim(self, eigval: Cyclo) -> int:
@@ -608,11 +643,10 @@ class SubCoset:
     def relative_poincare(self) -> LaurentPoly:
         """P_G / P, with constant term 1.  By Molien, 1/P is the mean of
         1/det(1 - x l w) over the elements l w, so P_G / P is the mean of
-        their class fake degrees P_G / det(1 - x l w)."""
+        their class fake degrees P_G / det(1 - x l w), one ``class_sum``."""
         G, size = self.parent, len(self.group_elements)
         counts = Counter(G.class_of(G._mul(l, self.twist)) for l in self.group_elements)
-        return LaurentPoly.combination((G.class_fake_degree(ci), Fraction(n, size))
-                                       for ci, n in counts.items())
+        return G.class_sum((ci, Cyclo.rational(Fraction(n, size))) for ci, n in counts.items())
 
     @cached_property
     def poincare(self) -> LaurentPoly:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, gcd, lcm
 
-from .cyclotomic import (Cyclo, CycloField, _is_zero_packed, _signed_blocks, _slot_bits,
+from .cyclotomic import (Cyclo, CycloField, _is_zero_packed, _signed_digits, _slot_bits,
                          divisors, zeta as zeta_root)
 from .laurent import FracExpMonomial, LaurentPoly
 from .hecke import (SpetsialAlgebraSpec, check_spetsial, frobenius_model,
@@ -615,8 +615,8 @@ def _check_family_sums(table, feg_map, failures):
     sum over the terms of max ||p_i||_1 * max ||q_j||_1, which sets b
     (``cyclotomic._slot_bits``).  As 2^b > 2 * norm + 1, the block's value
     is below 2^(b(2N - 1) - 1) in absolute value, so blocks of W = b(2N - 1)
-    bits are read off as signed digits (``cyclotomic._signed_blocks``), and
-    each is zero-tested by one remainder (``cyclotomic._is_zero_packed``)."""
+    bits are read off as signed digits (``cyclotomic._signed_digits``), each
+    nonzero one zero-tested by one remainder (``cyclotomic._is_zero_packed``)."""
     for fam in table.families:
         degs = [table.row(name).degree for name in fam.members]
         fegs = [feg_map[name] for name in fam.members if name in feg_map]
@@ -641,8 +641,8 @@ def _check_family_sums(table, feg_map, failures):
             row = sign * sum([a << s + block[j] for j, g in q for s, a in g])
             for i, g in p:  # g times the row, one shifted copy per term of the sparse lift
                 sums[i] += sum([a * row << s for s, a in g])
-        bad = next(((i, j) for i in sorted(sums)
-                    for j, v in zip(block, _signed_blocks(sums[i], width, len(block)))
+        bad = next(((i, list(block)[t]) for i in sorted(sums)
+                    for t, v in _signed_digits(sums[i], width, len(block))
                     if not _is_zero_packed(n, v, b)), None)
         if bad:
             failures.append(f"family {fam.index} at x^{bad[0]} y^{bad[1]}")

@@ -1,3 +1,4 @@
+import random
 import re
 import time
 from fractions import Fraction
@@ -6,8 +7,8 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spets.cyclotomic import (_NAMED_FIELDS, Cyclo, CycloField, field_from_name,
-                              parse_cyclo, sqrt_int, zeta)
+from spets.cyclotomic import (_NAMED_FIELDS, Cyclo, CycloField, _signed_digits,
+                              field_from_name, parse_cyclo, sqrt_int, zeta)
 from spets.hecke import CyclicHeckeParams
 from spets.laurent import FracExpMonomial
 from spets.reflection import Matrix, row_reduce
@@ -118,6 +119,29 @@ class TestSerialization:
         text = zeta(4001, 4000).serialize()
         assert time.perf_counter() - t < 1
         assert text == "-1" + "".join(f"-E(4001,{k})" for k in range(1, 4000))
+
+    def test_conductor_7999_reads_only_nonzero_digits(self):
+        # 7999 = 19 * 421 and phi = 7560: each E(7999, k) on a basis root
+        # above phi prints several power-basis terms from one packed
+        # remainder; 200 of them took 7 s when every digit was shifted out
+        roots = [z for z in (zeta(7999, k) for k in range(7560, 7999))
+                 if z.n == 7999 and z.terms[0][0] >= 7560][:200]
+        t = time.perf_counter()
+        texts = [z.serialize() for z in roots]
+        assert time.perf_counter() - t < 2
+        assert len(roots) == 200 and all(text.count("E(") > 1 for text in texts)
+
+    def test_signed_digits_are_the_nonzero_digits(self):
+        # digits next to a zero slot, at both ends of the range and with zero
+        # bytes inside a slot
+        rng = random.Random(7)
+        for _ in range(500):
+            width, count = 16 * rng.randint(1, 4), rng.randint(1, 40)
+            top = (1 << (width - 1)) - 1
+            vs = [rng.choice([0, 0, 1, -1, 256, -256, top, -top, rng.randint(-top, top)])
+                  for _ in range(count)]
+            s = sum(v << width * t for t, v in enumerate(vs))
+            assert list(_signed_digits(s, width, count)) == [(t, v) for t, v in enumerate(vs) if v]
 
     def test_grammar(self):
         c = zeta(3) * Fraction(2, 3) - Fraction(1, 2)

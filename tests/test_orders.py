@@ -84,7 +84,8 @@ class TestTorus:
             w = G.matrix(c.rep_index)
             cp = w.charpoly()
             assert torus_order(G, c.rep_index) == cp
-            assert torus_order(G, c.rep_index, "noncompact") == cp * w.det().conjugate() ** 2
+            det_w = cp.coeff(0) * (-1) ** w.n  # det(w), read off det(x - w) at x = 0
+            assert torus_order(G, c.rep_index, "noncompact") == cp * det_w.conjugate() ** 2
             det = LaurentPoly([(w.n - e, a) for e, a in cp.coeffs])
             assert fake_degree_torus(G, c.rep_index) == \
                 exact_div(G.poincare.conjugate(), det.conjugate())

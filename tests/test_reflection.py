@@ -13,7 +13,7 @@ from spets.reflection import (Matrix, ReflectionCoset, SubCoset, build_group,
                               row_reduce, sylow_subcoset)
 from spets.tabledata import _levi
 
-from conftest import EXTRA_GROUPS, ORACLE_GROUPS, divides, extra_group
+from conftest import EXTRA_GROUPS, ORACLE_GROUPS, _extra_gens, divides, extra_group
 
 
 class TestBuiltins:
@@ -102,9 +102,11 @@ class TestMatrix:
         assert (m @ m @ m) == I
 
     def test_det_trace(self):
+        # det(x - m) = x^2 - trace(m) x + det(m) for a 2 x 2 matrix
         m = Matrix.diagonal([zeta(4), Cyclo.rational(1)])
-        assert m.det() == zeta(4)
-        assert m.trace() == zeta(4) + 1
+        assert m.charpoly().coeff(0) == zeta(4)
+        assert -m.charpoly().coeff(1) == zeta(4) + 1
+        assert m.charpoly().coeff(2) == 1
 
     def test_eigenspace(self):
         m = Matrix.diagonal([zeta(3), Cyclo.rational(1)])
@@ -116,6 +118,32 @@ class TestMatrix:
         m = Matrix.diagonal([zeta(6), zeta(6) ** 5])
         cp = m.charpoly()
         assert cp.evaluate(zeta(6)) == Cyclo.rational(0)
+
+
+def _sympy_lift(c, n, z):
+    """c as a polynomial in z = zeta_n, for n a multiple of c's conductor."""
+    return sum(Fraction(a, c.den) * z ** (i * (n // c.n)) for i, a in c.terms)
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS + ("G(4,1,2)", "G6", "G8", "G25", "G26", "G29"))
+def test_charpoly_matches_sympy(name):
+    """Matrix.charpoly on every class representative against sympy's
+    det(x I - M) over Q[z], each coefficient reduced mod Phi_N(z), N the
+    lcm of the entries' conductors."""
+    sympy = pytest.importorskip("sympy")
+    G = extra_group(name) if name in EXTRA_GROUPS else build_group(name)
+    x, z = sympy.symbols("x z")
+    for c in G.classes:
+        m = G.matrix(c.rep_index)
+        n = lcm(*[e.n for row in m.rows for e in row])
+        phi = sympy.Poly(sympy.cyclotomic_poly(n, z), z)
+        lifted = sympy.Matrix([[_sympy_lift(e, n, z) for e in row] for row in m.rows])
+        want = sympy.Poly((x * sympy.eye(m.n) - lifted).det(method="berkowitz"), x)
+        cp = m.charpoly()
+        assert cp.degree() == m.n and cp.valuation() >= 0
+        for k in range(m.n + 1):
+            diff = sympy.Poly(want.coeff_monomial(x ** k) - _sympy_lift(cp.coeff(k), n, z), z)
+            assert diff.rem(phi).is_zero, (name, c.rep_word, k)
 
 
 class TestRegular:
@@ -216,6 +244,35 @@ class TestTables:
         for i in range(G.order):
             for j in range(G.order):
                 assert G.matrix(G._mul(i, j)) == G.matrix(i) @ G.matrix(j)
+
+    @pytest.mark.parametrize("name", ["G(4,1,2)", "G6", "G8", "G25", "G26"])
+    def test_right_table_matches_matrix_products(self, name):
+        # element i times generator gi from the root orbit's keys, against
+        # the matrices; G6's generator entries lie at conductor 12
+        G = extra_group(name)
+        for i in range(G.order):
+            for gi, gen in enumerate(G._gen_matrices):
+                assert G.matrix(G._right[i][gi]) == G.matrix(i) @ gen, (name, i, gi)
+
+    @pytest.mark.parametrize("name", ["G6", "G26", "G29"])
+    def test_orbit_walk_builds_no_cyclo(self, name, monkeypatch):
+        # every Cyclo built while the group is enumerated is one that the
+        # generators' roots need; the orbit of 72, 126 or 320 roots is walked
+        # on integer keys
+        gens, conductor = _extra_gens()[name]
+        built = []
+        init = Cyclo.__init__
+
+        def counting(self, *a, **k):
+            built.append(1)
+            init(self, *a, **k)
+        monkeypatch.setattr(Cyclo, "__init__", counting)
+        for k, g in enumerate(gens):
+            reflection._root(k, g)
+        roots = len(built)
+        G = ReflectionCoset(name, gens, CycloField.cyclotomic(conductor))
+        assert len(built) == 2 * roots
+        assert G.order == EXTRA_GROUPS[name][0]
 
     @pytest.mark.parametrize("name", TABLE_GROUPS)
     def test_words_spell_elements(self, name):

@@ -291,10 +291,13 @@ def test_value_is_matches_evaluate(p, root, shift, w, hit):
 
 def test_to_basis_serves_only_the_canonical_form():
     # every zero test in the library goes through the packed kernel, or,
-    # above the packing bound, through _is_zero_lift's basis rewrite
+    # above the packing bound, through _is_zero_lift's basis rewrite; the
+    # other calls are canonical forms: Cyclo's, and the root orbit's keys
+    # at one fixed conductor
     src = Path(spets.__file__).parent
     calls = [(f.name, line.strip()) for f in sorted(src.glob("*.py"))
              for line in f.read_text().splitlines()
              if "_to_basis(" in line and "def _to_basis(" not in line]
     assert calls == [("cyclotomic.py", "return not _to_basis(n, folded)"),
-                     ("cyclotomic.py", "coeffs = _to_basis(n, coeffs)")]
+                     ("cyclotomic.py", "coeffs = _to_basis(n, coeffs)"),
+                     ("reflection.py", "coords = [_to_basis(n, c) for c in coords]")]
