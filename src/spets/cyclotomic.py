@@ -568,8 +568,11 @@ class CycloSum:
 
     __slots__ = ("n", "den", "acc")
 
-    def __init__(self):
+    def __init__(self, pairs: Iterable[tuple[Cyclo, Cyclo]] = ()):
+        """The sum of a * b over the pairs (zero when there are none)."""
         self.n, self.den, self.acc = 1, 1, {}
+        for a, b in pairs:
+            self.add(a, b)
 
     def add(self, a: Cyclo, b: Cyclo = _ONE) -> None:
         """Add a * b (or a alone)."""
@@ -603,10 +606,7 @@ class CycloSum:
 
 def sum_of_products(pairs: Iterable[tuple[Cyclo, Cyclo]]) -> Cyclo:
     """sum(a * b) over the pairs, reduced once."""
-    s = CycloSum()
-    for a, b in pairs:
-        s.add(a, b)
-    return s.value()
+    return CycloSum(pairs).value()
 
 
 def _fmt_fraction(q: Fraction) -> str:

@@ -33,7 +33,6 @@ __all__ = [
     "SpetsialAlgebraSpec",
     "ConditionReport",
     "schur_cyclic",
-    "tau_pi",
     "check_spetsial",
     "compactify",
     "noncompactify",
@@ -149,16 +148,6 @@ def schur_cyclic(params: CyclicHeckeParams) -> list[SchurElement]:
     return out
 
 
-def tau_pi(params: CyclicHeckeParams, n_ref: int | None = None) -> FracExpMonomial:
-    """The central monomial ``(-1)^{N^ref} prod_j u_j``."""
-    if n_ref is None:
-        n_ref = params.e - 1
-    prod = FracExpMonomial.of((-1) ** (n_ref % 2))
-    for m in params.params:
-        prod = prod * m
-    return prod
-
-
 class SpetsialAlgebraSpec:
     """A one-variable cyclic algebra in spetsial normal form.
 
@@ -236,14 +225,6 @@ class SpetsialAlgebraSpec:
         a product of binomials 1 - c*x^(m_i - m_j), each adding m_i - m_j,
         so sigma_i = e*m_i - sum(m)."""
         return self.e * self.m[i] - sum(self.m)
-
-    def normalize(self) -> "SpetsialAlgebraSpec":
-        """Scale the parameters so the lowest x-exponent is zero."""
-        low = min(self.m)
-        if low == 0:
-            return self
-        return SpetsialAlgebraSpec(self.e, self.d, self.a, tuple(v - low for v in self.m),
-                                   self.variant, self.n_ref, self.n_hyp, self.label)
 
     def serialize(self) -> str:
         inner = ", ".join(u.serialize() for u in self.params().params)

@@ -246,10 +246,7 @@ class LaurentPoly:
         root = v.root_of_unity_order()
         if root is not None:
             d, k = root
-            s = CycloSum()
-            for e, c in self.coeffs:
-                s.add(c, Cyclo.root_of_unity(d, k * e % d))
-            return s.value()
+            return CycloSum((c, Cyclo.root_of_unity(d, k * e % d)) for e, c in self.coeffs).value()
         val = self.coeffs[0][0]
         s = CycloSum()
         p, k = Cyclo.rational(1), val  # p = v^(k - val)

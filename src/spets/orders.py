@@ -32,7 +32,6 @@ from .reflection import ReflectionCoset, SubCoset, sylow_subcoset
 __all__ = [
     "order_poly",
     "reversal",
-    "torus_order",
     "fake_degree_torus",
     "fake_degree_char",
     "CharTable",
@@ -60,14 +59,6 @@ def reversal(P: LaurentPoly) -> LaurentPoly:
     polynomial, and for a Levi's relative one P_G / P_L the order ratio
     |G| / |L| with its power of x divided out."""
     return LaurentPoly([(P.degree() - e, c) for e, c in P.coeffs])
-
-
-def torus_order(G: ReflectionCoset, w: int, variant: str = "compact") -> LaurentPoly:
-    """Order polynomial of the twisted torus (V, w): the sub-coset with
-    trivial W_L, whose normaliser is the centralizer of w, of order |G|
-    divided by the size of the class of w."""
-    torus = SubCoset(G, (0,), w, G.order // G.classes[G.class_of(w)].size)
-    return order_poly(torus, variant)
 
 
 def fake_degree_torus(G: ReflectionCoset, w: int) -> LaurentPoly:
@@ -107,9 +98,7 @@ class CharTable:
                 for b in self.names}
         for i, a in enumerate(self.names):
             for b in self.names[i:]:
-                acc = CycloSum()
-                for u, v in zip(self.values[a], conj[b]):
-                    acc.add(u, v)
+                acc = CycloSum(zip(self.values[a], conj[b]))
                 acc.add(Cyclo.rational(-W.order if a == b else 0))
                 if not acc.is_zero():
                     raise ArithmeticError(

@@ -17,7 +17,9 @@ dimensions, regular classes and reflections are eigenvalue multiplicities.
 Each reflecting hyperplane is the kernel of one linear form, a nonzero row
 of h - 1 for a reflection h on it.  The pointwise stabilizer W_L of L =
 V(w, zeta) is generated by the reflections whose hyperplanes contain L
-(Steinberg), each containment one packed zero test; ``parabolic`` keeps W_L.
+(Steinberg).  As w is diagonalisable, L is spanned by the columns of
+prod(w - lambda) over w's other eigenvalues lambda, so no elimination is
+done; each containment is one packed zero test, and ``parabolic`` keeps W_L.
 
 The degrees are read off the fixed-space dimensions by Shephard-Todd, and
 P_G = prod(1 - x^{d_i}); its roots are ``order_roots``.  A class's fake
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate, combinations, permutations
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -111,51 +113,10 @@ class Matrix:
     def apply(self, vec: Sequence[Cyclo]) -> list[Cyclo]:
         return [sum_of_products(zip(row, vec)) for row in self.rows]
 
-    def eigenspace(self, eigval: Cyclo) -> list[list[Cyclo]]:
-        """Basis of ker(M - eigval*I) as a list of vectors."""
-        n = self.n
-        mat = [[self.rows[i][j] - (eigval if i == j else Cyclo.rational(0))
-                for j in range(n)] for i in range(n)]
-        pivots = row_reduce(mat)
-        basis = []
-        for fc in range(n):
-            if fc in pivots:
-                continue
-            vec = [Cyclo.rational(0)] * n
-            vec[fc] = Cyclo.rational(1)
-            for ri, pc in enumerate(pivots):
-                vec[pc] = -mat[ri][fc]
-            basis.append(vec)
-        return basis
-
     def __repr__(self) -> str:
         rows = "; ".join(
             ", ".join(c.serialize() for c in row) for row in self.rows)
         return f"Matrix[{rows}]"
-
-
-def row_reduce(rows: list[list]) -> list[int]:
-    """Gauss-Jordan elimination in place; returns the pivot column of each row.
-
-    ``rows`` ends in reduced row echelon form.  Entries need only ``bool``,
-    ``*``, ``-`` and ``1 / x``, so the same loop serves ``Fraction`` and
-    :class:`Cyclo` matrices.
-    """
-    pivots: list[int] = []
-    for c in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if i != r and f:
-                rows[i] = [a - f * b for a, b in zip(row, rows[r])]
-        pivots.append(c)
-    return pivots
 
 
 def _eigenvalues(g: Matrix, order: int) -> list[Cyclo]:
@@ -395,27 +356,31 @@ class ReflectionCoset:
     def n_hyp(self) -> int:
         return len(set(self._hyperplanes.values()))
 
-    def parabolic_subgroup(self, vectors: list[list[Cyclo]]) -> tuple[list[int], list[int]]:
-        """The pointwise stabilizer of the vectors: its generators, the
-        reflections on the hyperplanes holding the vectors (Steinberg), and
-        its members in element order.  v lies on H_h when alpha_h(v) = 0
-        (``_hyperplane_forms``), one packed zero test per hyperplane and vector."""
-        fixing = {h for h, form in self._hyperplane_forms.items()
-                  if all(_vanishes(form, v) for v in vectors)}
-        gens = [r for r, h in self._hyperplanes.items() if h in fixing]
-        members = _walk([0], [lambda m, r=r: self._mul(m, r) for r in gens], self.order)[0]
-        return gens, sorted(members)
-
     def parabolic(self, w: int, eigval: Cyclo) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """``parabolic_subgroup`` of V(w, eigval) as tuples (generators,
-        members): W_L for L = V(w, eigval), computed on first use and kept per
-        (w, eigval).  Callers pass class representatives, so at most one
-        entry per class and eigenvalue is kept."""
+        """W_L for L = V(w, eigval) as tuples (generators, members), computed
+        on first use and kept per (w, eigval).  Callers pass class
+        representatives, so at most one entry per class and eigenvalue is
+        kept.  w has finite order, so it is diagonalisable and L is spanned
+        by the nonzero columns of prod(w - lam) over its other distinct
+        eigenvalues lam (the identity when there is none: L = V), and by any
+        one of them when eigval is a simple eigenvalue.  W_L is generated by
+        the reflections on the hyperplanes containing L (Steinberg), and L
+        lies on H_h when alpha_h (``_hyperplane_forms``) is zero at each of
+        those columns, one packed zero test per hyperplane and column."""
         key = (w, eigval)
         got = self._parabolics.get(key)
         if got is None:
-            gens, members = self.parabolic_subgroup(self.matrix(w).eigenspace(eigval))
-            got = self._parabolics[key] = tuple(gens), tuple(members)
+            rows, eig = self.matrix(w).rows, self.eigenvalues(w)
+            factors = [Matrix([[c - lam if i == j else c for j, c in enumerate(row)]
+                               for i, row in enumerate(rows)])
+                       for lam in dict.fromkeys(eig) if lam != eigval]
+            span = reduce(Matrix.__matmul__, factors) if factors else Matrix.identity(self.rank)
+            cols = [v for v in zip(*span.rows) if any(v)][:1 if eig.count(eigval) == 1 else None]
+            fixing = {h for h, form in self._hyperplane_forms.items()
+                      if all(CycloSum(zip(form, v)).is_zero() for v in cols)}
+            gens = tuple(r for r, h in self._hyperplanes.items() if h in fixing)
+            members = _walk([0], [lambda m, r=r: self._mul(m, r) for r in gens], self.order)[0]
+            got = self._parabolics[key] = gens, tuple(sorted(members))
         return got
 
     # -- degrees and fake degrees ------------------------------------------
@@ -521,14 +486,6 @@ class ReflectionCoset:
         # C is faithful on V(w, eigval) when it meets its pointwise stabilizer in 1
         _, fixing = self.parabolic(w, eigval)
         return len(cent) if len(set(cent).intersection(fixing)) == 1 else None
-
-
-def _vanishes(form: Sequence[Cyclo], v: Sequence[Cyclo]) -> bool:
-    """Whether the linear form is zero at v: one ``CycloSum`` zero test."""
-    s = CycloSum()
-    for a, x in zip(form, v):
-        s.add(a, x)
-    return s.is_zero()
 
 
 def _root(k: int, g: Matrix) -> tuple[Cyclo, ...] | None:

@@ -56,6 +56,50 @@ def extra_group(name):
     return ReflectionCoset(name, gens, CycloField.cyclotomic(conductor))
 
 
+def row_reduce(rows):
+    """Gauss-Jordan elimination in place; returns the pivot column of each row.
+
+    ``rows`` ends in reduced row echelon form.  Entries need only ``bool``,
+    ``*``, ``-`` and ``1 / x``, so the same loop serves ``Fraction`` and
+    :class:`Cyclo` matrices: the test-only reference for linear algebra,
+    which the library does by products of (w - lambda) and zero tests.
+    """
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                rows[i] = [a - f * b for a, b in zip(row, rows[r])]
+        pivots.append(c)
+    return pivots
+
+
+def eigenspace(m, lam):
+    """The row-reduced basis of ker(m - lam) as a list of vectors, one per
+    free column of the reduced m - lam."""
+    n, zero, one = m.n, Cyclo.rational(0), Cyclo.rational(1)
+    rows = [[c - (lam if i == j else zero) for j, c in enumerate(row)]
+            for i, row in enumerate(m.rows)]
+    pivots = row_reduce(rows)
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        vec = [zero] * n
+        vec[fc] = one
+        for ri, pc in enumerate(pivots):
+            vec[pc] = -rows[ri][fc]
+        basis.append(vec)
+    return basis
+
+
 def divmod_poly(a, b):
     """Long division with remainder after shifting both to valuation >= 0:
     the reference for the library's one division, ``LaurentPoly.peel``."""

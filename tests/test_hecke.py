@@ -14,7 +14,7 @@ from spets.hecke import (CyclicHeckeParams, SpetsialAlgebraSpec, ariki_koike_sch
                          check_spetsial,
                          compactify, ennola_twist, frobenius, noncompactify,
                          frobenius_model, omega_sigma_delta, one_spetsial_spec,
-                         parse_spec, schur_cyclic, schur_quotients, tau_pi)
+                         parse_spec, schur_cyclic, schur_quotients)
 from spets.laurent import FracExpMonomial, LaurentPoly
 from spets.orders import fake_degree_torus
 from spets.uch import regular_eigenvalues
@@ -41,10 +41,6 @@ class TestSchurOracles:
         assert s == ["x^2 + x + 1",
                      "(2+E(3,1)) + (1-E(3,1))*x^-1",
                      "(1-E(3,1)) + (2+E(3,1))*x^-1"]
-
-    def test_tau_pi(self):
-        p = CyclicHeckeParams.of(["x^3", "-1"])
-        assert tau_pi(p).serialize() == "x^3"
 
     def test_schur_sum_of_inverses(self):
         # evaluating at generic roots: S_i(u) has the defining interpolation
@@ -187,12 +183,6 @@ class TestNormalForms:
         spec = ennola_twist(one_spetsial_spec(4), zeta(4))
         assert spec.serialize() == \
             "H_{Z_4}((-E(4,1))*x, (E(4,1)), -1, (-E(4,1)))"
-
-    def test_normalize(self):
-        spec = SpetsialAlgebraSpec(e=2, d=1, a=0,
-                                   m=(Fraction(4), Fraction(1)),
-                                   n_ref=1, n_hyp=1)
-        assert spec.normalize().m == (Fraction(3), Fraction(0))
 
 
 class TestEigenvalueData:

@@ -12,9 +12,8 @@ from spets.chartables import char_table, feg_map
 from spets.cyclotomic import Cyclo, divisors, zeta
 from spets.laurent import LaurentPoly, k_cyclotomic_factors
 from spets.orders import (CharTable, all_sylow_congruences, cyclic_char_table,
-                          fake_degree_char, fake_degree_torus, order_poly,
-                          torus_order)
-from spets.reflection import build_group, sylow_subcoset
+                          fake_degree_char, fake_degree_torus, order_poly)
+from spets.reflection import SubCoset, build_group, sylow_subcoset
 
 from conftest import EXTRA_GROUPS, ORACLE_GROUPS, divides, exact_div, extra_group
 
@@ -64,9 +63,15 @@ class TestOrderPoly:
         assert order_poly(G).serialize() == "x^4 - x"
 
 
+def torus(G, w):
+    """The twisted torus (V, w): the sub-coset with trivial W_L, whose
+    normaliser is the centralizer of w, of order |G| / |class of w|."""
+    return SubCoset(G, (0,), w, G.order // G.classes[G.class_of(w)].size)
+
+
 class TestTorus:
     def test_identity_torus(self, g4):
-        assert torus_order(g4, 0).serialize() == "x^2 - 2*x + 1"
+        assert order_poly(torus(g4, 0)).serialize() == "x^2 - 2*x + 1"
 
     def test_fake_degree_times_torus(self, g4):
         # Feg(R_w) * |T_w| = prod (x^{d_i} - 1) for the identity twist
@@ -83,9 +88,10 @@ class TestTorus:
         for c in G.classes:
             w = G.matrix(c.rep_index)
             cp = w.charpoly()
-            assert torus_order(G, c.rep_index) == cp
+            T = torus(G, c.rep_index)
+            assert order_poly(T) == cp
             det_w = cp.coeff(0) * (-1) ** w.n  # det(w), read off det(x - w) at x = 0
-            assert torus_order(G, c.rep_index, "noncompact") == cp * det_w.conjugate() ** 2
+            assert order_poly(T, "noncompact") == cp * det_w.conjugate() ** 2
             det = LaurentPoly([(w.n - e, a) for e, a in cp.coeffs])
             assert fake_degree_torus(G, c.rep_index) == \
                 exact_div(G.poincare.conjugate(), det.conjugate())

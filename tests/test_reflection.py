@@ -9,11 +9,11 @@ from spets import reflection
 from spets.cyclotomic import Cyclo, CycloField, divisors, sum_of_products, zeta
 from spets.laurent import LaurentPoly, k_cyclotomic_factors
 from spets.orders import all_sylow_congruences, order_poly
-from spets.reflection import (Matrix, ReflectionCoset, SubCoset, build_group,
-                              row_reduce, sylow_subcoset)
+from spets.reflection import Matrix, ReflectionCoset, SubCoset, build_group, sylow_subcoset
 from spets.tabledata import _levi
 
-from conftest import EXTRA_GROUPS, ORACLE_GROUPS, _extra_gens, divides, extra_group
+from conftest import (EXTRA_GROUPS, ORACLE_GROUPS, _extra_gens, divides, eigenspace,
+                      extra_group, row_reduce)
 
 
 class TestBuiltins:
@@ -110,7 +110,7 @@ class TestMatrix:
 
     def test_eigenspace(self):
         m = Matrix.diagonal([zeta(3), Cyclo.rational(1)])
-        space = m.eigenspace(Cyclo.rational(1))
+        space = eigenspace(m, Cyclo.rational(1))
         assert len(space) == 1
         assert m.apply(space[0]) == space[0]
 
@@ -153,7 +153,7 @@ class TestRegular:
         w = g4.regular_element(zeta(4))
         assert w is not None
         assert g4.element_order(w) % 4 == 0
-        assert len(g4.matrix(w).eigenspace(zeta(4))) == 1
+        assert len(eigenspace(g4.matrix(w), zeta(4))) == 1
 
     def test_g4_minus_one_regular(self, g4):
         w = g4.regular_element(Cyclo.rational(-1))
@@ -179,7 +179,7 @@ class TestRegular:
 def _restricted_centralizer(G, w, z):
     """The image of C_W(w) acting on V(w, z): each member's matrix on a basis
     of V(w, z), its coordinates solved by row-reducing [basis | g b]."""
-    basis = G.matrix(w).eigenspace(z)
+    basis = eigenspace(G.matrix(w), z)
     k = len(basis)
     images = set()
     for g in G.centralizer(w):
@@ -204,7 +204,7 @@ class TestEigenspaceCentralizer:
     def test_restriction_is_cyclic(self, g4):
         w = g4.regular_element(zeta(4))
         assert g4.cyclic_centralizer_order(w, zeta(4)) == 4
-        assert len(g4.matrix(w).eigenspace(zeta(4))) == 1
+        assert len(eigenspace(g4.matrix(w), zeta(4))) == 1
 
     def test_g312_zeta6(self, g312):
         w = g312.regular_element(zeta(6))
@@ -430,13 +430,13 @@ class TestEigenDataOracle:
         for g in range(G.order):
             eig = G.eigenvalues(g)
             for z in _roots_of_exponent(G):
-                assert eig.count(z) == len(G.matrix(g).eigenspace(z)), (G.name, g, z)
+                assert eig.count(z) == len(eigenspace(G.matrix(g), z)), (G.name, g, z)
 
     def test_regular_classes_and_elements(self, oracle_group):
         G = oracle_group
         reps = [c.rep_index for c in G.classes]
         for z in _roots_of_exponent(G):
-            dims = [len(G.matrix(w).eigenspace(z)) for w in reps]
+            dims = [len(eigenspace(G.matrix(w), z)) for w in reps]
             best = max(dims)
             want = [ci for ci, dim in enumerate(dims) if dim == best]
             assert G.max_eigenspace_dim(z) == best
@@ -448,7 +448,7 @@ class TestEigenDataOracle:
         G = oracle_group
         ident, one = Matrix.identity(G.rank), Cyclo.rational(1)
         assert G.reflections == [g for g in range(G.order) if G.matrix(g) != ident
-                                 and len(G.matrix(g).eigenspace(one)) == G.rank - 1]
+                                 and len(eigenspace(G.matrix(g), one)) == G.rank - 1]
 
     def test_class_of(self, oracle_group):
         G = oracle_group
@@ -481,7 +481,7 @@ def _fixed_space_hyperplanes(G):
     ident, one, least, out = Matrix.identity(G.rank), Cyclo.rational(1), {}, {}
     for g in range(G.order):
         m = G.matrix(g)
-        fixed = m.eigenspace(one)
+        fixed = eigenspace(m, one)
         if m != ident and len(fixed) == G.rank - 1:
             out[g] = least.setdefault(tuple(map(tuple, fixed)), g)
     return out
@@ -513,7 +513,7 @@ class TestHyperplaneOracle:
         assert list(forms) == sorted(set(G._hyperplanes.values()))
         for r, h in G._hyperplanes.items():
             form, m = forms[h], G.matrix(r)
-            for v in m.eigenspace(one):
+            for v in eigenspace(m, one):
                 assert sum_of_products(zip(form, v)).is_zero(), (G.name, r)
             assert not sum_of_products(zip(form, _root_line(m))).is_zero(), (G.name, r)
 
@@ -543,7 +543,7 @@ def _matrix_order_poly(L, variant):
     core = LaurentPoly([(P.degree() - e, c) for e, c in P.coeffs])
     refl = [G.matrix(g) for g in L.group_elements]
     refl = [g for g in refl
-            if g != Matrix.identity(rank) and len(g.eigenspace(one)) == rank - 1]
+            if g != Matrix.identity(rank) and len(eigenspace(g, one)) == rank - 1]
     if variant == "compact":
         return core.shift(len({_root_line(g) for g in refl}))
     zprod = P.leading_coeff() * ((-1) ** rank)
@@ -590,9 +590,9 @@ class TestParabolicSubgroup:
         for phi in phis:
             d, k = phi.root_order, min(phi.root_exponents)
             eigval = zeta(d, k) if d > 1 else Cyclo.rational(1)
-            basis = G.matrix(G.regular_element(eigval)).eigenspace(eigval)
-            assert G.parabolic_subgroup(basis)[1] == _pointwise_stabilizer(G, basis), \
-                (G.name, phi)
+            w = G.regular_element(eigval)
+            want = _pointwise_stabilizer(G, eigenspace(G.matrix(w), eigval))
+            assert G.parabolic(w, eigval)[1] == tuple(want), (G.name, phi)
 
     def test_every_eigenspace(self, scan_group):
         # parabolic(w, lam) on every class representative and eigenvalue: its
@@ -603,20 +603,26 @@ class TestParabolicSubgroup:
             w = c.rep_index
             for lam in dict.fromkeys(c.eigenvalues):
                 gens, members = G.parabolic(w, lam)
-                want = _pointwise_stabilizer(G, G.matrix(w).eigenspace(lam))
+                want = _pointwise_stabilizer(G, eigenspace(G.matrix(w), lam))
                 assert members == tuple(want), (G.name, c.rep_word, lam)
                 assert gens == tuple(r for r in G.reflections if r in set(want))
                 assert G.parabolic(w, lam) is G.parabolic(w, lam)
         assert len(G._parabolics) <= sum(len(set(c.eigenvalues)) for c in G.classes)
 
-    def test_makes_no_matrix_product(self, monkeypatch):
-        G = build_group("G4")
+    @pytest.mark.parametrize("name", ["G4", "G(3,1,2)"])
+    def test_applies_no_matrix_and_takes_no_inverse(self, monkeypatch, name):
+        # V(w, zeta) is spanned by a product of the matrices w - lambda and
+        # each containment is a zero test, so no matrix is applied to a
+        # vector and no Cyclo is inverted (an inverse costs about phi^3)
+        G = build_group(name)
         G.classes, G._hyperplane_forms  # built before the patch
 
-        def refuse(*a):
-            raise AssertionError("Matrix.apply called")
-        monkeypatch.setattr(Matrix, "apply", refuse)
+        def refuse(what):
+            def fail(*a):
+                raise AssertionError(f"{what} called")
+            return fail
+        monkeypatch.setattr(Matrix, "apply", refuse("Matrix.apply"))
+        monkeypatch.setattr(Cyclo, "inverse", refuse("Cyclo.inverse"))
         for c in G.classes:
             for lam in set(c.eigenvalues):
                 G.parabolic(c.rep_index, lam)
-
