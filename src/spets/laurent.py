@@ -179,8 +179,12 @@ class LaurentPoly:
         or None when one of them does not divide: the quotient's lifts
         (``_peel_lifts``), with one canonical Cyclo built per coefficient."""
         q = self._peel_lifts(factors)
-        return None if q is None else LaurentPoly(
-            {q[0] + i: Cyclo(q[1], c, q[2]) for i, c in enumerate(q[3])})
+        return None if q is None else LaurentPoly._of_lifts(*q)
+
+    @staticmethod
+    def _of_lifts(val: int, n: int, den: int, lifts: list[dict[int, int]]) -> "LaurentPoly":
+        """sum(lifts[i](zeta_n) x^(val + i)) / den, one Cyclo per coefficient; consumes lifts."""
+        return LaurentPoly({val + i: Cyclo(n, c, den) for i, c in enumerate(lifts)})
 
     def _peel_lifts(self, factors: Iterable[tuple[int, int, int]]) -> tuple | None:
         """The quotient of :meth:`peel` as (val, n, den, lifts), its x^(val +
@@ -276,7 +280,9 @@ class LaurentPoly:
         tests, built on first use and kept with self."""
         lift = object.__getattribute__(self, "_lift")
         if lift is None:
-            lift = PackedLift(self)
+            val, den = self.coeffs[0][0], lcm(*[c.den for _, c in self.coeffs])
+            lift = PackedLift(val, den, [(e - val, c.n, c.terms, den // c.den)
+                                         for e, c in self.coeffs])
             _set_llift(self, lift)
         return lift
 
@@ -289,9 +295,12 @@ class LaurentPoly:
         return _lmake(tuple([(-e, c.conjugate()) for e, c in reversed(self.coeffs)]))
 
     def scale_x(self, s: Scalar) -> "LaurentPoly":
-        """Substitute x -> s*x."""
+        """Substitute x -> s*x; at a root of unity s = E(d, k), s^e is read
+        as the cached root E(d, k*e mod d)."""
         s = _coerce(s)
-        return LaurentPoly([(e, c * s ** e) for e, c in self.coeffs])
+        d, k = s.root_of_unity_order() or (0, 0)
+        return LaurentPoly([(e, c * (Cyclo.root_of_unity(d, k * e % d) if d else s ** e))
+                            for e, c in self.coeffs])
 
     # -- comparison / hashing ------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -367,14 +376,13 @@ class PackedLift:
 
     __slots__ = ("cond", "den", "val", "coeffs", "exps", "norm", "_lifts")
 
-    def __init__(self, p: LaurentPoly):
-        self.val = val = p.coeffs[0][0]
-        self.cond = lcm(*[c.n for _, c in p.coeffs])
-        self.den = den = lcm(*[c.den for _, c in p.coeffs])
-        self.coeffs = [(e - val, c, den // c.den) for e, c in p.coeffs]
-        self.exps = [e for e, _, _ in self.coeffs]
+    def __init__(self, val: int, den: int, coeffs: list[tuple[int, int, Iterable, int]]):
+        """x^val * sum(m * g(zeta_n) x^e) / den over (e, n, g pairs, m), e rising, ends nonzero."""
+        self.val, self.den, self.coeffs = val, den, coeffs
+        self.cond = lcm(*[n for _, n, _, _ in coeffs])
+        self.exps = [e for e, _, _, _ in coeffs]
         # the L1 norm of the lifts, the same at every n
-        self.norm = sum([abs(a) * m for _, c, m in self.coeffs for _, a in c.terms])
+        self.norm = sum([abs(a) * m for _, _, g, m in coeffs for _, a in g])
         self._lifts: dict[tuple[int, int], list] = {}
 
     def _at(self, n: int, norm: int) -> tuple[int, list]:
@@ -385,8 +393,8 @@ class PackedLift:
         lifts = self._lifts.get((n, b))
         if lifts is None:
             lifts = self._lifts[n, b] = [
-                sum([a * m << b * (i * (n // c.n)) for i, a in c.terms]) if b else c._lift(n, m)
-                for _, c, m in self.coeffs]
+                sum([a * m << b * (i * (n // cn)) for i, a in g]) if b
+                else {i * (n // cn): a * m for i, a in g} for _, cn, g, m in self.coeffs]
         return b, lifts
 
     def _is_zero(self, n: int, b: int, lifts: list, s: int, o: int,

@@ -25,8 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .cyclotomic import Cyclo, CycloSum, divisors, zeta
-from .laurent import KCycloPoly, LaurentPoly, k_cyclotomic_factors
+from .cyclotomic import Cyclo, CycloSum, _is_zero_lift, divisors, zeta
+from .laurent import KCycloPoly, LaurentPoly, PackedLift, k_cyclotomic_factors
 from .reflection import ReflectionCoset, SubCoset, sylow_subcoset
 
 __all__ = [
@@ -124,9 +124,9 @@ def cyclic_char_table(G: ReflectionCoset) -> CharTable:
 def fake_degree_char(table: CharTable, name: str) -> LaurentPoly:
     """Feg(theta) for an irreducible character given by its table row: one
     ``ReflectionCoset.class_sum`` over the class fake degrees."""
-    G = table.group
-    return G.class_sum((ci, t.conjugate() * Fraction(cls.size, G.order))
-                       for ci, (t, cls) in enumerate(zip(table.values[name], G.classes)))
+    G, row = table.group, table.values[name]
+    return LaurentPoly._of_lifts(*G.class_sum((ci, t.conjugate() * Fraction(c.size, G.order))
+                                              for ci, (t, c) in enumerate(zip(row, G.classes))))
 
 
 # -- Sylow congruences -------------------------------------------------------
@@ -136,7 +136,7 @@ def sylow_congruence(G: ReflectionCoset, phi: KCycloPoly) -> bool:
     """Check |G| / (|W_G(L)| |L|) = 1 mod Phi in both order variants.
 
     Both orders are x^N times a unit times rev(P) = prod(x^d_i - zeta_i), so
-    their quotient is read off rel = ``L.relative_poincare`` = P_G / P_L:
+    their quotient is read off rel = P_G / P_L (``L._relative_lifts``):
     q = rev(rel) is monic, prod(x - rho) over the roots of |G| that |L|
     lacks; the compact quotient is x^(N_hyp(G) - N_hyp(L)) q, and the
     noncompact one x^(N_ref(G) - N_ref(L)) conj(zeta_G / zeta_L)^2 q, where
@@ -145,19 +145,28 @@ def sylow_congruence(G: ReflectionCoset, phi: KCycloPoly) -> bool:
     ArithmeticError.  Phi is squarefree, so it divides the quotient over
     |W_G(L)| less 1 exactly when the quotient equals |W_G(L)| at each root
     z of Phi: z^(N_hyp(G) - N_hyp(L)) q(z) = |W_G(L)|, and the same with
-    N_ref and |W_G(L)| over the unit.  q is lifted and packed once
-    (``LaurentPoly.packed``) for its roots and both tests.  No order
-    polynomial is divided.
+    N_ref and |W_G(L)| over the unit.  q is packed once, from the integer
+    sums at N (``_order_quotient``), for its roots and both tests.  No order
+    polynomial is divided and no coefficient of rel is made canonical.
     """
     _, L = sylow_subcoset(G, phi)
-    rel = L.relative_poincare
-    unit = rel.leading_coeff().conjugate() ** 2
-    q = reversal(rel).packed()
+    q, lead = _order_quotient(L)
     if q.roots(G.order_roots) is None:
         raise ArithmeticError("non-exact polynomial division")
+    d, j = lead.root_of_unity_order()  # a root of unity, so 1 / conj(lead)^2 = lead^2
     c, roots = Cyclo.rational(L.relative_order), [(phi.root_order, k) for k in phi.root_exponents]
     return (all(q.value_is(z, G.n_hyp - L.n_hyp, c) for z in roots)
-            and all(q.value_is(z, G.n_ref - L.n_ref, c / unit) for z in roots))
+            and all(q.value_is(z, G.n_ref - L.n_ref, c * zeta(d, 2 * j)) for z in roots))
+
+
+def _order_quotient(L: SubCoset) -> tuple[PackedLift, Cyclo]:
+    """(q, lead(rel)), rel = P_G / P_L: q = rev(rel) packed from the sums of
+    ``L._relative_lifts`` less their zero ends, and lead, the one Cyclo built."""
+    _, n, den, lifts = L._relative_lifts
+    lo = next(i for i, g in enumerate(lifts) if not _is_zero_lift(n, g))
+    hi = next(i for i in range(len(lifts), lo, -1) if not _is_zero_lift(n, lifts[i - 1]))
+    return (PackedLift(0, den, [(e, n, g.items(), 1) for e, g in enumerate(lifts[lo:hi][::-1])]),
+            Cyclo(n, dict(lifts[hi - 1]), den))
 
 
 def all_sylow_congruences(G: ReflectionCoset) -> list[tuple[KCycloPoly, bool]]:

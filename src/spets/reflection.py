@@ -2,32 +2,32 @@
 
 A group is given by generator matrices over a cyclotomic field, each the
 identity or a reflection, and acts faithfully on the orbit of their roots
-(CHEVIE's ``PermRootGroup``: J. Michel, J. Algebra 435 (2015)).  The orbit
-is walked once on integer keys: a point is its Zumbroich-basis coordinates
-at N, the lcm of the generator entries' conductors, over its least
-denominator (canonical, as N is fixed), and a move is one product with a
-generator's lifts.  A breadth-first pass lists the elements and their
-shortest words; an element is then an integer index, and products, powers,
-classes, hyperplanes and Sylow normalisers are read off index tables.
-``ReflectionCoset.matrix`` builds an element's matrix on first use.  A
-class's eigenvalues are the root multiplicities of its charpoly, each
-coefficient a sum of principal minors as one integer lift; eigenspace
-dimensions, regular classes and reflections are eigenvalue multiplicities.
+(CHEVIE's ``PermRootGroup``: J. Michel, J. Algebra 435 (2015)).  The group
+layer runs on integer lifts at N, the lcm of the generator entries'
+conductors: a vector is keyed by its Zumbroich-basis coordinates at N over
+its least denominator (canonical, as N is fixed), and a generator, lifted
+once, moves it by one integer product.  A breadth-first pass over the root
+orbit lists the elements and their shortest words; an element is then an
+integer index, and products, powers, classes, hyperplanes and Sylow
+normalisers are read off index tables.  An element's matrix is one key per
+row, built along its word; ``matrix`` reads it over ``Cyclo`` on request.
+A class's eigenvalues are the roots of its charpoly on those lifts.
 
 Each reflecting hyperplane is the kernel of one linear form, a nonzero row
 of h - 1 for a reflection h on it.  The pointwise stabilizer W_L of L =
 V(w, zeta) is generated by the reflections whose hyperplanes contain L
 (Steinberg).  As w is diagonalisable, L is spanned by the columns of
-prod(w - lambda) over w's other eigenvalues lambda, so no elimination is
-done; each containment is one packed zero test, and ``parabolic`` keeps W_L.
+prod(w - lambda) over w's other eigenvalues lambda, lifted at the lcm of N
+and their conductors; each containment is one packed zero test, and
+``parabolic`` keeps W_L.
 
 The degrees are read off the fixed-space dimensions by Shephard-Todd, and
 P_G = prod(1 - x^{d_i}); its roots are ``order_roots``.  A class's fake
 degree P_G / det(1 - x w) is its eigenvalues peeled off P_G, kept as integer
-lifts; ``class_sum`` adds weighted fake degrees on those lifts, for the
-Molien sums (Broue-Malle-Michel, Towards spetses I, 1999): P_G / P for a
-sub-coset (V, W_L * w), the mean over its elements, and Feg(theta).  P is
-P_G with that mean's roots peeled off; each division is a ``peel``.
+lifts; ``class_sum`` adds weighted fake degrees on those lifts, unreduced,
+for the Molien sums (Broue-Malle-Michel, Towards spetses I, 1999): P_G / P
+for a sub-coset (V, W_L * w), the mean over its elements, and Feg(theta).
+P is P_G with that mean's roots peeled off; each division is a ``peel``.
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ from itertools import accumulate, combinations, permutations
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .cyclotomic import Cyclo, CycloField, CycloSum, _to_basis, sum_of_products, zeta
-from .laurent import KCycloPoly, LaurentPoly
+from .cyclotomic import (Cyclo, CycloField, CycloSum, _is_zero_lift, _to_basis, sum_of_products,
+                         zeta)
+from .laurent import KCycloPoly, LaurentPoly, PackedLift
 
 __all__ = [
     "Matrix",
@@ -93,22 +94,10 @@ class Matrix:
         return hash(self.rows)
 
     def charpoly(self) -> LaurentPoly:
-        """det(x*I - M): the coefficient of x^(n - k) is (-1)^k times the sum
-        of the principal k x k minors, a signed sum of products of at most n
-        entries over permutations, summed as one integer lift reduced once."""
+        """det(x*I - M), read off ``_charpoly`` on the entries' lifts."""
         N = lcm(*[c.n for row in self.rows for c in row])
-        den, lifts = _lift_rows(self.rows, N)
-        coeffs = {self.n: 1}
-        for k in range(1, self.n + 1):
-            acc: dict[int, int] = {}
-            for rows in combinations(range(self.n), k):
-                for cols in permutations(rows):
-                    prod = {0: (-1) ** (k + sum(a > b for a, b in combinations(cols, 2)))}
-                    for i, j in zip(rows[:-1], cols):
-                        prod = _convolve(N, [(prod, lifts[i][j].items())])
-                    _convolve(N, [(prod, lifts[rows[-1]][cols[-1]].items())], acc)
-            coeffs[self.n - k] = Cyclo(N, acc, den ** k)
-        return LaurentPoly(coeffs)
+        p = _charpoly(N, *_lift_rows(self.rows, N))
+        return LaurentPoly({e: Cyclo(n, dict(g), p.den // m) for e, n, g, m in p.coeffs})
 
     def apply(self, vec: Sequence[Cyclo]) -> list[Cyclo]:
         return [sum_of_products(zip(row, vec)) for row in self.rows]
@@ -119,14 +108,20 @@ class Matrix:
         return f"Matrix[{rows}]"
 
 
-def _eigenvalues(g: Matrix, order: int) -> list[Cyclo]:
-    """Eigenvalues of g, an element of the given order, with multiplicity, as
-    powers of zeta(order): the root multiplicities of the charpoly, or the
-    entry itself when g is 1 x 1."""
-    if g.n == 1:
-        return [g.rows[0][0]]
-    mults = g.charpoly().multiplicities({(order, k): g.n for k in range(order)})
-    return [zeta(order, k) for (_, k), m in mults.items() for _ in range(m)]
+def _charpoly(n: int, den: int, lifts: list[list[dict[int, int]]]) -> PackedLift:
+    """det(x*I - M) packed, M = lifts(zeta_n) / den: x^(r - k) has (-1)^k times the sum
+    of the principal k x k minors, signed products over permutations, over den^k."""
+    r, coeffs = len(lifts), [(len(lifts), n, ((0, 1),), den ** len(lifts))]
+    for k in range(1, r + 1):
+        acc: dict[int, int] = {}
+        for rows in combinations(range(r), k):
+            for cols in permutations(rows):
+                prod = {0: (-1) ** (k + sum(a > b for a, b in combinations(cols, 2)))}
+                for i, j in zip(rows[:-1], cols):
+                    prod = _convolve(n, [(prod, lifts[i][j].items())])
+                _convolve(n, [(prod, lifts[rows[-1]][cols[-1]].items())], acc)
+        coeffs.append((r - k, n, acc.items(), den ** (r - k)))
+    return PackedLift(0, den ** r, coeffs[::-1])
 
 
 def _lift_rows(rows: Sequence[Sequence[Cyclo]], N: int) -> tuple[int, list[list[dict]]]:
@@ -151,7 +146,19 @@ def _orbit_key(n: int, den: int, coords: list[dict[int, int]]) -> tuple:
     Zumbroich-basis (exponent, numerator) pairs): canonical at a fixed n."""
     coords = [_to_basis(n, c) for c in coords]
     g = gcd(den, *[c for v in coords for c in v.values()])
-    return (den // g, *[tuple(sorted([(i, c // g) for i, c in v.items()])) for v in coords])
+    return (den // g, *[tuple(sorted(v.items() if g == 1 else [(i, c // g) for i, c in v.items()]))
+                        for v in coords])
+
+
+def _move(n: int, den: int, rows: Sequence[Sequence[dict[int, int]]], key: tuple) -> tuple:
+    """The ``_orbit_key`` of (rows / den) v, rows lifted at n, for the point v = key."""
+    return _orbit_key(n, key[0] * den, [_convolve(n, zip(row, key[1:])) for row in rows])
+
+
+def _common(rows: Sequence[tuple], s: int = 1) -> tuple[int, list[list[dict[int, int]]]]:
+    """(den, lifts) of the matrix of ``_orbit_key`` rows at n, lifted at n * s."""
+    den = lcm(*[r[0] for r in rows])
+    return den, [[{i * s: c * (den // r[0]) for i, c in v} for v in r[1:]] for r in rows]
 
 
 class ConjClass:
@@ -185,14 +192,12 @@ class ReflectionCoset:
         self.name = name
         self.field = field
         self.rank = gens[0].n if gens else 0
-        self._gen_matrices = list(gens)
         # G acts trivially on V modulo the span of the generators' roots, so
         # (Maschke) faithfully on their orbit, which has at most |G| points,
         # each an ``_orbit_key`` at N, moved by a generator's integer lifts
-        N = lcm(*[c.n for g in gens for row in g.rows for c in row])
-        moves = [lambda key, den=den, rows=rows: _orbit_key(
-                     N, key[0] * den, [_convolve(N, zip(row, key[1:])) for row in rows])
-                 for den, rows in (_lift_rows(g.rows, N) for g in gens)]
+        N = self._N = lcm(*[c.n for g in gens for row in g.rows for c in row])
+        lifted = [_lift_rows(g.rows, N) for g in gens]
+        moves = [lambda key, den=den, rows=rows: _move(N, den, rows, key) for den, rows in lifted]
         start = dict.fromkeys(_orbit_key(N, den, coords) for k, g in enumerate(gens)
                               if (r := _root(k, g)) for den, (coords,) in [_lift_rows([r], N)])
         _, images, _ = _walk(start, moves, len(gens) * MAX_GROUP_ORDER)
@@ -211,22 +216,34 @@ class ReflectionCoset:
         for p, gi in self._found:
             self.words.append(self.words[p] + labels[gi])
         self.gens = self._right[0]
-        self._matrices = {0: Matrix.identity(self.rank)}
+        self._gen_cols = [(den, list(zip(*rows))) for den, rows in lifted]  # the transposes
+        self._lifts = {0: tuple(_orbit_key(N, 1, [{0: int(i == j)} for j in range(self.rank)])
+                                for i in range(self.rank))}
+        self._matrices: dict[int, Matrix] = {}
         self._class_fake_lifts: dict[int, tuple] = {}
         self._class_fake_degrees: dict[int, LaurentPoly] = {}
         self._cyclic_centralizer_orders: dict[tuple[int, Cyclo], int | None] = {}
         self._parabolics: dict[tuple[int, Cyclo], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
-    def matrix(self, i: int) -> Matrix:
-        """The matrix of element i, built on first use from its word (the
-        matrix of each prefix times the next generator) and kept."""
+    def _lift(self, i: int) -> tuple[tuple, ...]:
+        """Element i's matrix, one ``_orbit_key`` at N per row, built on first
+        use along its word (a row times g is g's transpose moving it) and kept."""
         chain = []
-        while i not in self._matrices:
+        while i not in self._lifts:
             chain.append(i)
             i = self._found[i - 1][0]
-        m = self._matrices[i]
+        m = self._lifts[i]
         for j in reversed(chain):
-            m = self._matrices[j] = m @ self._gen_matrices[self._found[j - 1][1]]
+            den, cols = self._gen_cols[self._found[j - 1][1]]
+            m = self._lifts[j] = tuple(_move(self._N, den, cols, row) for row in m)
+        return m
+
+    def matrix(self, i: int) -> Matrix:
+        """Element i's matrix over ``Cyclo``, read off ``_lift`` on first use and kept."""
+        m = self._matrices.get(i)
+        if m is None:
+            m = self._matrices[i] = Matrix([[Cyclo(self._N, dict(v), r[0], in_basis=True)
+                                             for v in r[1:]] for r in self._lift(i)])
         return m
 
     # -- group structure ------------------------------------------------
@@ -271,9 +288,14 @@ class ReflectionCoset:
             members = sorted(_walk([i], [c.__getitem__ for c in conj], self.order)[0])
             seen.update(members)
             rep = min(members, key=lambda j: (len(self.words[j]), self.words[j]))
-            g = self.matrix(rep)  # a 1 x 1 element has the order of its entry
-            order = g.rows[0][0].root_of_unity_order()[0] if g.n == 1 else len(self.powers(rep))
-            eig = _eigenvalues(g, order)
+            if self.rank == 1:  # a 1 x 1 element is its eigenvalue and has its order
+                eig = [Cyclo(self._N, dict(v), den, in_basis=True) for den, v in self._lift(rep)]
+                order = eig[0].root_of_unity_order()[0]
+            else:  # the charpoly's roots on the lifts, all powers of zeta(order)
+                order = len(self.powers(rep))
+                mults = _charpoly(self._N, *_common(self._lift(rep))).multiplicities(
+                    {(order, k): self.rank for k in range(order)})
+                eig = [zeta(order, k) for (_, k), m in mults.items() for _ in range(m)]
             key = (order, len(members), sorted(v.serialize() for v in eig), self.words[rep])
             found.append((key, ConjClass(rep, self.words[rep], len(members), order,
                                          tuple(members), tuple(eig))))
@@ -332,16 +354,18 @@ class ReflectionCoset:
                 for r in refl}
 
     @cached_property
-    def _hyperplane_forms(self) -> dict[int, tuple[Cyclo, ...]]:
+    def _hyperplane_forms(self) -> dict[int, tuple]:
         """The least reflection h on each hyperplane H_h (the values of
         ``_hyperplanes``) -> a linear form alpha_h with kernel H_h: a nonzero
-        row of matrix(h) - 1.  That matrix has rank one and kernel H_h, the
-        fixed space of h, so each of its nonzero rows has kernel exactly H_h."""
+        row of matrix(h) - 1, an ``_orbit_key`` at N.  That matrix has rank one
+        and kernel H_h, the fixed space of h, so each nonzero row has kernel H_h."""
         forms = {}
         for h in dict.fromkeys(self._hyperplanes.values()):
-            rows = (tuple(c - (i == j) for j, c in enumerate(row))
-                    for i, row in enumerate(self.matrix(h).rows))
-            forms[h] = next(row for row in rows if any(row))
+            den, rows = _common(self._lift(h))
+            for i, row in enumerate(rows):
+                row[i][0] = row[i].get(0, 0) - den
+            forms[h] = next(key for key in (_orbit_key(self._N, den, row) for row in rows)
+                            if any(key[1:]))
         return forms
 
     @property
@@ -362,22 +386,34 @@ class ReflectionCoset:
         representatives, so at most one entry per class and eigenvalue is
         kept.  w has finite order, so it is diagonalisable and L is spanned
         by the nonzero columns of prod(w - lam) over its other distinct
-        eigenvalues lam (the identity when there is none: L = V), and by any
-        one of them when eigval is a simple eigenvalue.  W_L is generated by
+        eigenvalues lam (with none, L = V and W_L = 1), and by any one of
+        them when eigval is a simple eigenvalue.  W_L is generated by
         the reflections on the hyperplanes containing L (Steinberg), and L
         lies on H_h when alpha_h (``_hyperplane_forms``) is zero at each of
         those columns, one packed zero test per hyperplane and column."""
         key = (w, eigval)
         got = self._parabolics.get(key)
         if got is None:
-            rows, eig = self.matrix(w).rows, self.eigenvalues(w)
-            factors = [Matrix([[c - lam if i == j else c for j, c in enumerate(row)]
-                               for i, row in enumerate(rows)])
-                       for lam in dict.fromkeys(eig) if lam != eigval]
-            span = reduce(Matrix.__matmul__, factors) if factors else Matrix.identity(self.rank)
-            cols = [v for v in zip(*span.rows) if any(v)][:1 if eig.count(eigval) == 1 else None]
-            fixing = {h for h, form in self._hyperplane_forms.items()
-                      if all(CycloSum(zip(form, v)).is_zero() for v in cols)}
+            eig = self.eigenvalues(w)
+            lams = [lam for lam in dict.fromkeys(eig) if lam != eigval]
+            fixing: set[int] = set()  # with no lam, w is scalar: L = V, on no hyperplane
+            if lams:
+                n = lcm(self._N, *[lam.n for lam in lams])
+                s = n // self._N
+                den, rows = _common(self._lift(w), s)  # den (w - lam); lam, a root of 1, has den 1
+                factors = [[[{k: c.get(k, 0) - t.get(k, 0) for k in c.keys() | t.keys()} if i == j
+                             else c for j, c in enumerate(r)] for i, r in enumerate(rows)]
+                           for t in (lam._lift(n, den) for lam in lams)]
+                # the factors commute, so column j of their product is e_j moved by each
+                cols = filter(lambda v: any(v[1:]), (
+                    reduce(lambda v, f: _move(n, den, f, v), factors,
+                           _orbit_key(n, 1, [{0: int(i == j)} for i in range(self.rank)]))
+                    for j in range(self.rank)))
+                cols = [next(cols)] if eig.count(eigval) == 1 else list(cols)
+                forms = [(h, [{i * s: c for i, c in v} for v in form[1:]])
+                         for h, form in self._hyperplane_forms.items()]
+                fixing = {h for h, form in forms
+                          if all(_is_zero_lift(n, _convolve(n, zip(form, v[1:]))) for v in cols)}
             gens = tuple(r for r, h in self._hyperplanes.items() if h in fixing)
             members = _walk([0], [lambda m, r=r: self._mul(m, r) for r in gens], self.order)[0]
             got = self._parabolics[key] = gens, tuple(sorted(members))
@@ -425,14 +461,15 @@ class ReflectionCoset:
         use: the complex conjugate of the torus fake degree Feg(R_w)."""
         q = self._class_fake_degrees.get(ci)
         if q is None:
-            q = self._class_fake_degrees[ci] = self.class_sum([(ci, Cyclo.rational(1))])
+            q = self._class_fake_degrees[ci] = LaurentPoly._of_lifts(
+                *self.class_sum([(ci, Cyclo.rational(1))]))
         return q
 
-    def class_sum(self, weights: Iterable[tuple[int, Cyclo]]) -> LaurentPoly:
-        """sum(w * P / det(1 - x c)) over the pairs (class index c, weight w):
-        each class's quotient is peeled once and kept as lifts
-        (``LaurentPoly._peel_lifts``), and the sum is one integer lift per
-        coefficient at the lcm N of the conductors, reduced once."""
+    def class_sum(self, weights: Iterable[tuple[int, Cyclo]]) -> tuple:
+        """sum(w * P / det(1 - x c)) over the pairs (class index c, weight w)
+        as lifts (val, N, den, lifts), x^(val + i) having lifts[i](zeta_N) / den:
+        each class's quotient is peeled once and kept as lifts (``_peel_lifts``),
+        and the weighted ones are added unreduced, so an end lift may be zero."""
         terms = []
         for ci, w in weights:
             if ci not in self._class_fake_lifts:
@@ -447,7 +484,8 @@ class ReflectionCoset:
             for i, g in enumerate(lifts):
                 _convolve(N, [({t * (N // n): c for t, c in g.items()}, wl)],
                           sums.setdefault(val + i, {}))
-        return LaurentPoly({e: Cyclo(N, acc, den) for e, acc in sums.items()})
+        val = min(sums, default=0)
+        return val, N, den, [sums.get(e, {}) for e in range(val, max(sums, default=-1) + 1)]
 
     # -- eigenspace data ------------------------------------------------------
     def max_eigenspace_dim(self, eigval: Cyclo) -> int:
@@ -497,11 +535,11 @@ def _root(k: int, g: Matrix) -> tuple[Cyclo, ...] | None:
     if q is None:
         return None
     root = tuple(a[i, q] for i in range(g.n))
-    # rank(g - 1) = 1 when every 2x2 minor through a[p, q] vanishes (no
-    # division: an inverse at a large conductor such as 999 takes seconds),
-    # and a reflection scales its root by an eigenvalue other than 1
+    # rank(g - 1) = 1 when every 2x2 minor through a[p, q] vanishes (no inverse:
+    # one at conductor 999 takes seconds); a reflection moves its root, and at
+    # rank one (g - 1)^2 = trace(g - 1) (g - 1): g fixes it iff the trace is 0
     minors = (a[i, j] * a[p, q] - a[i, q] * a[p, j] for i, j in cells if i != p and j != q)
-    if any(minors) or g.apply(root) == list(root):
+    if any(minors) or CycloSum((a[i, i], Cyclo.rational(1)) for i in range(g.n)).is_zero():
         raise ValueError(f"generator {k} is neither the identity nor a reflection")
     if sum(map(bool, root)) == 1:  # on a coordinate axis: take the unit vector
         root = tuple(Cyclo.rational(int(bool(v))) for v in root)
@@ -597,13 +635,18 @@ class SubCoset:
         return self.parent.rank
 
     @cached_property
-    def relative_poincare(self) -> LaurentPoly:
-        """P_G / P, with constant term 1.  By Molien, 1/P is the mean of
-        1/det(1 - x l w) over the elements l w, so P_G / P is the mean of
-        their class fake degrees P_G / det(1 - x l w), one ``class_sum``."""
+    def _relative_lifts(self) -> tuple:
+        """P_G / P as ``class_sum`` lifts: by Molien, 1/P is the mean of
+        1/det(1 - x l w), so P_G / P is that of the l w's class fake degrees."""
         G, size = self.parent, len(self.group_elements)
         counts = Counter(G.class_of(G._mul(l, self.twist)) for l in self.group_elements)
         return G.class_sum((ci, Cyclo.rational(Fraction(n, size))) for ci, n in counts.items())
+
+    @cached_property
+    def relative_poincare(self) -> LaurentPoly:
+        """P_G / P, with constant term 1, read off :attr:`_relative_lifts`."""
+        val, n, den, lifts = self._relative_lifts
+        return LaurentPoly._of_lifts(val, n, den, [dict(g) for g in lifts])
 
     @cached_property
     def poincare(self) -> LaurentPoly:

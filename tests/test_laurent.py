@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -55,6 +56,27 @@ class TestRing:
     def test_scale_x(self):
         p = x ** 2 + x
         assert p.scale_x(zeta(4)) == LaurentPoly({2: -1, 1: zeta(4)})
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_scale_x_matches_the_term_by_term_product(self, seed, monkeypatch):
+        # at a root of unity s = E(d, k), s^e is read as the root
+        # E(d, k e mod d) with no power taken; the oracle is c * s^e per term
+        rng = random.Random(seed)
+        p = LaurentPoly({rng.randint(-7, 7): zeta(n, rng.randrange(n)) * rng.randint(-4, 4)
+                         + Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                         for n in rng.choices((1, 3, 4, 5, 8, 12), k=5)})
+        roots = [zeta(d, rng.randrange(d)) for d in (1, 2, 3, 4, 5, 6, 8, 12, 15, 24)]
+        roots += [-zeta(5, 2), 1 + zeta(3)]  # E(10, 9) and E(6, 5), not written as E(d, k)
+        others = [Cyclo.rational(Fraction(-3, 2)), 1 + zeta(4)]
+        want = {s: LaurentPoly([(e, c * s ** e) for e, c in p.coeffs]) for s in roots + others}
+        for s in others:
+            assert p.scale_x(s) == want[s]
+
+        def refuse(*a):
+            raise AssertionError("power taken at a root of unity")
+        monkeypatch.setattr(Cyclo, "__pow__", refuse)
+        for s in roots:
+            assert p.scale_x(s) == want[s], (seed, s)
 
     @given(rand_poly())
     @settings(max_examples=50, deadline=None)

@@ -237,12 +237,35 @@ class TestSylow:
     def test_non_dividing_subcoset_raises(self, g4, monkeypatch):
         # a sub-coset order that does not divide |G| is an error, as in the
         # long division: a relative Poincare polynomial 1 - x^5 makes the
-        # quotient x^5 - 1, which has four roots that G4's order lacks
-        fake = SimpleNamespace(relative_poincare=LaurentPoly({0: 1, 5: -1}))
+        # quotient x^5 - 1, which has four roots that G4's order lacks; the
+        # polynomial is given as the integer lifts sylow_congruence reads
+        fake = SimpleNamespace(_relative_lifts=(0, 1, 1, [{0: 1}, {}, {}, {}, {}, {0: -1}]))
         monkeypatch.setattr(orders, "sylow_subcoset", lambda G, phi: (1, fake))
         phi = k_cyclotomic_factors(1, g4.field)[0]
         with pytest.raises(ArithmeticError, match="non-exact"):
             orders.sylow_congruence(g4, phi)
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS + tuple(EXTRA_GROUPS))
+def test_order_quotient_matches_the_canonical_reversal(name):
+    # sylow_congruence packs q = rev(P_G / P_L) straight from the Molien
+    # sums' integer lifts; against the pack of the canonical reversal, the
+    # roots and every value test it runs agree, and so does lead(P_G / P_L)
+    G = extra_group(name) if name in EXTRA_GROUPS else build_group(name)
+    for phi, _ in all_sylow_congruences(G):
+        _, L = sylow_subcoset(G, phi)
+        q, lead = orders._order_quotient(L)
+        rel = L.relative_poincare
+        want = orders.reversal(rel).packed()
+        # interior lifts may be zero at zeta_N unreduced; the end ones are not
+        assert (q.exps[0], q.exps[-1], lead) == (0, want.exps[-1], rel.leading_coeff())
+        assert q.roots(G.order_roots) == want.roots(G.order_roots)
+        c = Cyclo.rational(L.relative_order)
+        units = (c, c / lead.conjugate() ** 2, Cyclo.rational(1), zeta(3))
+        for z in [(phi.root_order, k) for k in phi.root_exponents] + [(1, 0), (4, 1), (5, 2)]:
+            for shift in (G.n_hyp - L.n_hyp, G.n_ref - L.n_ref, 0):
+                for w in units:
+                    assert q.value_is(z, shift, w) == want.value_is(z, shift, w), (name, z)
 
 
 def _division_verdict(G, phi, variant):

@@ -11,6 +11,7 @@ from spets.laurent import LaurentPoly, k_cyclotomic_factors
 from spets.orders import all_sylow_congruences, order_poly
 from spets.reflection import Matrix, ReflectionCoset, SubCoset, build_group, sylow_subcoset
 from spets.tabledata import _levi
+from spets.uch import regular_eigenvalues
 
 from conftest import (EXTRA_GROUPS, ORACLE_GROUPS, _extra_gens, divides, eigenspace,
                       extra_group, row_reduce)
@@ -236,6 +237,14 @@ class TestEigenspaceCentralizer:
 TABLE_GROUPS = ("G4", "G(3,1,2)", "Z_6")
 
 
+def _builtin_gens(name):
+    """The generator matrices build_group takes for G4 and G(3,1,2)."""
+    z = zeta(3)
+    t = Matrix([[(1 - z ** 2) / 3, 1], [-2 * z / 3, (2 * z + 1) / 3]]) if name == "G4" else \
+        Matrix([[0, 1], [1, 0]])
+    return [Matrix([[z, 0], [0, 1]]), t]
+
+
 class TestTables:
     @pytest.mark.parametrize("name", TABLE_GROUPS)
     def test_mul_matches_matrix_products(self, name):
@@ -251,8 +260,25 @@ class TestTables:
         # the matrices; G6's generator entries lie at conductor 12
         G = extra_group(name)
         for i in range(G.order):
-            for gi, gen in enumerate(G._gen_matrices):
+            for gi, gen in enumerate(_extra_gens()[name][0]):
                 assert G.matrix(G._right[i][gi]) == G.matrix(i) @ gen, (name, i, gi)
+
+    @pytest.mark.parametrize("name", ["G4", "G(3,1,2)", "G(4,1,2)", "G6", "G8", "G25", "G26"])
+    def test_lifted_matrices_match_matrix_products(self, name):
+        # each element's matrix is kept as integer lifts at N, one orbit key
+        # per row, built along its word; read back over Cyclo here (not by
+        # G.matrix), it equals the Cyclo product of the matrix of the element
+        # it was found from and the generator it was found along
+        G = extra_group(name) if name in EXTRA_GROUPS else build_group(name)
+        gens = _extra_gens()[name][0] if name in EXTRA_GROUPS else _builtin_gens(name)
+        want = [Matrix.identity(G.rank)]
+        for p, gi in G._found:
+            want.append(want[p] @ gens[gi])
+        for i, m in enumerate(want):
+            lifted = Matrix([[Cyclo(G._N, dict(v), row[0]) for v in row[1:]]
+                             for row in G._lift(i)])
+            assert lifted == m, (name, i)
+            assert G._lift(i) is G._lift(i)
 
     @pytest.mark.parametrize("name", ["G6", "G26", "G29"])
     def test_orbit_walk_builds_no_cyclo(self, name, monkeypatch):
@@ -507,9 +533,11 @@ class TestHyperplaneOracle:
 
     def test_form_vanishes_exactly_on_the_hyperplane(self, scan_group):
         # alpha_h is zero on the fixed space of every reflection on H_h and
-        # not on that reflection's root, a nonzero column of r - 1
+        # not on that reflection's root, a nonzero column of r - 1; each
+        # form is kept as lifts at N and read back as Cyclo here
         G, one = scan_group, Cyclo.rational(1)
-        forms = G._hyperplane_forms
+        forms = {h: [Cyclo(G._N, dict(v), key[0]) for v in key[1:]]
+                 for h, key in G._hyperplane_forms.items()}
         assert list(forms) == sorted(set(G._hyperplanes.values()))
         for r, h in G._hyperplanes.items():
             form, m = forms[h], G.matrix(r)
@@ -608,6 +636,24 @@ class TestParabolicSubgroup:
                 assert gens == tuple(r for r in G.reflections if r in set(want))
                 assert G.parabolic(w, lam) is G.parabolic(w, lam)
         assert len(G._parabolics) <= sum(len(set(c.eigenvalues)) for c in G.classes)
+
+    @pytest.mark.parametrize("name", ["G4", "G(3,1,2)"])
+    def test_groups_tasks_multiply_no_cyclo_matrix(self, monkeypatch, name):
+        # the group layer reads element matrices, the product of the w - lam
+        # and the Molien sums of the Sylow congruences on integer lifts: a
+        # build, its classes, every Sylow congruence and the regular
+        # eigenvalues run with no Matrix product or application, and with no
+        # canonical relative Poincare polynomial
+        def refuse(*a):
+            raise AssertionError("called on the group layer's path")
+        monkeypatch.setattr(Matrix, "__matmul__", refuse)
+        monkeypatch.setattr(Matrix, "apply", refuse)
+        monkeypatch.setattr(SubCoset, "relative_poincare", property(refuse))
+        G = build_group(name)
+        G.classes, G.degrees
+        assert all(ok for _, ok in all_sylow_congruences(G))
+        assert regular_eigenvalues(G)
+        assert not G._matrices
 
     @pytest.mark.parametrize("name", ["G4", "G(3,1,2)"])
     def test_applies_no_matrix_and_takes_no_inverse(self, monkeypatch, name):

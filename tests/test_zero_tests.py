@@ -27,7 +27,7 @@ import spets
 from spets.cyclotomic import (Cyclo, CycloSum, _is_zero_lift, _is_zero_packed, _pack,
                               _slot_bits, _to_basis, _zero_test_norms, cyclotomic_int_coeffs,
                               zeta)
-from spets.laurent import LaurentPoly, PackedLift
+from spets.laurent import LaurentPoly
 
 from conftest import divmod_poly
 
@@ -286,7 +286,7 @@ def test_value_is_matches_evaluate(p, root, shift, w, hit):
     value = z ** shift * p.evaluate(z)
     if hit:
         w = value
-    assert PackedLift(p).value_is(root, shift, w) == (value == w)
+    assert p.packed().value_is(root, shift, w) == (value == w)
 
 
 def test_to_basis_serves_only_the_canonical_form():
