@@ -256,6 +256,17 @@ def _is_zero_lift(n: int, coeffs: dict[int, int]) -> bool:
     return not _to_basis(n, folded)
 
 
+def _convolve(n: int, pairs: Iterable, out: dict[int, int] | None = None) -> dict[int, int]:
+    """out + sum(a * b) in Z[z]/(z^n - 1) over pairs (a dict, b's (exponent, numerator) pairs)."""
+    out = {} if out is None else out
+    for a, b in pairs:
+        for i, x in a.items():
+            for j, y in b:
+                k = (i + j) % n
+                out[k] = out.get(k, 0) + x * y
+    return out
+
+
 _NONZERO_BYTE = re.compile(rb"[^\x00]")
 
 

@@ -411,21 +411,24 @@ def schur_quotients(spec: SpetsialAlgebraSpec | CyclicHeckeParams, p: LaurentPol
     element is built, and the exponents must be integral.
 
     With u_j/u_k = E(T, t_j - t_k) x^K, K = k_j - k_k (``spec.angles()``),
-    the factor 1 - u_j/u_k of S_j is a binomial for K != 0, peeled off p
-    (:meth:`LaurentPoly.peel`), and a nonzero constant for K = 0, divided out."""
+    the factor 1 - u_j/u_k of S_j is a binomial for K != 0, peeled off a
+    copy of p's one lift (``LaurentPoly._peel``), and a nonzero constant for
+    K = 0, whose inverse is multiplied into the quotient's lifts."""
     h, T, angles = spec.angles()
     if h != 1:
         raise ArithmeticError("Schur element has fractional x-exponents")
+    val, n, den, lifts = p._lifts(T)
     out = []
     for kj, tj in angles:
-        q = p.peel([(T, tj - tk, kj - kk) for kk, tk in angles if kk != kj])
+        q = LaurentPoly._peel((val, n, den, [dict(g) for g in lifts]),
+                              [(T, tj - tk, kj - kk) for kk, tk in angles if kk != kj])
         if q is None:
             return None
         const = Cyclo.rational(1)
         for kk, tk in angles:
             if kk == kj and tk != tj:
                 const = const * (1 - zeta_root(T, tj - tk))
-        out.append(q * const.inverse())
+        out.append(LaurentPoly._of_lifts(*q, const.inverse()))
     return out
 
 

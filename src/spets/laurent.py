@@ -22,9 +22,9 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Union
 
-from .cyclotomic import (_PACK_PHI, Cyclo, CycloField, CycloSum, _is_zero_lift,
-                         _is_zero_packed, _pack, _slot_bits, cyclotomic_int_coeffs, totient,
-                         zeta)
+from .cyclotomic import (_ONE, _PACK_PHI, Cyclo, CycloField, CycloSum, _convolve,
+                         _is_zero_lift, _is_zero_packed, _pack, _slot_bits,
+                         cyclotomic_int_coeffs, totient, zeta)
 
 __all__ = [
     "LaurentPoly",
@@ -182,29 +182,41 @@ class LaurentPoly:
         return None if q is None else LaurentPoly._of_lifts(*q)
 
     @staticmethod
-    def _of_lifts(val: int, n: int, den: int, lifts: list[dict[int, int]]) -> "LaurentPoly":
-        """sum(lifts[i](zeta_n) x^(val + i)) / den, one Cyclo per coefficient; consumes lifts."""
-        return LaurentPoly({val + i: Cyclo(n, c, den) for i, c in enumerate(lifts)})
+    def _of_lifts(val: int, n: int, den: int, lifts: list[dict[int, int]],
+                  c: Cyclo = _ONE) -> "LaurentPoly":
+        """c * sum(lifts[i](zeta_n) x^(val + i)) / den, c.n dividing n, one Cyclo
+        per coefficient: c is multiplied into the lifts; consumes lifts."""
+        if c != 1:
+            w = c._lift(n, 1).items()
+            lifts, den = [_convolve(n, [(g, w)]) for g in lifts], den * c.den
+        return LaurentPoly({val + i: Cyclo(n, g, den) for i, g in enumerate(lifts)})
+
+    def _lifts(self, n: int) -> tuple[int, int, int, list[dict[int, int]]]:
+        """(val, m, den, lifts), the x^(val + i) coefficient lifts[i](zeta_m) /
+        den: lifted once at m, the lcm of n and the conductors, over one den."""
+        if not self.coeffs:
+            return 0, n, 1, []
+        val, cs = self.coeffs[0][0], dict(self.coeffs)
+        n, den = lcm(n, *[c.n for c in cs.values()]), lcm(*[c.den for c in cs.values()])
+        return val, n, den, [cs[e]._lift(n, den // cs[e].den) if e in cs else {}
+                             for e in range(val, self.degree() + 1)]
 
     def _peel_lifts(self, factors: Iterable[tuple[int, int, int]]) -> tuple | None:
-        """The quotient of :meth:`peel` as (val, n, den, lifts), its x^(val +
-        i) coefficient lifts[i](zeta_n) / den; or None.
+        """The quotient of :meth:`peel` as lifts: ``_lifts`` at the orders d, then ``_peel``."""
+        factors = list(factors)
+        return LaurentPoly._peel(self._lifts(lcm(*[d for d, _, _ in factors])), factors)
 
-        The coefficients of self / x^val are lifted once onto Z[z]/(z^n - 1),
-        n the lcm of their conductors and the orders d, over one denominator.
+    @staticmethod
+    def _peel(lifted: tuple, factors: list[tuple[int, int, int]]) -> tuple | None:
+        """The lifts (val, n, den, lifts) of p, each d dividing n, over
+        prod(1 - E(d, k) * x^K), as lifts; or None.  Consumes the lifts.
+
         A binomial with K > 0 is peeled off from the low end, q_i = p_i +
         z^s q_(i-K) with s = k*n/d, an index shift of the lift, and one with
         K < 0 likewise from the high end; the last |K| of these make the
         remainder, each zero-tested by one packed remainder
         (``cyclotomic._is_zero_lift``)."""
-        if not self.coeffs:
-            return 0, 1, 1, []
-        factors = list(factors)
-        val, cs = self.coeffs[0][0], dict(self.coeffs)
-        n = lcm(*[c.n for c in cs.values()], *[d for d, _, _ in factors])
-        den = lcm(*[c.den for c in cs.values()])
-        p = [cs[e]._lift(n, den // cs[e].den) if e in cs else {}
-             for e in range(val, self.degree() + 1)]
+        val, n, den, p = lifted
         for d, k, K in factors:  # in place: each lift is read once, then replaced
             s, m = k * (n // d) % n, abs(K)
             if K < 0:
@@ -235,10 +247,11 @@ class LaurentPoly:
                      ) -> "LaurentPoly | None":
         """self / (c * x^v * prod(1 - x / rho)), a split divisor with lowest
         term c x^v and roots rho = E(d, k) with the multiplicities ``roots``,
-        or None when it does not divide: the binomials are peeled, then c x^v
-        divided out."""
-        q = self.peel([(d, -k, 1) for (d, k), m in roots.items() for _ in range(m)])
-        return None if q is None else q.shift(-v) * c.inverse()
+        or None when it does not divide: the binomials are peeled off self's
+        lift, and x^(-v) c^(-1) is multiplied into the quotient's lifts."""
+        factors = [(d, -k, 1) for (d, k), m in roots.items() for _ in range(m)]
+        q = LaurentPoly._peel(self._lifts(lcm(c.n, *[d for d, _, _ in factors])), factors)
+        return None if q is None else LaurentPoly._of_lifts(q[0] - v, *q[1:], c.inverse())
 
     # -- transforms ---------------------------------------------------------
     def evaluate(self, v: Scalar) -> Cyclo:

@@ -22,10 +22,10 @@ No order polynomial is built or divided on this path.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
-from .cyclotomic import Cyclo, CycloSum, _is_zero_lift, divisors, zeta
+from .cyclotomic import Cyclo, _convolve, _is_zero_lift, divisors, zeta
 from .laurent import KCycloPoly, LaurentPoly, PackedLift, k_cyclotomic_factors
 from .reflection import ReflectionCoset, SubCoset, sylow_subcoset
 
@@ -33,7 +33,6 @@ __all__ = [
     "order_poly",
     "reversal",
     "fake_degree_torus",
-    "fake_degree_char",
     "CharTable",
     "cyclic_char_table",
     "sylow_congruence",
@@ -85,22 +84,51 @@ class CharTable:
     def value(self, name: str, g: int) -> Cyclo:
         return self.values[name][self.group.class_of(g)]
 
+    def _lifted(self, n: int = 1) -> tuple[int, int, dict[str, list[dict[int, int]]]]:
+        """(N, den, lifts), N the lcm of n and the table's conductors: row a's
+        value at class ci is lifts[a][ci](zeta_N) / den, each lifted once."""
+        vs = [v for row in self.values.values() for v in row]
+        N, den = lcm(n, *[v.n for v in vs]), lcm(*[v.den for v in vs])
+        return N, den, {a: [v._lift(N, den // v.den) for v in self.values[a]] for a in self.names}
+
     @cached_property
     def fake_degrees(self) -> dict[str, LaurentPoly]:
-        """Feg(theta) for every row, computed once per table."""
-        return {name: fake_degree_char(self, name) for name in self.names}
+        """Feg(theta) = (1/|W|) sum_c |c| conj(theta(c)) P / det(1 - x c) for
+        every row, in one pass over the class fake degrees' lifts
+        (``ReflectionCoset._class_lifts``), each rescaled once to N, the lcm
+        of their conductors and the table's.  conj(theta(c)) is the lift of
+        theta(c) at N with its exponents negated, times the integer |c|; |W|
+        goes into the denominator, and one Cyclo is built per coefficient."""
+        G = self.group
+        fegs = [G._class_lifts(ci) for ci in range(len(G.classes))]
+        N, dv, lifts = self._lifted(lcm(*[n for _, n, _, _ in fegs]))
+        dc = lcm(*[d for _, _, d, _ in fegs])
+        classes = [(val, [{t * (N // n): a for t, a in g.items()} for g in fl], c.size * (dc // d))
+                   for (val, n, d, fl), c in zip(fegs, G.classes)]
+        out = {}
+        for name in self.names:
+            sums: dict[int, dict[int, int]] = {}
+            for (val, fl, k), v in zip(classes, lifts[name]):
+                w = [(-t % N, a * k) for t, a in v.items()]
+                for i, g in enumerate(fl):
+                    _convolve(N, [(g, w)], sums.setdefault(val + i, {}))
+            out[name] = LaurentPoly({e: Cyclo(N, g, G.order * dc * dv) for e, g in sums.items()})
+        return out
 
     def verify_orthogonality(self) -> None:
-        """sum_g a(g) conj(b(g)) = |W| delta_ab for all rows a, b, each row conjugated
-        and weighted by the class sizes once, each pair a ``CycloSum.is_zero`` test."""
+        """sum_c |c| a(c) conj(b(c)) = |W| delta_ab for all rows a, b, with
+        each value lifted once (``_lifted``) and conj(b(c)) its lift with the
+        exponents negated: each pair is one integer lift, zero-tested once."""
         W = self.group
-        conj = {b: [v.conjugate() * cls.size for v, cls in zip(self.values[b], W.classes)]
-                for b in self.names}
+        N, den, lifts = self._lifted()
+        conj = {b: [[(-t % N, a * c.size) for t, a in g.items()]
+                    for g, c in zip(lifts[b], W.classes)] for b in self.names}
         for i, a in enumerate(self.names):
             for b in self.names[i:]:
-                acc = CycloSum(zip(self.values[a], conj[b]))
-                acc.add(Cyclo.rational(-W.order if a == b else 0))
-                if not acc.is_zero():
+                acc = _convolve(N, zip(lifts[a], conj[b]))
+                if a == b:
+                    acc[0] = acc.get(0, 0) - W.order * den * den
+                if not _is_zero_lift(N, acc):
                     raise ArithmeticError(
                         f"character table fails orthogonality at ({a}, {b})")
 
@@ -119,14 +147,6 @@ def cyclic_char_table(G: ReflectionCoset) -> CharTable:
         values[name] = tuple(zeta(e, (j * powers[c.rep_index]) % e)
                              for c in G.classes)
     return CharTable(G, tuple(names), values)
-
-
-def fake_degree_char(table: CharTable, name: str) -> LaurentPoly:
-    """Feg(theta) for an irreducible character given by its table row: one
-    ``ReflectionCoset.class_sum`` over the class fake degrees."""
-    G, row = table.group, table.values[name]
-    return LaurentPoly._of_lifts(*G.class_sum((ci, t.conjugate() * Fraction(c.size, G.order))
-                                              for ci, (t, c) in enumerate(zip(row, G.classes))))
 
 
 # -- Sylow congruences -------------------------------------------------------

@@ -24,10 +24,12 @@ and their conductors; each containment is one packed zero test, and
 The degrees are read off the fixed-space dimensions by Shephard-Todd, and
 P_G = prod(1 - x^{d_i}); its roots are ``order_roots``.  A class's fake
 degree P_G / det(1 - x w) is its eigenvalues peeled off P_G, kept as integer
-lifts; ``class_sum`` adds weighted fake degrees on those lifts, unreduced,
-for the Molien sums (Broue-Malle-Michel, Towards spetses I, 1999): P_G / P
-for a sub-coset (V, W_L * w), the mean over its elements, and Feg(theta).
-P is P_G with that mean's roots peeled off; each division is a ``peel``.
+lifts (``_class_lifts``).  ``class_sum`` adds weighted fake degrees on those
+lifts, unreduced, for one class's fake degree and for the Molien sum
+(Broue-Malle-Michel, Towards spetses I, 1999) P_G / P of a sub-coset (V,
+W_L * w), the mean over its elements; P is P_G with that mean's roots
+peeled off, each division a ``peel``.  ``orders.CharTable.fake_degrees``
+reads the same lifts for the Molien sums Feg(theta) of a whole table.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from itertools import accumulate, combinations, permutations
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .cyclotomic import (Cyclo, CycloField, CycloSum, _is_zero_lift, _to_basis, sum_of_products,
-                         zeta)
+from .cyclotomic import (Cyclo, CycloField, CycloSum, _convolve, _is_zero_lift, _to_basis,
+                         sum_of_products, zeta)
 from .laurent import KCycloPoly, LaurentPoly, PackedLift
 
 __all__ = [
@@ -128,17 +130,6 @@ def _lift_rows(rows: Sequence[Sequence[Cyclo]], N: int) -> tuple[int, list[list[
     """(den, lifts): entry (i, j) is lifts[i][j](zeta_N) / den, a dict {exponent: numerator}."""
     den = lcm(*[c.den for row in rows for c in row])
     return den, [[c._lift(N, den // c.den) for c in row] for row in rows]
-
-
-def _convolve(n: int, pairs: Iterable, out: dict[int, int] | None = None) -> dict[int, int]:
-    """out + sum(a * b) in Z[z]/(z^n - 1) over pairs (a dict, b's (exponent, numerator) pairs)."""
-    out = {} if out is None else out
-    for a, b in pairs:
-        for i, x in a.items():
-            for j, y in b:
-                k = (i + j) % n
-                out[k] = out.get(k, 0) + x * y
-    return out
 
 
 def _orbit_key(n: int, den: int, coords: list[dict[int, int]]) -> tuple:
@@ -465,17 +456,19 @@ class ReflectionCoset:
                 *self.class_sum([(ci, Cyclo.rational(1))]))
         return q
 
+    def _class_lifts(self, ci: int) -> tuple:
+        """P / det(1 - x w), w in class ci, as ``_peel_lifts``' lifts, kept."""
+        q = self._class_fake_lifts.get(ci)
+        if q is None:
+            q = self._class_fake_lifts[ci] = self.poincare._peel_lifts(
+                [(*lam.root_of_unity_order(), 1) for lam in self.classes[ci].eigenvalues])
+        return q
+
     def class_sum(self, weights: Iterable[tuple[int, Cyclo]]) -> tuple:
         """sum(w * P / det(1 - x c)) over the pairs (class index c, weight w)
-        as lifts (val, N, den, lifts), x^(val + i) having lifts[i](zeta_N) / den:
-        each class's quotient is peeled once and kept as lifts (``_peel_lifts``),
-        and the weighted ones are added unreduced, so an end lift may be zero."""
-        terms = []
-        for ci, w in weights:
-            if ci not in self._class_fake_lifts:
-                self._class_fake_lifts[ci] = self.poincare._peel_lifts(
-                    [(*lam.root_of_unity_order(), 1) for lam in self.classes[ci].eigenvalues])
-            terms.append((self._class_fake_lifts[ci], w))
+        as lifts (val, N, den, lifts), x^(val + i) having lifts[i](zeta_N) / den,
+        from ``_class_lifts``, added unreduced, so an end lift may be zero."""
+        terms = [(self._class_lifts(ci), w) for ci, w in weights]
         N = lcm(*[lcm(n, w.n) for (_, n, _, _), w in terms])
         den = lcm(*[d * w.den for (_, _, d, _), w in terms])
         sums: dict[int, dict[int, int]] = {}

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -139,6 +140,16 @@ def divides(a, b):
         return b.is_zero()
     return b.is_zero() or divmod_poly(b.shift(-b.valuation()),
                                       a.shift(-a.valuation()))[1].is_zero()
+
+
+def fake_degree_char(table, name):
+    """Feg(theta) for one row of a character table, by its own Molien sum:
+    (1/|W|) sum_c |c| conj(theta(c)) P / det(1 - x c), one canonical weight
+    per class, added by ``ReflectionCoset.class_sum``.  The reference for the
+    table-wide pass ``CharTable.fake_degrees``."""
+    G, row = table.group, table.values[name]
+    return LaurentPoly._of_lifts(*G.class_sum((ci, t.conjugate() * Fraction(c.size, G.order))
+                                              for ci, (t, c) in enumerate(zip(row, G.classes))))
 
 
 @pytest.fixture(scope="session")

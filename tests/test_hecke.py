@@ -277,6 +277,40 @@ class TestSchurQuotients:
                 break
         assert schur_quotients(spec, p) == want
 
+    @given(st.integers(2, 4).flatmap(lambda e: st.tuples(
+        st.lists(st.integers(-2, 2), min_size=e, max_size=e).filter(
+            lambda m: len(set(m)) < len(m)),
+        st.sampled_from([(1, 0), (2, 1), (3, 1), (4, 3), (6, 5)]),
+        st.dictionaries(st.integers(-3, 3), _COEFFS.filter(bool), max_size=3),
+        st.lists(st.booleans(), min_size=e, max_size=e))))
+    @settings(max_examples=60, deadline=None)
+    def test_folded_constants_match_peel_then_multiply(self, case):
+        # slots with equal exponents make K = 0 pairs, whose constants,
+        # folded into the peeled lifts, give what peeling and then
+        # multiplying by the constant's inverse gives; r may be zero
+        m, (d, a), r, take = case
+        spec = SpetsialAlgebraSpec(e=len(m), d=d, a=a, m=m)
+        p = LaurentPoly(r)
+        for s, t in zip(spec.schur(), take):
+            p = p * s.as_x() if t else p
+        _, T, angles = spec.angles()
+        want = []
+        for kj, tj in angles:
+            q = p.peel([(T, tj - tk, kj - kk) for kk, tk in angles if kk != kj])
+            if q is None:
+                want = None
+                break
+            const = Cyclo.rational(1)
+            for kk, tk in angles:
+                if kk == kj and tk != tj:
+                    const = const * (1 - zeta(T, tj - tk))
+            want.append(q * const.inverse())
+        got = schur_quotients(spec, p)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got == want and [hash(q) for q in got] == [hash(q) for q in want]
+            assert [q.serialize() for q in got] == [q.serialize() for q in want]
+
     def test_refuses_fractional_exponents(self):
         spec = SpetsialAlgebraSpec(e=2, d=1, a=0, m=(Fraction(1, 2), Fraction(0)))
         with pytest.raises(ArithmeticError, match="fractional"):

@@ -205,6 +205,29 @@ class TestPeel:
         except ArithmeticError:
             assert got is None
 
+    @given(mixed_poly(-3, 4), mixed_cyclo().filter(lambda c: c.n > 1),
+           st.integers(-3, 3).filter(bool),
+           st.dictionaries(st.integers(1, 12).flatmap(
+               lambda d: st.tuples(st.just(d), st.integers(0, d - 1))), st.integers(1, 2),
+               max_size=3), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_divide_split_folds_the_constant(self, r, c, v, roots, exact):
+        # x^-v c^-1 folded into the peeled lifts gives what peeling, then
+        # shifting, then multiplying by c^-1 gives, on a multiple of the
+        # divisor, on r itself (which it may not divide) and on zero
+        divisor = LaurentPoly.monomial(c, v)
+        for (d, k), m in roots.items():
+            for _ in range(m):
+                divisor = ref_mul(divisor, binomial(d, -k, 1))
+        for p in (ref_mul(r, divisor) if exact else r, LaurentPoly.zero()):
+            q = p.peel([(d, -k, 1) for (d, k), m in roots.items() for _ in range(m)])
+            want = None if q is None else q.shift(-v) * c.inverse()
+            got = p.divide_split(c, v, roots)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert_same(got, want)
+                assert got.serialize() == want.serialize()
+
 
 class TestSumsOfProducts:
     @given(mixed_poly(-2, 4), mixed_poly(-2, 4))

@@ -12,10 +12,11 @@ from spets.chartables import char_table, feg_map
 from spets.cyclotomic import Cyclo, divisors, zeta
 from spets.laurent import LaurentPoly, k_cyclotomic_factors
 from spets.orders import (CharTable, all_sylow_congruences, cyclic_char_table,
-                          fake_degree_char, fake_degree_torus, order_poly)
+                          fake_degree_torus, order_poly)
 from spets.reflection import SubCoset, build_group, sylow_subcoset
 
-from conftest import EXTRA_GROUPS, ORACLE_GROUPS, divides, exact_div, extra_group
+from conftest import (EXTRA_GROUPS, ORACLE_GROUPS, divides, exact_div, extra_group,
+                      fake_degree_char)
 
 
 class TestPoincare:
@@ -116,15 +117,20 @@ class TestCharTables:
 
     @pytest.mark.parametrize("name", ["G4", "G(3,1,2)"])
     def test_corrupted_entry_fails_orthogonality(self, name):
-        # the trivial row pairs with a corrupted last row first
+        # the trivial row pairs with a corrupted last row first; times E(3)
+        # at a non-identity class, the row keeps its norm, so only an
+        # off-diagonal pair can fail
         table = char_table(build_group(name))
         first, last = table.names[0], table.names[-1]
-        row = list(table.values[last])
-        row[-1] = row[-1] + zeta(3)
-        bad = CharTable(table.group, table.names, {**table.values, last: tuple(row)})
-        with pytest.raises(ArithmeticError, match=re.escape(
-                f"character table fails orthogonality at ({first}, {last})")):
-            bad.verify_orthogonality()
+        good = table.values[last]
+        ci = max(i for i, v in enumerate(good) if i and v)
+        for i, value in ((len(good) - 1, good[-1] + zeta(3)), (ci, good[ci] * zeta(3))):
+            row = list(good)
+            row[i] = value
+            bad = CharTable(table.group, table.names, {**table.values, last: tuple(row)})
+            with pytest.raises(ArithmeticError, match=re.escape(
+                    f"character table fails orthogonality at ({first}, {last})")):
+                bad.verify_orthogonality()
 
     def test_g4_fake_degrees(self, g4, g4_fegs):
         want = {
@@ -138,12 +144,28 @@ class TestCharTables:
         }
         assert {n: f.serialize() for n, f in g4_fegs.items()} == want
 
-    @pytest.mark.parametrize("name", ["G4", "G(3,1,2)", "Z_4"])
+    @pytest.mark.parametrize("name", ORACLE_GROUPS)
     def test_table_fake_degrees_match_each_row(self, name):
-        # G4's rows are named by their fake degrees, which the named table keeps
+        # G4's rows are named by their fake degrees, which the named table keeps;
+        # the table-wide pass against each row's own Molien sum
         table = char_table(build_group(name))
         assert list(table.fake_degrees) == list(table.names)
         assert table.fake_degrees == {n: fake_degree_char(table, n) for n in table.names}
+
+    @pytest.mark.parametrize("name", ORACLE_GROUPS)
+    def test_table_fake_degree_identities(self, name):
+        # Feg(theta)(1) = theta(1), and the coinvariant algebra carries the
+        # graded regular representation: sum theta(1) Feg(theta) is its
+        # Hilbert series prod (1 + x + ... + x^(d_i - 1))
+        G = build_group(name)
+        table = char_table(G)
+        hilbert = LaurentPoly.one()
+        for d, _ in G.degrees:
+            hilbert = hilbert * LaurentPoly({e: 1 for e in range(d)})
+        for n, f in table.fake_degrees.items():
+            assert f.evaluate(1) == table.degree(n), n
+        assert LaurentPoly.combination(
+            (f, table.degree(n)) for n, f in table.fake_degrees.items()) == hilbert
 
     def test_fake_degree_sum(self, g4, g312, g4_fegs, g312_fegs):
         # sum theta(1) * Feg(theta) = Poincare polynomial

@@ -2,6 +2,7 @@
 
 import re
 import shutil
+from functools import cached_property
 from math import gcd, lcm
 
 import pytest
@@ -276,19 +277,23 @@ class TestPipelineResult:
         assert res.table.group == res.group.name
 
     def test_pipeline_computes_each_character_fake_degree_once(self, monkeypatch):
-        # G4 has 7 characters and G(3,1,2) has 9; naming the rows of G4
-        # shares its fake degrees with feg_map
+        # each table's fake degrees come from one table-wide pass: G4 has 7
+        # characters and G(3,1,2) has 9; naming the rows of G4 shares its
+        # fake degrees with feg_map
         calls = []
+        table_wide = orders.CharTable.fake_degrees.func
 
-        def record(table, name):
-            calls.append((table.group.name, name))
-            return fake_degree_char(table, name)
+        def record(table):
+            calls.append((table.group.name, table.names))
+            return table_wide(table)
 
-        fake_degree_char = orders.fake_degree_char
-        monkeypatch.setattr(orders, "fake_degree_char", record)
+        recorded = cached_property(record)
+        recorded.__set_name__(orders.CharTable, "fake_degrees")
+        monkeypatch.setattr(orders.CharTable, "fake_degrees", recorded)
         construct_uch("G4")
         construct_uch("G(3,1,2)")
-        assert len(calls) == len(set(calls)) == 16
+        assert [g for g, _ in calls] == ["G4", "G(3,1,2)"]
+        assert sum(len(names) for _, names in calls) == 16
 
     def test_over_bound_group_fails_before_table_work(self, monkeypatch):
         def never(e):
