@@ -305,7 +305,19 @@ class ReflectionCoset:
         return self._class_index[i]
 
     def centralizer(self, i: int) -> list[int]:
-        return [j for j in range(self.order) if self._mul(j, i) == self._mul(i, j)]
+        """The g with g w = w g, w = element i, from two passes over the table:
+        w g for every g along ``_found``, w (p t) = (w p) t, and g w for every
+        g at once, w's word applied letter by letter to the list of all g."""
+        left, steps = [i], []
+        for p, t in self._found:
+            left.append(self._right[left[p]][t])
+        while i:
+            i, gi = self._found[i - 1]
+            steps.append(gi)
+        right = range(self.order)
+        for gi in reversed(steps):
+            right = [self._right[g][gi] for g in right]
+        return [g for g, (a, b) in enumerate(zip(left, right)) if a == b]
 
     def powers(self, i: int) -> list[int]:
         """g^0, g^1, ..., g^(k-1) for g = element i of order k."""

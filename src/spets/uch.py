@@ -2,8 +2,8 @@
 
 Provides the cyclic-group tables, principal series built from Schur elements,
 the Ennola closure, the parameter-determination search for cyclic series,
-family partitioning and the axiom verification suite, which reads whether
-a degree divides the split order off its root multiplicities.
+family partitioning and the axiom verification suite, which decides every
+identity but Galois closure on integers (see ``verify_axioms``).
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, gcd, lcm
 
-from .cyclotomic import (Cyclo, CycloField, _is_zero_packed, _signed_digits, _slot_bits,
-                         divisors, zeta as zeta_root)
-from .laurent import FracExpMonomial, LaurentPoly
+from .cyclotomic import (Cyclo, CycloField, _is_zero_lift, _is_zero_packed, _signed_digits,
+                         _slot_bits, divisors, zeta as zeta_root)
+from .laurent import FracExpMonomial, LaurentPoly, _lmake
 from .hecke import (SpetsialAlgebraSpec, check_spetsial, frobenius_model,
                     schur_quotients, CyclicHeckeParams)
 from .orders import fake_degree_torus, reversal
@@ -136,15 +136,15 @@ def cyclic_uch(e: int) -> UchTable:
     one = FracExpMonomial.of(1)
     rows = [UnipotentCharacter("1", LaurentPoly.one(), one, series=("1", "chi_0"))]
     # 1/(x-a) - 1/(x-b) = (a-b)/((x-a)(x-b)) and (x^e-1)/(x-a) = sum_j a^(-1-j) x^j
-    # for a^e = 1, so the coefficient of x^m is (z^(-km) - z^(-im))/e, 0 < m < e,
-    # which is zero when the two roots agree, (i - k) m = 0 mod e
-    diff = {(a, b): Cyclo(e, {a: 1, b: -1}, e)  # (z^a - z^b)/e
-            for a in range(e) for b in range(e) if a != b}
+    # for a^e = 1, so the coefficient of x^m is diff[-km, -im] = (z^(-km) - z^(-im))/e,
+    # 0 < m < e, zero when the roots agree, (i - k) m = 0 mod e; built for a < b
+    diff = {(a, b): Cyclo(e, {a: 1, b: -1}, e) for a in range(e) for b in range(a + 1, e)}
+    diff.update({(b, a): -c for (a, b), c in list(diff.items())})  # -c is canonical
     for i in range(1, e):
         for k in range(i):
-            deg = LaurentPoly({m: diff[-k * m % e, -i * m % e]
-                               for m in range(1, e) if (i - k) * m % e})
-            fr = FracExpMonomial(zeta_root(e, i * k), Fraction(0))
+            deg = _lmake(tuple([(m, diff[-k * m % e, -i * m % e])
+                                for m in range(1, e) if (i - k) * m % e]))
+            fr = FracExpMonomial(zeta_root(e, i * k))
             name = f"rho_{{{i},{k}}}"
             series = ("1", f"chi_{i}") if k == 0 else (name, "Id")
             rows.append(UnipotentCharacter(name, deg, fr, series=series,
@@ -535,45 +535,40 @@ def verify_axioms(table: UchTable, G: ReflectionCoset,
                   feg_map: dict[str, LaurentPoly]) -> AxiomReport:
     """Check the table against the degree, family, series and Galois axioms.
 
-    Every identity but the principal-series sum and Galois closure is a zero
-    test on integer lifts (``LaurentPoly.multiplicities``, ``is_zero``): each
-    degree's root multiplicities at the regular eigenvalues and the order's
-    roots (one call per row), whether a family sum differs from its
-    fake-degree sum at x^i y^j, and whether sum |Feg(zeta)|^2 differs from
-    the zeta-series count.  Each lift is packed as one integer g(2^b) and is
-    zero at zeta_N exactly when Phi_N(2^b) divides it
-    (``cyclotomic._is_zero_packed``); the family sums take one big-integer
-    product per term and X-exponent.  No canonical form is built for a
-    value that is only tested.
+    All but Galois closure run on integers.  Zero tests of integer lifts
+    (``cyclotomic._is_zero_packed``, ``_is_zero_lift``) give each degree's
+    root multiplicities at the regular zeta and the order's roots (one
+    ``LaurentPoly.multiplicities`` call per row) and test the family sums at
+    x^i y^j (one big-integer product per term and X-exponent), the
+    principal-series sum at x^i and sum |Feg(zeta)|^2 against the zeta-series
+    count; zeta^delta is a residue mod the lcm of the regular orders, and the
+    centralizers are read off the multiplication table.  Galois closure
+    compares canonical rows, only when some sigma_k other than 1 fixes the
+    field.  No canonical form is built for a value that is only tested.
     """
     fails: dict[str, list[str]] = {k: [] for k in (
         "degree-divides-order", "family-sum", "principal-series-sum",
         "series-compatibility", "series-counting", "family-bounds",
         "galois-closure")}
+    rows = {r.name: r for r in reversed(table.rows)}  # the first row of a name, as table.row
 
-    _check_family_sums(table, feg_map, fails["family-sum"])
-
-    # principal 1-series: Feg(R_1) = sum theta(1) Deg(rho_theta)
-    feg1 = fake_degree_torus(G, 0)
-    total = LaurentPoly.combination((table.row(name).degree, fg.evaluate(1))
-                                    for name, fg in feg_map.items())
-    if total != feg1:
-        fails["principal-series-sum"].append("sum over the principal series")
+    _check_family_sums(table, rows, feg_map, fails["family-sum"])
+    _check_principal_series(rows, G, feg_map, fails["principal-series-sum"])
 
     regulars = regular_eigenvalues(G)
     orders = [z.root_of_unity_order() for z in regulars]
     roots = G.order_roots
     # cap 1 at a regular eigenvalue, the order's multiplicity at its roots
     caps = {**dict.fromkeys(orders, 1), **roots}
-    # vanishes[name, z]: whether the row's degree is zero at z
-    vanishes: dict[tuple[str, Cyclo], bool] = {}
+    # vanishes[name][t]: whether the row's degree is zero at regulars[t]
+    vanishes: dict[str, list[bool]] = {}
     for row in table.rows:
         mults = row.degree.multiplicities(caps)
-        vanishes.update(((row.name, z), mults[o] > 0) for z, o in zip(regulars, orders))
+        vanishes[row.name] = [mults[o] > 0 for o in orders]
         if not _divides_order(row.degree, mults, roots):
             fails["degree-divides-order"].append(row.name)
 
-    _check_series_compat(table, regulars, vanishes, fails["series-compatibility"])
+    _check_series_compat(table, orders, vanishes, fails["series-compatibility"])
     _check_series_counting(table, G, feg_map, regulars, vanishes,
                            fails["series-counting"])
 
@@ -600,7 +595,7 @@ def _divides_order(p: LaurentPoly, mults: dict[tuple[int, int], int],
     return sum(min(mults[z], m) for z, m in roots.items()) == p.degree() - p.valuation()
 
 
-def _check_family_sums(table, feg_map, failures):
+def _check_family_sums(table, rows, feg_map, failures):
     """Sum Deg_x(X) conj(Deg_x)(Y) = Sum Feg_chi(X) Feg_chi(Y) over each
     family, coefficient by coefficient in X and Y.  The coefficients are
     lifted onto Z[z] (exponents below N, the lcm of their conductors) over
@@ -618,7 +613,7 @@ def _check_family_sums(table, feg_map, failures):
     bits are read off as signed digits (``cyclotomic._signed_digits``), each
     nonzero one zero-tested by one remainder (``cyclotomic._is_zero_packed``)."""
     for fam in table.families:
-        degs = [table.row(name).degree for name in fam.members]
+        degs = [rows[name].degree for name in fam.members]
         fegs = [feg_map[name] for name in fam.members if name in feg_map]
         coeffs = [c for p in degs + fegs for _, c in p.coeffs]
         n, den = lcm(*[c.n for c in coeffs]), lcm(*[c.den for c in coeffs])
@@ -648,14 +643,34 @@ def _check_family_sums(table, feg_map, failures):
             failures.append(f"family {fam.index} at x^{bad[0]} y^{bad[1]}")
 
 
-def _check_series_compat(table, regulars, vanishes, failures):
-    """``vanishes`` maps (row name, zeta) to whether the row degree is zero
-    at zeta; zeta^delta is compared as k * delta / d mod 1 for zeta = E(d, k)."""
-    orders = [z.root_of_unity_order() for z in regulars]
+def _check_principal_series(rows, G, feg_map, failures):
+    """Feg(R_1) = sum theta(1) Deg(rho_theta) over the principal series, on
+    integer lifts at N, the lcm of the conductors, over one denominator; the
+    weight theta(1) = Feg_theta(1) is the sum of the lifts of Feg_theta's
+    coefficients, and each x^e of the difference is zero-tested once."""
+    terms = [(fake_degree_torus(G, 0), [Cyclo.rational(-1)])]
+    terms += [(rows[name].degree, [c for _, c in fg.coeffs]) for name, fg in feg_map.items()]
+    cs = [c for p, ws in terms for c in ws + [c for _, c in p.coeffs]]
+    n, den = lcm(*[c.n for c in cs]), lcm(*[c.den for c in cs])
+    sums: dict[int, dict[int, int]] = {}
+    for p, ws in terms:
+        w = [(j * (n // f.n), b * (den // f.den)) for f in ws for j, b in f.terms]
+        for e, c in p.coeffs:
+            acc, s, k = sums.setdefault(e, {}), n // c.n, den // c.den
+            for t, v in [((i * s + j) % n, a * k * b) for i, a in c.terms for j, b in w]:
+                acc[t] = acc.get(t, 0) + v
+    if not all(_is_zero_lift(n, g) for g in sums.values()):
+        failures.append("sum over the principal series")
+
+
+def _check_series_compat(table, orders, vanishes, failures):
+    """zeta^delta agrees at each regular E(d, k) of ``orders`` where the row is
+    nonzero (``vanishes[name]``), as the residue k * delta * (m / d) mod m, m = lcm(d)."""
+    m = lcm(*[d for d, _ in orders])
+    steps = [k * (m // d) for d, k in orders]
     for row in table.rows:
-        powers = {Fraction(k * row.delta, d) % 1 for z, (d, k) in zip(regulars, orders)
-                  if not vanishes[row.name, z]}
-        if len(powers) > 1:
+        delta = row.delta
+        if len({delta * s % m for s, v in zip(steps, vanishes[row.name]) if not v}) > 1:
             failures.append(row.name)
 
 
@@ -665,15 +680,15 @@ def _check_series_counting(table, G, feg_map, regulars, vanishes, failures):
     |zeta| = 1, conj(F(zeta)) = F.vee()(zeta), so the sum is Q(zeta) for
     Q = sum(Feg * Feg.vee()), built once per family; each (zeta, family) is
     one packed zero test, and an empty Q holds exactly when the count is 0."""
-    zs = [z for z in regulars if z != Cyclo.rational(1)
+    zs = [(t, z) for t, z in enumerate(regulars) if z != Cyclo.rational(1)
           and G.cyclic_centralizer_order(G.regular_element(z), z) is not None]
     sums = [LaurentPoly.combination((feg_map[name] * feg_map[name].vee(), 1)
                                     for name in fam.members if name in feg_map)
             for fam in table.families]
-    for z in zs:
+    for t, z in zs:
         root = z.root_of_unity_order()
         for fam, q in zip(table.families, sums):
-            count = sum(1 for name in fam.members if not vanishes[name, z])
+            count = sum(1 for name in fam.members if not vanishes[name][t])
             if not (q.packed().value_is(root, 0, Cyclo.rational(count)) if q.coeffs
                     else count == 0):
                 failures.append(f"family {fam.index} at E({z.serialize()})")
@@ -682,15 +697,13 @@ def _check_series_counting(table, G, feg_map, regulars, vanishes, failures):
 def _check_galois_closure(table, field: CycloField, failures):
     """Each sigma_k fixing the field permutes the table: it maps the multiset
     of canonical (degree, Fr coefficient, Fr exponent) triples onto itself."""
-    cond = field.conductor
-    for row in table.rows:
-        if row.fr is not None:
-            cond = lcm(cond, row.fr.coeff.n)
-        for _, c in row.degree.coeffs:
-            cond = lcm(cond, c.n)
+    cond = lcm(field.conductor, *{r.fr.coeff.n for r in table.rows if r.fr is not None},
+               *{c.n for r in table.rows for _, c in r.degree.coeffs})
+    if not (ks := field.galois_orbit_exponents(cond)[1:]):  # only 1 fixes the field
+        return
     base = Counter((r.degree, r.fr.coeff if r.fr else None, r.fr.exp if r.fr else None)
                    for r in table.rows)
-    for k in field.galois_orbit_exponents(cond)[1:]:
+    for k in ks:
         mapped = Counter((LaurentPoly([(e, c.galois(k)) for e, c in r.degree.coeffs]),
                           r.fr.coeff.galois(k) if r.fr else None,
                           r.fr.exp if r.fr else None) for r in table.rows)

@@ -57,6 +57,13 @@ def extra_group(name):
     return ReflectionCoset(name, gens, CycloField.cyclotomic(conductor))
 
 
+def centralizer(G, i):
+    """The elements commuting with element i, each product walked along a
+    word (``ReflectionCoset._mul``): the reference for the table passes of
+    ``ReflectionCoset.centralizer``."""
+    return [j for j in range(G.order) if G._mul(j, i) == G._mul(i, j)]
+
+
 def row_reduce(rows):
     """Gauss-Jordan elimination in place; returns the pivot column of each row.
 

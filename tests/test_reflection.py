@@ -13,8 +13,8 @@ from spets.reflection import Matrix, ReflectionCoset, SubCoset, build_group, syl
 from spets.tabledata import _levi
 from spets.uch import regular_eigenvalues
 
-from conftest import (EXTRA_GROUPS, ORACLE_GROUPS, _extra_gens, divides, eigenspace,
-                      extra_group, row_reduce)
+from conftest import (EXTRA_GROUPS, ORACLE_GROUPS, _extra_gens, centralizer, divides,
+                      eigenspace, extra_group, row_reduce)
 
 
 class TestBuiltins:
@@ -175,6 +175,27 @@ class TestRegular:
             powers.add(p)
             p = p @ m
         assert {g4.matrix(g) for g in cent} == powers
+
+
+class TestCentralizer:
+    @pytest.mark.parametrize("name", ["G4", "G(3,1,2)", "Z_12", "G6"])
+    def test_every_element_matches_the_word_products(self, name):
+        G = extra_group(name) if name in EXTRA_GROUPS else build_group(name)
+        for i in range(G.order):
+            assert G.centralizer(i) == centralizer(G, i), (name, G.words[i])
+
+    def test_g26_class_representatives(self):
+        G = extra_group("G26")
+        for c in G.classes:
+            cent = G.centralizer(c.rep_index)
+            assert cent == centralizer(G, c.rep_index), c.rep_word
+            assert len(cent) * c.size == G.order  # orbit-stabilizer
+
+    def test_makes_no_word_product(self, monkeypatch):
+        G = build_group("G4")
+        want = [centralizer(G, i) for i in range(G.order)]
+        monkeypatch.setattr(ReflectionCoset, "_mul", None)
+        assert [G.centralizer(i) for i in range(G.order)] == want
 
 
 def _restricted_centralizer(G, w, z):

@@ -22,7 +22,7 @@ from spets.uch import (DeterminationError, SeriesDetermination,
                        cyclic_uch, determine_parameters, ennola_transform,
                        hc_candidate_filter, regular_eigenvalues, verify_axioms)
 
-from conftest import EXTRA_GROUPS, divides, exact_div, extra_group
+from conftest import EXTRA_GROUPS, divides, exact_div, extra_group, row_reduce
 
 
 class TestCyclicTables:
@@ -80,21 +80,31 @@ class TestCyclicTables:
             assert total == want
 
 
+# The summary of a table that passes every check, the checks in report order.
+PASSED_SUMMARY = """degree-divides-order: ok
+family-sum: ok
+principal-series-sum: ok
+series-compatibility: ok
+series-counting: ok
+family-bounds: ok
+galois-closure: ok"""
+
+
 class TestAxioms:
-    @pytest.mark.parametrize("e", range(2, 9))
+    @pytest.mark.parametrize("e", [*range(1, 17), 24, 32])
     def test_cyclic(self, e):
         G = build_group(f"Z_{e}")
         from spets.uch import _cyclic_feg_map
         report = verify_axioms(cyclic_uch(e), G, _cyclic_feg_map(e))
-        assert report.passed, report.summary()
+        assert report.summary() == PASSED_SUMMARY
 
     def test_g4(self, g4, g4_result, g4_fegs):
         report = verify_axioms(g4_result.table, g4, g4_fegs)
-        assert report.passed, report.summary()
+        assert report.summary() == PASSED_SUMMARY
 
     def test_g312(self, g312, g312_result, g312_fegs):
         report = verify_axioms(g312_result.table, g312, g312_fegs)
-        assert report.passed, report.summary()
+        assert report.summary() == PASSED_SUMMARY
 
     def test_computes_one_class_fake_degree(self):
         # Feg(R_1) needs the quotient P / det(1 - x w) of the identity class only
@@ -102,6 +112,12 @@ class TestAxioms:
         report = verify_axioms(cyclic_uch(12), G, uch._cyclic_feg_map(12))
         assert report.passed
         assert list(G._class_fake_degrees) == [G.class_of(0)]
+
+    def test_series_compatibility_reads_integer_residues(self, monkeypatch):
+        # zeta^delta is compared as an integer residue mod the lcm of the regular orders
+        table, G = cyclic_uch(12), build_group("Z_12")
+        monkeypatch.setattr(uch, "Fraction", None)
+        assert verify_axioms(table, G, uch._cyclic_feg_map(12)).passed
 
     @staticmethod
     def _with_degree(table, name, change):
@@ -118,6 +134,35 @@ class TestAxioms:
         assert not report.passed
         assert report.failures["principal-series-sum"]
         assert not report.failures["family-sum"]
+
+    def test_no_two_rows_keep_a_family_sum_past_a_middle_monomial(self, g4_result, g4_fegs):
+        # a family sum is sum d d^* over its rows' coefficient vectors d, and a
+        # change of two rows a, b keeps it only as a unitary mix of d_a and d_b;
+        # adding x^j to row a then needs x^j in the span of d_a and d_b, which
+        # holds for no principal-series row a of G4, middle exponent j and row b
+        table = g4_result.table
+        for fam in table.families:
+            exps = sorted({e for name in fam.members for e, _ in table.row(name).degree.coeffs})
+            vecs = {name: [table.row(name).degree.coeff(e) for e in exps] for name in fam.members}
+            for a in set(fam.members) & set(g4_fegs):
+                for j, _ in table.row(a).degree.coeffs[1:-1]:
+                    unit = [Cyclo.rational(int(e == j)) for e in exps]
+                    for b in fam.members:
+                        if b != a:
+                            assert len(row_reduce([vecs[a], vecs[b], unit])) == 3, (a, j, b)
+
+    def test_principal_series_sum_alone_sees_a_unit_multiple(self, g4, g4_result, g4_fegs):
+        # with no such pair, the case takes the sign-flip shape with a
+        # non-rational unit: E(3) Deg(phi_{2,1}) keeps every root multiplicity
+        # and family sum, and only sigma_1 fixes Q(zeta3), so only the sum fails
+        broken = self._with_degree(g4_result.table, "phi_{2,1}", lambda d: d * zeta(3))
+        report = verify_axioms(broken, g4, g4_fegs)
+        assert {k: v for k, v in report.failures.items() if v} == {
+            "principal-series-sum": ["sum over the principal series"]}
+        # theta(1) is read off the fake degree's own lifts: E(3)^-1 Feg(phi_{2,1})
+        # weighs the unit back out
+        fegs = {**g4_fegs, "phi_{2,1}": g4_fegs["phi_{2,1}"] * zeta(3, 2)}
+        assert not verify_axioms(broken, g4, fegs).failures["principal-series-sum"]
 
     def test_detects_corrupted_family(self, g4, g4_result, g4_fegs):
         table = g4_result.table

@@ -6,9 +6,12 @@
 Each side is a git revision of the repository holding this tool or a
 directory holding a full source tree.  A revision is resolved to its sha
 with git and then exported with ``git archive`` into a temporary directory.
-A directory is used as it is; its sha is read with git when it is the top of
-a git checkout, with ``-dirty`` appended when its files differ from that
-commit, and is ``unknown`` otherwise.  Both shas go into the output file.
+A directory is copied into a temporary directory too, leaving out ``.git``,
+``__pycache__``, ``.pytest_cache`` and ``.hypothesis``, so that both sides
+run from fresh copies in the same place; its sha is read with git from the
+original path when that is the top of a git checkout, with ``-dirty``
+appended when its files differ from that commit, and is ``unknown``
+otherwise.  Both shas go into the output file.
 
 Every run is the tree's own ``perfbench/run.py --trace 0``, started from the
 tree's root.  Pair k runs every workload on both sides with seed k + 1; the
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -46,20 +50,27 @@ def git(cwd: Path, *args: str) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def source_tree(side: str, tmp: Path) -> tuple[Path, str]:
-    """The source tree of one side and the sha of the commit it holds."""
+# left out of a copied directory side: what git, bytecode and test runs leave behind
+SKIPPED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
+
+
+def source_tree(side: str, tree: Path) -> tuple[Path, str]:
+    """One side's source tree, copied fresh into ``tree``, and the sha of the
+    commit it holds."""
     path = Path(side)
     if path.is_dir():
         path = path.resolve()
         if git(path, "rev-parse", "--show-toplevel") != str(path):
-            return path, "unknown"
-        dirty = git(path, "status", "--porcelain")
-        return path, git(path, "rev-parse", "HEAD") + ("-dirty" if dirty else "")
+            sha = "unknown"
+        else:
+            dirty = git(path, "status", "--porcelain")
+            sha = git(path, "rev-parse", "HEAD") + ("-dirty" if dirty else "")
+        shutil.copytree(path, tree, ignore=SKIPPED)
+        return tree, sha
     sha = git(REPO, "rev-parse", "--verify", "--quiet", f"{side}^{{commit}}")
     if sha is None:
         raise SystemExit(f"{side}: neither a directory nor a git revision")
-    tree = tmp / sha
-    tree.mkdir(exist_ok=True)
+    tree.mkdir()
     archive = subprocess.run(["git", "archive", sha], cwd=REPO, capture_output=True,
                              check=True).stdout
     subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
@@ -107,7 +118,7 @@ def main() -> int:
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        return run_pairs(args, {s: source_tree(getattr(args, s), Path(tmp)) for s in SIDES})
+        return run_pairs(args, {s: source_tree(getattr(args, s), Path(tmp) / s) for s in SIDES})
 
 
 def run_pairs(args, sides: dict[str, tuple[Path, str]]) -> int:
