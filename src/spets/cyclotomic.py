@@ -48,13 +48,16 @@ slot width b set by the L1 norm of g and a bound on the coefficients of
 z^k mod Phi_N (``_is_zero_packed`` has the proof); the bignum multiply and
 remainder do the convolutions and the reduction.  That one remainder is
 every zero test in the library: :meth:`CycloSum.is_zero`, the remainder of
-``LaurentPoly.peel``, ``LaurentPoly.multiplicities`` and the Sylow tests
+``LaurentPoly.peel``, ``laurent.root_multiplicities`` and the Sylow tests
 (one per Hasse derivative or value, on lifts packed once per polynomial:
 ``laurent.PackedLift``), and the verifier's family sums.  Root
 multiplicities, and with them every divisibility by a polynomial of known
-roots (the verifier's and SC3's), are runs of such zero tests.  The
-remainder's cost grows as phi(N)^2, so above phi(N) = ``_PACK_PHI`` a lift
-is rewritten on the basis instead (``_is_zero_lift``): the packed remainder
+roots (the verifier's and SC3's), are runs of such zero tests; for a table
+of polynomials, the rows of a block are packed side by side, one sum per
+root holds every row's lift, and the rows are read back as signed digits
+(``_zero_digits``), one remainder each.  The remainder's cost grows as
+phi(N)^2, so above phi(N) = ``_PACK_PHI`` a lift is rewritten on the basis
+instead (``_is_zero_lift``): the packed remainder
 and ``_to_basis`` are the two reductions mod Phi_N in the library.
 
 Serialization uses the power basis ``1, zeta, ..., zeta^{phi(n)-1}`` and
@@ -270,20 +273,38 @@ def _convolve(n: int, pairs: Iterable, out: dict[int, int] | None = None) -> dic
 _NONZERO_BYTE = re.compile(rb"[^\x00]")
 
 
+def _digit_offset(width: int, count: int) -> int:
+    """sum(2^(width-1) * 2^(width*t)) over t < count, width a multiple of 8.
+    Added to s = sum(v_t * 2^(width*t)) with |v_t| < 2^(width - 1), it makes
+    slot t v_t + 2^(width-1), in [1, 2^width), with no carry."""
+    return int.from_bytes((1 << (width - 1)).to_bytes(width // 8, "little") * count, "little")
+
+
 def _signed_digits(s: int, width: int, count: int):
     """The nonzero signed digits (t, v_t) of s = sum(v_t * 2^(width*t)), t <
-    count, |v_t| < 2^(width - 1), width a multiple of 8.  Adding the offset
-    sum(2^(width-1) * 2^(width*t)) makes slot t v_t + 2^(width-1), in [1,
-    2^width), with no carry; XOR with it leaves v_t mod 2^width, zero exactly
-    where v_t is, and a byte search finds each nonzero slot."""
+    count, |v_t| < 2^(width - 1), width a multiple of 8: XOR of s plus the
+    offset (``_digit_offset``) with the offset leaves v_t mod 2^width, zero
+    exactly where v_t is, and a byte search finds each nonzero slot."""
     mask, half, size = (1 << width) - 1, 1 << (width - 1), width // 8
-    offset = int.from_bytes(half.to_bytes(size, "little") * count, "little")
+    offset = _digit_offset(width, count)
     buf, end = ((s + offset) ^ offset).to_bytes(size * count, "little"), 0
     while hit := _NONZERO_BYTE.search(buf, end):
         t = hit.start() // size
         end = (t + 1) * size
         v = int.from_bytes(buf[t * size:end], "little")
         yield t, v - mask - 1 if v >= half else v
+
+
+def _zero_digits(s: int, width: int, count: int, n: int, b: int) -> list[bool]:
+    """Whether each signed digit v_t of s (as in ``_signed_digits``) is a lift
+    vanishing at zeta_n, packed at the slot width b (``_is_zero_packed``):
+    slot t of s plus the offset (``_digit_offset``) is v_t + 2^(width-1), so
+    Phi_n(2^b) divides v_t exactly when it leaves 2^(width-1)'s remainder."""
+    phi, size = _packed_phi(n, b), width // 8
+    half, buf = (1 << (width - 1)) % phi, (s + _digit_offset(width, count)).to_bytes(
+        size * count, "little")
+    return [int.from_bytes(buf[i:i + size], "little") % phi == half
+            for i in range(0, size * count, size)]
 
 
 class Cyclo:

@@ -24,7 +24,7 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cyclotomic import Cyclo, zeta as zeta_root
+from .cyclotomic import Cyclo, _convolve, zeta as zeta_root
 from .laurent import FracExpMonomial, LaurentPoly, _serialize_terms
 
 __all__ = [
@@ -413,7 +413,8 @@ def schur_quotients(spec: SpetsialAlgebraSpec | CyclicHeckeParams, p: LaurentPol
     With u_j/u_k = E(T, t_j - t_k) x^K, K = k_j - k_k (``spec.angles()``),
     the factor 1 - u_j/u_k of S_j is a binomial for K != 0, peeled off a
     copy of p's one lift (``LaurentPoly._peel``), and a nonzero constant for
-    K = 0, whose inverse is multiplied into the quotient's lifts."""
+    K = 0: their product is taken as one integer lift at T, one Cyclo is made
+    of it, and its inverse is multiplied into the quotient's lifts."""
     h, T, angles = spec.angles()
     if h != 1:
         raise ArithmeticError("Schur element has fractional x-exponents")
@@ -424,11 +425,11 @@ def schur_quotients(spec: SpetsialAlgebraSpec | CyclicHeckeParams, p: LaurentPol
                               [(T, tj - tk, kj - kk) for kk, tk in angles if kk != kj])
         if q is None:
             return None
-        const = Cyclo.rational(1)
+        const = {0: 1}
         for kk, tk in angles:
             if kk == kj and tk != tj:
-                const = const * (1 - zeta_root(T, tj - tk))
-        out.append(LaurentPoly._of_lifts(*q, const.inverse()))
+                const = _convolve(T, [(const, [(0, 1), ((tj - tk) % T, -1)])])
+        out.append(LaurentPoly._of_lifts(*q, Cyclo(T, const).inverse()))
     return out
 
 

@@ -20,10 +20,10 @@ import re
 from collections import Counter, defaultdict
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .cyclotomic import (_ONE, _PACK_PHI, Cyclo, CycloField, CycloSum, _convolve,
-                         _is_zero_lift, _is_zero_packed, _pack, _slot_bits,
+                         _is_zero_lift, _is_zero_packed, _pack, _slot_bits, _zero_digits,
                          cyclotomic_int_coeffs, totient, zeta)
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "KCycloPoly",
     "PackedLift",
     "k_cyclotomic_factors",
+    "root_multiplicities",
     "parse_poly",
 ]
 
@@ -282,11 +283,9 @@ class LaurentPoly:
     def multiplicities(self, caps: Mapping[tuple[int, int], int]
                        ) -> dict[tuple[int, int], int]:
         """min(multiplicity of the root E(d, k), cap) for each (d, k): cap,
-        read off the :class:`PackedLift` of self.  The zero polynomial meets
-        every cap."""
-        if not self.coeffs:
-            return dict(caps)
-        return self.packed().multiplicities(caps)
+        a table of one row (:func:`root_multiplicities`).  The zero
+        polynomial meets every cap."""
+        return root_multiplicities([self], caps)[0]
 
     def packed(self) -> "PackedLift":
         """The coefficients of a nonzero self lifted and packed for zero
@@ -383,9 +382,10 @@ class PackedLift:
     times the unit z^j, lifts to sum(binomial(e, j) * z^(e*s mod n) * g_e):
     each term a packed lift shifted left by b * (e*s mod n), zero-tested by
     one remainder (``cyclotomic._is_zero_packed``).  The multiplicity of z
-    is the least j where that is nonzero.  Where phi(n) exceeds
-    ``cyclotomic._PACK_PHI`` the lifts stay integer dicts and the sum goes
-    to ``cyclotomic._is_zero_lift``, which rewrites it on the basis."""
+    is the least j where that is nonzero (:func:`root_multiplicities`).
+    Where phi(n) exceeds ``cyclotomic._PACK_PHI`` the lifts stay integer
+    dicts and the sum goes to ``cyclotomic._is_zero_lift``, which rewrites
+    it on the basis."""
 
     __slots__ = ("cond", "den", "val", "coeffs", "exps", "norm", "_lifts")
 
@@ -398,17 +398,15 @@ class PackedLift:
         self.norm = sum([abs(a) * m for _, _, g, m in coeffs for _, a in g])
         self._lifts: dict[tuple[int, int], list] = {}
 
-    def _at(self, n: int, norm: int) -> tuple[int, list]:
-        """(b, the coefficient lifts at conductor n): packed at the slot width
-        b for lifts of L1 norm up to ``norm``, or, where phi(n) exceeds
-        ``_PACK_PHI``, integer dicts with b = 0."""
-        b = _slot_bits(n, norm) if totient(n) <= _PACK_PHI else 0
+    def _at(self, n: int, b: int) -> list:
+        """The coefficient lifts at conductor n: packed at the slot width b
+        (``_width``), or integer dicts for b = 0."""
         lifts = self._lifts.get((n, b))
         if lifts is None:
             lifts = self._lifts[n, b] = [
                 sum([a * m << b * (i * (n // cn)) for i, a in g]) if b
                 else {i * (n // cn): a * m for i, a in g} for _, cn, g, m in self.coeffs]
-        return b, lifts
+        return lifts
 
     def _is_zero(self, n: int, b: int, lifts: list, s: int, o: int,
                  mults: list[int] | None, minus: dict[int, int]) -> bool:
@@ -428,26 +426,9 @@ class PackedLift:
 
     def multiplicities(self, caps: Mapping[tuple[int, int], int]
                        ) -> dict[tuple[int, int], int]:
-        """min(multiplicity of E(d, k), cap) for each (d, k): cap.  The j-th
-        Hasse derivative is tested only for j <= deg q, as the deg q-th is the
-        leading coefficient; so binomial(e, j) <= binomial(deg q, min(j,
-        deg q // 2)) bounds the lifts' L1 norm."""
-        es = self.exps
-        top = es[-1]
-        j_max = max(0, min(max(caps.values(), default=0) - 1, top))
-        norm, at, out = comb(top, min(j_max, top // 2)) * self.norm, {}, {}
-        for (d, k), cap in caps.items():
-            if d not in at:
-                n = lcm(self.cond, d)
-                at[d] = n, *self._at(n, norm)
-            n, b, lifts = at[d]
-            s = k * (n // d)
-            j = 0
-            while j < cap and self._is_zero(n, b, lifts, s, 0,
-                                            [comb(e, j) for e in es] if j else None, {}):
-                j += 1
-            out[d, k] = j
-        return out
+        """min(multiplicity of E(d, k), cap) for each (d, k): cap, a table of
+        one row (:func:`root_multiplicities`)."""
+        return root_multiplicities([self], caps)[0]
 
     def roots(self, caps: Mapping[tuple[int, int], int]) -> Counter | None:
         """The nonzero roots E(d, k) of p with multiplicity, as a Counter of
@@ -462,8 +443,97 @@ class PackedLift:
         d, k = root
         n = lcm(self.cond, d, w.n)
         s, lw = k * (n // d), w._lift(n, self.den)
-        b, lifts = self._at(n, w.den * self.norm + sum(map(abs, lw.values())))
-        return self._is_zero(n, b, lifts, s, (shift + self.val) * s, [w.den] * len(lifts), lw)
+        b = _width(n, w.den * self.norm + sum(map(abs, lw.values())))
+        return self._is_zero(n, b, self._at(n, b), s, (shift + self.val) * s,
+                             [w.den] * len(self.exps), lw)
+
+
+def _width(n: int, norm: int) -> int:
+    """The slot width of lifts of L1 norm up to ``norm`` at conductor n
+    (``cyclotomic._slot_bits``), or 0, for integer dicts, where phi(n)
+    exceeds ``_PACK_PHI``."""
+    return _slot_bits(n, norm) if totient(n) <= _PACK_PHI else 0
+
+
+# Rows packed side by side by root_multiplicities: 16, 64 and 128 ran slower
+# on the degree tables of Z_8 ... Z_32, and one integer for all rows slower still
+_BLOCK_ROWS = 32
+
+
+def root_multiplicities(polys: Sequence["LaurentPoly | PackedLift"],
+                        caps: Mapping[tuple[int, int], int]
+                        ) -> list[dict[tuple[int, int], int]]:
+    """min(multiplicity of E(d, k), cap) for each (d, k): cap, for each of
+    ``polys`` (LaurentPoly or PackedLift).  The zero polynomial meets every cap.
+
+    The j-th Hasse derivative sum of a row q is lifted and zero-tested as in
+    :class:`PackedLift`; only orders j <= deg q are reached, as the deg q-th
+    is q's leading coefficient, so binomial(e, j) <= binomial(deg q, min(j,
+    deg q // 2)) bounds the sums' L1 norm by R_q.  A row of a table is lifted
+    once, at the lcm n of its conductor and every d of caps, when phi(n) <=
+    ``_PACK_PHI``.  The rows at one n are taken in blocks of up to
+    ``_BLOCK_ROWS``, packed at one slot width b (``cyclotomic._slot_bits``)
+    set by the largest R_q of the block: each x^e coefficient of the block is
+    one integer, the sum over its rows t of the packed lift g_e(2^b) shifted
+    left by W*t bits, W = b(2n - 1).  For each root and order j, one shifted
+    sum over the x^e then holds every row's Hasse derivative sum in its own
+    W bits: that lift has degree at most 2n - 2 and L1 norm at most R <
+    2^(b - 1), so its value is below 2^(W - 1) in absolute value.  The rows
+    are read back as signed digits, each zero-tested by one remainder by
+    Phi_n(2^b) (``cyclotomic._zero_digits``, ``cyclotomic._is_zero_packed``),
+    and only the rows still at zero go on to order j + 1.  A batch of one,
+    and a row whose n exceeds ``_PACK_PHI``, is read alone, at lcm(its
+    conductor, d) for the roots of order d, each sum its own zero test (on
+    integer dicts where phi of that exceeds ``_PACK_PHI``,
+    ``cyclotomic._is_zero_lift``)."""
+    out, rows = [], []
+    for p in polys:
+        if isinstance(p, LaurentPoly) and not p.coeffs:
+            out.append(dict(caps))
+        else:  # every multiplicity 0 until a sum is seen to vanish
+            out.append(dict.fromkeys(caps, 0))
+            rows.append((out[-1], p if isinstance(p, PackedLift) else p.packed()))
+    cap_top = max(caps.values(), default=0)
+    norms = [comb(q.exps[-1], max(0, min(cap_top - 1, q.exps[-1] // 2))) * q.norm
+             for _, q in rows]
+    top = lcm(*{d for d, _ in caps}) if len(rows) > 1 else 0
+    whole: defaultdict[int, list[int]] = defaultdict(list)  # n -> the rows lifted at n
+    for i, (res, q) in enumerate(rows):
+        if top and totient(n := lcm(q.cond, top)) <= _PACK_PHI:
+            whole[n].append(i)
+            continue
+        at: dict[int, tuple] = {}  # d -> (n, b, the lifts at n)
+        for (d, k), cap in caps.items():
+            if d not in at:
+                n = lcm(q.cond, d)
+                b = _width(n, norms[i])
+                at[d] = n, b, q._at(n, b)
+            n, b, lifts = at[d]
+            s, j = k * (n // d), 0
+            while j < cap and q._is_zero(n, b, lifts, s, 0, [comb(e, j) for e in q.exps]
+                                         if j else None, {}):
+                j += 1
+            res[d, k] = j
+    for n, idx in whole.items():
+        for lo in range(0, len(idx), _BLOCK_ROWS):
+            blk = idx[lo:lo + _BLOCK_ROWS]
+            b = _slot_bits(n, max([norms[i] for i in blk]))
+            width, cols = b * (2 * n - 1), {}
+            for t, i in enumerate(blk):
+                q = rows[i][1]
+                for e, g in zip(q.exps, q._at(n, b)):
+                    cols[e] = cols.get(e, 0) + (g << width * t)
+            for (d, k), cap in caps.items():
+                s, live, j = k * (n // d), range(len(blk)), 0
+                while live and j < cap:
+                    f = sum([g << b * (e * s % n) for e, g in cols.items()] if not j else
+                            [comb(e, j) * g << b * (e * s % n) for e, g in cols.items()])
+                    zero = _zero_digits(f, width, len(blk), n, b)
+                    live = [t for t in live if zero[t]]
+                    j += 1
+                    for t in live:
+                        rows[blk[t]][0][d, k] = j
+    return out
 
 
 def _serialize_terms(terms: Iterable[tuple[int | Fraction, Cyclo]]) -> str:
@@ -683,8 +753,5 @@ def k_cyclotomic_factors(d: int, field: CycloField) -> list[KCycloPoly]:
             poly = LaurentPoly.one()
             for k in orbit:
                 poly = poly * (LaurentPoly.x() - LaurentPoly.constant(zeta(d, k)))
-        for _, c in poly.coeffs:
-            if not field.contains(c):  # pragma: no cover - sanity
-                raise ArithmeticError("factor coefficients escaped the field")
         out.append(KCycloPoly(poly, d, field, frozenset(orbit)))
     return out

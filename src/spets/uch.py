@@ -16,7 +16,7 @@ from math import comb, gcd, lcm
 
 from .cyclotomic import (Cyclo, CycloField, _is_zero_lift, _is_zero_packed, _signed_digits,
                          _slot_bits, divisors, zeta as zeta_root)
-from .laurent import FracExpMonomial, LaurentPoly, _lmake
+from .laurent import FracExpMonomial, LaurentPoly, _lmake, root_multiplicities
 from .hecke import (SpetsialAlgebraSpec, check_spetsial, frobenius_model,
                     schur_quotients, CyclicHeckeParams)
 from .orders import fake_degree_torus, reversal
@@ -293,7 +293,8 @@ def determine_parameters(G: ReflectionCoset, zeta_c: Cyclo,
     feg = fake_degree_torus(G, w)
     fr_model = lru_cache(maxsize=None)(partial(frobenius_model, e, d, a))  # (j, delta)
 
-    members = [r for r in known.rows if not r.degree.vanishes_at([(d, a)])[0]]
+    members = [r for r, m in zip(known.rows, root_multiplicities(
+        [r.degree for r in known.rows], {(d, a): 1})) if not m[d, a]]
     trivial = next((r for r in members if r.degree == LaurentPoly.one()), None)
     pinned: list[tuple[int, list[int]]] = []
     for r in members:
@@ -536,9 +537,10 @@ def verify_axioms(table: UchTable, G: ReflectionCoset,
     """Check the table against the degree, family, series and Galois axioms.
 
     All but Galois closure run on integers.  Zero tests of integer lifts
-    (``cyclotomic._is_zero_packed``, ``_is_zero_lift``) give each degree's
+    (``cyclotomic._is_zero_packed``, ``_is_zero_lift``) give the degrees'
     root multiplicities at the regular zeta and the order's roots (one
-    ``LaurentPoly.multiplicities`` call per row) and test the family sums at
+    ``laurent.root_multiplicities`` call for the table, one packed sum per
+    root for each block of rows) and test the family sums at
     x^i y^j (one big-integer product per term and X-exponent), the
     principal-series sum at x^i and sum |Feg(zeta)|^2 against the zeta-series
     count; zeta^delta is a residue mod the lcm of the regular orders, and the
@@ -557,17 +559,10 @@ def verify_axioms(table: UchTable, G: ReflectionCoset,
 
     regulars = regular_eigenvalues(G)
     orders = [z.root_of_unity_order() for z in regulars]
-    roots = G.order_roots
-    # cap 1 at a regular eigenvalue, the order's multiplicity at its roots
-    caps = {**dict.fromkeys(orders, 1), **roots}
     # vanishes[name][t]: whether the row's degree is zero at regulars[t]
     vanishes: dict[str, list[bool]] = {}
-    for row in table.rows:
-        mults = row.degree.multiplicities(caps)
-        vanishes[row.name] = [mults[o] > 0 for o in orders]
-        if not _divides_order(row.degree, mults, roots):
-            fails["degree-divides-order"].append(row.name)
-
+    _check_degrees_divide_order(table, orders, G.order_roots, vanishes,
+                                fails["degree-divides-order"])
     _check_series_compat(table, orders, vanishes, fails["series-compatibility"])
     _check_series_counting(table, G, feg_map, regulars, vanishes,
                            fails["series-counting"])
@@ -593,6 +588,20 @@ def _divides_order(p: LaurentPoly, mults: dict[tuple[int, int], int],
     if p.is_zero():
         return False
     return sum(min(mults[z], m) for z, m in roots.items()) == p.degree() - p.valuation()
+
+
+def _check_degrees_divide_order(table, orders, roots, vanishes, failures):
+    """Each degree divides the order (``_divides_order``), from its root
+    multiplicities capped at 1 at each regular E(d, k) of ``orders`` and at
+    the order's multiplicity at its ``roots``, read for the whole table by
+    one ``laurent.root_multiplicities`` call; fills ``vanishes[name]`` with
+    whether the row's degree is zero at each of ``orders``."""
+    caps = {**dict.fromkeys(orders, 1), **roots}
+    degrees = [row.degree for row in table.rows]
+    for row, mults in zip(table.rows, root_multiplicities(degrees, caps)):
+        vanishes[row.name] = [mults[o] > 0 for o in orders]
+        if not _divides_order(row.degree, mults, roots):
+            failures.append(row.name)
 
 
 def _check_family_sums(table, rows, feg_map, failures):

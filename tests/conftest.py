@@ -1,10 +1,11 @@
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, lcm
 
 import pytest
 
 from spets.chartables import char_table, feg_map
-from spets.cyclotomic import Cyclo, CycloField, zeta
+from spets.cyclotomic import _PACK_PHI, Cyclo, CycloField, _slot_bits, totient, zeta
 from spets.laurent import LaurentPoly
 from spets.reflection import Matrix, ReflectionCoset, build_group
 from spets.tabledata import construct_uch
@@ -62,6 +63,35 @@ def centralizer(G, i):
     word (``ReflectionCoset._mul``): the reference for the table passes of
     ``ReflectionCoset.centralizer``."""
     return [j for j in range(G.order) if G._mul(j, i) == G._mul(i, j)]
+
+
+def multiplicities(p, caps):
+    """min(multiplicity of E(d, k), cap) for each (d, k): cap, for one
+    LaurentPoly or PackedLift, one root and one Hasse derivative order at a
+    time, each sum zero-tested alone (``PackedLift._is_zero``) at the
+    polynomial's own slot width: the reference for the block sums of
+    ``laurent.root_multiplicities``."""
+    if isinstance(p, LaurentPoly):
+        if not p.coeffs:
+            return dict(caps)
+        p = p.packed()
+    es = p.exps
+    top = es[-1]
+    j_max = max(0, min(max(caps.values(), default=0) - 1, top))
+    norm, at, out = comb(top, min(j_max, top // 2)) * p.norm, {}, {}
+    for (d, k), cap in caps.items():
+        if d not in at:
+            n = lcm(p.cond, d)
+            b = _slot_bits(n, norm) if totient(n) <= _PACK_PHI else 0
+            at[d] = n, b, p._at(n, b)
+        n, b, lifts = at[d]
+        s = k * (n // d)
+        j = 0
+        while j < cap and p._is_zero(n, b, lifts, s, 0,
+                                     [comb(e, j) for e in es] if j else None, {}):
+            j += 1
+        out[d, k] = j
+    return out
 
 
 def row_reduce(rows):

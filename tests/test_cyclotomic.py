@@ -7,8 +7,8 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spets.cyclotomic import (_NAMED_FIELDS, Cyclo, CycloField, _signed_digits,
-                              field_from_name, parse_cyclo, sqrt_int, zeta)
+from spets.cyclotomic import (_NAMED_FIELDS, Cyclo, CycloField, _packed_phi, _signed_digits,
+                              _zero_digits, field_from_name, parse_cyclo, sqrt_int, zeta)
 from spets.hecke import CyclicHeckeParams
 from spets.laurent import FracExpMonomial
 from spets.reflection import Matrix
@@ -144,6 +144,22 @@ class TestSerialization:
                   for _ in range(count)]
             s = sum(v << width * t for t, v in enumerate(vs))
             assert list(_signed_digits(s, width, count)) == [(t, v) for t, v in enumerate(vs) if v]
+
+    def test_zero_digits_test_each_digit(self):
+        # signed digits that are multiples of Phi_n(2^b), or one off, at both
+        # ends of the range, against the remainder of each digit alone
+        rng = random.Random(11)
+        for _ in range(300):
+            n, b = rng.choice([1, 2, 3, 4, 5, 8, 12]), 16 * rng.randint(1, 2)
+            width, count, phi = b * (2 * n - 1), rng.randint(1, 40), _packed_phi(n, b)
+            top = (1 << (width - 1)) - 1
+            vs = [rng.choice([v for v in (0, phi, -phi, phi + 1, 1, -1, top, -top, top // phi * phi,
+                                          rng.randint(-(top // phi), top // phi) * phi - 1,
+                                          rng.randint(-(top // phi), top // phi) * phi,
+                                          rng.randint(-top, top)) if abs(v) <= top])
+                  for _ in range(count)]
+            s = sum(v << width * t for t, v in enumerate(vs))
+            assert _zero_digits(s, width, count, n, b) == [v % phi == 0 for v in vs]
 
     def test_grammar(self):
         c = zeta(3) * Fraction(2, 3) - Fraction(1, 2)

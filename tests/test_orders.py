@@ -224,6 +224,22 @@ class TestSylow:
         got = [(phi.poly.serialize(), ok) for phi, ok in all_sylow_congruences(G)]
         assert got == want
 
+    @pytest.mark.parametrize("name", ["G4", "G(3,1,2)", "G6", "G26", "G29"])
+    def test_factor_coefficients_lie_in_the_field(self, name, monkeypatch):
+        # every factor of Phi_d the congruences reach, for each (d, field)
+        # they ask for, has its coefficients in the field
+        G = extra_group(name) if name in EXTRA_GROUPS else build_group(name)
+        reached = []
+
+        def recording(d, field):
+            reached.append((d, field, k_cyclotomic_factors(d, field)))
+            return reached[-1][2]
+        monkeypatch.setattr(orders, "k_cyclotomic_factors", recording)
+        all_sylow_congruences(G)
+        assert reached and all(field is G.field for _, field, _ in reached)
+        for d, field, factors in reached:
+            assert all(field.contains(c) for f in factors for _, c in f.poly.coeffs), (name, d)
+
     @pytest.mark.parametrize("name, holds", [("G(4,1,2)", 6), ("G6", 12), ("G8", 10),
                                              ("G25", 11), ("G26", 11), ("G29", 12)])
     def test_extra_group_verdict_counts(self, name, holds):

@@ -13,7 +13,12 @@ value: on coefficients of conductors 1 to 24, with negative exponents, at
 roots of unity of order up to 24, and on sums built to vanish, some only
 after the basis rewrite.  ``LaurentPoly.multiplicities``, a run of such
 tests on Hasse derivatives, is compared with repeated long division by
-x - E(d, k) and with planted multiplicities up to 20.
+x - E(d, k) and with planted multiplicities up to 20.  ``root_multiplicities``,
+which reads a whole table at once from one packed sum per root for each
+block of rows, is compared with the one-polynomial loop of
+``conftest.multiplicities``: on the verifier's degree tables, on batches
+mixing conductors, zero rows and PackedLifts over several blocks, above
+``_PACK_PHI``, and on rows whose norms set the block's slot width.
 """
 
 from functools import lru_cache
@@ -24,12 +29,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spets
-from spets.cyclotomic import (Cyclo, CycloSum, _is_zero_lift, _is_zero_packed, _pack,
+from spets.cyclotomic import (_PACK_PHI, Cyclo, CycloSum, _is_zero_lift, _is_zero_packed, _pack,
                               _slot_bits, _to_basis, _zero_test_norms, cyclotomic_int_coeffs,
                               zeta)
-from spets.laurent import LaurentPoly
+from spets import reflection, tabledata, uch
+from spets.laurent import _BLOCK_ROWS, LaurentPoly, PackedLift, root_multiplicities
 
-from conftest import divmod_poly
+from conftest import divmod_poly, multiplicities
 
 CONDUCTORS = [1, 3, 4, 8, 12, 24]
 
@@ -301,3 +307,116 @@ def test_to_basis_serves_only_the_canonical_form():
     assert calls == [("cyclotomic.py", "return not _to_basis(n, folded)"),
                      ("cyclotomic.py", "coeffs = _to_basis(n, coeffs)"),
                      ("reflection.py", "coords = [_to_basis(n, c) for c in coords]")]
+
+
+# -- whole tables ----------------------------------------------------------------
+
+
+def verifier_caps(G):
+    """The caps of the verifier's degree check: 1 at each regular
+    eigenvalue's order, the order's multiplicity at its roots."""
+    orders = [z.root_of_unity_order() for z in uch.regular_eigenvalues(G)]
+    return {**dict.fromkeys(orders, 1), **G.order_roots}
+
+
+def assert_matches_oracle(polys, caps):
+    got = root_multiplicities(polys, caps)
+    assert got == [multiplicities(p, caps) for p in polys]
+    return got
+
+
+@pytest.mark.parametrize("e", range(1, 33))
+def test_table_matches_the_oracle_on_cyclic_degrees(e):
+    table = uch.cyclic_uch(e)
+    assert_matches_oracle([r.degree for r in table.rows],
+                          verifier_caps(reflection.build_group(f"Z_{e}")))
+
+
+@pytest.mark.parametrize("group, ref", [("G4", "uch_g4.txt"), ("G(3,1,2)", "uch_g312.txt")])
+def test_table_matches_the_oracle_on_reference_and_constructed_degrees(group, ref):
+    res = tabledata.construct_uch(group)
+    caps = verifier_caps(res.group)
+    for table in (res.table, tabledata.load_reference(ref)):
+        assert_matches_oracle([r.degree for r in table.rows], caps)
+
+
+def test_caps_of_two_at_plus_and_minus_one():
+    # G4's order has the roots 1 and -1 twice: rows at both multiplicities
+    # go on to the first derivative, and those at 2 meet the cap
+    res = tabledata.construct_uch("G4")
+    caps = verifier_caps(res.group)
+    assert caps[1, 0] == caps[2, 1] == 2
+    got = assert_matches_oracle([r.degree for r in res.table.rows], caps)
+    by_name = {r.name: (m[1, 0], m[2, 1]) for r, m in zip(res.table.rows, got)}
+    assert by_name["G_4"] == (2, 0) and by_name["phi_{2,5}"] == (0, 2)
+    assert by_name["Z_3:2"] == (1, 1)
+
+
+def mixed_rows():
+    """Rows over conductors 1 to 24 with planted roots, a zero row and
+    PackedLifts, more than two blocks at the common conductor 24, and
+    x - E(24, 23) just after E(24, 23) x in its block."""
+    rows = []
+    for i in range(5 * _BLOCK_ROWS // 2):
+        c = [zeta(3), zeta(4), zeta(8, 3), Cyclo.rational(-2), zeta(24, 7) + 1][i % 5]
+        p = (x ** (i % 4) + c) * (x - zeta(*[(1, 0), (2, 1), (4, 3), (3, 2), (12, 5)][i % 5]))
+        rows.append(p * (x - zeta(4, 3)) ** (i % 3) if i % 7 else p.packed())
+    rows[40:40] = [LaurentPoly.zero(), x * zeta(24, 23), x - zeta(24, 23)]
+    return rows
+
+
+def test_table_mixes_conductors_zero_rows_and_blocks():
+    caps = {(1, 0): 2, (2, 1): 1, (4, 3): 3, (3, 2): 2, (12, 5): 1, (8, 3): 1, (24, 7): 2,
+            (24, 23): 1}
+    got = assert_matches_oracle(mixed_rows(), caps)
+    assert got[40] == caps
+    assert got[41][24, 23] == 0 and got[42][24, 23] == 1
+    assert {m[4, 3] for m in got} == {0, 1, 2, 3}
+
+
+def test_table_above_the_packing_bound():
+    # E(263, k) has phi(263) = 262 > _PACK_PHI: no row is lifted once for
+    # every root, so each is read alone, on integer dicts at the roots of
+    # order 263 and packed at lcm(its conductor, d) for the others
+    assert _PACK_PHI < 262
+    z = zeta(263, 5)
+    rows = [x - z, (x - z) ** 2 * (x + 1), x ** 3 - 1, x ** 2 - 1, (x - 1) * (x - zeta(3)),
+            LaurentPoly.zero(), x + z]
+    rows += [(x - 1) ** (i % 3) * (x ** 2 + i) for i in range(40)]
+    caps = {(263, 5): 3, (1, 0): 2, (2, 1): 2, (3, 1): 1, (263, 258): 1}
+    got = assert_matches_oracle(rows, caps)
+    assert [m[263, 5] for m in got[:3]] == [1, 2, 0]
+
+
+def test_block_width_is_set_by_its_largest_row():
+    # the first row of the block has a small norm and the second one sits
+    # at the bound of a wider slot, its sum at E(3, 2) in the top slot 2 * 3
+    # - 2 (the basis of Q(zeta_3) is E(3, 1), E(3, 2)): a width taken from
+    # the first row lets that sum run into the third row's, which vanishes
+    # at every root
+    c, h = _zero_test_norms(3)
+    big = (2 ** 32 - 1 - h) // (2 * c)
+    assert _slot_bits(3, big) == 32 < _slot_bits(3, big + 1) and _slot_bits(3, 2) == 16
+    wide = x * (zeta(3, 2) * (big - 1)) + 1
+    assert wide.packed().norm == big
+    rows = [x - 1, wide, x ** 3 - 1] * 3
+    caps = {(1, 0): 1, (3, 1): 1, (3, 2): 1}
+    got = assert_matches_oracle(rows, caps)
+    assert got[2] == caps and got[1] == dict.fromkeys(caps, 0)
+    # at the first derivative, binomial(4, 1) = 4 times the norm of x^4 E(3, 2)
+    # * (big - 1) + 1 reaches the top slot and needs the wider slot; the
+    # row after it vanishes twice at E(3, 2)
+    deep = x ** 4 * (zeta(3, 2) * (big - 1)) + 1
+    rows = [x - 1, deep, (x - zeta(3, 2)) ** 2 * (x + 1)] * 3
+    caps = {(1, 0): 1, (3, 2): 2}
+    got = assert_matches_oracle(rows, caps)
+    assert got[2] == {(1, 0): 0, (3, 2): 2}
+
+
+def test_a_batch_of_one_is_the_polynomial_method():
+    p = (x - 1) ** 2 * (x - zeta(3)) * (x ** 2 + zeta(8))
+    caps = {(1, 0): 3, (3, 1): 2, (8, 5): 1, (6, 1): 1}
+    assert root_multiplicities([p], caps) == [p.multiplicities(caps)] == [
+        p.packed().multiplicities(caps)] == [multiplicities(p, caps)]
+    assert root_multiplicities([], caps) == []
+    assert root_multiplicities([p, LaurentPoly.zero()], {}) == [{}, {}]
