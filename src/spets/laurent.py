@@ -455,8 +455,9 @@ def _width(n: int, norm: int) -> int:
     return _slot_bits(n, norm) if totient(n) <= _PACK_PHI else 0
 
 
-# Rows packed side by side by root_multiplicities: 16, 64 and 128 ran slower
-# on the degree tables of Z_8 ... Z_32, and one integer for all rows slower still
+# Rows packed side by side by root_multiplicities: blocks of 16, 64 and 128
+# rows ran slower on the degree tables of Z_16 ... Z_32 (Z_8 and Z_12 did not
+# tell them apart), and one integer for all rows took twice as long at Z_32
 _BLOCK_ROWS = 32
 
 
