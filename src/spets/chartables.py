@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .cyclotomic import Cyclo, zeta
 from .orders import CharTable, cyclic_char_table
-from .reflection import Matrix, ReflectionCoset
+from .reflection import ReflectionCoset, _orbit_key
 
 __all__ = ["char_table", "feg_map"]
 
@@ -64,22 +64,20 @@ def _phi_key(name: str) -> tuple[int, int]:
     return int(b), int(d)
 
 
-def _monomial_data(g: Matrix) -> tuple[bool, int, int, int]:
-    """(is_diagonal, exponent sum, diag exponent 0, diag exponent 1)."""
-    diag = all(g.rows[i][j].is_zero() for i in range(2) for j in range(2) if i != j)
-    exps = []
-    for i in range(2):
-        for j in range(2):
-            c = g.rows[i][j]
-            if not c.is_zero():
-                d, a = c.root_of_unity_order()
-                exps.append(a * (3 // d) % 3)
-    return diag, sum(exps) % 3, exps[0], exps[1]
+def _monomial(G: ReflectionCoset, i: int) -> tuple[bool, int, int, int]:
+    """(is_diagonal, exponent sum, diag exponent 0, diag exponent 1) of element i
+    of G(3,1,2), a monomial matrix of powers of zeta_3, read off its orbit keys
+    at N = 3: a row with zeta_3^a in column j is the ``_orbit_key`` of zeta_3^a e_j,
+    its coordinate zeta_3^a on the Zumbroich basis (1 is {1: -1, 2: -1})."""
+    N = G._N
+    cells = {_orbit_key(N, 1, [{a: 1} if k == j else {} for k in range(2)]): (j, a)
+             for j in range(2) for a in range(N)}
+    (j0, a0), (_, a1) = [cells[row] for row in G._lift(i)]
+    return j0 == 0, (a0 + a1) % 3, a0, a1
 
 
 def _table_g312(G: ReflectionCoset) -> CharTable:
-    reps = [G.matrix(c.rep_index) for c in G.classes]
-    data = [_monomial_data(g) for g in reps]
+    data = [_monomial(G, c.rep_index) for c in G.classes]
     names: list[str] = []
     values: dict[str, tuple[Cyclo, ...]] = {}
 

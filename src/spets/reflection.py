@@ -1,6 +1,7 @@
 """Finite complex reflection groups as split reflection cosets.
 
-A group is given by generator matrices over a cyclotomic field, each the
+A group is given by generator matrices over a cyclotomic field, each a
+sequence of rows of ``Cyclo``, ``int`` or ``Fraction`` entries and the
 identity or a reflection, and acts faithfully on the orbit of their roots
 (CHEVIE's ``PermRootGroup``: J. Michel, J. Algebra 435 (2015)).  The group
 layer runs on integer lifts at N, the lcm of the generator entries'
@@ -10,8 +11,8 @@ once, moves it by one integer product.  A breadth-first pass over the root
 orbit lists the elements and their shortest words; an element is then an
 integer index, and products, powers, classes, hyperplanes and Sylow
 normalisers are read off index tables.  An element's matrix is one key per
-row, built along its word; ``matrix`` reads it over ``Cyclo`` on request.
-A class's eigenvalues are the roots of its charpoly on those lifts.
+row, built along its word.  A class's eigenvalues are the roots of its
+charpoly on those lifts.
 
 Each reflecting hyperplane is the kernel of one linear form, a nonzero row
 of h - 1 for a reflection h on it.  The pointwise stabilizer W_L of L =
@@ -41,73 +42,16 @@ from itertools import accumulate, combinations, permutations
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .cyclotomic import (Cyclo, CycloField, CycloSum, _convolve, _is_zero_lift, _to_basis,
-                         sum_of_products, zeta)
+from .cyclotomic import Cyclo, CycloField, _convolve, _is_zero_lift, _to_basis, zeta
 from .laurent import KCycloPoly, LaurentPoly, PackedLift
 
 __all__ = [
-    "Matrix",
     "ConjClass",
     "ReflectionCoset",
     "SubCoset",
     "build_group",
     "sylow_subcoset",
 ]
-
-
-class Matrix:
-    """Small immutable matrix over cyclotomic numbers."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Sequence[Sequence[Cyclo | int | Fraction]]):
-        norm = tuple(
-            tuple(c if isinstance(c, Cyclo) else Cyclo.rational(c) for c in row)
-            for row in rows)
-        object.__setattr__(self, "rows", norm)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Matrix is immutable")
-
-    @staticmethod
-    def identity(n: int) -> "Matrix":
-        return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def diagonal(entries: Sequence[Cyclo | int]) -> "Matrix":
-        n = len(entries)
-        return Matrix([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        cols = list(zip(*other.rows))
-        return Matrix([[sum_of_products(zip(row, col)) for col in cols]
-                       for row in self.rows])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def charpoly(self) -> LaurentPoly:
-        """det(x*I - M), read off ``_charpoly`` on the entries' lifts."""
-        N = lcm(*[c.n for row in self.rows for c in row])
-        p = _charpoly(N, *_lift_rows(self.rows, N))
-        return LaurentPoly({e: Cyclo(n, dict(g), p.den // m) for e, n, g, m in p.coeffs})
-
-    def apply(self, vec: Sequence[Cyclo]) -> list[Cyclo]:
-        return [sum_of_products(zip(row, vec)) for row in self.rows]
-
-    def __repr__(self) -> str:
-        rows = "; ".join(
-            ", ".join(c.serialize() for c in row) for row in self.rows)
-        return f"Matrix[{rows}]"
 
 
 def _charpoly(n: int, den: int, lifts: list[list[dict[int, int]]]) -> PackedLift:
@@ -126,10 +70,14 @@ def _charpoly(n: int, den: int, lifts: list[list[dict[int, int]]]) -> PackedLift
     return PackedLift(0, den ** r, coeffs[::-1])
 
 
-def _lift_rows(rows: Sequence[Sequence[Cyclo]], N: int) -> tuple[int, list[list[dict]]]:
-    """(den, lifts): entry (i, j) is lifts[i][j](zeta_N) / den, a dict {exponent: numerator}."""
-    den = lcm(*[c.den for row in rows for c in row])
-    return den, [[c._lift(N, den // c.den) for c in row] for row in rows]
+def _lift_rows(rows: Sequence[Sequence[Cyclo | int | Fraction]],
+               N: int) -> tuple[int, list[list[dict]]]:
+    """(den, lifts): entry (i, j) is lifts[i][j](zeta_N) / den, a dict {exponent: numerator};
+    an entry is a ``Cyclo``, an ``int`` or a ``Fraction``."""
+    den = lcm(*[c.den if isinstance(c, Cyclo) else c.denominator for row in rows for c in row])
+    return den, [[c._lift(N, den // c.den) if isinstance(c, Cyclo)
+                  else {0: c.numerator * (den // c.denominator)} if c else {}
+                  for c in row] for row in rows]
 
 
 def _orbit_key(n: int, den: int, coords: list[dict[int, int]]) -> tuple:
@@ -179,18 +127,19 @@ class ReflectionCoset:
     word of each element.
     """
 
-    def __init__(self, name: str, gens: Sequence[Matrix], field: CycloField):
+    def __init__(self, name: str, gens: Sequence[Sequence[Sequence[Cyclo | int | Fraction]]],
+                 field: CycloField):
         self.name = name
         self.field = field
-        self.rank = gens[0].n if gens else 0
+        self.rank = len(gens[0]) if gens else 0
         # G acts trivially on V modulo the span of the generators' roots, so
         # (Maschke) faithfully on their orbit, which has at most |G| points,
         # each an ``_orbit_key`` at N, moved by a generator's integer lifts
-        N = self._N = lcm(*[c.n for g in gens for row in g.rows for c in row])
-        lifted = [_lift_rows(g.rows, N) for g in gens]
+        N = self._N = lcm(*[c.n for g in gens for row in g for c in row if isinstance(c, Cyclo)])
+        lifted = [_lift_rows(g, N) for g in gens]
         moves = [lambda key, den=den, rows=rows: _move(N, den, rows, key) for den, rows in lifted]
-        start = dict.fromkeys(_orbit_key(N, den, coords) for k, g in enumerate(gens)
-                              if (r := _root(k, g)) for den, (coords,) in [_lift_rows([r], N)])
+        start = dict.fromkeys(r for k, (den, rows) in enumerate(lifted)
+                              if (r := _root(k, N, den, rows)))
         _, images, _ = _walk(start, moves, len(gens) * MAX_GROUP_ORDER)
         inverses = [{row[gi]: k for k, row in enumerate(images)} for gi in range(len(gens))]
         # g is keyed by g^-1 r for the generators' roots r, as (g s)^-1 r =
@@ -210,7 +159,6 @@ class ReflectionCoset:
         self._gen_cols = [(den, list(zip(*rows))) for den, rows in lifted]  # the transposes
         self._lifts = {0: tuple(_orbit_key(N, 1, [{0: int(i == j)} for j in range(self.rank)])
                                 for i in range(self.rank))}
-        self._matrices: dict[int, Matrix] = {}
         self._class_fake_lifts: dict[int, tuple] = {}
         self._class_fake_degrees: dict[int, LaurentPoly] = {}
         self._cyclic_centralizer_orders: dict[tuple[int, Cyclo], int | None] = {}
@@ -227,14 +175,6 @@ class ReflectionCoset:
         for j in reversed(chain):
             den, cols = self._gen_cols[self._found[j - 1][1]]
             m = self._lifts[j] = tuple(_move(self._N, den, cols, row) for row in m)
-        return m
-
-    def matrix(self, i: int) -> Matrix:
-        """Element i's matrix over ``Cyclo``, read off ``_lift`` on first use and kept."""
-        m = self._matrices.get(i)
-        if m is None:
-            m = self._matrices[i] = Matrix([[Cyclo(self._N, dict(v), r[0], in_basis=True)
-                                             for v in r[1:]] for r in self._lift(i)])
         return m
 
     # -- group structure ------------------------------------------------
@@ -531,24 +471,31 @@ class ReflectionCoset:
         return len(cent) if len(set(cent).intersection(fixing)) == 1 else None
 
 
-def _root(k: int, g: Matrix) -> tuple[Cyclo, ...] | None:
-    """A root of generator k, spanning im(g - 1), or None for the identity;
-    a generator that is neither the identity nor a reflection is an error."""
-    cells = [(i, j) for i in range(g.n) for j in range(g.n)]
-    a = {(i, j): g.rows[i][j] - (i == j) for i, j in cells}
-    p, q = next((c for c in cells if a[c]), (0, None))
+def _root(k: int, N: int, den: int, rows: list[list[dict[int, int]]]) -> tuple | None:
+    """The ``_orbit_key`` of a root of generator k, rows(zeta_N) / den, spanning
+    im(g - 1): its first nonzero column, or the unit vector when that lies on a
+    coordinate axis; None for the identity.  A generator that is neither the
+    identity nor a reflection is an error."""
+    a = [[{**c, 0: c.get(0, 0) - den} if i == j else c for j, c in enumerate(row)]
+         for i, row in enumerate(rows)]  # den (g - 1)
+    cells = [(i, j) for i in range(len(a)) for j in range(len(a))]
+    nonzero = {c for c in cells if not _is_zero_lift(N, a[c[0]][c[1]])}
+    p, q = next((c for c in cells if c in nonzero), (0, None))
     if q is None:
         return None
-    root = tuple(a[i, q] for i in range(g.n))
-    # rank(g - 1) = 1 when every 2x2 minor through a[p, q] vanishes (no inverse:
+    # rank(g - 1) = 1 when every 2x2 minor through a[p][q] vanishes (no inverse:
     # one at conductor 999 takes seconds); a reflection moves its root, and at
     # rank one (g - 1)^2 = trace(g - 1) (g - 1): g fixes it iff the trace is 0
-    minors = (a[i, j] * a[p, q] - a[i, q] * a[p, j] for i, j in cells if i != p and j != q)
-    if any(minors) or CycloSum((a[i, i], Cyclo.rational(1)) for i in range(g.n)).is_zero():
+    minors = (_convolve(N, [(a[i][j], a[p][q].items()),
+                            (a[i][q], [(e, -c) for e, c in a[p][j].items()])])
+              for i, j in cells if i != p and j != q)
+    if not all(_is_zero_lift(N, m) for m in minors) or \
+            _is_zero_lift(N, _convolve(N, [(a[i][i], ((0, 1),)) for i in range(len(a))])):
         raise ValueError(f"generator {k} is neither the identity nor a reflection")
-    if sum(map(bool, root)) == 1:  # on a coordinate axis: take the unit vector
-        root = tuple(Cyclo.rational(int(bool(v))) for v in root)
-    return root
+    col = [(i, q) in nonzero for i in range(len(a))]
+    if sum(col) == 1:  # on a coordinate axis: take the unit vector
+        return _orbit_key(N, 1, [{0: int(v)} for v in col])
+    return _orbit_key(N, den, [dict(a[i][q]) for i in range(len(a))])
 
 
 def _walk(start, moves, bound: int) -> tuple[list, list[list[int]], list[tuple[int, int]]]:
@@ -592,18 +539,16 @@ def build_group(name: str) -> ReflectionCoset:
         if e > MAX_GROUP_ORDER:  # refused before zeta(e) builds its basis
             raise ArithmeticError("group enumeration exceeded bound")
         fld = CycloField.cyclotomic(e)
-        return ReflectionCoset(f"Z_{e}", [Matrix([[zeta(e)]])], fld)
+        return ReflectionCoset(f"Z_{e}", [((zeta(e),),)], fld)
     if key in ("G4", "G_4"):
         z = zeta(3)
-        s = Matrix([[z, 0], [0, 1]])
-        a = (1 - z ** 2) / 3
-        t = Matrix([[a, Cyclo.rational(1)],
-                    [-2 * z / 3, (2 * z + 1) / 3]])
+        s = ((z, 0), (0, 1))
+        t = (((1 - z ** 2) / 3, 1),
+             (-2 * z / 3, (2 * z + 1) / 3))
         return ReflectionCoset("G4", [s, t], CycloField.cyclotomic(3))
     if key in ("G(3,1,2)", "G312", "G_{3,1,2}"):
-        z = zeta(3)
-        s = Matrix([[z, 0], [0, 1]])
-        t = Matrix([[0, 1], [1, 0]])
+        s = ((zeta(3), 0), (0, 1))
+        t = ((0, 1), (1, 0))
         return ReflectionCoset("G(3,1,2)", [s, t], CycloField.cyclotomic(3))
     raise ValueError(f"unknown built-in group: {name!r}")
 

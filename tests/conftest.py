@@ -5,13 +5,79 @@ from math import comb, lcm
 import pytest
 
 from spets.chartables import char_table, feg_map
-from spets.cyclotomic import _PACK_PHI, Cyclo, CycloField, _slot_bits, totient, zeta
+from spets.cyclotomic import (_PACK_PHI, Cyclo, CycloField, _slot_bits, sum_of_products, totient,
+                              zeta)
 from spets.laurent import LaurentPoly
-from spets.reflection import Matrix, ReflectionCoset, build_group
+from spets.reflection import ReflectionCoset, _charpoly, _lift_rows, build_group
 from spets.tabledata import construct_uch
 
 # The built-in groups every oracle test runs on.
 ORACLE_GROUPS = ("G4", "G(3,1,2)") + tuple(f"Z_{e}" for e in range(1, 13))
+
+
+class Matrix:
+    """A small immutable matrix over ``Cyclo``: the test-only oracle for
+    element products, charpolys and images of vectors.  The library keeps an
+    element as integer lifts (``ReflectionCoset._lift``) and takes its
+    generators as plain rows (``m.rows``)."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        norm = tuple(
+            tuple(c if isinstance(c, Cyclo) else Cyclo.rational(c) for c in row)
+            for row in rows)
+        object.__setattr__(self, "rows", norm)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Matrix is immutable")
+
+    @staticmethod
+    def identity(n):
+        return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+    @staticmethod
+    def diagonal(entries):
+        n = len(entries)
+        return Matrix([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+    @property
+    def n(self):
+        return len(self.rows)
+
+    def __matmul__(self, other):
+        cols = list(zip(*other.rows))
+        return Matrix([[sum_of_products(zip(row, col)) for col in cols]
+                       for row in self.rows])
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self):
+        return hash(self.rows)
+
+    def charpoly(self):
+        """det(x*I - M), read off the library's ``_charpoly`` on the entries' lifts."""
+        N = lcm(*[c.n for row in self.rows for c in row])
+        p = _charpoly(N, *_lift_rows(self.rows, N))
+        return LaurentPoly({e: Cyclo(n, dict(g), p.den // m) for e, n, g, m in p.coeffs})
+
+    def apply(self, vec):
+        return [sum_of_products(zip(row, vec)) for row in self.rows]
+
+    def __repr__(self):
+        rows = "; ".join(
+            ", ".join(c.serialize() for c in row) for row in self.rows)
+        return f"Matrix[{rows}]"
+
+
+def matrix(G, i):
+    """Element i's matrix over ``Cyclo``, read off its integer lifts, one
+    ``_orbit_key`` at N per row."""
+    return Matrix([[Cyclo(G._N, dict(v), r[0], in_basis=True) for v in r[1:]]
+                   for r in G._lift(i)])
 
 
 def r(v, lam):
@@ -38,6 +104,13 @@ def _extra_gens():
     }
 
 
+def b3_gens():
+    """G(2,1,3), the Weyl group of type B_3, by a sign change and two
+    coordinate swaps."""
+    return [Matrix.diagonal([-1, 1, 1]), Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+            Matrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]])]
+
+
 # Groups with no built-in, as split cosets, with their order, degrees,
 # codegrees and number of classes (Shephard-Todd; Lehrer-Taylor, Unitary
 # Reflection Groups).
@@ -55,7 +128,7 @@ EXTRA_GROUPS = {
 def extra_group(name):
     """One of EXTRA_GROUPS, built once per session."""
     gens, conductor = _extra_gens()[name]
-    return ReflectionCoset(name, gens, CycloField.cyclotomic(conductor))
+    return ReflectionCoset(name, [g.rows for g in gens], CycloField.cyclotomic(conductor))
 
 
 def centralizer(G, i):

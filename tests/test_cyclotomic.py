@@ -11,9 +11,8 @@ from spets.cyclotomic import (_NAMED_FIELDS, Cyclo, CycloField, _packed_phi, _si
                               _zero_digits, field_from_name, parse_cyclo, sqrt_int, zeta)
 from spets.hecke import CyclicHeckeParams
 from spets.laurent import FracExpMonomial
-from spets.reflection import Matrix
 
-from conftest import eigenspace, row_reduce
+from conftest import Matrix, eigenspace, row_reduce
 
 
 def rand_cyclo(n):

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from spets import orders
+from spets import chartables, orders
 from spets.chartables import char_table, feg_map
 from spets.cyclotomic import Cyclo, divisors, zeta
 from spets.laurent import LaurentPoly, k_cyclotomic_factors
@@ -16,7 +16,7 @@ from spets.orders import (CharTable, all_sylow_congruences, cyclic_char_table,
 from spets.reflection import SubCoset, build_group, sylow_subcoset
 
 from conftest import (EXTRA_GROUPS, ORACLE_GROUPS, divides, exact_div, extra_group,
-                      fake_degree_char)
+                      fake_degree_char, matrix)
 
 
 class TestPoincare:
@@ -87,7 +87,7 @@ class TestTorus:
         # reversed charpoly, divided by the reference long division
         G = extra_group(name) if name in EXTRA_GROUPS else build_group(name)
         for c in G.classes:
-            w = G.matrix(c.rep_index)
+            w = matrix(G, c.rep_index)
             cp = w.charpoly()
             T = torus(G, c.rep_index)
             assert order_poly(T) == cp
@@ -104,6 +104,20 @@ class TestTorus:
         assert G.class_fake_degree(3) is G._class_fake_degrees[3]
 
 
+def _monomial_data(g):
+    """(is_diagonal, exponent sum, diag exponent 0, diag exponent 1) of a 2 x 2
+    monomial matrix of powers of E(3), from its Cyclo entries."""
+    diag = all(g.rows[i][j].is_zero() for i in range(2) for j in range(2) if i != j)
+    exps = []
+    for i in range(2):
+        for j in range(2):
+            c = g.rows[i][j]
+            if not c.is_zero():
+                d, a = c.root_of_unity_order()
+                exps.append(a * (3 // d) % 3)
+    return diag, sum(exps) % 3, exps[0], exps[1]
+
+
 class TestCharTables:
     def test_cyclic_orthogonality(self):
         for e in (2, 3, 5, 6):
@@ -114,6 +128,13 @@ class TestCharTables:
 
     def test_g312_orthogonality(self, g312):
         char_table(g312).verify_orthogonality()
+
+    def test_g312_monomial_data_matches_matrices(self, g312):
+        # the table reads each class representative's monomial data off its
+        # orbit keys; on every element, against the entries of its matrix
+        assert g312.order == 18
+        for i in range(g312.order):
+            assert chartables._monomial(g312, i) == _monomial_data(matrix(g312, i)), i
 
     @pytest.mark.parametrize("name", ["G4", "G(3,1,2)"])
     def test_corrupted_entry_fails_orthogonality(self, name):

@@ -9,12 +9,12 @@ from spets import reflection
 from spets.cyclotomic import Cyclo, CycloField, divisors, sum_of_products, zeta
 from spets.laurent import LaurentPoly, k_cyclotomic_factors
 from spets.orders import all_sylow_congruences, order_poly
-from spets.reflection import Matrix, ReflectionCoset, SubCoset, build_group, sylow_subcoset
+from spets.reflection import ReflectionCoset, SubCoset, build_group, sylow_subcoset
 from spets.tabledata import _levi
 from spets.uch import regular_eigenvalues
 
-from conftest import (EXTRA_GROUPS, ORACLE_GROUPS, _extra_gens, centralizer, divides,
-                      eigenspace, extra_group, row_reduce)
+from conftest import (EXTRA_GROUPS, ORACLE_GROUPS, Matrix, _extra_gens, b3_gens, centralizer,
+                      divides, eigenspace, extra_group, matrix, row_reduce)
 
 
 class TestBuiltins:
@@ -51,7 +51,7 @@ class TestBuiltins:
         # A1 x A1 has P = (1 - x^2)^2, whose coefficient -2 of x^2 is no root
         # of unity; the Shephard-Todd count t^2 + 2t + 1 = (t + 1)^2 reads
         # the repeated degree 2 twice, with no error
-        G = ReflectionCoset("A1xA1", [Matrix([[-1, 0], [0, 1]]), Matrix([[1, 0], [0, -1]])],
+        G = ReflectionCoset("A1xA1", [((-1, 0), (0, 1)), ((1, 0), (0, -1))],
                             CycloField.rationals())
         assert [(d, z.serialize()) for d, z in G.degrees] == [(2, "1"), (2, "1")]
         assert G.poincare == LaurentPoly({0: 1, 2: -2, 4: 1})
@@ -66,18 +66,19 @@ class TestGenerators:
     roots is faithful only then."""
 
     @pytest.mark.parametrize("gens, bad", [
-        ([Matrix.diagonal([-1, 1]), Matrix.diagonal([-1, -1])], 1),  # rank(g - 1) = 2
-        ([Matrix([[1, 1], [0, 1]])], 0),                              # a transvection
+        ([((-1, 0), (0, 1)), ((-1, 0), (0, -1))], 1),  # rank(g - 1) = 2
+        ([((1, 1), (0, 1))], 0),                        # a transvection
+        ([((1, zeta(3)), (0, 1))], 0),                  # one over Q(zeta_3)
     ])
     def test_non_reflection_is_value_error(self, gens, bad):
         with pytest.raises(ValueError, match=f"generator {bad} is neither"):
-            ReflectionCoset("bad", gens, CycloField.rationals())
+            ReflectionCoset("bad", gens, CycloField.cyclotomic(3))
 
     def test_identity_generator(self):
         # Z_1 is built from [[1]], which has no root
         G = build_group("Z_1")
         assert (G.order, G.rank, G.gens, G.words, len(G.classes)) == (1, 1, [0], [""], 1)
-        assert G.matrix(0) == Matrix.identity(1)
+        assert matrix(G, 0) == Matrix.identity(1)
         assert G.n_ref == G.n_hyp == 0
 
     def test_infinite_order_stops_at_the_bound(self, monkeypatch):
@@ -85,12 +86,35 @@ class TestGenerators:
         # orbit grows until the bound on the root walk
         monkeypatch.setattr(reflection, "MAX_GROUP_ORDER", 50)
         with pytest.raises(ArithmeticError, match="enumeration exceeded bound"):
-            ReflectionCoset("inf", [Matrix.diagonal([2, 1])], CycloField.rationals())
+            ReflectionCoset("inf", [((2, 0), (0, 1))], CycloField.rationals())
 
     @pytest.mark.parametrize("name", ["G4", "G(3,1,2)"])
-    def test_matrix_is_built_once(self, name):
+    def test_lift_is_built_once(self, name):
         G = build_group(name)
-        assert all(G.matrix(i) is G.matrix(i) for i in range(G.order))
+        assert all(G._lift(i) is G._lift(i) for i in range(G.order))
+
+    @pytest.mark.parametrize("name", ["G4", "G(3,1,2)", "B3", "G(4,1,2)"])
+    def test_mixed_entries_match_cyclo_rows(self, name):
+        # the generators conjugated by diag(1, 2, ...), so that rational
+        # entries such as 1/2 appear, as rows of Cyclo (the Matrix oracle's
+        # rows) and as rows with each rational entry an int or a Fraction
+        gens = b3_gens() if name == "B3" else \
+            _extra_gens()[name][0] if name in EXTRA_GROUPS else _builtin_gens(name)
+        n = gens[0].n
+        d = Matrix.diagonal(list(range(1, n + 1)))
+        d_inv = Matrix.diagonal([Fraction(1, k) for k in range(1, n + 1)])
+        gens = [d @ g @ d_inv for g in gens]
+
+        def plain(c):
+            q = c.as_rational()
+            return c if q is None else int(q) if q.denominator == 1 else q
+        mixed = [tuple(tuple(map(plain, row)) for row in g.rows) for g in gens]
+        assert {type(c) for g in mixed for row in g for c in row} >= {int, Fraction}
+        field = CycloField.cyclotomic(lcm(*[c.n for g in gens for row in g.rows for c in row]))
+        want = ReflectionCoset(name, [g.rows for g in gens], field)
+        got = ReflectionCoset(name, mixed, field)
+        assert (got.order, got.words) == (want.order, want.words)
+        assert [vars(c) for c in got.classes] == [vars(c) for c in want.classes]
 
 
 class TestMatrix:
@@ -121,6 +145,17 @@ class TestMatrix:
         assert cp.evaluate(zeta(6)) == Cyclo.rational(0)
 
 
+def _count_cyclo(monkeypatch):
+    """A list that grows by one per ``Cyclo.__init__`` call from here on."""
+    built, init = [], Cyclo.__init__
+
+    def counting(self, *a, **k):
+        built.append(1)
+        init(self, *a, **k)
+    monkeypatch.setattr(Cyclo, "__init__", counting)
+    return built
+
+
 def _sympy_lift(c, n, z):
     """c as a polynomial in z = zeta_n, for n a multiple of c's conductor."""
     return sum(Fraction(a, c.den) * z ** (i * (n // c.n)) for i, a in c.terms)
@@ -135,7 +170,7 @@ def test_charpoly_matches_sympy(name):
     G = extra_group(name) if name in EXTRA_GROUPS else build_group(name)
     x, z = sympy.symbols("x z")
     for c in G.classes:
-        m = G.matrix(c.rep_index)
+        m = matrix(G, c.rep_index)
         n = lcm(*[e.n for row in m.rows for e in row])
         phi = sympy.Poly(sympy.cyclotomic_poly(n, z), z)
         lifted = sympy.Matrix([[_sympy_lift(e, n, z) for e in row] for row in m.rows])
@@ -154,11 +189,11 @@ class TestRegular:
         w = g4.regular_element(zeta(4))
         assert w is not None
         assert g4.element_order(w) % 4 == 0
-        assert len(eigenspace(g4.matrix(w), zeta(4))) == 1
+        assert len(eigenspace(matrix(g4, w), zeta(4))) == 1
 
     def test_g4_minus_one_regular(self, g4):
         w = g4.regular_element(Cyclo.rational(-1))
-        assert g4.matrix(w) == Matrix.diagonal([Cyclo.rational(-1)] * 2)
+        assert matrix(g4, w) == Matrix.diagonal([Cyclo.rational(-1)] * 2)
 
     def test_g312_regular(self, g312):
         for z in (zeta(6), zeta(6) ** 5, Cyclo.rational(-1)):
@@ -170,11 +205,11 @@ class TestRegular:
         assert len(cent) == g4.element_order(w)
         # cyclic: generated by w itself
         powers = set()
-        m = p = g4.matrix(w)
+        m = p = matrix(g4, w)
         for _ in range(g4.element_order(w)):
             powers.add(p)
             p = p @ m
-        assert {g4.matrix(g) for g in cent} == powers
+        assert {matrix(g4, g) for g in cent} == powers
 
 
 class TestCentralizer:
@@ -201,13 +236,13 @@ class TestCentralizer:
 def _restricted_centralizer(G, w, z):
     """The image of C_W(w) acting on V(w, z): each member's matrix on a basis
     of V(w, z), its coordinates solved by row-reducing [basis | g b]."""
-    basis = eigenspace(G.matrix(w), z)
+    basis = eigenspace(matrix(G, w), z)
     k = len(basis)
     images = set()
     for g in G.centralizer(w):
         cols = []
         for b in basis:
-            gb = G.matrix(g).apply(b)
+            gb = matrix(G, g).apply(b)
             rows = [[v[i] for v in basis] + [gb[i]] for i in range(G.rank)]
             assert row_reduce(rows) == list(range(k))  # g b lies in V(w, z)
             cols.append([rows[j][k] for j in range(k)])
@@ -226,7 +261,7 @@ class TestEigenspaceCentralizer:
     def test_restriction_is_cyclic(self, g4):
         w = g4.regular_element(zeta(4))
         assert g4.cyclic_centralizer_order(w, zeta(4)) == 4
-        assert len(eigenspace(g4.matrix(w), zeta(4))) == 1
+        assert len(eigenspace(matrix(g4, w), zeta(4))) == 1
 
     def test_g312_zeta6(self, g312):
         w = g312.regular_element(zeta(6))
@@ -273,7 +308,7 @@ class TestTables:
         G = build_group(name)
         for i in range(G.order):
             for j in range(G.order):
-                assert G.matrix(G._mul(i, j)) == G.matrix(i) @ G.matrix(j)
+                assert matrix(G, G._mul(i, j)) == matrix(G, i) @ matrix(G, j)
 
     @pytest.mark.parametrize("name", ["G(4,1,2)", "G6", "G8", "G25", "G26"])
     def test_right_table_matches_matrix_products(self, name):
@@ -282,7 +317,7 @@ class TestTables:
         G = extra_group(name)
         for i in range(G.order):
             for gi, gen in enumerate(_extra_gens()[name][0]):
-                assert G.matrix(G._right[i][gi]) == G.matrix(i) @ gen, (name, i, gi)
+                assert matrix(G, G._right[i][gi]) == matrix(G, i) @ gen, (name, i, gi)
 
     @pytest.mark.parametrize("name", ["G4", "G(3,1,2)", "G(4,1,2)", "G6", "G8", "G25", "G26"])
     def test_lifted_matrices_match_matrix_products(self, name):
@@ -303,23 +338,31 @@ class TestTables:
 
     @pytest.mark.parametrize("name", ["G6", "G26", "G29"])
     def test_orbit_walk_builds_no_cyclo(self, name, monkeypatch):
-        # every Cyclo built while the group is enumerated is one that the
-        # generators' roots need; the orbit of 72, 126 or 320 roots is walked
-        # on integer keys
+        # the generators' roots are read off their integer lifts, and the
+        # orbit of 72, 126 or 320 roots is walked on integer keys: from Cyclo
+        # generators, the build constructs no Cyclo at all
         gens, conductor = _extra_gens()[name]
-        built = []
-        init = Cyclo.__init__
-
-        def counting(self, *a, **k):
-            built.append(1)
-            init(self, *a, **k)
-        monkeypatch.setattr(Cyclo, "__init__", counting)
-        for k, g in enumerate(gens):
-            reflection._root(k, g)
-        roots = len(built)
-        G = ReflectionCoset(name, gens, CycloField.cyclotomic(conductor))
-        assert len(built) == 2 * roots
+        rows, field = [g.rows for g in gens], CycloField.cyclotomic(conductor)
+        built = _count_cyclo(monkeypatch)
+        G = ReflectionCoset(name, rows, field)
+        assert not built
         assert G.order == EXTRA_GROUPS[name][0]
+
+    def test_groups_pass_builds_few_cyclo(self, monkeypatch):
+        # a warm pass of the group-layer tasks on both built-in rank-two
+        # groups: the generators, the rank-one test of each and the Sylow and
+        # regular-eigenvalue data build at most 16 Cyclo (25 when the roots
+        # took canonical Cyclo arithmetic)
+        def run():
+            for name in ("G4", "G(3,1,2)"):
+                G = build_group(name)
+                G.classes, G.degrees
+                all_sylow_congruences(G)
+                regular_eigenvalues(G)
+        run()
+        built = _count_cyclo(monkeypatch)
+        run()
+        assert len(built) <= 16
 
     @pytest.mark.parametrize("name", TABLE_GROUPS)
     def test_words_spell_elements(self, name):
@@ -329,20 +372,20 @@ class TestTables:
         for i, word in enumerate(G.words):
             m = Matrix.identity(G.rank)
             for ch in word:
-                m = m @ G.matrix(G.gens["stuvw".index(ch)])
-            assert m == G.matrix(i)
-        assert len({G.matrix(i) for i in range(G.order)}) == G.order
+                m = m @ matrix(G, G.gens["stuvw".index(ch)])
+            assert m == matrix(G, i)
+        assert len({matrix(G, i) for i in range(G.order)}) == G.order
 
     @pytest.mark.parametrize("name", TABLE_GROUPS)
     def test_powers_match_matrix_powers(self, name):
         G = build_group(name)
         ident = Matrix.identity(G.rank)
         for g in range(G.order):
-            want, p = [ident], G.matrix(g)
+            want, p = [ident], matrix(G, g)
             while p != ident:
                 want.append(p)
-                p = p @ G.matrix(g)
-            assert [G.matrix(k) for k in G.powers(g)] == want
+                p = p @ matrix(G, g)
+            assert [matrix(G, k) for k in G.powers(g)] == want
             assert G.element_order(g) == len(want)
 
     def test_eigenvalues_give_det_one_minus_x(self, g4, g312):
@@ -353,7 +396,7 @@ class TestTables:
                 det = LaurentPoly.one()
                 for lam in c.eigenvalues:
                     det = det * LaurentPoly({0: 1, 1: -lam})
-                g = G.matrix(c.rep_index)
+                g = matrix(G, c.rep_index)
                 want = LaurentPoly([(g.n - e, a) for e, a in g.charpoly().coeffs])
                 assert det == want
                 assert G.class_fake_degree(ci) * det == G.poincare
@@ -363,7 +406,7 @@ class TestTables:
         for e in range(1, 25):
             G = build_group(f"Z_{e}")
             for c in G.classes:
-                g = G.matrix(c.rep_index)
+                g = matrix(G, c.rep_index)
                 mults = g.charpoly().multiplicities({(c.order, k): 1 for k in range(c.order)})
                 assert c.eigenvalues == tuple(zeta(c.order, k)
                                               for (_, k), m in mults.items() if m)
@@ -384,7 +427,7 @@ class TestTables:
 def _brute_normalizer_order(G, w_l, w):
     """|{v : v W_L v^-1 = W_L and v w v^-1 in W_L w}| by matrix products."""
     ident = Matrix.identity(G.rank)
-    elements = [G.matrix(i) for i in range(G.order)]
+    elements = [matrix(G, i) for i in range(G.order)]
     w_l = [elements[i] for i in w_l]
     w = elements[w]
     w_l_set = set(w_l)
@@ -477,13 +520,13 @@ class TestEigenDataOracle:
         for g in range(G.order):
             eig = G.eigenvalues(g)
             for z in _roots_of_exponent(G):
-                assert eig.count(z) == len(eigenspace(G.matrix(g), z)), (G.name, g, z)
+                assert eig.count(z) == len(eigenspace(matrix(G, g), z)), (G.name, g, z)
 
     def test_regular_classes_and_elements(self, oracle_group):
         G = oracle_group
         reps = [c.rep_index for c in G.classes]
         for z in _roots_of_exponent(G):
-            dims = [len(eigenspace(G.matrix(w), z)) for w in reps]
+            dims = [len(eigenspace(matrix(G, w), z)) for w in reps]
             best = max(dims)
             want = [ci for ci, dim in enumerate(dims) if dim == best]
             assert G.max_eigenspace_dim(z) == best
@@ -494,8 +537,8 @@ class TestEigenDataOracle:
     def test_reflections(self, oracle_group):
         G = oracle_group
         ident, one = Matrix.identity(G.rank), Cyclo.rational(1)
-        assert G.reflections == [g for g in range(G.order) if G.matrix(g) != ident
-                                 and len(eigenspace(G.matrix(g), one)) == G.rank - 1]
+        assert G.reflections == [g for g in range(G.order) if matrix(G, g) != ident
+                                 and len(eigenspace(matrix(G, g), one)) == G.rank - 1]
 
     def test_class_of(self, oracle_group):
         G = oracle_group
@@ -527,7 +570,7 @@ def _fixed_space_hyperplanes(G):
     space, so two reflections share a hyperplane iff their bases are equal."""
     ident, one, least, out = Matrix.identity(G.rank), Cyclo.rational(1), {}, {}
     for g in range(G.order):
-        m = G.matrix(g)
+        m = matrix(G, g)
         fixed = eigenspace(m, one)
         if m != ident and len(fixed) == G.rank - 1:
             out[g] = least.setdefault(tuple(map(tuple, fixed)), g)
@@ -540,7 +583,7 @@ class TestHyperplaneOracle:
         G = oracle_group
         by_line, by_table = {}, {}
         for g in G.reflections:
-            by_line.setdefault(_root_line(G.matrix(g)), set()).add(g)
+            by_line.setdefault(_root_line(matrix(G, g)), set()).add(g)
         for r, h in G._hyperplanes.items():
             by_table.setdefault(h, set()).add(r)
         assert sorted(map(sorted, by_table.values())) == \
@@ -561,7 +604,7 @@ class TestHyperplaneOracle:
                  for h, key in G._hyperplane_forms.items()}
         assert list(forms) == sorted(set(G._hyperplanes.values()))
         for r, h in G._hyperplanes.items():
-            form, m = forms[h], G.matrix(r)
+            form, m = forms[h], matrix(G, r)
             for v in eigenspace(m, one):
                 assert sum_of_products(zip(form, v)).is_zero(), (G.name, r)
             assert not sum_of_products(zip(form, _root_line(m))).is_zero(), (G.name, r)
@@ -581,7 +624,7 @@ def _matrix_order_poly(L, variant):
     reversed charpoly of each, the Molien series as their mean inverse, and
     the hyperplanes of W_L grouped by root line."""
     G = L.parent
-    mats = [G.matrix(g) @ G.matrix(L.twist) for g in L.group_elements]
+    mats = [matrix(G, g) @ matrix(G, L.twist) for g in L.group_elements]
     rank, one = G.rank, Cyclo.rational(1)
     bound = len(mats) * rank + 1  # at least the degree of P
     molien = LaurentPoly.zero()
@@ -590,7 +633,7 @@ def _matrix_order_poly(L, variant):
         molien = molien + _series_inverse(det, bound) * Fraction(1, len(mats))
     P = _series_inverse(molien, bound)
     core = LaurentPoly([(P.degree() - e, c) for e, c in P.coeffs])
-    refl = [G.matrix(g) for g in L.group_elements]
+    refl = [matrix(G, g) for g in L.group_elements]
     refl = [g for g in refl
             if g != Matrix.identity(rank) and len(eigenspace(g, one)) == rank - 1]
     if variant == "compact":
@@ -625,7 +668,7 @@ class TestSubCosetOracle:
 
 def _pointwise_stabilizer(G, vectors):
     """Every element of G that fixes each vector, in element order."""
-    return [g for g in range(G.order) if all(G.matrix(g).apply(v) == v for v in vectors)]
+    return [g for g in range(G.order) if all(matrix(G, g).apply(v) == v for v in vectors)]
 
 
 class TestParabolicSubgroup:
@@ -640,7 +683,7 @@ class TestParabolicSubgroup:
             d, k = phi.root_order, min(phi.root_exponents)
             eigval = zeta(d, k) if d > 1 else Cyclo.rational(1)
             w = G.regular_element(eigval)
-            want = _pointwise_stabilizer(G, eigenspace(G.matrix(w), eigval))
+            want = _pointwise_stabilizer(G, eigenspace(matrix(G, w), eigval))
             assert G.parabolic(w, eigval)[1] == tuple(want), (G.name, phi)
 
     def test_every_eigenspace(self, scan_group):
@@ -652,7 +695,7 @@ class TestParabolicSubgroup:
             w = c.rep_index
             for lam in dict.fromkeys(c.eigenvalues):
                 gens, members = G.parabolic(w, lam)
-                want = _pointwise_stabilizer(G, eigenspace(G.matrix(w), lam))
+                want = _pointwise_stabilizer(G, eigenspace(matrix(G, w), lam))
                 assert members == tuple(want), (G.name, c.rep_word, lam)
                 assert gens == tuple(r for r in G.reflections if r in set(want))
                 assert G.parabolic(w, lam) is G.parabolic(w, lam)
@@ -661,26 +704,24 @@ class TestParabolicSubgroup:
     @pytest.mark.parametrize("name", ["G4", "G(3,1,2)"])
     def test_groups_tasks_multiply_no_cyclo_matrix(self, monkeypatch, name):
         # the group layer reads element matrices, the product of the w - lam
-        # and the Molien sums of the Sylow congruences on integer lifts: a
-        # build, its classes, every Sylow congruence and the regular
-        # eigenvalues run with no Matrix product or application, and with no
-        # canonical relative Poincare polynomial
+        # and the Molien sums of the Sylow congruences on integer lifts, and
+        # has no matrix type over Cyclo: a build, its classes, every Sylow
+        # congruence and the regular eigenvalues run with no canonical
+        # relative Poincare polynomial
         def refuse(*a):
             raise AssertionError("called on the group layer's path")
-        monkeypatch.setattr(Matrix, "__matmul__", refuse)
-        monkeypatch.setattr(Matrix, "apply", refuse)
         monkeypatch.setattr(SubCoset, "relative_poincare", property(refuse))
         G = build_group(name)
         G.classes, G.degrees
         assert all(ok for _, ok in all_sylow_congruences(G))
         assert regular_eigenvalues(G)
-        assert not G._matrices
+        assert not hasattr(reflection, "Matrix") and not hasattr(G, "matrix")
 
     @pytest.mark.parametrize("name", ["G4", "G(3,1,2)"])
     def test_applies_no_matrix_and_takes_no_inverse(self, monkeypatch, name):
         # V(w, zeta) is spanned by a product of the matrices w - lambda and
-        # each containment is a zero test, so no matrix is applied to a
-        # vector and no Cyclo is inverted (an inverse costs about phi^3)
+        # each containment is a zero test on integer lifts, so no Cyclo is
+        # inverted (an inverse costs about phi^3)
         G = build_group(name)
         G.classes, G._hyperplane_forms  # built before the patch
 
@@ -688,7 +729,6 @@ class TestParabolicSubgroup:
             def fail(*a):
                 raise AssertionError(f"{what} called")
             return fail
-        monkeypatch.setattr(Matrix, "apply", refuse("Matrix.apply"))
         monkeypatch.setattr(Cyclo, "inverse", refuse("Cyclo.inverse"))
         for c in G.classes:
             for lam in set(c.eigenvalues):

@@ -15,14 +15,14 @@ from spets.cyclotomic import Cyclo, CycloField, zeta
 from spets.hecke import SpetsialAlgebraSpec, check_spetsial, frobenius_model
 from spets.laurent import LaurentPoly
 from spets.orders import fake_degree_torus, order_poly, reversal
-from spets.reflection import Matrix, ReflectionCoset, build_group
+from spets.reflection import ReflectionCoset, build_group
 from spets.tabledata import _g4_hc, _g312_hc, _levi, construct_uch
 from spets.uch import (DeterminationError, SeriesDetermination,
                        UchTable, UnipotentCharacter, check_inducing_sum,
                        cyclic_uch, determine_parameters, ennola_transform,
                        hc_candidate_filter, regular_eigenvalues, verify_axioms)
 
-from conftest import EXTRA_GROUPS, divides, exact_div, extra_group, row_reduce
+from conftest import EXTRA_GROUPS, b3_gens, divides, exact_div, extra_group, row_reduce
 
 
 class TestCyclicTables:
@@ -220,7 +220,7 @@ class TestAxioms:
 
     def test_galois_closure_over_the_rationals(self):
         # over Q every sigma_k but the identity is tested: sigma_2 moves E(3,1)
-        G = ReflectionCoset("Z_2", [Matrix([[-1]])], CycloField.rationals())
+        G = ReflectionCoset("Z_2", [((-1,),)], CycloField.rationals())
         table = cyclic_uch(2)
         rows = [UnipotentCharacter(r.name, r.degree * zeta(3), r.fr, r.family, r.series,
                                    r.sign_resolved, r.marker)
@@ -241,10 +241,7 @@ SPRINGER_DATA = {"G4": ((4, 6), (0, 2)), "G(3,1,2)": ((3, 6), (0, 3)),
 def _b3():
     """G(2,1,3), the Weyl group of type B_3: it has elements of order 4, but
     E(4) is not regular, as one degree and two codegrees are divisible by 4."""
-    t = Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    u = Matrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
-    return ReflectionCoset("B3", [Matrix.diagonal([-1, 1, 1]), t, u],
-                           CycloField.rationals())
+    return ReflectionCoset("B3", [g.rows for g in b3_gens()], CycloField.rationals())
 
 
 class TestRegularEigenvalues:
