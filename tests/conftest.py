@@ -1,3 +1,4 @@
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
@@ -73,11 +74,19 @@ class Matrix:
         return f"Matrix[{rows}]"
 
 
+# each group's element matrices, built on first use and dropped with the group
+_MATRICES = weakref.WeakKeyDictionary()
+
+
 def matrix(G, i):
     """Element i's matrix over ``Cyclo``, read off its integer lifts, one
     ``_orbit_key`` at N per row."""
-    return Matrix([[Cyclo(G._N, dict(v), r[0], in_basis=True) for v in r[1:]]
-                   for r in G._lift(i)])
+    kept = _MATRICES.setdefault(G, {})
+    m = kept.get(i)
+    if m is None:
+        m = kept[i] = Matrix([[Cyclo(G._N, dict(v), r[0], in_basis=True) for v in r[1:]]
+                              for r in G._lift(i)])
+    return m
 
 
 def r(v, lam):
