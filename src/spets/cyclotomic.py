@@ -26,12 +26,15 @@ conductor, as ``Q(x) = Q(1/x)``, so only ``zeta^-i`` is rewritten on the
 basis.  A canonical rational has conductor 1, so ``==`` against an ``int``
 or ``Fraction`` is decided by the conductor and the two integers.
 
-A sum of products ``sum a_i * b_i`` is accumulated by :class:`CycloSum` as
-one integer dict in the group ring Z[x]/(x^N - 1), N the lcm of the
-conductors, over one common denominator; that ring maps onto Z[zeta_N], so
-the canonical form is taken once, for the whole sum.  Raw products are not
-chained there (no powers or Horner steps in the group ring): x^N - 1 is not
-the cyclotomic polynomial, and the coefficients of a chain grow binomially.
+A sum of products ``sum a_i * b_i`` (a coefficient of a ``LaurentPoly``
+product or combination, or a value at a root of unity) is formed on integer
+lifts: each factor is lifted at N, the lcm of the conductors, over one common
+denominator (``Cyclo._lift``), and the products are cyclic convolutions into
+one integer dict in the group ring Z[x]/(x^N - 1) (``_convolve``); that ring
+maps onto Z[zeta_N], so the canonical form is taken once, for the whole
+sum.  Raw products are not chained there (no powers or Horner steps in the
+group ring): x^N - 1 is not the cyclotomic polynomial, and the coefficients
+of a chain grow binomially.
 Only products of reduced numbers are accumulated.  The bounded exception is
 a chain of binomials 1 - q*x^k, the form Schur elements are kept in (only
 ``hecke.schur_cyclic``, for the CLI and serialisation, multiplies them out,
@@ -47,9 +50,9 @@ substitution), and g(zeta_N) = 0 exactly when Phi_N(2^b) divides it, for a
 slot width b set by the L1 norm of g and a bound on the coefficients of
 z^k mod Phi_N (``_is_zero_packed`` has the proof); the bignum multiply and
 remainder do the convolutions and the reduction.  That one remainder is
-every zero test in the library: :meth:`CycloSum.is_zero`, the remainder of
-``LaurentPoly.peel``, ``laurent.root_multiplicities`` and the Sylow tests
-(one per Hasse derivative or value, on lifts packed once per polynomial:
+every zero test in the library: the remainder of ``LaurentPoly.peel``,
+``laurent.root_multiplicities`` and the Sylow tests (one per Hasse
+derivative or value, on lifts packed once per polynomial:
 ``laurent.PackedLift``), and the verifier's family sums.  Root
 multiplicities, and with them every divisibility by a polynomial of known
 roots (the verifier's and SC3's), are runs of such zero tests; for a table
@@ -77,8 +80,6 @@ from typing import Iterable, Iterator, Optional, Union
 
 __all__ = [
     "Cyclo",
-    "CycloSum",
-    "sum_of_products",
     "CycloField",
     "zeta",
     "sqrt_int",
@@ -585,60 +586,6 @@ def _make(n: int, terms: tuple[tuple[int, int], ...], den: int) -> Cyclo:
 
 _ZERO = _make(1, (), 1)
 _ONE = _make(1, ((0, 1),), 1)
-
-
-class CycloSum:
-    """A sum of products ``a * b`` of cyclotomic numbers, reduced once.
-
-    The numerators live in the group ring Z[x]/(x^n - 1) over one
-    denominator ``den``: ``n`` is the lcm of the conductors seen and ``den``
-    a common multiple of the ``a.den * b.den``.  Each ``add`` is one cyclic
-    convolution; :meth:`value` maps the sum to Q(zeta_n) and takes the
-    canonical form.  A sum that is nonzero in the group ring may still be
-    zero, so test :meth:`is_zero` (or :meth:`value`), never ``acc``.
-    """
-
-    __slots__ = ("n", "den", "acc")
-
-    def __init__(self, pairs: Iterable[tuple[Cyclo, Cyclo]] = ()):
-        """The sum of a * b over the pairs (zero when there are none)."""
-        self.n, self.den, self.acc = 1, 1, {}
-        for a, b in pairs:
-            self.add(a, b)
-
-    def add(self, a: Cyclo, b: Cyclo = _ONE) -> None:
-        """Add a * b (or a alone)."""
-        n, den, acc = self.n, self.den, self.acc
-        if n % a.n or n % b.n:
-            m = lcm(n, a.n, b.n)
-            s = m // n
-            acc = self.acc = {i * s: c for i, c in acc.items()}
-            n = self.n = m
-        d = a.den * b.den
-        if den % d:
-            m = lcm(den, d)
-            s = m // den
-            acc = self.acc = {i: c * s for i, c in acc.items()}
-            den = self.den = m
-        sa, sb, s = n // a.n, n // b.n, den // d
-        for i, x in a.terms:
-            i *= sa
-            x *= s
-            for j, y in b.terms:
-                k = (i + j * sb) % n
-                acc[k] = acc.get(k, 0) + x * y
-
-    def value(self) -> Cyclo:
-        return Cyclo(self.n, dict(self.acc), self.den)
-
-    def is_zero(self) -> bool:
-        """Whether the sum is zero: one packed remainder (``_is_zero_lift``)."""
-        return _is_zero_lift(self.n, self.acc)
-
-
-def sum_of_products(pairs: Iterable[tuple[Cyclo, Cyclo]]) -> Cyclo:
-    """sum(a * b) over the pairs, reduced once."""
-    return CycloSum(pairs).value()
 
 
 def _fmt_fraction(q: Fraction) -> str:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
-from .cyclotomic import (_ONE, _PACK_PHI, Cyclo, CycloField, CycloSum, _convolve,
+from .cyclotomic import (_ONE, _PACK_PHI, Cyclo, CycloField, _convolve,
                          _is_zero_lift, _is_zero_packed, _pack, _slot_bits, _zero_digits,
                          cyclotomic_int_coeffs, totient, zeta)
 
@@ -88,13 +88,18 @@ class LaurentPoly:
 
     @staticmethod
     def combination(terms: Iterable[tuple["LaurentPoly", Scalar]]) -> "LaurentPoly":
-        """sum(c * p) over the pairs (p, c), each coefficient reduced once."""
-        sums: defaultdict[int, CycloSum] = defaultdict(CycloSum)
+        """sum(c * p) over the pairs (p, c), each coefficient reduced once: every
+        product a * c is lifted at n, the lcm of the conductors, over one den,
+        and the lifts of one x-exponent are summed into one Cyclo."""
+        terms = [(p, _coerce(c)) for p, c in terms]
+        n = lcm(*[c.n for _, c in terms], *[a.n for p, _ in terms for _, a in p.coeffs])
+        den = lcm(*[a.den * c.den for p, c in terms for _, a in p.coeffs])
+        sums: defaultdict[int, dict[int, int]] = defaultdict(dict)
         for p, c in terms:
-            c = _coerce(c)
+            w = c._lift(n, 1).items()
             for e, a in p.coeffs:
-                sums[e].add(a, c)
-        return LaurentPoly({e: s.value() for e, s in sums.items()})
+                _convolve(n, [(a._lift(n, den // (a.den * c.den)), w)], sums[e])
+        return LaurentPoly({e: Cyclo(n, g, den) for e, g in sums.items()})
 
     # -- queries ----------------------------------------------------------
     def is_zero(self) -> bool:
@@ -145,11 +150,8 @@ class LaurentPoly:
             # product of nonzero numbers is nonzero
             return _lmake(tuple([(e1 + e2, c1 * c2) for e1, c1 in self.coeffs
                                  for e2, c2 in other.coeffs]))
-        sums: defaultdict[int, CycloSum] = defaultdict(CycloSum)
-        for e1, c1 in self.coeffs:
-            for e2, c2 in other.coeffs:
-                sums[e1 + e2].add(c1, c2)
-        return LaurentPoly({e: s.value() for e, s in sums.items()})
+        # sum(c * x^e * self) over other's terms
+        return LaurentPoly.combination((self.shift(e), c) for e, c in other.coeffs)
 
     __rmul__ = __mul__
 
@@ -256,24 +258,17 @@ class LaurentPoly:
 
     # -- transforms ---------------------------------------------------------
     def evaluate(self, v: Scalar) -> Cyclo:
-        """Value at v, reduced once: sum(c_e * E(d, k*e)) at a root of unity
-        v = E(d, k), from cached roots; else sum(c_e * v^(e - val)) * v^val."""
+        """Value at v.  At a root of unity v = E(d, k), reduced once: the
+        coefficients are lifted at n, the lcm of d and their conductors, and
+        x^e's lift is shifted by e*k*(n/d); elsewhere sum(c_e * v^e)."""
         v = _coerce(v)
-        if not self.coeffs:
-            return Cyclo.rational(0)
         root = v.root_of_unity_order()
-        if root is not None:
-            d, k = root
-            return CycloSum((c, Cyclo.root_of_unity(d, k * e % d)) for e, c in self.coeffs).value()
-        val = self.coeffs[0][0]
-        s = CycloSum()
-        p, k = Cyclo.rational(1), val  # p = v^(k - val)
-        for e, c in self.coeffs:
-            if e != k:
-                p = p * v ** (e - k)
-                k = e
-            s.add(c, p)
-        return s.value() * v ** val if val else s.value()
+        if root is None:
+            return sum([c * v ** e for e, c in self.coeffs], Cyclo.rational(0))
+        d, k = root
+        val, n, den, lifts = self._lifts(d)
+        s = k * (n // d)
+        return Cyclo(n, _convolve(n, [(g, ((e * s, 1),)) for e, g in enumerate(lifts, val)]), den)
 
     def vanishes_at(self, roots: list[tuple[int, int]]) -> list[bool]:
         """Whether the value at E(d, k) is zero, for each (d, k) in roots."""

@@ -449,13 +449,6 @@ def hc_candidate_filter(levi: SubCoset, deg_lambda: LaurentPoly, rel_order: int,
     return out
 
 
-def check_inducing_sum(levi: SubCoset, deg_lambda: LaurentPoly,
-                       rows_with_dims: list[tuple[UnipotentCharacter, int]]) -> bool:
-    """Deg(lambda) (|G|/|L|)_{x'} = sum Deg(rho_chi) chi(1) over a proposed tuple."""
-    total = LaurentPoly.combination((row.degree, dim) for row, dim in rows_with_dims)
-    return total == deg_lambda * reversal(levi.relative_poincare)
-
-
 # -- families --------------------------------------------------------------------------
 
 
@@ -560,9 +553,8 @@ def verify_axioms(table: UchTable, G: ReflectionCoset,
     regulars = regular_eigenvalues(G)
     orders = [z.root_of_unity_order() for z in regulars]
     # vanishes[name][t]: whether the row's degree is zero at regulars[t]
-    vanishes: dict[str, list[bool]] = {}
-    _check_degrees_divide_order(table, orders, G.order_roots, vanishes,
-                                fails["degree-divides-order"])
+    vanishes = _check_degrees_divide_order(table, orders, G.order_roots,
+                                           fails["degree-divides-order"])
     _check_series_compat(table, orders, vanishes, fails["series-compatibility"])
     _check_series_counting(table, G, feg_map, regulars, vanishes,
                            fails["series-counting"])
@@ -590,18 +582,20 @@ def _divides_order(p: LaurentPoly, mults: dict[tuple[int, int], int],
     return sum(min(mults[z], m) for z, m in roots.items()) == p.degree() - p.valuation()
 
 
-def _check_degrees_divide_order(table, orders, roots, vanishes, failures):
+def _check_degrees_divide_order(table, orders, roots, failures):
     """Each degree divides the order (``_divides_order``), from its root
     multiplicities capped at 1 at each regular E(d, k) of ``orders`` and at
     the order's multiplicity at its ``roots``, read for the whole table by
-    one ``laurent.root_multiplicities`` call; fills ``vanishes[name]`` with
-    whether the row's degree is zero at each of ``orders``."""
+    one ``laurent.root_multiplicities`` call.  Returns, per row name, whether
+    the row's degree is zero at each of ``orders``."""
     caps = {**dict.fromkeys(orders, 1), **roots}
     degrees = [row.degree for row in table.rows]
+    vanishes: dict[str, list[bool]] = {}
     for row, mults in zip(table.rows, root_multiplicities(degrees, caps)):
         vanishes[row.name] = [mults[o] > 0 for o in orders]
         if not _divides_order(row.degree, mults, roots):
             failures.append(row.name)
+    return vanishes
 
 
 def _check_family_sums(table, rows, feg_map, failures):

@@ -6,14 +6,19 @@ from math import comb, lcm
 import pytest
 
 from spets.chartables import char_table, feg_map
-from spets.cyclotomic import (_PACK_PHI, Cyclo, CycloField, _slot_bits, sum_of_products, totient,
-                              zeta)
+from spets.cyclotomic import _PACK_PHI, Cyclo, CycloField, _slot_bits, totient, zeta
 from spets.laurent import LaurentPoly
+from spets.orders import reversal
 from spets.reflection import ReflectionCoset, _charpoly, _lift_rows, build_group
 from spets.tabledata import construct_uch
 
 # The built-in groups every oracle test runs on.
 ORACLE_GROUPS = ("G4", "G(3,1,2)") + tuple(f"Z_{e}" for e in range(1, 13))
+
+
+def dot(u, v):
+    """sum(a * b) over the pairs of u and v, as a plain sum of canonical products."""
+    return sum([a * b for a, b in zip(u, v)], Cyclo.rational(0))
 
 
 class Matrix:
@@ -48,8 +53,7 @@ class Matrix:
 
     def __matmul__(self, other):
         cols = list(zip(*other.rows))
-        return Matrix([[sum_of_products(zip(row, col)) for col in cols]
-                       for row in self.rows])
+        return Matrix([[dot(row, col) for col in cols] for row in self.rows])
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -66,7 +70,7 @@ class Matrix:
         return LaurentPoly({e: Cyclo(n, dict(g), p.den // m) for e, n, g, m in p.coeffs})
 
     def apply(self, vec):
-        return [sum_of_products(zip(row, vec)) for row in self.rows]
+        return [dot(row, vec) for row in self.rows]
 
     def __repr__(self):
         rows = "; ".join(
@@ -269,6 +273,12 @@ def fake_degree_char(table, name):
     G, row = table.group, table.values[name]
     return LaurentPoly._of_lifts(*G.class_sum((ci, t.conjugate() * Fraction(c.size, G.order))
                                               for ci, (t, c) in enumerate(zip(row, G.classes))))
+
+
+def check_inducing_sum(levi, deg_lambda, rows_with_dims):
+    """Deg(lambda) (|G|/|L|)_{x'} = sum Deg(rho_chi) chi(1) over a proposed tuple."""
+    total = LaurentPoly.combination((row.degree, dim) for row, dim in rows_with_dims)
+    return total == deg_lambda * reversal(levi.relative_poincare)
 
 
 @pytest.fixture(scope="session")

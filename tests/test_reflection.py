@@ -6,7 +6,7 @@ from math import lcm
 import pytest
 
 from spets import reflection
-from spets.cyclotomic import Cyclo, CycloField, divisors, sum_of_products, zeta
+from spets.cyclotomic import Cyclo, CycloField, divisors, zeta
 from spets.laurent import LaurentPoly, k_cyclotomic_factors
 from spets.orders import all_sylow_congruences, order_poly
 from spets.reflection import ReflectionCoset, SubCoset, build_group, sylow_subcoset
@@ -14,7 +14,7 @@ from spets.tabledata import _levi
 from spets.uch import regular_eigenvalues
 
 from conftest import (EXTRA_GROUPS, ORACLE_GROUPS, Matrix, _extra_gens, b3_gens, centralizer,
-                      divides, eigenspace, extra_group, matrix, row_reduce)
+                      divides, dot, eigenspace, extra_group, matrix, row_reduce)
 
 
 class TestBuiltins:
@@ -606,8 +606,8 @@ class TestHyperplaneOracle:
         for r, h in G._hyperplanes.items():
             form, m = forms[h], matrix(G, r)
             for v in eigenspace(m, one):
-                assert sum_of_products(zip(form, v)).is_zero(), (G.name, r)
-            assert not sum_of_products(zip(form, _root_line(m))).is_zero(), (G.name, r)
+                assert dot(form, v).is_zero(), (G.name, r)
+            assert not dot(form, _root_line(m)).is_zero(), (G.name, r)
 
 
 def _series_inverse(p, bound):

@@ -17,12 +17,12 @@ from spets.laurent import LaurentPoly
 from spets.orders import fake_degree_torus, order_poly, reversal
 from spets.reflection import ReflectionCoset, build_group
 from spets.tabledata import _g4_hc, _g312_hc, _levi, construct_uch
-from spets.uch import (DeterminationError, SeriesDetermination,
-                       UchTable, UnipotentCharacter, check_inducing_sum,
+from spets.uch import (DeterminationError, SeriesDetermination, UchTable, UnipotentCharacter,
                        cyclic_uch, determine_parameters, ennola_transform,
                        hc_candidate_filter, regular_eigenvalues, verify_axioms)
 
-from conftest import EXTRA_GROUPS, b3_gens, divides, exact_div, extra_group, row_reduce
+from conftest import (EXTRA_GROUPS, b3_gens, check_inducing_sum, divides, exact_div, extra_group,
+                      row_reduce)
 
 
 class TestCyclicTables:

@@ -7,11 +7,13 @@ rewrite ``_to_basis`` on lifts of degree below 2n, at conductors 105 and 385
 (where max_k ||z^k mod Phi_n||_inf is 2 and 3, read from sympy remainders)
 with coefficients up to +-10^6, at conductors above ``_PACK_PHI`` (where
 ``_is_zero_lift`` takes the rewrite itself, so the kernel is forced there),
-and on lifts built to vanish at the packing point 2^b itself.  ``CycloSum.is_zero`` and
-``LaurentPoly.vanishes_at`` are compared with ``is_zero`` of the canonical
-value: on coefficients of conductors 1 to 24, with negative exponents, at
-roots of unity of order up to 24, and on sums built to vanish, some only
-after the basis rewrite.  ``LaurentPoly.multiplicities``, a run of such
+and on lifts built to vanish at the packing point 2^b itself.
+``_is_zero_lift`` on hand-built lifts of sums of products,
+``LaurentPoly.combination`` and ``evaluate``, and ``LaurentPoly.vanishes_at``
+are compared with the canonical value, a plain sum of reduced products: on
+coefficients of conductors 1 to 24, with negative exponents, at roots of
+unity of order up to 24, and on sums built to vanish, some only after the
+basis rewrite.  ``LaurentPoly.multiplicities``, a run of such
 tests on Hasse derivatives, is compared with repeated long division by
 x - E(d, k) and with planted multiplicities up to 20.  ``root_multiplicities``,
 which reads a whole table at once from one packed sum per root for each
@@ -21,15 +23,16 @@ mixing conductors, zero rows and PackedLifts over several blocks, above
 ``_PACK_PHI``, and on rows whose norms set the block's slot width.
 """
 
+import ast
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import spets
-from spets.cyclotomic import (_PACK_PHI, Cyclo, CycloSum, _is_zero_lift, _is_zero_packed, _pack,
+from spets.cyclotomic import (_ONE, _PACK_PHI, Cyclo, _is_zero_lift, _is_zero_packed, _pack,
                               _slot_bits, _to_basis, _zero_test_norms, cyclotomic_int_coeffs,
                               zeta)
 from spets import reflection, tabledata, uch
@@ -63,47 +66,67 @@ def canonical(p, ds):
     return [p.evaluate(zeta(d, k)).is_zero() for d, k in ds]
 
 
+def lift_of(pairs):
+    """(n, g, den): sum(a * b) over the pairs as g(zeta_n) / den, built by
+    hand at n the lcm of the conductors, with no reduction."""
+    n = lcm(*[z.n for pair in pairs for z in pair])
+    den = lcm(*[a.den * b.den for a, b in pairs])
+    g = {}
+    for a, b in pairs:
+        for i, x in a._lift(n, den // (a.den * b.den)).items():
+            for j, y in b._lift(n, 1).items():
+                g[(i + j) % n] = g.get((i + j) % n, 0) + x * y
+    return n, g, den
+
+
+def combination(pairs):
+    """sum(a * b) over the pairs through ``LaurentPoly.combination``."""
+    return LaurentPoly.combination((LaurentPoly.constant(a), b) for a, b in pairs)
+
+
 @given(st.lists(st.tuples(cyclo(), cyclo()), max_size=5))
 @settings(max_examples=120, deadline=None)
 def test_cyclo_sum_is_zero_matches_value(pairs):
-    s = CycloSum()
-    for a, b in pairs:
-        s.add(a, b)
-    assert s.is_zero() == s.value().is_zero()
+    value = sum([a * b for a, b in pairs], Cyclo.rational(0))
+    n, g, den = lift_of(pairs)
+    assert _is_zero_lift(n, g) == value.is_zero()
+    assert Cyclo(n, g, den) == value
+    assert combination(pairs) == value
 
 
 @given(st.lists(st.tuples(cyclo(), cyclo()), max_size=4))
 @settings(max_examples=80, deadline=None)
 def test_cyclo_sum_minus_itself_is_zero(pairs):
-    s = CycloSum()
-    for a, b in pairs:
-        s.add(a, b)
-        s.add(-a, b)
-    assert s.is_zero() and s.value().is_zero()
+    pairs = pairs + [(-a, b) for a, b in pairs]
+    assert _is_zero_lift(*lift_of(pairs)[:2])
+    assert combination(pairs).is_zero()
 
 
 @given(cyclo(), st.sampled_from([(3, 1), (8, 4), (12, 4), (24, 8), (24, 12)]),
        st.integers(0, 23))
 @settings(max_examples=80, deadline=None)
 def test_cyclo_sum_of_a_root_relation_is_zero(a, rel, i):
-    # sum_{t<p} E(n, i + t*n/p) = 0 for p = n/step prime
+    # sum_{t<p} E(n, i + t*n/p) = 0 for p = n/step prime: a * E(n, i) times
+    # 1 + x + ... + x^(p-1) at x = E(n, step)
     n, step = rel
-    s = CycloSum()
-    for t in range(0, n, step):
-        s.add(a, zeta(n, i + t))
-    assert s.is_zero() and s.value().is_zero()
-    s.add(a)
-    assert s.is_zero() == a.is_zero()
+    pairs = [(a, zeta(n, i + t)) for t in range(0, n, step)]
+    assert _is_zero_lift(*lift_of(pairs)[:2]) and combination(pairs).is_zero()
+    p = LaurentPoly({t: a * zeta(n, i) for t in range(n // step)})
+    assert p.evaluate(zeta(n, step)).is_zero()
+    assert _is_zero_lift(*lift_of(pairs + [(a, _ONE)])[:2]) == a.is_zero()
+    assert (p + a).evaluate(zeta(n, step)) == a
 
 
 @pytest.mark.parametrize("roots", [[(3, 0), (3, 1), (3, 2)], [(6, 1), (6, 3), (6, 5)],
                                    [(12, 1), (12, 5), (12, 9)], [(24, 7), (24, 15), (24, 23)]])
 def test_cyclo_sum_vanishing_only_after_rewrite(roots):
-    s = CycloSum()
-    for n, k in roots:
-        s.add(zeta(n, k))
-    assert len([c for c in s.acc.values() if c]) == len(roots)  # nonzero in the group ring
-    assert s.is_zero()
+    pairs = [(zeta(n, k), _ONE) for n, k in roots]
+    n, g, _ = lift_of(pairs)
+    assert len([c for c in g.values() if c]) == len(roots)  # nonzero in the group ring
+    assert _is_zero_lift(n, g) and combination(pairs).is_zero()
+    # the same sum as the value of x^k1 + x^k2 + x^k3 at E(d, 1), one shifted lift
+    d = roots[0][0]
+    assert LaurentPoly({k: 1 for _, k in roots}).evaluate(zeta(d)).is_zero()
 
 
 @given(poly(), st.lists(roots, max_size=6))
@@ -299,11 +322,14 @@ def test_to_basis_serves_only_the_canonical_form():
     # every zero test in the library goes through the packed kernel, or,
     # above the packing bound, through _is_zero_lift's basis rewrite; the
     # other calls are canonical forms: Cyclo's, and the root orbit's keys
-    # at one fixed conductor
-    src = Path(spets.__file__).parent
-    calls = [(f.name, line.strip()) for f in sorted(src.glob("*.py"))
-             for line in f.read_text().splitlines()
-             if "_to_basis(" in line and "def _to_basis(" not in line]
+    # at one fixed conductor; read off the syntax tree, so a name in a
+    # docstring or comment is no call site
+    calls = []
+    for f in sorted(Path(spets.__file__).parent.glob("*.py")):
+        text = f.read_text()
+        sites = sorted(node.lineno for node in ast.walk(ast.parse(text)) if
+                       isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_to_basis")
+        calls += [(f.name, text.splitlines()[n - 1].strip()) for n in sites]
     assert calls == [("cyclotomic.py", "return not _to_basis(n, folded)"),
                      ("cyclotomic.py", "coeffs = _to_basis(n, coeffs)"),
                      ("reflection.py", "coords = [_to_basis(n, c) for c in coords]")]
