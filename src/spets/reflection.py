@@ -473,8 +473,9 @@ class ReflectionCoset:
 
 def _root(k: int, N: int, den: int, rows: list[list[dict[int, int]]]) -> tuple | None:
     """The ``_orbit_key`` of a root of generator k, rows(zeta_N) / den, spanning
-    im(g - 1): its first nonzero column; None for the identity.  A generator
-    that is neither the identity nor a reflection is an error."""
+    im(g - 1): its first nonzero column, or the unit vector when that lies on a
+    coordinate axis; None for the identity.  A generator that is neither the
+    identity nor a reflection is an error."""
     a = [[{**c, 0: c.get(0, 0) - den} if i == j else c for j, c in enumerate(row)]
          for i, row in enumerate(rows)]  # den (g - 1)
     cells = [(i, j) for i in range(len(a)) for j in range(len(a))]
@@ -491,6 +492,11 @@ def _root(k: int, N: int, den: int, rows: list[list[dict[int, int]]]) -> tuple |
     if not all(_is_zero_lift(N, m) for m in minors) or \
             _is_zero_lift(N, _convolve(N, [(a[i][i], ((0, 1),)) for i in range(len(a))])):
         raise ValueError(f"generator {k} is neither the identity nor a reflection")
+    col = [(i, q) in nonzero for i in range(len(a))]
+    if sum(col) == 1:
+        # any multiple of a root numbers the elements alike, but the unit
+        # vector's orbit has one-term coordinates, so each move is cheaper
+        return _orbit_key(N, 1, [{0: int(v)} for v in col])
     return _orbit_key(N, den, [dict(a[i][q]) for i in range(len(a))])
 
 

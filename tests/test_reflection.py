@@ -81,6 +81,15 @@ class TestGenerators:
         assert matrix(G, 0) == Matrix.identity(1)
         assert G.n_ref == G.n_hyp == 0
 
+    @pytest.mark.parametrize("g, axis", [(((zeta(3), 0), (0, 1)), 0), (((1, 0), (0, -1)), 1)])
+    def test_root_on_an_axis_is_the_unit_vector(self, g, axis):
+        # any multiple of a root numbers the elements alike; the unit vector
+        # is kept because its orbit has one-term coordinates, so each move of
+        # the root walk is cheaper (G4's and G(3,1,2)'s s = diag(zeta3, 1))
+        unit = [{0: 1} if i == axis else {} for i in range(2)]
+        assert reflection._root(0, 3, *reflection._lift_rows(g, 3)) == \
+            reflection._orbit_key(3, 1, unit)
+
     def test_infinite_order_stops_at_the_bound(self, monkeypatch):
         # diag(2, 1) fixes a hyperplane but has infinite order: its root's
         # orbit grows until the bound on the root walk
