@@ -258,17 +258,23 @@ class LaurentPoly:
 
     # -- transforms ---------------------------------------------------------
     def evaluate(self, v: Scalar) -> Cyclo:
-        """Value at v.  At a root of unity v = E(d, k), reduced once: the
-        coefficients are lifted at n, the lcm of d and their conductors, and
-        x^e's lift is shifted by e*k*(n/d); elsewhere sum(c_e * v^e)."""
+        """Value at v.  At a root of unity v = E(d, k), one lift reduced once:
+        with g the gcd of the exponents present, every v^e is a power of v^g,
+        of order d' = d / gcd(d, k*g), so each term a z_m^t of c_e is added
+        at n, the lcm of d' and the conductors, over one den, shifted by
+        e*k*n/d (an integer, as g divides e); elsewhere sum(c_e * v^e)."""
         v = _coerce(v)
         root = v.root_of_unity_order()
         if root is None:
             return sum([c * v ** e for e, c in self.coeffs], Cyclo.rational(0))
         d, k = root
-        val, n, den, lifts = self._lifts(d)
-        s = k * (n // d)
-        return Cyclo(n, _convolve(n, [(g, ((e * s, 1),)) for e, g in enumerate(lifts, val)]), den)
+        n = lcm(d // gcd(d, k * gcd(*[e for e, _ in self.coeffs])), *[c.n for _, c in self.coeffs])
+        den, acc = lcm(*[c.den for _, c in self.coeffs]), {}
+        for e, c in self.coeffs:
+            s, m, o = n // c.n, den // c.den, e * k * n // d
+            for t, a in c.terms:
+                acc[(t * s + o) % n] = acc.get((t * s + o) % n, 0) + a * m
+        return Cyclo(n, acc, den)
 
     def vanishes_at(self, roots: list[tuple[int, int]]) -> list[bool]:
         """Whether the value at E(d, k) is zero, for each (d, k) in roots."""
@@ -515,10 +521,11 @@ def root_multiplicities(polys: Sequence["LaurentPoly | PackedLift"],
             blk = idx[lo:lo + _BLOCK_ROWS]
             b = _slot_bits(n, max([norms[i] for i in blk]))
             width, cols = b * (2 * n - 1), {}
-            for t, i in enumerate(blk):
-                q = rows[i][1]
-                for e, g in zip(q.exps, q._at(n, b)):
-                    cols[e] = cols.get(e, 0) + (g << width * t)
+            for t, i in enumerate(blk):  # each lift packed straight into its column
+                for e, cn, g, m in rows[i][1].coeffs:
+                    s = n // cn
+                    cols[e] = cols.get(e, 0) + (sum([a * m << b * (u * s) for u, a in g])
+                                                << width * t)
             for (d, k), cap in caps.items():
                 s, live, j = k * (n // d), range(len(blk)), 0
                 while live and j < cap:

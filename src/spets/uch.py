@@ -126,8 +126,8 @@ def cyclic_uch(e: int) -> UchTable:
 
     Time and memory grow like e^3, so e is bounded by ``MAX_CYCLIC_ORDER``.
     On a 2-core Intel Xeon under CPython 3.11, cyclic_uch(32) takes 0.3 s
-    and 19 MB and ``spets verify Z_32`` 0.6 s; e = 48 takes 1.2 s and 30 MB,
-    and ``spets verify Z_48``, run with the bound raised to 48, 3.6 s.
+    and 19 MB and ``spets verify Z_32`` 0.5 s; e = 48 takes 1.2 s and 30 MB,
+    and ``spets verify Z_48``, run with the bound raised to 48, 3.0 s.
     """
     if e < 1:
         raise ValueError("cyclic order must be positive")
@@ -518,11 +518,8 @@ class AxiomReport:
         return not any(self.failures.values())
 
     def summary(self) -> str:
-        lines = []
-        for check, fails in self.failures.items():
-            status = "ok" if not fails else "FAIL: " + "; ".join(fails)
-            lines.append(f"{check}: {status}")
-        return "\n".join(lines)
+        return "\n".join(f"{check}: " + ("FAIL: " + "; ".join(fails) if fails else "ok")
+                         for check, fails in self.failures.items())
 
 
 def verify_axioms(table: UchTable, G: ReflectionCoset,
@@ -533,9 +530,9 @@ def verify_axioms(table: UchTable, G: ReflectionCoset,
     (``cyclotomic._is_zero_packed``, ``_is_zero_lift``) give the degrees'
     root multiplicities at the regular zeta and the order's roots (one
     ``laurent.root_multiplicities`` call for the table, one packed sum per
-    root for each block of rows) and test the family sums at
-    x^i y^j (one big-integer product per term and X-exponent), the
-    principal-series sum at x^i and sum |Feg(zeta)|^2 against the zeta-series
+    root for each block of rows) and test the family sums at x^i y^j and
+    the principal-series sum at x^i, each summed in one pass over the terms
+    of its coefficients, and sum |Feg(zeta)|^2 against the zeta-series
     count; zeta^delta is a residue mod the lcm of the regular orders, and the
     centralizers are read off the multiplication table.  Galois closure
     compares canonical rows, only when some sigma_k other than 1 fixes the
@@ -559,13 +556,9 @@ def verify_axioms(table: UchTable, G: ReflectionCoset,
     _check_series_counting(table, G, feg_map, regulars, vanishes,
                            fails["series-counting"])
 
-    for fam in table.families:
-        for name in fam.members:
-            if name not in feg_map:
-                continue
-            fg = feg_map[name]
-            if not (fam.a <= fg.valuation() and fg.degree() <= fam.A):
-                fails["family-bounds"].append(name)
+    fails["family-bounds"] = [  # a fake degree's valuation never exceeds its degree
+        name for fam in table.families for name in fam.members if name in feg_map
+        and not fam.a <= feg_map[name].valuation() <= feg_map[name].degree() <= fam.A]
 
     _check_galois_closure(table, G.field, fails["galois-closure"])
     return AxiomReport(fails)
@@ -600,45 +593,44 @@ def _check_degrees_divide_order(table, orders, roots, failures):
 
 def _check_family_sums(table, rows, feg_map, failures):
     """Sum Deg_x(X) conj(Deg_x)(Y) = Sum Feg_chi(X) Feg_chi(Y) over each
-    family, coefficient by coefficient in X and Y.  The coefficients are
-    lifted onto Z[z] (exponents below N, the lcm of their conductors) over
-    one denominator, conj taking z^t to z^(-t mod N), and packed at one
-    slot width b, as g(2^b) for a lift g.  For each term (p, q) of either
-    side, q's coefficients are packed into one row, the one of Y^j in block
-    number j (j in the sorted Y-exponents of the family), and each X^i
-    coefficient of p multiplies that row once, as a sum of shifted copies
-    of it, one per term of its sparse lift.  Block j of the sum of these
-    products over the terms is the lift of the X^i Y^j coefficient of
-    lhs - rhs, of degree at most 2N - 2 and L1 norm at most ``norm``, the
-    sum over the terms of max ||p_i||_1 * max ||q_j||_1, which sets b
-    (``cyclotomic._slot_bits``).  As 2^b > 2 * norm + 1, the block's value
-    is below 2^(b(2N - 1) - 1) in absolute value, so blocks of W = b(2N - 1)
-    bits are read off as signed digits (``cyclotomic._signed_digits``), each
-    nonzero one zero-tested by one remainder (``cyclotomic._is_zero_packed``)."""
+    family, coefficient by coefficient in X and Y, in one pass over the
+    terms of each product's coefficients.  A term a z_m^t of a coefficient
+    over d lifts onto Z[z] at N, the lcm of the family's conductors, as
+    a (D/d) z^(tN/m), D the lcm of the denominators, and conj as
+    a (D/d) z^(-tN/m mod N); a lift g is packed as g(2^b).  For each product
+    p(X) q(Y) (q = conj(Deg) or Feg), q's lifted terms are added straight
+    into one row, Y^j's in block number j (j in the sorted Y-exponents of
+    the family), and each lifted term c z^s of p's X^i coefficient adds
+    c * row << b s into the sum for X^i.  Block j of that sum is the lift of
+    the X^i Y^j coefficient of lhs - rhs, of degree at most 2N - 2 and L1
+    norm at most ``norm``, the sum over the products of max ||p_i||_1 *
+    max ||q_j||_1, which sets b (``cyclotomic._slot_bits``).  As 2^b >
+    2 * norm + 1, the block's value is below 2^(b(2N - 1) - 1) in absolute
+    value, so blocks of W = b(2N - 1) bits are read off as signed digits
+    (``cyclotomic._signed_digits``), each nonzero one zero-tested by one
+    remainder (``cyclotomic._is_zero_packed``)."""
     for fam in table.families:
-        degs = [rows[name].degree for name in fam.members]
-        fegs = [feg_map[name] for name in fam.members if name in feg_map]
-        coeffs = [c for p in degs + fegs for _, c in p.coeffs]
-        n, den = lcm(*[c.n for c in coeffs]), lcm(*[c.den for c in coeffs])
-
-        def top(p):  # the largest L1 norm of a lifted coefficient of p or conj(p)
-            return max([sum([abs(a) for _, a in c.terms]) * (den // c.den) for _, c in p.coeffs],
-                       default=0)
-
-        b = _slot_bits(n, sum([top(p) ** 2 for p in degs + fegs]))
+        # Deg(X) conj(Deg)(Y) is added and Feg(X) Feg(Y) taken away: conj = -sign
+        prods = [(rows[name].degree, 1) for name in fam.members]
+        prods += [(feg_map[name], -1) for name in fam.members if name in feg_map]
+        terms = [(j, c) for p, _ in prods for j, c in p.coeffs]
+        n, den = lcm(*[c.n for _, c in terms]), lcm(*[c.den for _, c in terms])
+        # over the products, the largest L1 norm of a lifted coefficient, squared
+        b = _slot_bits(n, sum([max([sum([abs(a) for _, a in c.terms]) * (den // c.den)
+                                    for _, c in p.coeffs], default=0) ** 2 for p, _ in prods]))
         width = b * (2 * n - 1)
-
-        def lift(p, conj=1):
-            return [(i, [(b * (conj * t * (n // c.n) % n), a * (den // c.den)) for t, a in c.terms])
-                    for i, c in p.coeffs]
-
-        terms = [(lift(d), lift(d, -1), 1) for d in degs] + [(lift(f), lift(f), -1) for f in fegs]
-        block = {j: width * t for t, j in enumerate(sorted({j for _, q, _ in terms for j, _ in q}))}
+        block = {j: width * t for t, j in enumerate(sorted({j for j, _ in terms}))}
         sums: defaultdict[int, int] = defaultdict(int)
-        for p, q, sign in terms:
-            row = sign * sum([a << s + block[j] for j, g in q for s, a in g])
-            for i, g in p:  # g times the row, one shifted copy per term of the sparse lift
-                sums[i] += sum([a * row << s for s, a in g])
+        for p, sign in prods:
+            row = 0
+            for j, c in p.coeffs:
+                s, k, o = n // c.n * -sign, den // c.den * sign, block[j]
+                for t, a in c.terms:
+                    row += a * k << b * (t * s % n) + o
+            for i, c in p.coeffs:
+                s, k = n // c.n, den // c.den
+                for t, a in c.terms:
+                    sums[i] += a * k * row << b * (t * s % n)
         bad = next(((i, list(block)[t]) for i in sorted(sums)
                     for t, v in _signed_digits(sums[i], width, len(block))
                     if not _is_zero_packed(n, v, b)), None)
@@ -648,9 +640,9 @@ def _check_family_sums(table, rows, feg_map, failures):
 
 def _check_principal_series(rows, G, feg_map, failures):
     """Feg(R_1) = sum theta(1) Deg(rho_theta) over the principal series, on
-    integer lifts at N, the lcm of the conductors, over one denominator; the
-    weight theta(1) = Feg_theta(1) is the sum of the lifts of Feg_theta's
-    coefficients, and each x^e of the difference is zero-tested once."""
+    integer lifts at N, the lcm of the conductors, over one denominator: each
+    term of Deg's x^e coefficient times each term of theta(1) = Feg_theta(1),
+    the lifts of Feg_theta's coefficients, adds into x^e, zero-tested once."""
     terms = [(fake_degree_torus(G, 0), [Cyclo.rational(-1)])]
     terms += [(rows[name].degree, [c for _, c in fg.coeffs]) for name, fg in feg_map.items()]
     cs = [c for p, ws in terms for c in ws + [c for _, c in p.coeffs]]
@@ -660,8 +652,9 @@ def _check_principal_series(rows, G, feg_map, failures):
         w = [(j * (n // f.n), b * (den // f.den)) for f in ws for j, b in f.terms]
         for e, c in p.coeffs:
             acc, s, k = sums.setdefault(e, {}), n // c.n, den // c.den
-            for t, v in [((i * s + j) % n, a * k * b) for i, a in c.terms for j, b in w]:
-                acc[t] = acc.get(t, 0) + v
+            for i, a in c.terms:
+                for j, b in w:
+                    acc[(i * s + j) % n] = acc.get((i * s + j) % n, 0) + a * k * b
     if not all(_is_zero_lift(n, g) for g in sums.values()):
         failures.append("sum over the principal series")
 

@@ -8,7 +8,7 @@ import pytest
 from spets.chartables import char_table, feg_map
 from spets.cyclotomic import _PACK_PHI, Cyclo, CycloField, _slot_bits, totient, zeta
 from spets.laurent import LaurentPoly
-from spets.orders import reversal
+from spets.orders import fake_degree_torus, reversal
 from spets.reflection import ReflectionCoset, _charpoly, _lift_rows, build_group
 from spets.tabledata import construct_uch
 
@@ -279,6 +279,44 @@ def check_inducing_sum(levi, deg_lambda, rows_with_dims):
     """Deg(lambda) (|G|/|L|)_{x'} = sum Deg(rho_chi) chi(1) over a proposed tuple."""
     total = LaurentPoly.combination((row.degree, dim) for row, dim in rows_with_dims)
     return total == deg_lambda * reversal(levi.relative_poincare)
+
+
+@lru_cache(maxsize=4096)
+def _member_products(deg, feg):
+    """Deg_i conj(Deg_j) - Feg_i Feg_j by (i, j), by canonical ``Cyclo``
+    products; ``feg`` None for a member with no fake degree."""
+    out = {}
+    for p, q, sign in [(deg, [(j, y.conjugate()) for j, y in deg.coeffs], 1)] + (
+            [(feg, feg.coeffs, -1)] if feg is not None else []):
+        for i, x in p.coeffs:
+            for j, y in q:
+                out[i, j] = out.get((i, j), 0) + x * y * sign
+    return out
+
+
+def family_sum_failures(table, rows, fegs):
+    """For each family, the first (i, j) in sorted order where sum Deg_i
+    conj(Deg_j) - sum Feg_i Feg_j over its members is nonzero, by canonical
+    ``Cyclo`` arithmetic: the reference for ``uch._check_family_sums``."""
+    failures = []
+    for fam in table.families:
+        total = {}
+        for name in fam.members:
+            for ij, v in _member_products(rows[name].degree, fegs.get(name)).items():
+                total[ij] = total.get(ij, 0) + v
+        bad = next((ij for ij in sorted(total) if total[ij]), None)
+        if bad:
+            failures.append(f"family {fam.index} at x^{bad[0]} y^{bad[1]}")
+    return failures
+
+
+def principal_series_failures(rows, G, fegs):
+    """Whether sum theta(1) Deg(rho_theta) - Feg(R_1) over the principal
+    series is nonzero, theta(1) = Feg_theta(1), by canonical ``LaurentPoly``
+    arithmetic: the reference for ``uch._check_principal_series``."""
+    total = sum((rows[name].degree * fg.evaluate(1) for name, fg in fegs.items()),
+                -fake_degree_torus(G, 0))
+    return ["sum over the principal series"] if total else []
 
 
 @pytest.fixture(scope="session")

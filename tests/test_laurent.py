@@ -313,6 +313,15 @@ class TestRootOfUnityEvaluation:
         monkeypatch.setattr(Cyclo, "__pow__", no_power)
         assert_same(p.evaluate(zeta(12, 5)), want)
 
+    @pytest.mark.parametrize("v", [zeta(3), zeta(6, 5), zeta(4), Cyclo.rational(1), zeta(12, 7)],
+                             ids=["E(3)", "E(6,5)", "E(4)", "1", "E(12,7)"])
+    def test_g312_degrees_match_the_generic_sum(self, g312_result, v):
+        # the constant 1 and x^6 + x^3 are lifted at the order of v^g, g the
+        # gcd of their exponents; the other rows at lcm(d, 3)
+        for row in g312_result.table.rows:
+            p = row.degree
+            assert_same(p.evaluate(v), sum([c * v ** e for e, c in p.coeffs], Cyclo.rational(0)))
+
 
 class TestFracExpMonomial:
     def test_serialize(self):

@@ -5,7 +5,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +21,8 @@ from spets.uch import (DeterminationError, SeriesDetermination, UchTable, Unipot
                        cyclic_uch, determine_parameters, ennola_transform,
                        hc_candidate_filter, regular_eigenvalues, verify_axioms)
 
-from conftest import (EXTRA_GROUPS, b3_gens, check_inducing_sum, divides, exact_div, extra_group,
+from conftest import (EXTRA_GROUPS, ORACLE_GROUPS, b3_gens, check_inducing_sum, divides,
+                      exact_div, extra_group, family_sum_failures, principal_series_failures,
                       row_reduce)
 
 
@@ -228,6 +229,42 @@ class TestAxioms:
         broken = UchTable(table.group, rows, table.families)
         report = verify_axioms(broken, G, uch._cyclic_feg_map(2))
         assert report.failures["galois-closure"] == ["sigma_2 does not permute the table"]
+
+
+def _one_coefficient_corruptions(res):
+    """The table's rows as ``rows`` maps, each with one row's degree changed:
+    for row r, its coefficient number r mod its length times, in turn, 2 and
+    each root of unity of the field other than 1."""
+    rows = {r.name: r for r in reversed(res.table.rows)}
+    yield rows
+    m = lcm(2, res.group.field.conductor)
+    factors = [2] + [zeta(m, k) for k in range(1, m)]
+    for r, row in enumerate(res.table.rows):
+        if not row.degree.coeffs:
+            continue
+        e0, f = row.degree.coeffs[r % len(row.degree.coeffs)][0], factors[r % len(factors)]
+        deg = LaurentPoly([(e, c * f if e == e0 else c) for e, c in row.degree.coeffs])
+        yield {**rows, row.name: UnipotentCharacter(row.name, deg, row.fr, row.family)}
+
+
+class TestVerifierOracles:
+    @pytest.mark.parametrize("name", ORACLE_GROUPS)
+    def test_family_sums(self, name):
+        res, seen = construct_uch(name), 0
+        for rows in _one_coefficient_corruptions(res):
+            got = []
+            uch._check_family_sums(res.table, rows, res.fegs, got)
+            assert got == family_sum_failures(res.table, rows, res.fegs)
+            seen += bool(got)
+        assert seen  # row 0 is doubled; a unit times a monomial row keeps its sums
+
+    @pytest.mark.parametrize("name", ORACLE_GROUPS)
+    def test_principal_series(self, name):
+        res = construct_uch(name)
+        for rows in _one_coefficient_corruptions(res):
+            got = []
+            uch._check_principal_series(rows, res.group, res.fegs, got)
+            assert got == principal_series_failures(rows, res.group, res.fegs)
 
 
 # degrees and codegrees (Lehrer-Taylor, Unitary Reflection Groups, 2009)
