@@ -262,7 +262,7 @@ class LaurentPoly:
         with g the gcd of the exponents present, every v^e is a power of v^g,
         of order d' = d / gcd(d, k*g), so each term a z_m^t of c_e is added
         at n, the lcm of d' and the conductors, over one den, shifted by
-        e*k*n/d (an integer, as g divides e); elsewhere sum(c_e * v^e)."""
+        e*k*n/d (an integer: g divides e, d' divides n); elsewhere sum(c_e * v^e)."""
         v = _coerce(v)
         root = v.root_of_unity_order()
         if root is None:
@@ -521,7 +521,7 @@ def root_multiplicities(polys: Sequence["LaurentPoly | PackedLift"],
             blk = idx[lo:lo + _BLOCK_ROWS]
             b = _slot_bits(n, max([norms[i] for i in blk]))
             width, cols = b * (2 * n - 1), {}
-            for t, i in enumerate(blk):  # each lift packed straight into its column
+            for t, i in enumerate(blk):
                 for e, cn, g, m in rows[i][1].coeffs:
                     s = n // cn
                     cols[e] = cols.get(e, 0) + (sum([a * m << b * (u * s) for u, a in g])
