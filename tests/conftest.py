@@ -312,10 +312,11 @@ def family_sum_failures(table, rows, fegs):
 
 def principal_series_failures(rows, G, fegs):
     """Whether sum theta(1) Deg(rho_theta) - Feg(R_1) over the principal
-    series is nonzero, theta(1) = Feg_theta(1), by canonical ``LaurentPoly``
-    arithmetic: the reference for ``uch._check_principal_series``."""
-    total = sum((rows[name].degree * fg.evaluate(1) for name, fg in fegs.items()),
-                -fake_degree_torus(G, 0))
+    series is nonzero, theta(1) = Feg_theta(1) the sum of its coefficients,
+    by canonical ``Cyclo`` and ``LaurentPoly`` arithmetic: the reference for
+    ``uch._check_principal_series``."""
+    total = sum((rows[name].degree * sum([c for _, c in fg.coeffs], Cyclo.rational(0))
+                 for name, fg in fegs.items()), -fake_degree_torus(G, 0))
     return ["sum over the principal series"] if total else []
 
 
